@@ -174,7 +174,9 @@ def measure(
         traced_times: list[float] = []
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
-            traced_result = session.execute(query, strategy=strategy, tracer=tracer)
+            traced_result = session.execute(
+                query, strategy=strategy, tracer=tracer, timeout=timeout, **execute_kwargs
+            )
             traced_times.append((time.perf_counter() - started) * 1e3)
         measurement.trace = traced_result.stats.trace
         untraced = measurement.wall_ms

@@ -23,7 +23,7 @@ from typing import Sequence
 from ..core.aggregates import AggregateFunction
 from ..engine.expressions import Expr, is_true
 from ..engine.joinutil import split_equi_condition
-from ..engine.table import Row
+from ..engine.table import Row, row_getter
 from ..filtering import topk as topk_prelation
 from .column import ColumnarRelation
 from .vectorized import selection_vector
@@ -51,7 +51,7 @@ def project(relation: ColumnarRelation, attrs: Sequence[str]) -> ColumnarRelatio
     """``π_A(R)`` — bag semantics, pairs survive (as in the reference)."""
     positions = [relation.schema.index_of(a) for a in attrs]
     schema = relation.schema.project(attrs)
-    rows = [tuple(row[i] for i in positions) for row in relation.rows]
+    rows = list(map(row_getter(positions), relation.rows))
     return ColumnarRelation.from_rows(schema, rows, list(relation.pairs))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..engine.schema import TableSchema
-from ..engine.table import Row, Table
+from ..engine.table import Row, Table, row_getter
 from ..errors import ExecutionError
 from .scorepair import IDENTITY, ScorePair
 
@@ -156,8 +156,7 @@ class ScoreRelation:
 
     def key_extractor(self, schema: TableSchema) -> Callable[[Row], tuple]:
         """Compile a function extracting this relation's key from rows of *schema*."""
-        positions = tuple(schema.index_of(a) for a in self.key_attrs)
-        return lambda row: tuple(row[i] for i in positions)
+        return row_getter([schema.index_of(a) for a in self.key_attrs])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScoreRelation(key={self.key_attrs}, {len(self.entries)} entries)"

@@ -9,6 +9,7 @@ executor and to the prefer-operator routines.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 from ..analysis_static.sanitizer import current_sanitizer
@@ -26,17 +27,13 @@ class Index:
             raise CatalogError("an index requires at least one attribute")
         self.table = table
         self.attrs = tuple(attrs)
-        self._positions = tuple(table.schema.index_of(a) for a in attrs)
+        #: ``row -> key``: the bare value for one attribute, a tuple for more.
+        self.key_of = itemgetter(*(table.schema.index_of(a) for a in attrs))
         self._build()
 
     @property
     def name(self) -> str:
         return f"{self.kind}:{self.table.name}({','.join(self.attrs)})"
-
-    def key_of(self, row: Row) -> Any:
-        if len(self._positions) == 1:
-            return row[self._positions[0]]
-        return tuple(row[i] for i in self._positions)
 
     def _build(self) -> None:
         raise NotImplementedError
@@ -64,8 +61,9 @@ class HashIndex(Index):
 
     def _build(self) -> None:
         buckets: dict[Any, list[Row]] = {}
+        key_of = self.key_of
         for row in self.table.rows:
-            buckets.setdefault(self.key_of(row), []).append(row)
+            buckets.setdefault(key_of(row), []).append(row)
         self._buckets = buckets
 
     def lookup(self, key: Any) -> list[Row]:
@@ -91,10 +89,11 @@ class OrderedIndex(Index):
     kind = "btree"
 
     def _build(self) -> None:
+        rows = self.table.rows
         entries = [
-            (self.key_of(row), row)
-            for row in self.table.rows
-            if self._key_is_indexable(self.key_of(row))
+            (key, row)
+            for key, row in zip(map(self.key_of, rows), rows)
+            if self._key_is_indexable(key)
         ]
         entries.sort(key=lambda pair: pair[0])
         self._keys = [key for key, _ in entries]

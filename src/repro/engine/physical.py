@@ -6,6 +6,11 @@ Relation / Materialized leaves, Select, Project, Join and the set
 operations — using an iterator (pipelined) model with hash joins, index
 access paths and simulated I/O accounting.
 
+Row work is done by kernels built once per operator — ``itemgetter`` key
+and projection extractors applied through ``map``/``filter`` — rather than
+per-row generator expressions.  Hash joins drop NULL-keyed build rows once,
+at build time, so probes carry no per-row NULL test.
+
 Preference operators are rejected: they belong to the layer above
 (:mod:`repro.pexec`), exactly like the paper's prefer routines live outside
 the PostgreSQL executor.
@@ -13,6 +18,7 @@ the PostgreSQL executor.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator
 
 from ..errors import ExecutionError
@@ -33,12 +39,12 @@ from ..plan.nodes import (
     Union,
 )
 from .catalog import Catalog
-from .expressions import Attr, Comparison, Expr, Literal, conjoin, conjuncts
+from .expressions import Attr, Comparison, Expr, Literal, conjoin, conjuncts, is_true
 from .index import OrderedIndex
 from .iosim import CostModel
 from .joinutil import split_equi_condition
 from .schema import TableSchema
-from .table import Row
+from .table import Row, row_getter
 
 
 def execute_native(
@@ -127,8 +133,7 @@ class _Executor:
             if result is not None:
                 return result
         schema, rows = self.run(plan.child)
-        predicate = plan.condition.compile(schema)
-        return schema, (row for row in rows if predicate(row))
+        return schema, filter(plan.condition.compile(schema), rows)
 
     def _try_index_access(
         self, relation: Relation, condition: Expr
@@ -140,16 +145,11 @@ class _Executor:
             access = self._index_candidates(relation, schema, part)
             if access is None:
                 continue
-            matched = access
             residual = conjoin([p for i, p in enumerate(parts) if i != position])
-            self.cost.index_probe(len(matched))
-            rows: Iterator[Row] = iter(matched)
-            from .expressions import is_true
-
-            if not is_true(residual):
-                predicate = residual.compile(schema)
-                rows = (row for row in matched if predicate(row))
-            return schema, rows
+            self.cost.index_probe(len(access))
+            if is_true(residual):
+                return schema, iter(access)
+            return schema, filter(residual.compile(schema), access)
         return None
 
     def _index_candidates(
@@ -161,30 +161,35 @@ class _Executor:
         if attr is None:
             return None
         bare = attr.rsplit(".", 1)[-1]
+        # A comparison with NULL is never true (the scan path agrees), so a
+        # NULL constant matches nothing: a hash index would return its NULL
+        # bucket and ``range()`` would read NULL as an open bound.
         if part.op == "=":
             index = self.catalog.find_index(relation.name, bare)
-            if index is not None:
-                return index.lookup(value)
-            return None
+            if index is None:
+                return None
+            return [] if value is None else index.lookup(value)
         index = self.catalog.find_index(relation.name, bare, kind="btree")
         if not isinstance(index, OrderedIndex):
             return None
         op = part.op if isinstance(part.left, Attr) else _mirror(part.op)
+        if op not in ("<", "<=", ">", ">="):
+            return None
+        if value is None:
+            return []
         if op == "<":
             return list(index.range(high=value, high_inclusive=False))
         if op == "<=":
             return list(index.range(high=value))
         if op == ">":
             return list(index.range(low=value, low_inclusive=False))
-        if op == ">=":
-            return list(index.range(low=value))
-        return None
+        return list(index.range(low=value))
 
     def _project(self, plan: Project) -> tuple[TableSchema, Iterator[Row]]:
         schema, rows = self.run(plan.child)
         positions = [schema.index_of(a) for a in plan.attrs]
         out_schema = schema.project(plan.attrs)
-        return out_schema, (tuple(row[i] for i in positions) for row in rows)
+        return out_schema, map(row_getter(positions), rows)
 
     # -- joins --------------------------------------------------------------------
 
@@ -248,25 +253,41 @@ class _Executor:
         if outer_estimate * 4 >= right_size:
             return None
         probe_position = left_schema.index_of(left_attr)
-        predicate = residual.compile(out_schema) if residual is not None else None
+        lookup = index.lookup
+        project = None if project_positions is None else row_getter(project_positions)
         cost = self.cost
         self.cost.count_operator("index-nested-loop")
 
-        def generate() -> Iterator[Row]:
-            for row in left_rows:
-                key = row[probe_position]
-                if key is None:
-                    continue
-                matches = index.lookup(key)
-                cost.index_probe(len(matches))
-                for other in matches:
-                    if project_positions is not None:
-                        other = tuple(other[i] for i in project_positions)
-                    combined = row + other
-                    if predicate is None or predicate(combined):
-                        yield combined
+        def probe(row: Row):
+            key = row[probe_position]
+            if key is None:
+                return ()
+            matches = lookup(key)
+            cost.index_probe(len(matches))
+            return matches if project is None else map(project, matches)
 
-        return generate()
+        joined = (row + other for row in left_rows for other in probe(row))
+        return joined if residual is None else filter(residual.compile(out_schema), joined)
+
+    def _build(self, rows: Iterator[Row], positions: list[int]) -> dict:
+        """Hash a join's build side: join key → rows.
+
+        Every build row is counted as materialized, but NULL-keyed rows are
+        dropped here, once: a NULL key equals nothing, so probes need no
+        per-row NULL test (a probe key holding NULL finds no bucket).
+        """
+        key = itemgetter(*positions)
+        buckets: dict = {}
+        group = buckets.setdefault
+        for row in rows:
+            group(key(row), []).append(row)
+        self.cost.materialize(sum(map(len, buckets.values())))
+        if len(positions) == 1:
+            buckets.pop(None, None)
+        else:
+            for null_key in [k for k in buckets if None in k]:
+                del buckets[null_key]
+        return buckets
 
     def _hash_join(
         self,
@@ -278,28 +299,10 @@ class _Executor:
         equi: list[tuple[str, str]],
         residual: Expr | None,
     ) -> Iterator[Row]:
-        build_positions = [right_schema.index_of(b) for _, b in equi]
-        probe_positions = [left_schema.index_of(a) for a, _ in equi]
-        buckets: dict[tuple, list[Row]] = {}
-        build_count = 0
-        for row in right_rows:
-            key = tuple(row[i] for i in build_positions)
-            buckets.setdefault(key, []).append(row)
-            build_count += 1
-        self.cost.materialize(build_count)
-        predicate = residual.compile(out_schema) if residual is not None else None
-
-        def generate() -> Iterator[Row]:
-            for row in left_rows:
-                key = tuple(row[i] for i in probe_positions)
-                if any(part is None for part in key):
-                    continue
-                for other in buckets.get(key, ()):
-                    combined = row + other
-                    if predicate is None or predicate(combined):
-                        yield combined
-
-        return generate()
+        get = self._build(right_rows, [right_schema.index_of(b) for _, b in equi]).get
+        probe_key = itemgetter(*(left_schema.index_of(a) for a, _ in equi))
+        joined = (row + other for row in left_rows for other in get(probe_key(row), ()))
+        return joined if residual is None else filter(residual.compile(out_schema), joined)
 
     def _left_join(self, plan: LeftJoin) -> tuple[TableSchema, Iterator[Row]]:
         left_schema, left_rows = self.run(plan.left)
@@ -309,41 +312,25 @@ class _Executor:
         padding = (None,) * len(right_schema.columns)
 
         if equi:
-            build_positions = [right_schema.index_of(b) for _, b in equi]
-            probe_positions = [left_schema.index_of(a) for a, _ in equi]
-            buckets: dict[tuple, list[Row]] = {}
-            build_count = 0
-            for row in right_rows:
-                buckets.setdefault(tuple(row[i] for i in build_positions), []).append(row)
-                build_count += 1
-            self.cost.materialize(build_count)
-            predicate = residual.compile(out_schema) if residual is not None else None
+            get = self._build(right_rows, [right_schema.index_of(b) for _, b in equi]).get
+            probe_key = itemgetter(*(left_schema.index_of(a) for a, _ in equi))
 
-            def generate() -> Iterator[Row]:
-                for row in left_rows:
-                    key = tuple(row[i] for i in probe_positions)
-                    matched = False
-                    if not any(part is None for part in key):
-                        for other in buckets.get(key, ()):
-                            combined = row + other
-                            if predicate is None or predicate(combined):
-                                matched = True
-                                yield combined
-                    if not matched:
-                        yield row + padding
+            def candidates(row: Row):
+                return get(probe_key(row), ())
+        else:
+            residual = None if is_true(plan.condition) else plan.condition
+            inner = list(right_rows)
+            self.cost.materialize(len(inner))
 
-            return out_schema, generate()
+            def candidates(row: Row):
+                return inner
 
-        from .expressions import is_true
+        predicate = residual.compile(out_schema) if residual is not None else None
 
-        inner = list(right_rows)
-        self.cost.materialize(len(inner))
-        predicate = None if is_true(plan.condition) else plan.condition.compile(out_schema)
-
-        def generate_nested() -> Iterator[Row]:
+        def generate() -> Iterator[Row]:
             for row in left_rows:
                 matched = False
-                for other in inner:
+                for other in candidates(row):
                     combined = row + other
                     if predicate is None or predicate(combined):
                         matched = True
@@ -351,7 +338,7 @@ class _Executor:
                 if not matched:
                     yield row + padding
 
-        return out_schema, generate_nested()
+        return out_schema, generate()
 
     def _nested_loop(
         self,
@@ -360,20 +347,10 @@ class _Executor:
         out_schema: TableSchema,
         condition: Expr,
     ) -> Iterator[Row]:
-        from .expressions import is_true
-
         inner = list(right_rows)
         self.cost.materialize(len(inner))
-        predicate = None if is_true(condition) else condition.compile(out_schema)
-
-        def generate() -> Iterator[Row]:
-            for row in left_rows:
-                for other in inner:
-                    combined = row + other
-                    if predicate is None or predicate(combined):
-                        yield combined
-
-        return generate()
+        joined = (row + other for row in left_rows for other in inner)
+        return joined if is_true(condition) else filter(condition.compile(out_schema), joined)
 
     # -- set operations --------------------------------------------------------------
 

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..analysis_static.sanitizer import current_sanitizer
 from ..errors import CatalogError, SchemaError, TypeError_
 from .schema import TableSchema
 
 Row = tuple
+
+
+def row_getter(positions: Sequence[int]) -> Callable[[Row], tuple]:
+    """``row -> tuple(row[i] for i in positions)``, built once per operator.
+
+    Operators build this kernel once and apply it to every row (``map``),
+    instead of running a generator expression per row.  ``itemgetter``
+    returns a scalar for a single position, so that case is wrapped.
+    """
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 class Table:

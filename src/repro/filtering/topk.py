@@ -9,11 +9,16 @@ reference evaluator exactly.  ⊥ scores rank below every known score.
 Tie-breaking must not depend on the physical column order (the optimizer is
 free to permute it), so the attribute comparison walks the columns in
 qualified-name order, which is identical across all equivalent plans.
+
+:func:`rank_key` is the specification of that order.  :func:`topk` ranks
+before it tie-breaks: one quantized float per known value finds the k-th
+rank, and only the rows at or above it build the all-columns tie-break key.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Sequence
 
 from ..core.prelation import PRelation
@@ -54,17 +59,34 @@ def rank_key(row: Row, pair: ScorePair, by: str, order: Sequence[int]) -> tuple:
 
 
 def topk(relation: PRelation, k: int, by: str = "score") -> PRelation:
-    """The k best tuples of *relation* ordered by ``score`` or ``conf``."""
+    """The k best tuples of *relation* ordered by ``score`` or ``conf``.
+
+    Exactly ``sorted(relation, key=rank_key)[:k]``, computed rank first:
+    each row with a known value gets one quantized float (rounded once per
+    distinct value), the k-th smallest of those is the cut, and only the
+    rows ranked at or above it — the strictly better ones plus the boundary
+    group tied with the k-th — pay for the all-columns tie-break.  ⊥ ranks
+    after every known value, so ⊥ rows reach the cut only when fewer than k
+    values are known; then every row is in the boundary group.
+    """
     if by not in ("score", "conf"):
         raise ExecutionError(f"top-k orders by 'score' or 'conf', got {by!r}")
     if k <= 0:
         raise ExecutionError(f"top-k requires k >= 1, got {k}")
+    rows, pairs = relation.rows, relation.pairs
     order = canonical_column_order(relation.schema)
-    entries = heapq.nsmallest(
-        k,
-        zip(relation.rows, relation.pairs),
-        key=lambda item: rank_key(item[0], item[1], by, order),
-    )
-    return PRelation(
-        relation.schema, [row for row, _ in entries], [pair for _, pair in entries]
-    )
+    values = list(map(itemgetter(0 if by == "score" else 1), pairs))
+    known = [i for i, value in enumerate(values) if value is not None]
+    if len(known) < k:
+        chosen = sorted(range(len(rows)), key=lambda i: rank_key(rows[i], pairs[i], by, order))
+    else:
+        known_values = [values[i] for i in known]
+        rank_of = {value: -round(value, _RANK_DECIMALS) for value in set(known_values)}
+        ranks = list(map(rank_of.__getitem__, known_values))
+        kth = heapq.nsmallest(k, ranks)[-1]
+        cut = [(rank, i) for i, rank in zip(known, ranks) if rank <= kth]
+        # Known values only: (rank, row) orders the cut exactly as rank_key.
+        cut.sort(key=lambda entry: (entry[0], row_sort_key(rows[entry[1]], order)))
+        chosen = [i for _, i in cut]
+    del chosen[k:]
+    return PRelation(relation.schema, [rows[i] for i in chosen], [pairs[i] for i in chosen])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..core.prelation import PRelation
 from ..engine.schema import TableSchema
+from ..engine.table import row_getter
 from ..errors import ExecutionError
 
 
@@ -30,5 +31,5 @@ def conform(relation: PRelation, target: TableSchema) -> PRelation:
                 "is missing from the computed schema"
             )
         positions.append(source.index_of(name))
-    rows = [tuple(row[i] for i in positions) for row in relation.rows]
+    rows = list(map(row_getter(positions), relation.rows))
     return PRelation(target, rows, list(relation.pairs))

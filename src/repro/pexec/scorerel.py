@@ -11,6 +11,7 @@ from the inputs' score relations.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from ..core.preference import Preference
 from ..core.prelation import PRelation
 from ..core.scorepair import IDENTITY, ScorePair
 from ..engine.schema import TableSchema
-from ..engine.table import Row, Table
+from ..engine.table import Row, Table, row_getter
 from ..errors import ExecutionError
 from ..obs import current_tracer
 
@@ -34,7 +35,7 @@ class Intermediate:
     ``schema`` — the execution engine widens projections to guarantee it.
     """
 
-    __slots__ = ("schema", "rows", "key_attrs", "scores", "source")
+    __slots__ = ("schema", "rows", "key_attrs", "scores", "source", "pairs")
 
     def __init__(
         self,
@@ -43,6 +44,7 @@ class Intermediate:
         key_attrs: Sequence[str],
         scores: dict[tuple, ScorePair] | None = None,
         source: object | None = None,
+        pairs: list[ScorePair] | None = None,
     ):
         self.schema = schema
         #: ``None`` marks a *lazy* intermediate: the rows are exactly what
@@ -65,6 +67,10 @@ class Intermediate:
         #: exactly like the paper's prototype (prefer leaves R unchanged and
         #: updates R_P).
         self.source = source
+        #: Each row's pair, aligned with ``rows``, when the producer derived
+        #: them row by row anyway (joins, forced blocks): ``to_prelation``
+        #: then skips the per-row key probe.  ``None`` otherwise.
+        self.pairs = pairs
 
     # -- construction -----------------------------------------------------------
 
@@ -95,14 +101,9 @@ class Intermediate:
 
     def key_fn(self):
         positions = self.key_positions()
-        if len(positions) == len(self.schema.columns) and positions == tuple(
-            range(len(positions))
-        ):
+        if positions == tuple(range(len(self.schema.columns))):
             return lambda row: row
-        if len(positions) == 1:
-            position = positions[0]
-            return lambda row: (row[position],)
-        return itemgetter(*positions)
+        return row_getter(positions)
 
     def pair_of(self, row: Row) -> ScorePair:
         return self.scores.get(self.key_fn()(row), IDENTITY)
@@ -114,10 +115,10 @@ class Intermediate:
             raise ExecutionError(
                 "lazy intermediate has no materialized rows; force it first"
             )
-        key = self.key_fn()
-        scores = self.scores
-        pairs = [scores.get(key(row), IDENTITY) for row in self.rows]
-        return PRelation(self.schema, list(self.rows), pairs)
+        pairs = self.pairs
+        if pairs is None:
+            pairs = _pairs_of_rows(self.rows, self.key_positions(), self.scores, IDENTITY)
+        return PRelation(self.schema, self.rows, pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -155,17 +156,27 @@ def _apply_prefer_into(
     once per *group* — the latter keeps the unfused path linear in |λ|
     instead of quadratic in the size of the score relation).
     """
-    condition = preference.condition.compile(inter.schema)
-    scoring = preference.scoring.compile(inter.schema)
+    qualifying = list(filter(preference.condition.compile(inter.schema), inter.rows))
+    combined = _fold_prefer(scores, inter.schema, qualifying, key, preference, aggregate)
+    _report_prefer(len(inter.rows), len(qualifying), combined)
+
+
+def _fold_prefer(
+    scores: dict,
+    schema: TableSchema,
+    qualifying: "list[Row] | tuple[Row, ...]",
+    key,
+    preference: Preference,
+    aggregate: AggregateFunction,
+) -> int:
+    """Fold *preference*'s fresh pair into *scores* (in place) for every
+    qualifying row; returns how many pairs went through ``F``."""
+    scoring = preference.scoring.compile(schema)
     confidence = preference.confidence
     combine = aggregate.combine
-    qualifying = combined = 0
-    for row in inter.rows:
-        if not condition(row):
-            continue
-        qualifying += 1
+    combined = 0
+    for row, k in zip(qualifying, map(key, qualifying)):
         fresh = ScorePair(scoring(row), confidence)
-        k = key(row)
         previous = scores.get(k)
         if previous is None:
             pair = fresh
@@ -176,7 +187,7 @@ def _apply_prefer_into(
             scores.pop(k, None)
         else:
             scores[k] = pair
-    _report_prefer(len(inter.rows), qualifying, combined)
+    return combined
 
 
 def apply_prefer(
@@ -229,25 +240,9 @@ def prefer_scores_from_rows(
     relative to the logical block schema — keys are resolved by name).  The
     returned dict merges into *base* without mutating it.
     """
-    scoring = preference.scoring.compile(schema)
-    confidence = preference.confidence
-    combine = aggregate.combine
-    positions = tuple(schema.index_of(a) for a in key_attrs)
+    key = row_getter([schema.index_of(a) for a in key_attrs])
     scores = dict(base or {})
-    combined = 0
-    for row in qualifying:
-        fresh = ScorePair(scoring(row), confidence)
-        k = tuple(row[i] for i in positions)
-        previous = scores.get(k)
-        if previous is None:
-            pair = fresh
-        else:
-            pair = combine(previous, fresh)
-            combined += 1
-        if pair.is_default:
-            scores.pop(k, None)
-        else:
-            scores[k] = pair
+    combined = _fold_prefer(scores, schema, qualifying, key, preference, aggregate)
     _report_prefer(len(qualifying), len(qualifying), combined)
     return scores
 
@@ -265,25 +260,10 @@ def apply_prefer_to_rows(
     behind the paper's Heuristic 4): only the matching tuples are scored,
     instead of scanning the whole input.
     """
-    scoring = preference.scoring.compile(inter.schema)
-    confidence = preference.confidence
-    combine = aggregate.combine
-    key = inter.key_fn()
     scores = dict(inter.scores)
-    combined = 0
-    for row in qualifying:
-        fresh = ScorePair(scoring(row), confidence)
-        k = key(row)
-        previous = scores.get(k)
-        if previous is None:
-            pair = fresh
-        else:
-            pair = combine(previous, fresh)
-            combined += 1
-        if pair.is_default:
-            scores.pop(k, None)
-        else:
-            scores[k] = pair
+    combined = _fold_prefer(
+        scores, inter.schema, qualifying, inter.key_fn(), preference, aggregate
+    )
     _report_prefer(len(qualifying), len(qualifying), combined)
     return Intermediate(inter.schema, inter.rows, inter.key_attrs, scores, inter.source)
 
@@ -293,10 +273,9 @@ def filter_rows(inter: Intermediate, rows: list[Row]) -> Intermediate:
 
     The paper filters non-qualifying tuples "from both relations".
     """
-    key = inter.key_fn()
-    surviving_keys = {key(row) for row in rows}
-    scores = {k: p for k, p in inter.scores.items() if k in surviving_keys}
-    return Intermediate(inter.schema, rows, inter.key_attrs, scores)
+    scores = inter.scores
+    kept = {k: scores[k] for k in map(inter.key_fn(), rows) if k in scores} if scores else {}
+    return Intermediate(inter.schema, rows, inter.key_attrs, kept)
 
 
 def project_rows(
@@ -336,32 +315,67 @@ def combine_join(
     key_attrs = [schema.columns[p].qualified_name for p in left_positions] + [
         schema.columns[p].qualified_name for p in right_positions
     ]
+    if not (left.scores or right.scores):
+        return Intermediate(schema, rows, key_attrs)
+    scores, pairs, combined = _fold_lookups(
+        rows,
+        [(left_positions, left.scores), (right_positions, right.scores)],
+        row_getter(left_positions + right_positions),
+        aggregate,
+    )
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.count("aggregate.combine", combined)
+    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs)
+
+
+def _pairs_of_rows(
+    rows: Sequence[Row], positions: Sequence[int], scores: dict, default=None
+) -> list:
+    """Per row, the pair *scores* holds for its key at *positions*.
+
+    The key extraction and the probe run as ``map`` kernels.  A one-column
+    key probes a copy of the sparse score relation re-keyed by the bare
+    value (``O(|R_P|)``), so no per-row key tuple is built.
+    """
+    if not scores:
+        return [default] * len(rows)
+    if len(positions) == 1:
+        scores = {key[0]: pair for key, pair in scores.items()}
+    return list(map(scores.get, map(itemgetter(*positions), rows), repeat(default)))
+
+
+def _fold_lookups(
+    rows: list[Row], lookups, key, aggregate: AggregateFunction
+) -> tuple[dict[tuple, ScorePair], list[ScorePair], int]:
+    """Per row, fold the pairs of several score relations through ``F``.
+
+    *lookups* lists ``(key positions, score relation)`` in combination
+    order; rows none of them covers are skipped, non-default results are
+    keyed by ``key(row)``.  Returns the scores, each row's pair (aligned
+    with *rows*) and how many pairs went through ``F``.
+    """
+    columns = [_pairs_of_rows(rows, positions, table) for positions, table in lookups if table]
+    combine = aggregate.combine
+    uncovered = (None,) * len(columns)
     scores: dict[tuple, ScorePair] = {}
-    if left.scores or right.scores:
-        combine = aggregate.combine
-        left_scores = left.scores
-        right_scores = right.scores
-        combined = 0
-        for row in rows:
-            left_key = tuple(row[i] for i in left_positions)
-            right_key = tuple(row[i] for i in right_positions)
-            left_pair = left_scores.get(left_key)
-            right_pair = right_scores.get(right_key)
-            if left_pair is None and right_pair is None:
+    pairs = [IDENTITY] * len(rows)
+    combined = 0
+    for index, found in enumerate(zip(*columns)):
+        if found == uncovered:
+            continue
+        pair = None
+        for candidate in found:
+            if candidate is None:
                 continue
-            if left_pair is None:
-                pair = right_pair
-            elif right_pair is None:
-                pair = left_pair
+            if pair is None:
+                pair = candidate
             else:
-                pair = combine(left_pair, right_pair)
+                pair = combine(pair, candidate)
                 combined += 1
-            if not pair.is_default:
-                scores[left_key + right_key] = pair
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("aggregate.combine", combined)
-    return Intermediate(schema, rows, key_attrs, scores)
+        if not pair.is_default:
+            scores[key(rows[index])] = pairs[index] = pair
+    return scores, pairs, combined
 
 
 def combine_setop(
@@ -465,20 +479,9 @@ def merge_embedded(
     if not key_attrs:
         key_attrs = [c.qualified_name for c in schema.columns]
 
-    scores: dict[tuple, ScorePair] = {}
-    if any(inter.scores for inter in embedded):
-        lookups = []
-        for inter in embedded:
-            positions = tuple(schema.index_of(a) for a in inter.key_attrs)
-            lookups.append((positions, inter.scores))
-        key_positions = tuple(schema.index_of(a) for a in key_attrs)
-        combine = aggregate.combine
-        for row in rows:
-            pair = IDENTITY
-            for positions, table in lookups:
-                found = table.get(tuple(row[i] for i in positions))
-                if found is not None:
-                    pair = found if pair is IDENTITY else combine(pair, found)
-            if not pair.is_default:
-                scores[tuple(row[i] for i in key_positions)] = pair
-    return Intermediate(schema, rows, key_attrs, scores)
+    lookups = [
+        ([schema.index_of(a) for a in inter.key_attrs], inter.scores) for inter in embedded
+    ]
+    key = row_getter([schema.index_of(a) for a in key_attrs])
+    scores, pairs, _ = _fold_lookups(rows, lookups, key, aggregate)
+    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs)

@@ -282,15 +282,10 @@ def run_concurrent_chaos(
         mode = "strict" if index % 2 == 0 else "fallback"
         cell = ConcurrentCell(reader_id, index, user, strategy, mode, "", ok=False)
         snapshot = server.snapshot()
-        names = sorted(p.name for p in snapshot.store.preferences_of(user))
-        if not names:
-            # A reader can land between clear() and the base re-add; that
-            # snapshot simply has nothing to prefer.
-            cell.outcome, cell.ok = "empty-bucket", True
-            return cell
-        sql = READER_SQL.format(names=", ".join(names))
         check_digest = index % 3 == 0
         digest_before = snapshot.digest() if check_digest else None
+        names = sorted(p.name for p in snapshot.store.preferences_of(user))
+        sql = READER_SQL.format(names=", ".join(names))
 
         def judge() -> None:
             oracle = _triples(
@@ -356,7 +351,13 @@ def run_concurrent_chaos(
             )
             cell.ok = True
 
-        judge()
+        if names:
+            judge()
+        else:
+            # A reader can land between clear() and the base re-add; that
+            # snapshot simply has nothing to prefer, but is still sampled
+            # for the immutability check below.
+            cell.outcome, cell.ok = "empty-bucket", True
         if check_digest:
             # Runs whatever the verdict was: a snapshot must stay bit-identical
             # through oracle runs, faulted runs, and concurrent writer churn.

@@ -74,6 +74,24 @@ class TestMeasure:
         assert m.query == "dirs"
         assert m.rows == len(imdb_tiny.table("DIRECTORS"))
 
+    def test_traced_run_uses_the_measured_configuration(self, imdb_tiny, monkeypatch):
+        query = imdb_2(k=5)
+        session = query.session(imdb_tiny)
+        calls = []
+        execute = session.execute
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(session, "execute", spy)
+        m = measure(
+            session, query.sql, "gbu", repeats=1, trace=True, timeout=60.0, columnar=True
+        )
+        assert m.trace.attrs["mode"] == "columnar"  # not a row trace
+        assert len(calls) == 3  # warm-up, timed, traced
+        assert all(call["timeout"] == 60.0 and call["columnar"] for call in calls)
+
     def test_compare_strategies(self, imdb_tiny):
         query = imdb_2(k=5)
         measurements = compare_strategies(imdb_tiny, query, repeats=1)

@@ -7,6 +7,8 @@ its own snapshot), and the crash-at-arbitrary-WAL-offset recovery sweep.
 
 from __future__ import annotations
 
+import math
+
 from repro.cli import main
 from repro.resilience.chaos_concurrent import (
     run_concurrent_chaos,
@@ -16,13 +18,15 @@ from repro.serve.bench import serve_bench
 
 
 def test_concurrent_chaos_small_run_conforms():
+    readers, queries = 2, 3
     report = run_concurrent_chaos(
-        seed=7, scale=0.0005, writers=2, readers=2, queries_per_reader=3
+        seed=7, scale=0.0005, writers=2, readers=readers, queries_per_reader=queries
     )
     assert report.ok, report.describe()
-    assert len(report.cells) == 2 * 3
+    assert len(report.cells) == readers * queries
     assert all(cell.ok for cell in report.cells)
-    assert report.snapshot_checks > 0  # post-hoc digest immutability ran
+    # Every third cell of each reader is digest-checked, empty buckets too.
+    assert report.snapshot_checks == readers * math.ceil(queries / 3)
     assert report.writer_ops > 0
     assert report.errors == []
 

@@ -1,6 +1,8 @@
 """Unit tests for filtering preferred tuples (Section V flavours)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.prelation import PRelation
 from repro.core.preference import Preference
@@ -19,6 +21,7 @@ from repro.filtering import (
     skyline_pairs,
     topk,
 )
+from repro.filtering.topk import canonical_column_order, rank_key
 
 SCHEMA = make_schema(
     "R",
@@ -85,6 +88,57 @@ class TestTopK:
             topk(sample, 0)
         with pytest.raises(ExecutionError):
             topk(sample, 3, by="id")
+
+
+# Few distinct values, so the k-th value is usually tied; ⊥; pairs closer
+# than the 1e-9 ranking quantum (0.5 ± 1e-12, 0.5 + 4e-10) beside one just
+# past it (0.5 + 2e-9); NULL cells for the tie-break.
+_SCORES = st.sampled_from(
+    [None, 0.2, 0.5, 0.5 + 1e-12, 0.5 - 1e-12, 0.5 + 4e-10, 0.5 + 2e-9, 0.7, 1.9]
+)
+_CONFS = st.sampled_from([0.0, 0.3, 0.3 + 1e-12, 0.9, 1.5])
+_CELLS = st.one_of(st.none(), st.integers(0, 3))
+_ENTRIES = st.lists(
+    st.tuples(st.tuples(_CELLS, _CELLS, _CELLS), _SCORES, _CONFS), max_size=40
+)
+
+
+def _spec_topk(relation, k, by):
+    """The specification: the whole relation sorted by ``rank_key``, cut at k."""
+    order = canonical_column_order(relation.schema)
+    kept = sorted(
+        zip(relation.rows, relation.pairs),
+        key=lambda entry: rank_key(entry[0], entry[1], by, order),
+    )[:k]
+    return [row for row, _ in kept], [pair for _, pair in kept]
+
+
+class TestTopKMatchesSpec:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        entries=_ENTRIES,
+        k=st.integers(1, 45),
+        by=st.sampled_from(["score", "conf"]),
+        permutation=st.permutations([0, 1, 2]),
+    )
+    def test_topk_is_sorted_prefix(self, entries, k, by, permutation):
+        relation = rel(entries)
+        permuted = PRelation(
+            SCHEMA.project([SCHEMA.columns[i].name for i in permutation]),
+            [tuple(row[i] for i in permutation) for row in relation.rows],
+            relation.pairs,
+        )
+        for candidate in (relation, permuted):
+            out = topk(candidate, k, by)
+            assert (out.rows, out.pairs) == _spec_topk(candidate, k, by)
+        assert topk(permuted, k, by).rows == [
+            tuple(row[i] for i in permutation) for row in topk(relation, k, by).rows
+        ]
+
+    def test_boundary_group_is_tie_broken_by_row(self):
+        entries = [((i, 0, 0), 0.5, 0.5) for i in (5, 3, 4)] + [((9, 0, 0), 0.9, 0.5)]
+        out = topk(rel(entries), 2)
+        assert [row[0] for row in out.rows] == [9, 3]
 
 
 class TestRanked:

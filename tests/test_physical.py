@@ -1,8 +1,12 @@
 """Unit tests for the native physical executor."""
 
+import operator
+from collections import Counter
+
 import pytest
 
-from repro.engine.expressions import TRUE, And, cmp, eq
+from repro import Database, DataType
+from repro.engine.expressions import TRUE, And, Attr, Comparison, Literal, cmp, eq
 from repro.engine.iosim import CostModel
 from repro.engine.physical import execute_native
 from repro.errors import ExecutionError
@@ -10,6 +14,7 @@ from repro.plan.nodes import (
     Difference,
     Intersect,
     Join,
+    LeftJoin,
     Materialized,
     Prefer,
     Project,
@@ -187,3 +192,167 @@ class TestPreferenceNodesRejected:
     def test_topk_rejected(self, movie_db):
         with pytest.raises(ExecutionError):
             run(TopK(Relation("MOVIES"), 3), movie_db)
+
+
+def _nullable_db(index_kind=None):
+    """``T(id, x)`` holding ``(1, NULL), (2, 5), (3, 7)``."""
+    db = Database()
+    db.create_table("T", [("id", DataType.INT), ("x", DataType.INT)], primary_key=["id"])
+    db.insert_many("T", [(1, None), (2, 5), (3, 7)])
+    if index_kind is not None:
+        db.create_index("T", "x", kind=index_kind)
+    db.analyze()
+    return db
+
+
+class TestNullConstantThroughIndex:
+    """``σ[x op NULL]`` matches nothing, whichever access path serves it."""
+
+    @pytest.mark.parametrize(
+        "kind, op",
+        [("hash", "="), ("btree", "<"), ("btree", "<="), ("btree", ">"), ("btree", ">=")],
+    )
+    @pytest.mark.parametrize("literal_first", [False, True])
+    def test_index_agrees_with_scan(self, kind, op, literal_first):
+        operands = (Literal(None), Attr("x")) if literal_first else (Attr("x"), Literal(None))
+        plan = Select(Relation("T"), Comparison(op, *operands))
+        _, scanned = run(plan, _nullable_db())
+        cost = CostModel()
+        _, indexed = execute_native(plan, _nullable_db(kind).catalog, cost)
+        assert cost.index_lookups == 1  # the index path really served it
+        assert indexed == scanned == []
+
+
+# -- kernels vs a naive nested-loop evaluator ---------------------------------
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
+def _holds(condition, schema, row):
+    """Direct evaluation: any comparison touching NULL is false."""
+    if isinstance(condition, Literal):
+        return bool(condition.value)
+    if isinstance(condition, And):
+        return all(_holds(part, schema, row) for part in condition.operands)
+    sides = [
+        row[schema.index_of(side.name)] if isinstance(side, Attr) else side.value
+        for side in (condition.left, condition.right)
+    ]
+    return None not in sides and _OPS[condition.op](*sides)
+
+
+def _naive(plan, db):
+    """Schema and rows of *plan* by scans and nested loops only."""
+    if isinstance(plan, Relation):
+        return plan.schema(db.catalog), list(db.table(plan.name).rows)
+    if isinstance(plan, Select):
+        schema, rows = _naive(plan.child, db)
+        return schema, [row for row in rows if _holds(plan.condition, schema, row)]
+    if isinstance(plan, Project):
+        schema, rows = _naive(plan.child, db)
+        positions = [schema.index_of(a) for a in plan.attrs]
+        return schema.project(plan.attrs), [tuple(r[i] for i in positions) for r in rows]
+    left_schema, left_rows = _naive(plan.left, db)
+    right_schema, right_rows = _naive(plan.right, db)
+    schema = left_schema.join(right_schema)
+    out = []
+    for left in left_rows:
+        matches = [
+            left + right
+            for right in right_rows
+            if _holds(plan.condition, schema, left + right)
+        ]
+        if not matches and isinstance(plan, LeftJoin):
+            matches = [left + (None,) * len(right_schema.columns)]
+        out.extend(matches)
+    return schema, out
+
+
+def _keyed_db():
+    """``L`` (12 rows) and ``R`` (40 rows) with NULL and duplicate join keys
+    on both sides, plus a hash index on ``R.k1`` for index nested loops."""
+    db = Database()
+    for name, payload in (("L", "v"), ("R", "w")):
+        db.create_table(
+            name,
+            [("id", DataType.INT), ("k1", DataType.INT), ("k2", DataType.INT),
+             (payload, DataType.INT)],
+            primary_key=["id"],
+        )
+    db.insert_many("L", [
+        (i, None if i % 6 == 1 else i % 4, None if i % 7 == 0 else i % 3, i % 6)
+        for i in range(1, 13)
+    ])
+    db.insert_many("R", [
+        (j, None if j % 6 == 0 else j % 5, None if j % 9 == 0 else j % 3, j % 7)
+        for j in range(1, 41)
+    ])
+    db.create_index("R", "k1")
+    db.analyze()
+    return db
+
+
+def _eq(a, b):
+    return Comparison("=", Attr(a), Attr(b))
+
+
+_K1 = _eq("L.k1", "R.k1")
+_K2 = And(_K1, _eq("L.k2", "R.k2"))
+_RESIDUAL = Comparison("<", Attr("L.v"), Attr("R.w"))
+_OUTER = Select(Relation("L"), cmp("L.v", "<=", 1))
+_INNER = Project(Relation("R"), ["R.id", "R.k1", "R.w"])
+
+#: CostModel counters of the two shapes below, pinned from the executor
+#: before the kernels: a hash/nested-loop join scans both inputs and
+#: materializes the inner one; the index nested loop scans the outer only and
+#: probes once per non-NULL outer key.
+_BOTH_SCANNED = dict(pages_read=2, pages_written=1, tuples_scanned=52,
+                     tuples_materialized=40, index_lookups=0, total_io=3)
+_INDEX_PROBED = dict(pages_read=5, pages_written=0, tuples_scanned=12,
+                     tuples_materialized=0, index_lookups=2, total_io=5)
+_JOIN = {"join": 1, "relation": 2}
+_LEFT_JOIN = {"left-join": 1, "relation": 2}
+_INDEX_NL = {"index-nested-loop": 1, "join": 1, "relation": 1, "select": 1}
+
+#: name -> (plan, pinned I/O counters, pinned operator counts)
+_KERNEL_CASES = {
+    "equi-1": (Join(Relation("L"), Relation("R"), _K1), _BOTH_SCANNED, _JOIN),
+    "equi-1-residual": (
+        Join(Relation("L"), Relation("R"), And(_K1, _RESIDUAL)), _BOTH_SCANNED, _JOIN
+    ),
+    "equi-2": (Join(Relation("L"), Relation("R"), _K2), _BOTH_SCANNED, _JOIN),
+    "equi-2-residual": (
+        Join(Relation("L"), Relation("R"), And(_K2, _RESIDUAL)), _BOTH_SCANNED, _JOIN
+    ),
+    "theta": (Join(Relation("L"), Relation("R"), _RESIDUAL), _BOTH_SCANNED, _JOIN),
+    "cross": (Join(Relation("L"), Relation("R"), TRUE), _BOTH_SCANNED, _JOIN),
+    "index-nl-projected": (Join(_OUTER, _INNER, _K1), _INDEX_PROBED, _INDEX_NL),
+    "index-nl-projected-residual": (
+        Join(_OUTER, _INNER, And(_K1, _RESIDUAL)), _INDEX_PROBED, _INDEX_NL
+    ),
+    "left-equi-1": (LeftJoin(Relation("L"), Relation("R"), _K1), _BOTH_SCANNED, _LEFT_JOIN),
+    "left-equi-2-residual": (
+        LeftJoin(Relation("L"), Relation("R"), And(_K2, _RESIDUAL)), _BOTH_SCANNED, _LEFT_JOIN
+    ),
+    "left-theta": (LeftJoin(Relation("L"), Relation("R"), _RESIDUAL), _BOTH_SCANNED, _LEFT_JOIN),
+    "project-1": (
+        Project(Join(Relation("L"), Relation("R"), _K1), ["R.w"]),
+        _BOTH_SCANNED,
+        dict(_JOIN, project=1),
+    ),
+}
+
+
+class TestKernelsMatchNestedLoops:
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_exact_multiset_and_counters(self, case):
+        plan, io, operators = _KERNEL_CASES[case]
+        db = _keyed_db()
+        cost = CostModel()
+        schema, rows = execute_native(plan, db.catalog, cost)
+        expected_schema, expected = _naive(plan, db)
+        assert schema.attribute_names == expected_schema.attribute_names
+        assert rows and Counter(rows) == Counter(expected)
+        assert cost.snapshot() == io
+        assert cost.operator_calls == operators
