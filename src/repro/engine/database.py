@@ -164,7 +164,11 @@ class Database:
     def insert_many(
         self, table: str, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
     ) -> int:
-        """Bulk-insert rows and refresh the table's secondary indexes."""
+        """Bulk-insert rows and refresh the table's secondary indexes.
+
+        All or nothing: when any row is rejected (schema, NULL or duplicate
+        primary key) none is stored and the version is not bumped.
+        """
         with self._rwlock.write_locked():
             self._ensure_mutable()
             writable = self._writable_table(table)

@@ -55,28 +55,43 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality-only index: a dict from key to matching rows."""
+    """Equality-only index: a dict from key to matching rows.
+
+    ``buckets`` maps every non-NULL key to its rows in table order; rows
+    whose key is NULL sit apart in ``null_rows``.  :meth:`lookup` still finds
+    them, while a join can probe ``buckets`` as is: a NULL probe key finds
+    nothing there, as SQL equality demands.  Never mutate either from
+    outside the index.
+    """
 
     kind = "hash"
 
     def _build(self) -> None:
         buckets: dict[Any, list[Row]] = {}
+        group = buckets.setdefault
         key_of = self.key_of
         for row in self.table.rows:
-            buckets.setdefault(key_of(row), []).append(row)
-        self._buckets = buckets
+            group(key_of(row), []).append(row)
+        self.null_rows: list[Row] = buckets.pop(None, [])
+        self.buckets = buckets
 
     def lookup(self, key: Any) -> list[Row]:
-        return self._buckets.get(key, [])
+        if key is None:
+            return self.null_rows
+        return self.buckets.get(key, [])
 
     def add(self, row: Row) -> None:
         sanitizer = current_sanitizer()
         if sanitizer.enabled:
             sanitizer.index_mutated(self)
-        self._buckets.setdefault(self.key_of(row), []).append(row)
+        key = self.key_of(row)
+        if key is None:
+            self.null_rows.append(row)
+        else:
+            self.buckets.setdefault(key, []).append(row)
 
     def distinct_keys(self) -> int:
-        return len(self._buckets)
+        return len(self.buckets) + bool(self.null_rows)
 
 
 class OrderedIndex(Index):

@@ -59,13 +59,19 @@ class CostModel:
 
     def index_probe(self, matches: int) -> None:
         """Account for one index lookup returning *matches* rows."""
-        self.index_lookups += 1
-        # One page for the index descent plus the data pages touched.
-        self.pages_read += 1 + pages_for(matches)
+        self.index_probes(1, [matches])
+
+    def index_probes(self, probes: int, matches: list[int]) -> None:
+        """Account for *probes* index lookups at once; *matches* are their
+        result sizes (empty results may be left out)."""
+        self.index_lookups += probes
+        # One page per index descent plus the data pages touched.
+        self.pages_read += probes + sum(map(pages_for, matches))
         if self.faults is not None:
-            self.faults.at("iosim.scan")
+            for _ in range(probes):
+                self.faults.at("iosim.scan")
         if self.guard is not None:
-            self.guard.note_tuples(matches)
+            self.guard.note_tuples(sum(matches))
 
     def materialize(self, tuples: int) -> None:
         """Account for writing an intermediate relation of *tuples* rows."""

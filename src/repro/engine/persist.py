@@ -279,10 +279,9 @@ def _load_table_file(
         return
     # Salvage inserts row by row: a row the schema rejects (type mismatch,
     # NULL/duplicate primary key) is skipped and reported, not fatal.
-    table = db.table(entry["name"])
     for values in rows:
         try:
-            table.insert(values)
+            db.insert(entry["name"], values)
             recovery.rows_loaded += 1
         except ReproError as err:
             recovery.rows_skipped += 1
@@ -308,9 +307,10 @@ def load_csv_table(
     row, when present, must list the table's columns (any order).
 
     The load is **all-or-nothing**: every row is parsed and coerced before
-    any is inserted, and an insertion failure (e.g. a duplicate primary
-    key) rolls the table back, so an error can never leave the table
-    half-loaded with stale indexes.
+    any is inserted, and the rows go in through one
+    :meth:`Database.insert_many`, which stores none of them when one is
+    rejected (e.g. a duplicate primary key), so an error can never leave
+    the table half-loaded with stale indexes.
     """
     table = db.table(table_name)
     schema = table.schema
@@ -338,19 +338,10 @@ def load_csv_table(
                     for text, column in zip(record, schema.columns)
                 ]
             staged.append(values)
-    # The whole file parsed: insert, rolling back on any validation error so
-    # rows and primary-key map stay exactly as before the call.
-    rows_before = list(table.rows)
-    pk_map_before = dict(table._pk_map)
-    try:
-        for values in staged:
-            table.insert(values)
-    except ReproError:
-        table.rows = rows_before
-        table._pk_map = pk_map_before
-        raise
-    db.catalog.rebuild_indexes(table_name)
-    return len(staged)
+    # The whole file parsed: one all-or-nothing Database write, so it takes
+    # the write lock, forks a snapshot-shared table, refreshes the indexes
+    # and bumps the version exactly like any other insert.
+    return db.insert_many(table_name, staged)
 
 
 def _coerce(text: str, dtype: DataType, null_token: str):

@@ -11,6 +11,20 @@ and projection extractors applied through ``map``/``filter`` — rather than
 per-row generator expressions.  Hash joins drop NULL-keyed build rows once,
 at build time, so probes carry no per-row NULL test.
 
+Build sides come from the catalog when it already maintains one: a join
+whose inner input is a base relation (or a projection of one) on its
+one-column primary key or a one-column hash index probes the table's
+key → row map or the index's key → rows buckets (NULL keys kept apart, in
+table order) instead of hashing the relation again; only derived inputs —
+selections, joins, materialized relations — are built per query.  The
+charges do not change with it: the skipped input still runs as an operator
+(guard check, ``native.dispatch`` visit, operator count, scan, traced span
+with its row count) and its rows are charged as materialized, so simulated
+I/O, guard budgets, fault schedules and EXPLAIN ANALYZE trees read as if
+the table had been built.  The index nested loop probes the same maps, one
+batched lookup over all outer keys, charged one index probe per non-NULL
+key.
+
 Preference operators are rejected: they belong to the layer above
 (:mod:`repro.pexec`), exactly like the paper's prefer routines live outside
 the PostgreSQL executor.
@@ -18,8 +32,10 @@ the PostgreSQL executor.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import tee
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ExecutionError
 from ..obs import current_tracer, traced_rows
@@ -40,7 +56,7 @@ from ..plan.nodes import (
 )
 from .catalog import Catalog
 from .expressions import Attr, Comparison, Expr, Literal, conjoin, conjuncts, is_true
-from .index import OrderedIndex
+from .index import HashIndex, OrderedIndex
 from .iosim import CostModel
 from .joinutil import split_equi_condition
 from .schema import TableSchema
@@ -199,78 +215,83 @@ class _Executor:
         out_schema = left_schema.join(right_schema)
         equi, residual = split_equi_condition(plan.condition, left_schema, right_schema)
 
-        if equi:
-            index_plan = self._try_index_nested_loop(
-                plan, left_schema, left_rows, right_schema, out_schema, equi, residual
-            )
-            if index_plan is not None:
-                return out_schema, index_plan
+        if not equi:
             _, right_rows = self.run(plan.right)
-            return out_schema, self._hash_join(
-                left_schema, left_rows, right_schema, right_rows, out_schema, equi, residual
+            return out_schema, self._nested_loop(
+                left_rows, right_rows, out_schema, plan.condition
             )
-        _, right_rows = self.run(plan.right)
-        return out_schema, self._nested_loop(
-            left_rows, right_rows, out_schema, plan.condition
-        )
+        joined = self._try_key_map_join(plan, left_schema, left_rows, equi)
+        if joined is None:
+            _, right_rows = self.run(plan.right)
+            joined = self._hash_join(left_schema, left_rows, right_schema, right_rows, equi)
+        if residual is not None:
+            joined = filter(residual.compile(out_schema), joined)
+        return out_schema, joined
 
-    def _try_index_nested_loop(
+    def _try_key_map_join(
         self,
         plan: Join,
         left_schema: TableSchema,
         left_rows: Iterator[Row],
-        right_schema: TableSchema,
-        out_schema: TableSchema,
         equi: list[tuple[str, str]],
-        residual: Expr | None,
     ) -> Iterator[Row] | None:
-        """Probe a base-table index per outer row instead of scanning it.
+        """Probe a key map the catalog maintains on the inner base relation.
 
-        Chosen when the inner side is a base relation (possibly under a
-        pushed-down projection) with an index on the (single) join attribute
-        and the outer side is estimated to be much smaller — the classic
-        index-nested-loop win after a selective filter.
+        Applies when the inner side is a base relation, possibly under a
+        pushed-down projection, and the single join attribute is its
+        one-column primary key or carries a one-column index.  Which join it
+        is decides only what it is charged:
+
+        * an index nested loop — an index on the attribute and an outer side
+          estimated much smaller than the relation (the classic win after a
+          selective filter): one index probe per non-NULL outer key, the
+          relation never scanned;
+        * a hash join whose build table already exists: the inner subtree
+          runs as it would for a build (operators counted, relation scanned,
+          spans traced) and all its rows are charged as materialized.
         """
         if len(equi) != 1:
             return None
-        inner = plan.right
-        project_positions: list[int] | None = None
+        inner, project = plan.right, None
         if isinstance(inner, Project) and isinstance(inner.child, Relation):
             base_schema = inner.child.schema(self.catalog)
-            project_positions = [base_schema.index_of(a) for a in inner.attrs]
+            project = row_getter([base_schema.index_of(a) for a in inner.attrs])
             inner = inner.child
         if not isinstance(inner, Relation):
             return None
         left_attr, right_attr = equi[0]
         bare = right_attr.rsplit(".", 1)[-1]
+        key = itemgetter(left_schema.index_of(left_attr))
+        table = self.catalog.table(inner.name)
         index = self.catalog.find_index(inner.name, bare)
-        if index is None:
-            return None
-        right_size = len(self.catalog.table(inner.name))
-        from .cardinality import estimate_cardinality
+        if index is not None and len(index.attrs) == 1:
+            from .cardinality import estimate_cardinality
 
-        outer_estimate = estimate_cardinality(plan.left, self.catalog)
-        if outer_estimate * 4 >= right_size:
-            return None
-        probe_position = left_schema.index_of(left_attr)
-        lookup = index.lookup
-        project = None if project_positions is None else row_getter(project_positions)
-        cost = self.cost
-        self.cost.count_operator("index-nested-loop")
-
-        def probe(row: Row):
-            key = row[probe_position]
-            if key is None:
-                return ()
-            matches = lookup(key)
-            cost.index_probe(len(matches))
-            return matches if project is None else map(project, matches)
-
-        joined = (row + other for row in left_rows for other in probe(row))
-        return joined if residual is None else filter(residual.compile(out_schema), joined)
+            if estimate_cardinality(plan.left, self.catalog) * 4 < len(table):
+                self.cost.count_operator("index-nested-loop")
+                lookup = index.buckets.get if isinstance(index, HashIndex) else index.lookup
+                rows = list(left_rows)
+                keys = list(map(key, rows))
+                found = list(map(lookup, keys))
+                self.cost.index_probes(
+                    len(keys) - keys.count(None), list(map(len, filter(None, found)))
+                )
+                return _probe_join(rows, found, project=project)
+        key_map = table.key_map(table.schema.index_of(bare))
+        unique = key_map is not None
+        if not unique:
+            index = self.catalog.find_index(inner.name, bare, kind="hash")
+            if index is None or len(index.attrs) != 1:
+                return None
+            key_map = index.buckets
+        _, right_rows = self.run(plan.right)
+        if self.tracer.enabled:
+            deque(right_rows, maxlen=0)  # finish the inner spans with their row counts
+        self.cost.materialize(len(table))
+        return _probe_join(*_found(left_rows, key, key_map.get), unique, project)
 
     def _build(self, rows: Iterator[Row], positions: list[int]) -> dict:
-        """Hash a join's build side: join key → rows.
+        """Hash a derived join input: join key → rows.
 
         Every build row is counted as materialized, but NULL-keyed rows are
         dropped here, once: a NULL key equals nothing, so probes need no
@@ -295,14 +316,11 @@ class _Executor:
         left_rows: Iterator[Row],
         right_schema: TableSchema,
         right_rows: Iterator[Row],
-        out_schema: TableSchema,
         equi: list[tuple[str, str]],
-        residual: Expr | None,
     ) -> Iterator[Row]:
-        get = self._build(right_rows, [right_schema.index_of(b) for _, b in equi]).get
-        probe_key = itemgetter(*(left_schema.index_of(a) for a, _ in equi))
-        joined = (row + other for row in left_rows for other in get(probe_key(row), ()))
-        return joined if residual is None else filter(residual.compile(out_schema), joined)
+        buckets = self._build(right_rows, [right_schema.index_of(b) for _, b in equi])
+        key = itemgetter(*(left_schema.index_of(a) for a, _ in equi))
+        return _probe_join(*_found(left_rows, key, buckets.get))
 
     def _left_join(self, plan: LeftJoin) -> tuple[TableSchema, Iterator[Row]]:
         left_schema, left_rows = self.run(plan.left)
@@ -390,6 +408,42 @@ class _Executor:
         if not left_schema.union_compatible(right_schema):
             raise ExecutionError(f"{plan.kind}: inputs are not union-compatible")
         return left_schema, left_rows, right_rows
+
+
+def _found(
+    rows: Iterator[Row], key: Callable[[Row], Any], lookup: Callable[[Any], Any]
+) -> tuple[Iterator[Row], Iterator[Any]]:
+    """*rows* again and, in step, what *lookup* finds for each row's *key*.
+
+    Both stream: the rows are read once, through a two-way ``tee``.
+    """
+    rows, keyed = tee(rows)
+    return rows, map(lookup, map(key, keyed))
+
+
+def _probe_join(
+    rows: Iterable[Row],
+    found: Iterable[Any],
+    unique: bool = False,
+    project: Callable[[Row], Row] | None = None,
+) -> Iterator[Row]:
+    """The equi-join probe kernel: ``row + match`` for each match found.
+
+    *found* runs in step with *rows*.  Each entry is a list of matching
+    rows, or with *unique* one matching row; ``None`` (and an empty list)
+    means no match.  *project* maps each match to the columns the join
+    keeps (a pushed-down projection of the inner side).
+    """
+    pairs = zip(rows, found)
+    if unique:
+        if project is None:
+            return (row + other for row, other in pairs if other is not None)
+        return (row + project(other) for row, other in pairs if other is not None)
+    if project is None:
+        return (row + other for row, matches in pairs if matches for other in matches)
+    return (
+        row + other for row, matches in pairs if matches for other in map(project, matches)
+    )
 
 
 def _attr_const(part: Comparison, schema: TableSchema) -> tuple[str | None, Any]:

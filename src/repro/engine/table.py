@@ -30,7 +30,7 @@ class Table:
 
     Rows are stored as plain tuples in insertion order.  When the schema
     declares a primary key, uniqueness is enforced and a hash map from key
-    values to row positions supports point lookups.
+    values to rows supports point lookups and join probes.
     """
 
     def __init__(self, schema: TableSchema):
@@ -39,7 +39,11 @@ class Table:
         self.schema = schema
         self.rows: list[Row] = []
         self._pk_indexes = schema.primary_key_indexes()
-        self._pk_map: dict[tuple, int] = {}
+        #: ``row -> key``: the bare value for a one-column key, a tuple for more.
+        self._pk_of = itemgetter(*self._pk_indexes) if self._pk_indexes else None
+        self._pk_bare = len(self._pk_indexes) == 1
+        #: Primary key → row.  Joins probe it directly (see :meth:`key_map`).
+        self._pk_map: dict[Any, Row] = {}
         self._frozen = False
 
     @property
@@ -82,6 +86,15 @@ class Table:
 
     def insert(self, values: Sequence[Any] | Mapping[str, Any]) -> Row:
         """Validate and append one row; returns the stored tuple."""
+        (row,) = self._append([values])
+        return row
+
+    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
+        """Validate and append rows, all or nothing: a row the schema or the
+        primary key rejects raises before any row is stored."""
+        return len(self._append(rows))
+
+    def _append(self, batch: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[Row]:
         if self._frozen:
             raise CatalogError(
                 f"table {self.name} is frozen (captured by a snapshot); "
@@ -92,23 +105,28 @@ class Table:
             # Past the freeze gate: if a snapshot captured this exact object
             # the write corrupts it even though _frozen was (buggily) clear.
             sanitizer.table_written(self)
-        row = self._coerce(values)
-        if self._pk_indexes:
-            key = tuple(row[i] for i in self._pk_indexes)
-            if any(part is None for part in key):
-                raise TypeError_(f"primary key of {self.name} cannot contain NULL: {key!r}")
-            if key in self._pk_map:
-                raise CatalogError(f"duplicate primary key {key!r} in table {self.name}")
-            self._pk_map[key] = len(self.rows)
-        self.rows.append(row)
-        return row
-
-    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
+        rows = []
+        added: dict[Any, Row] = {}
+        key_of, pk_map = self._pk_of, self._pk_map
+        for values in batch:
+            row = self._coerce(values)
+            if key_of is not None:
+                key = key_of(row)
+                if (key is None) if self._pk_bare else (None in key):
+                    raise TypeError_(
+                        f"primary key of {self.name} cannot contain NULL: "
+                        f"{self.primary_key_of(row)!r}"
+                    )
+                if key in pk_map or key in added:
+                    raise CatalogError(
+                        f"duplicate primary key {self.primary_key_of(row)!r} "
+                        f"in table {self.name}"
+                    )
+                added[key] = row
+            rows.append(row)
+        pk_map.update(added)
+        self.rows.extend(rows)
+        return rows
 
     def _coerce(self, values: Sequence[Any] | Mapping[str, Any]) -> Row:
         columns = self.schema.columns
@@ -135,8 +153,17 @@ class Table:
         """Point lookup by primary-key values; ``None`` when absent."""
         if not self._pk_indexes:
             raise CatalogError(f"table {self.name} has no primary key")
-        position = self._pk_map.get(key)
-        return None if position is None else self.rows[position]
+        if self._pk_bare and len(key) == 1:
+            key = key[0]
+        return self._pk_map.get(key)
+
+    def key_map(self, position: int) -> dict[Any, Row] | None:
+        """Key → row when the primary key is the one column at *position*.
+
+        The map the table maintains anyway, handed to joins to probe as is:
+        never mutate it.  ``None`` for any other column or key shape.
+        """
+        return self._pk_map if self._pk_indexes == (position,) else None
 
     def primary_key_of(self, row: Row) -> tuple:
         return tuple(row[i] for i in self._pk_indexes)

@@ -15,6 +15,7 @@ from repro.engine.persist import (
     save_database,
 )
 from repro.errors import CatalogError, DataCorruption, ReproError
+from repro.query.session import Session
 
 
 def make_db(rows) -> Database:
@@ -251,6 +252,32 @@ class TestCsvStaging:
         assert table.rows == before_rows
         assert table._pk_map == before_pk
         assert table.get((10,)) is None
+
+    def test_load_bumps_version_so_warm_columnar_cache_refreshes(self, tmp_path):
+        db = make_db(SAMPLE_ROWS[:1])
+        session = Session(db)
+        sql = "SELECT i_id, label FROM ITEMS"
+        assert session.execute(sql, columnar=True).relation.rows == [(1, "alpha")]
+        version = db.version
+        path = self.write_csv(tmp_path, "4,delta,1.0,true\n5,eps,2.0,false\n")
+        assert load_csv_table(db, "ITEMS", path) == 2
+        assert db.version == version + 1
+        columnar = session.execute(sql, columnar=True)
+        assert columnar.stats.mode == "columnar"
+        assert sorted(columnar.relation.rows) == sorted(session.execute(sql).relation.rows)
+        assert len(columnar.relation.rows) == 3
+
+    def test_load_into_snapshot_captured_table_copies_on_write(self, tmp_path):
+        db = make_db(SAMPLE_ROWS)
+        db.create_index("ITEMS", "label")
+        snap = db.snapshot()
+        path = self.write_csv(tmp_path, "4,alpha,1.0,true\n")
+        assert load_csv_table(db, "ITEMS", path) == 1
+        assert db.table("ITEMS").get((4,)) == (4, "alpha", 1.0, True)
+        assert [r[0] for r in db.catalog.find_index("ITEMS", "label").lookup("alpha")] == [1, 4]
+        assert snap.table("ITEMS").rows == SAMPLE_ROWS
+        assert snap.table("ITEMS").get((4,)) is None
+        assert [r[0] for r in snap.catalog.find_index("ITEMS", "label").lookup("alpha")] == [1]
 
     def test_rollback_keeps_point_lookups_working(self, tmp_path):
         db = make_db(SAMPLE_ROWS)

@@ -10,6 +10,8 @@ from repro.engine.expressions import TRUE, And, Attr, Comparison, Literal, cmp, 
 from repro.engine.iosim import CostModel
 from repro.engine.physical import execute_native
 from repro.errors import ExecutionError
+from repro.obs import Tracer
+from repro.resilience import FaultPlan, FaultSpec, use_faults
 from repro.plan.nodes import (
     Difference,
     Intersect,
@@ -299,27 +301,72 @@ def _eq(a, b):
 
 _K1 = _eq("L.k1", "R.k1")
 _K2 = And(_K1, _eq("L.k2", "R.k2"))
+_PK = _eq("L.k1", "R.id")
 _RESIDUAL = Comparison("<", Attr("L.v"), Attr("R.w"))
 _OUTER = Select(Relation("L"), cmp("L.v", "<=", 1))
 _INNER = Project(Relation("R"), ["R.id", "R.k1", "R.w"])
+_DERIVED = Select(Relation("R"), cmp("R.w", ">=", 2))
 
-#: CostModel counters of the two shapes below, pinned from the executor
-#: before the kernels: a hash/nested-loop join scans both inputs and
-#: materializes the inner one; the index nested loop scans the outer only and
-#: probes once per non-NULL outer key.
+#: CostModel counters of the shapes below, pinned from the executor before
+#: the kernels and before joins probed the catalog's key maps: a hash or
+#: nested-loop join scans both inputs and materializes the inner one (also
+#: when the inner is a base relation whose hash index or primary key is
+#: probed instead of a fresh build); the index nested loop scans the outer
+#: only and probes once per non-NULL outer key.
 _BOTH_SCANNED = dict(pages_read=2, pages_written=1, tuples_scanned=52,
                      tuples_materialized=40, index_lookups=0, total_io=3)
 _INDEX_PROBED = dict(pages_read=5, pages_written=0, tuples_scanned=12,
                      tuples_materialized=0, index_lookups=2, total_io=5)
+_DERIVED_BUILT = dict(pages_read=2, pages_written=1, tuples_scanned=52,
+                      tuples_materialized=29, index_lookups=0, total_io=3)
 _JOIN = {"join": 1, "relation": 2}
 _LEFT_JOIN = {"left-join": 1, "relation": 2}
 _INDEX_NL = {"index-nested-loop": 1, "join": 1, "relation": 1, "select": 1}
 
-#: name -> (plan, pinned I/O counters, pinned operator counts)
+#: name -> (plan, pinned I/O counters, pinned operator counts).  ``R.k1``
+#: carries a hash index, so the ``equi-1*`` and ``index-build-*`` cases probe
+#: it (NULL outer keys against an index with a NULL bucket) and the ``pk-*``
+#: cases probe the primary-key map of ``R.id``; ``derived-build*`` and
+#: ``equi-2*`` hash a fresh build side.
 _KERNEL_CASES = {
     "equi-1": (Join(Relation("L"), Relation("R"), _K1), _BOTH_SCANNED, _JOIN),
     "equi-1-residual": (
         Join(Relation("L"), Relation("R"), And(_K1, _RESIDUAL)), _BOTH_SCANNED, _JOIN
+    ),
+    "index-build-projected": (
+        Join(Relation("L"), _INNER, _K1), _BOTH_SCANNED, dict(_JOIN, project=1)
+    ),
+    "index-build-projected-residual": (
+        Join(Relation("L"), _INNER, And(_K1, _RESIDUAL)),
+        _BOTH_SCANNED,
+        dict(_JOIN, project=1),
+    ),
+    "pk-build": (Join(Relation("L"), Relation("R"), _PK), _BOTH_SCANNED, _JOIN),
+    "pk-build-residual": (
+        Join(Relation("L"), Relation("R"), And(_PK, _RESIDUAL)), _BOTH_SCANNED, _JOIN
+    ),
+    "pk-build-projected": (
+        Join(Relation("L"), Project(Relation("R"), ["R.w", "R.id"]), _PK),
+        _BOTH_SCANNED,
+        dict(_JOIN, project=1),
+    ),
+    "pk-build-projected-residual": (
+        Join(Relation("L"), Project(Relation("R"), ["R.w", "R.id"]), And(_PK, _RESIDUAL)),
+        _BOTH_SCANNED,
+        dict(_JOIN, project=1),
+    ),
+    # A primary key alone never makes an index nested loop, however small
+    # the outer side: it stays a hash join, charged as one.
+    "pk-build-selective-outer": (
+        Join(_OUTER, Relation("R"), _PK), _BOTH_SCANNED, dict(_JOIN, select=1)
+    ),
+    "derived-build": (
+        Join(Relation("L"), _DERIVED, _K1), _DERIVED_BUILT, dict(_JOIN, select=1)
+    ),
+    "derived-build-residual": (
+        Join(Relation("L"), _DERIVED, And(_K1, _RESIDUAL)),
+        _DERIVED_BUILT,
+        dict(_JOIN, select=1),
     ),
     "equi-2": (Join(Relation("L"), Relation("R"), _K2), _BOTH_SCANNED, _JOIN),
     "equi-2-residual": (
@@ -356,3 +403,25 @@ class TestKernelsMatchNestedLoops:
         assert rows and Counter(rows) == Counter(expected)
         assert cost.snapshot() == io
         assert cost.operator_calls == operators
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_spans_and_fault_visits_follow_the_operators(self, case):
+        """A build side served from a catalog key map still runs as an
+        operator: one finished span with its row count, one ``native.dispatch``
+        visit and one ``iosim.scan`` visit per scan, like a built one."""
+        plan, io, operators = _KERNEL_CASES[case]
+        faults = FaultPlan(
+            [FaultSpec(site, "latency", times=None) for site in ("native.dispatch", "iosim.scan")]
+        )
+        tracer = Tracer()
+        with use_faults(faults):
+            _, rows = execute_native(plan, _keyed_db().catalog, CostModel(faults=faults), tracer)
+        kinds = Counter({k: n for k, n in operators.items() if k != "index-nested-loop"})
+        assert Counter(i.site for i in faults.injections) == {
+            "native.dispatch": sum(kinds.values()),
+            "iosim.scan": kinds["relation"] + io["index_lookups"],
+        }
+        spans = list(tracer.root.walk())[1:]
+        assert Counter(s.name for s in spans) == {f"native.{k}": n for k, n in kinds.items()}
+        assert spans[0].counters["rows_out"] == len(rows)
+        assert all(s.wall_time > 0 and "rows_out" in s.counters for s in spans)

@@ -1,0 +1,112 @@
+"""Every Database write path leaves the catalog's key maps exact.
+
+Joins probe the indexes and primary-key maps the catalog maintains instead
+of hashing the base relation per query, so an index or key map that drifts
+from its table's rows silently changes join answers.  This property drives
+any interleaving of the write paths, failing ones included, with snapshots
+in between, and checks every structure against a rebuild from rows.
+"""
+
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Database, DataType
+from repro.engine.index import HashIndex, build_index
+from repro.engine.persist import load_csv_table
+from repro.errors import ReproError
+
+ids = st.integers(0, 12)
+keys = st.one_of(st.none(), st.integers(0, 3))
+batch = st.lists(st.tuples(ids, keys), max_size=4)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.tuples(ids, keys)),
+        st.tuples(st.just("insert_many"), batch),
+        # The flag appends a row whose k does not parse, so the load fails.
+        st.tuples(st.just("csv"), st.tuples(batch, st.booleans())),
+        st.tuples(st.just("snapshot"), st.none()),
+    ),
+    max_size=14,
+)
+
+
+def _fresh_db() -> Database:
+    db = Database()
+    db.create_table("T", [("id", DataType.INT), ("k", DataType.INT)], primary_key=["id"])
+    db.create_index("T", "k")
+    db.create_index("T", "k", kind="btree")
+    return db
+
+
+def _contents(index):
+    if isinstance(index, HashIndex):
+        return index.buckets, index.null_rows
+    return index._keys, index._rows
+
+
+def _check(db: Database, expected: list) -> None:
+    table = db.table("T")
+    assert table.rows == expected
+    for index in db.catalog.indexes_on("T"):
+        assert _contents(index) == _contents(build_index(table, index.attrs, index.kind))
+    for row in table.rows:
+        assert table.get((row[0],)) is row
+    for missing in set(range(13)) - {row[0] for row in table.rows}:
+        assert table.get((missing,)) is None
+
+
+def _apply(db: Database, op: str, arg, directory: str) -> None:
+    if op == "insert":
+        db.insert("T", arg)
+    elif op == "insert_many":
+        db.insert_many("T", arg)
+    else:
+        rows, unparseable = arg
+        lines = [f"{i},{'' if k is None else k}" for i, k in rows]
+        if unparseable:
+            lines.append("0,not-an-int")
+        path = os.path.join(directory, "t.csv")
+        with open(path, "w") as handle:
+            handle.write("\n".join(["id,k", *lines]) + "\n")
+        load_csv_table(db, "T", path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operations)
+def test_interleaved_writes_keep_key_maps_exact(ops):
+    db = _fresh_db()
+    expected: list = []
+    snapshots = []
+    with tempfile.TemporaryDirectory() as directory:
+        for op, arg in ops:
+            if op == "snapshot":
+                snapshots.append((db.snapshot(), list(expected)))
+                continue
+            rows = [arg] if op == "insert" else arg[0] if op == "csv" else arg
+            version = db.version
+            taken = {row[0] for row in expected}
+            valid = len({i for i, _ in rows}) == len(rows) and not taken & {i for i, _ in rows}
+            if op == "csv" and arg[1]:
+                valid = False
+            try:
+                _apply(db, op, arg, directory)
+            except (ReproError, ValueError):
+                assert not valid
+                assert db.version == version
+            else:
+                assert valid
+                assert db.version == version + 1
+                expected.extend(rows)
+            _check(db, expected)
+    for snap, captured in snapshots:
+        _check(snap, captured)
+    # A fork takes writes its origin never sees, frozen origin or not.
+    for table in [db.table("T")] + [snap.table("T") for snap, _ in snapshots]:
+        before = list(table.rows)
+        fork = table.fork()
+        fork.insert((99, 1))
+        assert fork.get((99,)) == (99, 1)
+        assert table.rows == before and table.get((99,)) is None
