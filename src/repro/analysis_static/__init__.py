@@ -1,23 +1,19 @@
 """Static analysis over extended query plans and over the code base itself.
 
-Four layers (see ``docs/STATIC_ANALYSIS.md``):
+Three layers (see ``docs/STATIC_ANALYSIS.md``):
 
 * :mod:`~repro.analysis_static.verifier` — a dataflow pass over plan trees
   that checks the algebraic preconditions of the paper's rewrite properties
   (4.1–4.4) *before* execution: score-filter placement, prefer pushdown
   targets, chain ordering, set-operation compatibility.
-* :mod:`~repro.analysis_static.parallel_verifier` — a dataflow pass over
-  partition splits (``plan_partitions`` output) and the columnar selection
-  pushdown: leaf row-locality, global re-application of the filtering
-  suffix, disjoint-cover partition ranges (PV3xx codes).
 * :mod:`~repro.analysis_static.auditor` — invariant-preservation checks on
   each (before, after) pair the optimizer (row or columnar) produces; strict
   mode raises :class:`~repro.errors.RewriteViolation` on any failure.
 * :mod:`~repro.analysis_static.lint` — an AST-based checker over the source
   tree (``python -m repro.lint src``) enforcing repo invariants: no raw
   ``==`` on scores, no ⊥-pair literals outside ``scorepair.py``, exhaustive
-  plan-node dispatch, law-checked aggregate registration, fork/ambient-state
-  safety in worker-reachable code.
+  plan-node dispatch, law-checked aggregate registration, known fault
+  sites, VFS-only I/O in durability modules.
 
 Plus the runtime side of the same catalog:
 :mod:`~repro.analysis_static.sanitizer` — opt-in concurrency instrumentation
@@ -38,7 +34,6 @@ _EXPORTS = {
     "make_diagnostic": "diagnostics",
     "PlanVerifier": "verifier",
     "verify_plan": "verifier",
-    "verify_partition_plan": "parallel_verifier",
     "RewriteAuditor": "auditor",
     "LintFinding": "lint",
     "lint_paths": "lint",

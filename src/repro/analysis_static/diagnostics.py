@@ -7,10 +7,9 @@ documents each code with examples).  Codes are grouped by layer:
 
 * ``PV1xx`` — plan-verifier invariants (Properties 4.1–4.4 preconditions);
 * ``PV2xx`` — informational plan-quality notes emitted by optimizer rules;
-* ``PV3xx`` — partition/columnar plan-verifier invariants (split soundness);
 * ``RWxxx`` — rewrite-auditor invariant-preservation failures;
-* ``LNxxx`` — source-code lint findings (``LN3xx``: fork/ambient-state safety,
-  ``LN4xx``: serving-layer cache-coherence discipline);
+* ``LNxxx`` — source-code lint findings (``LN3xx``: fault-site and durability
+  discipline, ``LN4xx``: serving-layer cache-coherence discipline);
 * ``SANxxx`` — concurrency-sanitizer findings (lock order, COW discipline,
   WAL durability protocol) from :mod:`~repro.analysis_static.sanitizer`.
 """
@@ -51,12 +50,6 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "PV110": (Severity.WARNING, "score/conf filter over an input that evaluates no preference"),
     # -- optimizer rule notes ------------------------------------------------
     "PV201": (Severity.INFO, "projection pushdown blocked: positional inputs"),
-    "PV202": (Severity.INFO, "plan is not partition-parallelizable; runs as one serial fragment"),
-    # -- partition/columnar plan verifier ------------------------------------
-    "PV301": (Severity.ERROR, "partition leaf path crosses a non-row-local operator"),
-    "PV302": (Severity.ERROR, "filtering suffix mismatch: local cut not re-applied globally"),
-    "PV303": (Severity.ERROR, "partition ranges are not a disjoint contiguous cover of the leaf rows"),
-    "PV304": (Severity.ERROR, "partition split is stale or dangling: leaf path/rows disagree with the plan"),
     # -- rewrite auditor -----------------------------------------------------
     "RW001": (Severity.ERROR, "rewrite introduced new verifier errors"),
     "RW002": (Severity.ERROR, "rewrite changed the plan's output attributes"),
@@ -70,10 +63,7 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "LN104": (Severity.ERROR, "aggregate registry mutated outside register_aggregate"),
     "LN105": (Severity.ERROR, "registered aggregate function violates the algebraic laws"),
     "LN201": (Severity.WARNING, "per-preference prefer loop; use the fused group API (prefer_group/apply_prefer_group)"),
-    "LN301": (Severity.ERROR, "module-state mutation reachable from a worker entry point (fork-unsafe)"),
     "LN302": (Severity.ERROR, "unknown fault-injection site literal; a typo here silently never fires"),
-    "LN303": (Severity.ERROR, "shared-memory segment created outside the columnar/shm registry"),
-    "LN304": (Severity.ERROR, "ambient ContextVar state read in a worker without an explicit use_* override"),
     "LN305": (Severity.ERROR, "direct file I/O in a durability module bypasses the crash-torture VFS"),
     "LN401": (Severity.ERROR, "serving-layer store/db mutation bypasses the single-writer commit feed; caches go stale"),
     # -- concurrency sanitizer -----------------------------------------------

@@ -30,24 +30,14 @@ package).  Rules (catalog codes LN1xx, see ``docs/STATIC_ANALYSIS.md``):
   ``apply_prefer_group``) — or mark intentional reference folds with
   ``# noqa: LN201``.
 
-Concurrency/process-safety rules (LN3xx), added with the sanitizer pass:
+Fault-injection and durability rules (LN3xx):
 
-* **LN301** — a function reachable from a *process-pool worker entry point*
-  (first argument of ``apply_async`` / ``imap`` / ``starmap`` / … or a
-  ``Process(target=...)``) mutates module state through a ``global``
-  statement.  Under ``fork`` the mutation is silently lost to the driver;
-  under ``spawn`` it never happens at all — either way it is a latent
-  divergence between in-process and pooled execution.
 * **LN302** — a fault-site string literal (``FaultSpec(...)`` /
   ``FaultPlan.transient/latency/corrupting(...)`` / ``.at("...")`` /
   ``.corrupts("...")`` / any ``site=`` keyword or ``*_SITE`` constant) is
   not in :data:`repro.resilience.faults.KNOWN_SITES` and is not a
   ``prefix*`` pattern matching one.  A typo'd site never fires, and a
   passing chaos suite cannot tell that from genuine robustness.
-* **LN303** — a ``SharedMemory(create=True, ...)`` segment is created
-  outside ``columnar/shm.py``.  That module owns segment lifecycle
-  (tracking + unlink); ad-hoc segments leak ``/dev/shm`` space on error
-  paths.
 * **LN305** — a durability module (``engine/persist.py``, ``serve/wal.py``,
   ``serve/server.py``) performs direct file I/O — a bare ``open(...)`` call
   or ``os.fsync`` / ``os.replace`` / ``os.remove`` — instead of going
@@ -55,13 +45,6 @@ Concurrency/process-safety rules (LN3xx), added with the sanitizer pass:
   VFS makes the I/O invisible to the crash-torture harness: its fault
   injection and power-cut modelling can no longer prove that code path
   recovers.
-* **LN304** — a worker-reachable function reads ambient context
-  (``current_faults`` / ``current_guard`` / ``current_tracer`` /
-  ``batch_scoring_enabled``) outside a ``with use_*(...)`` block that
-  installs the matching value.  Worker processes do not inherit the
-  driver's contextvars usefully (``spawn`` loses them entirely; ``fork``
-  freezes them at pool-creation time), so the read must be explicitly
-  overridden in the worker.
 
 Serving-layer cache-coherence rules (LN4xx), added with the result cache:
 
@@ -101,23 +84,6 @@ _PER_PREFERENCE_CALLS = frozenset(
 
 #: Names that read as "a collection of preferences" when looped over.
 _PREFERENCE_COLLECTION_NAMES = frozenset({"prefs", "pool", "preference_pool"})
-
-#: Method names that hand a function to a *process* pool (LN301/LN304 scope).
-#: Thread executors (``submit`` on a ThreadPoolExecutor) are deliberately
-#: out of scope: threads share the driver's memory and its contextvars
-#: behave predictably there.
-_WORKER_DISPATCH_ATTRS = frozenset(
-    {"apply_async", "map_async", "starmap_async", "imap", "imap_unordered", "starmap"}
-)
-
-#: Ambient-context readers and the ``use_*`` context manager that must
-#: lexically enclose them inside worker-reachable code (LN304).
-_AMBIENT_READS = {
-    "current_faults": "use_faults",
-    "current_guard": "use_guard",
-    "current_tracer": "use_tracer",
-    "batch_scoring_enabled": "use_batch_scoring",
-}
 
 #: Modules whose file I/O must flow through the ambient VFS (LN305).
 _DURABILITY_MODULES = ("engine/persist.py", "serve/wal.py", "serve/server.py")
@@ -242,7 +208,6 @@ class _FileChecker(ast.NodeVisitor):
         self._function_stack: list[str] = []
         normalized = path.replace(os.sep, "/")
         self.is_scorepair = normalized.endswith("core/scorepair.py")
-        self.is_shm = normalized.endswith("columnar/shm.py")
         self.is_durability = normalized.endswith(_DURABILITY_MODULES)
         # LN401 scope: the serving layer, minus the single-writer path itself
         # (serve/server.py owns the mutex, the WAL and the commit feed — its
@@ -288,7 +253,6 @@ class _FileChecker(ast.NodeVisitor):
                     "use IDENTITY or bottom()",
                 )
         self._check_fault_site_call(node)
-        self._check_shared_memory(node)
         self._check_durability_io(node)
         self._check_unhooked_mutation(node)
         self.generic_visit(node)
@@ -391,24 +355,6 @@ class _FileChecker(ast.NodeVisitor):
                 "repro.resilience.faults.KNOWN_SITES (a typo'd site silently "
                 "never fires)",
             )
-
-    # -- LN303: ad-hoc shared-memory segments --------------------------------
-
-    def _check_shared_memory(self, node: ast.Call) -> None:
-        if self.is_shm or _callee_name(node.func) != "SharedMemory":
-            return
-        for keyword in node.keywords:
-            if (
-                keyword.arg == "create"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                self._report(
-                    node,
-                    "LN303",
-                    "SharedMemory segment created outside columnar/shm.py; "
-                    "that module owns segment tracking and unlinking",
-                )
 
     # -- LN103: exhaustive plan-node dispatch -------------------------------
 
@@ -590,127 +536,6 @@ def _is_known_site(site: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Worker process safety (LN301 / LN304) — a module-level dataflow pass
-# ---------------------------------------------------------------------------
-
-
-def _worker_entries(tree: ast.AST) -> set[str]:
-    """Function names handed to a process pool or a Process target."""
-    entries: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _WORKER_DISPATCH_ATTRS
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            entries.add(node.args[0].id)
-        if _callee_name(func) == "Process":
-            for keyword in node.keywords:
-                if keyword.arg == "target" and isinstance(keyword.value, ast.Name):
-                    entries.add(keyword.value.id)
-    return entries
-
-
-def _check_worker_safety(path: str, tree: ast.AST) -> list[LintFinding]:
-    """LN301/LN304 over every function reachable from a worker entry point.
-
-    Reachability is the module-local call-graph closure by callee name —
-    imported callees are out of scope (they get linted in their own module
-    if that module also dispatches workers), which keeps the pass precise
-    enough to run with zero suppressions over ``src``.
-    """
-    entries = _worker_entries(tree)
-    if not entries:
-        return []
-    functions = {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    seen: set[str] = set()
-    stack = [name for name in entries if name in functions]
-    findings: list[LintFinding] = []
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        function = functions[name]
-        findings.extend(_worker_function_findings(path, function))
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                callee = _callee_name(node.func)
-                if callee in functions and callee not in seen:
-                    stack.append(callee)
-    return findings
-
-
-def _worker_function_findings(path: str, function: ast.AST) -> list[LintFinding]:
-    findings: list[LintFinding] = []
-
-    # LN301: `global` names the function then assigns.
-    declared: set[str] = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.Global):
-            declared.update(node.names)
-    if declared:
-        for node in ast.walk(function):
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in declared:
-                    findings.append(
-                        LintFinding(
-                            path,
-                            node.lineno,
-                            "LN301",
-                            f"worker-reachable {function.name}() mutates module "
-                            f"state ({target.id}); the mutation is lost under "
-                            "fork and never happens under spawn",
-                        )
-                    )
-
-    # LN304: ambient reads without a lexically enclosing use_* override.
-    def visit(node: ast.AST, ambient: frozenset[str]) -> None:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            installed = set(ambient)
-            for item in node.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call):
-                    callee = _callee_name(expr.func)
-                    if callee and callee.startswith("use_"):
-                        installed.add(callee)
-            ambient = frozenset(installed)
-        if isinstance(node, ast.Call):
-            callee = _callee_name(node.func)
-            required = _AMBIENT_READS.get(callee or "")
-            if required is not None and required not in ambient:
-                findings.append(
-                    LintFinding(
-                        path,
-                        node.lineno,
-                        "LN304",
-                        f"worker-reachable {function.name}() reads ambient "
-                        f"{callee}() without an enclosing {required}(...) "
-                        "override; worker processes do not inherit the "
-                        "driver's contextvars",
-                    )
-                )
-        for child in ast.iter_child_nodes(node):
-            visit(child, ambient)
-
-    visit(function, frozenset())
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -735,7 +560,6 @@ def lint_source(path: str, source: str) -> list[LintFinding]:
     concrete, coverage = _plan_class_coverage()
     checker = _FileChecker(path, concrete, coverage)
     checker.visit(tree)
-    checker.findings.extend(_check_worker_safety(path, tree))
     lines = source.splitlines()
     kept = []
     for finding in checker.findings:

@@ -146,7 +146,7 @@ def measure(
     Extra keyword arguments are forwarded verbatim to every
     :meth:`Session.execute` call (warm-up, timed and traced runs alike) —
     the hook benchmarks use to time executor variants, e.g.
-    ``measure(..., columnar=True, partitions=4)``.
+    ``measure(..., columnar=True)``.
     """
     session.execute(
         query, strategy=strategy, timeout=timeout, **execute_kwargs

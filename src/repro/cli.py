@@ -110,13 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute through the columnar engine (exact; unsupported plan "
         "shapes fall back to the row strategy)",
     )
-    query.add_argument(
-        "--partitions",
-        type=int,
-        metavar="N",
-        help="partition-parallel columnar execution over N horizontal "
-        "partitions (implies --columnar)",
-    )
     query.add_argument("sql", help="preferential SQL text")
 
     repl = commands.add_parser("repl", help="interactive SQL loop")
@@ -155,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--columnar",
         action="store_true",
         help="also audit the columnar selection-pushdown rewrite per plan",
-    )
-    verify.add_argument(
-        "--partitions",
-        type=int,
-        help="also verify the N-way partition-parallel split (PV3xx checks)",
     )
     verify.add_argument(
         "sql", nargs="?", help="ad-hoc preferential SQL to verify instead"
@@ -262,13 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--columnar",
         action="store_true",
         help="serve queries through the columnar engine",
-    )
-    serve_bench.add_argument(
-        "--partitions",
-        type=int,
-        metavar="N",
-        help="partition-parallel columnar execution per query "
-        "(implies --columnar)",
     )
 
     serve = commands.add_parser(
@@ -478,7 +459,6 @@ def _query(args) -> int:
             timeout=args.timeout,
             max_rows=args.max_rows,
             columnar=args.columnar,
-            partitions=args.partitions,
         )
         _print_result(session, result, args.limit)
         if result.stats.degraded:
@@ -591,11 +571,7 @@ def _verify_plan(args) -> int:
 
     def check(name: str, session: Session, sql: str) -> None:
         nonlocal failures
-        report(
-            name,
-            "parsed",
-            session.verify(sql, columnar=args.columnar, partitions=args.partitions),
-        )
+        report(name, "parsed", session.verify(sql, columnar=args.columnar))
         try:
             report(name, "optimized", session.verify(sql, optimized=True))
         except RewriteViolation as violation:
@@ -750,7 +726,6 @@ def _serve_bench(args) -> int:
         session_limit=args.session_limit,
         trace_sink=sink,
         columnar=args.columnar,
-        partitions=args.partitions,
     )
     print(report.describe())
     if sink is not None:

@@ -14,21 +14,16 @@ conformance harness (``tests/conformance.py``) enforces equality of raw
 ``(row, score, conf)`` triples, not rounded ones.  Plan shapes the columnar
 operators do not cover raise :exc:`~repro.errors.ColumnarUnsupported` and
 the engine falls back to the requested row strategy.
-
-Partition-parallel execution over this core lives in
-:mod:`repro.pexec.parallel`.
 """
 
 from .column import ColumnStore, ColumnarRelation, column_store_for
-from .executor import audited_push_selections, evaluate_columnar, push_selections
+from .executor import evaluate_columnar
 from .vectorized import selection_vector
 
 __all__ = [
     "ColumnStore",
     "ColumnarRelation",
     "column_store_for",
-    "audited_push_selections",
     "evaluate_columnar",
-    "push_selections",
     "selection_vector",
 ]

@@ -51,8 +51,7 @@ class ColumnStore:
         Positions index ``rows`` (and any parallel pair list), so a store
         shared between scans shares the build work: for base tables the
         memo lives as long as the cached store itself — until the next
-        database mutation — and forked partition workers inherit warm
-        buckets copy-on-write.
+        database mutation.
         """
         buckets = self._buckets.get(indices)
         if buckets is None:

@@ -11,9 +11,11 @@ disabled).  Set operations are rare and not on the hot path: they delegate
 to the reference algebra on materialized p-relations, which keeps them
 identical by construction.
 
-Before evaluating, :func:`push_selections` sinks score-free selection
-conjuncts as deep as the schema allows (below prefers, other selects, and
-into the resolving side of joins — only the *left* side of a left join).
+Before evaluating, the native optimizer's selection pushdown
+(:func:`repro.engine.native_optimizer.push_selections`) sinks selection
+conjuncts as deep as the schema allows: score-free ones below prefers,
+other selects and into the resolving side of joins (only the *left* side of
+a left join); score/conf ones never cross a prefer, a top-k or a join.
 Every rewrite performed is exact on multisets of ``(row, pair)``: selections
 are per-row and every operator below computes each output row's pair from
 its input rows' pairs independently of the rest of the relation, so
@@ -30,6 +32,7 @@ from ..core import algebra
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prefer import prefer
 from ..core.prelation import PRelation
+from ..engine.native_optimizer import push_selections
 from ..errors import ColumnarUnsupported
 from ..plan.nodes import (
     Difference,
@@ -166,91 +169,20 @@ def _apply_run(relation, preferences, aggregate, fused, prefer_group):
 
 
 # ---------------------------------------------------------------------------
-# Exact selection pushdown
+# Audited selection pushdown
 # ---------------------------------------------------------------------------
-
-
-def push_selections(plan: PlanNode, catalog) -> PlanNode:
-    """Sink score-free selection conjuncts toward the leaves, exactly.
-
-    Safe sinks: below another Select, below a Prefer (scoring is per-row),
-    below a Project whose input still resolves every referenced attribute
-    unambiguously, and into the side of a Join that resolves *all* the
-    conjunct's attributes (only the left side for a LeftJoin — right-side
-    filtering would change which left rows get NULL padding).  Conjuncts
-    that fit nowhere deeper stay where they were.
-    """
-    from ..engine.expressions import conjoin, conjuncts
-
-    children = plan.children()
-    if children:
-        plan = plan.with_children([push_selections(c, catalog) for c in children])
-    if not isinstance(plan, Select) or plan.condition.references_score():
-        return plan
-    child = plan.child
-    origin_schema = child.schema(catalog)
-    remaining = []
-    for part in conjuncts(plan.condition):
-        # Only sink conjuncts that already resolve unambiguously where they
-        # stand — an ill-formed condition must keep failing exactly like it
-        # does under the row evaluator.
-        if not all(origin_schema.has(a) for a in part.attributes()):
-            remaining.append(part)
-            continue
-        sunk = _sink(child, part, catalog)
-        if sunk is None:
-            remaining.append(part)
-        else:
-            child = sunk
-    if not remaining:
-        return child
-    return Select(child, conjoin(remaining))
-
-
-def _sink(node: PlanNode, part, catalog) -> PlanNode | None:
-    """*node* with *part* placed strictly below its root, or ``None``."""
-    if isinstance(node, Select):
-        return Select(_sink_or_wrap(node.child, part, catalog), node.condition)
-    if isinstance(node, Prefer):
-        return Prefer(
-            _sink_or_wrap(node.child, part, catalog), node.preference, node.aggregate
-        )
-    if isinstance(node, Project):
-        child_schema = node.child.schema(catalog)
-        if all(child_schema.has(a) for a in part.attributes()):
-            return Project(_sink_or_wrap(node.child, part, catalog), node.attrs)
-        return None
-    if isinstance(node, (Join, LeftJoin)):
-        left_schema = node.left.schema(catalog)
-        right_schema = node.right.schema(catalog)
-        attrs = part.attributes()
-        on_left = all(left_schema.has(a) for a in attrs)
-        on_right = all(right_schema.has(a) for a in attrs)
-        if on_left and not on_right:
-            return node.with_children(
-                [_sink_or_wrap(node.left, part, catalog), node.right]
-            )
-        if on_right and not on_left and isinstance(node, Join):
-            return node.with_children(
-                [node.left, _sink_or_wrap(node.right, part, catalog)]
-            )
-        return None
-    return None
-
-
-def _sink_or_wrap(node: PlanNode, part, catalog) -> PlanNode:
-    """Sink *part* below *node* if possible, else select directly above it."""
-    sunk = _sink(node, part, catalog)
-    return sunk if sunk is not None else Select(node, part)
 
 
 def audited_push_selections(
     plan: PlanNode, catalog, *, strict: bool = False, aggregate=None
 ) -> PlanNode:
-    """:func:`push_selections` under the row optimizer's audit discipline.
+    """The native selection pushdown under the row optimizer's audit discipline.
 
-    Mirrors ``PreferenceOptimizer.optimize`` exactly: without a collecting
-    tracer and without *strict*, the rewrite runs unaudited (zero overhead);
+    The rewrite is :func:`repro.engine.native_optimizer.push_selections` (the
+    row optimizer's Heuristic 1), audited under the rule name
+    ``columnar.push_selections``.  Mirrors ``PreferenceOptimizer.optimize``
+    exactly: without a collecting tracer and without *strict*, the rewrite
+    runs unaudited (zero overhead);
     otherwise every fire gets an ``optimize.rule`` span, the (before, after)
     pair goes through :class:`~repro.analysis_static.RewriteAuditor`, error
     findings bump ``optimizer.rewrite_violation``, and *strict* raises

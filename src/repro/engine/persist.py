@@ -43,9 +43,10 @@ from .types import DataType
 
 SCHEMA_FILE = "schema.json"
 
-#: Manifest formats this module can read.  Format 1 predates checksums and
-#: row counts; format 2 adds both and is what :func:`save_database` writes.
-SUPPORTED_FORMATS = (1, 2)
+#: Manifest formats this module can read: format 2 (row counts and
+#: checksums), the one :func:`save_database` writes.  The checksum-less
+#: format 1 is refused as unsupported.
+SUPPORTED_FORMATS = (2,)
 CURRENT_FORMAT = 2
 
 #: Process-wide temp-name disambiguator: together with the pid it makes

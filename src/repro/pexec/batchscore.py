@@ -6,10 +6,10 @@ of adjacent ``Prefer`` nodes.  This module applies such a run as **one**
 fused pass (dispatch index + fused combining + distinct-value memoization,
 see :mod:`repro.core.prefgroup`) instead of |λ| separate passes.
 
-Batch scoring is on by default and gated by an ambient flag so callers can
-flip it per query (``Session.execute(batch_scoring=False)``) — the unfused
-sequential fold stays available as the reference path and as the baseline
-the ``bench_batch_scoring`` benchmark and the CI perf-smoke gate compare
+Batch scoring is on by default and gated by an ambient flag
+(``with use_batch_scoring(False): ...``) — the unfused sequential fold stays
+available as the reference path and as the baseline the
+``bench_batch_scoring`` benchmark and the CI perf-smoke gate compare
 against.
 
 Every fused application reports a ``prefer.batch`` span with the pass's

@@ -26,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
+from ..columnar import evaluate_columnar
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
 from ..core.scorepair import ScorePair
@@ -57,7 +58,6 @@ from ..plan.analysis import (
     widen_projections,
 )
 from ..plan.nodes import PlanNode
-from .batchscore import use_batch_scoring
 from .bottom_up import execute_bu
 from .conform import conform
 from .ftp import execute_ftp
@@ -102,8 +102,7 @@ class ExecutionStats:
     failures: list[str] = field(default_factory=list)
     attempts: int = 1
     #: Which executor produced the result: ``"row"`` (the strategy named in
-    #: ``strategy``), ``"columnar"`` (serial columnar executor) or
-    #: ``"columnar-parallel"`` (partitioned worker pool).
+    #: ``strategy``) or ``"columnar"`` (the columnar executor).
     mode: str = "row"
 
     def summary(self) -> str:
@@ -208,9 +207,7 @@ class ExecutionEngine:
         guard=None,
         faults=None,
         resilience: ResiliencePolicy | None = None,
-        batch_scoring: bool | None = None,
         columnar: bool | None = None,
-        partitions: int | None = None,
     ) -> QueryResult:
         """Execute *plan* with *strategy*, returning result and statistics.
 
@@ -229,20 +226,18 @@ class ExecutionEngine:
         after any failure has ``stats.degraded`` set and the causes recorded
         both in ``stats.failures`` and on the query's tracer span.
 
-        *batch_scoring* selects fused group evaluation of preference runs
-        (see :mod:`repro.pexec.batchscore`); ``None`` keeps the ambient
-        setting (fused, unless a surrounding ``use_batch_scoring(False)``
-        turned it off), ``False`` forces the sequential per-preference fold.
+        Preference runs are scored by the fused group evaluation of
+        :mod:`repro.pexec.batchscore` unless a surrounding
+        ``use_batch_scoring(False)`` selects the sequential per-preference
+        fold.
 
         *columnar* routes execution through the columnar executor
-        (:mod:`repro.columnar`); *partitions* > 1 additionally splits the
-        plan's largest leaf into horizontal partitions evaluated on a worker
-        pool (:mod:`repro.pexec.parallel`) — either implies columnar mode.
-        A plan shape the columnar executor does not support silently falls
-        back to the requested row *strategy* (capability miss, not
-        degradation); a worker fault falls back too, but marks the result
-        ``degraded`` with the cause recorded.  ``stats.mode`` reports which
-        executor actually produced the result.
+        (:mod:`repro.columnar`).  A plan shape the columnar executor does not
+        support silently falls back to the requested row *strategy*
+        (capability miss, not degradation); a typed fault inside the columnar
+        executor falls back too, but marks the result ``degraded`` with the
+        cause recorded.  ``stats.mode`` reports which executor actually
+        produced the result.
         """
         if strategy not in STRATEGIES:
             raise ExecutionError(
@@ -256,32 +251,18 @@ class ExecutionEngine:
             faults = current_faults()
         if resilience is None:
             resilience = self.resilience
-        nparts = max(1, partitions or 1)
-        columnar_mode = bool(columnar) or nparts > 1
-        if batch_scoring is not None:
-            with use_batch_scoring(batch_scoring):
-                if resilience is None:
-                    return self._run_once(
-                        plan, strategy, tracer, guard, faults,
-                        columnar=columnar_mode, partitions=nparts,
-                    )
-                return self._run_resilient(
-                    plan, strategy, tracer, guard, faults, resilience,
-                    columnar=columnar_mode, partitions=nparts,
-                )
         if resilience is None:
             return self._run_once(
-                plan, strategy, tracer, guard, faults,
-                columnar=columnar_mode, partitions=nparts,
+                plan, strategy, tracer, guard, faults, columnar=bool(columnar)
             )
         return self._run_resilient(
             plan, strategy, tracer, guard, faults, resilience,
-            columnar=columnar_mode, partitions=nparts,
+            columnar=bool(columnar),
         )
 
     def _run_resilient(
         self, plan: PlanNode, strategy: str, tracer, guard, faults, resilience,
-        *, columnar: bool = False, partitions: int = 1,
+        *, columnar: bool = False,
     ) -> QueryResult:
         """Retry × circuit breaker × fallback orchestration around `_run_once`.
 
@@ -310,8 +291,7 @@ class ExecutionEngine:
                 attempts += 1
                 try:
                     result = self._run_once(
-                        plan, candidate, tracer, guard, faults,
-                        columnar=columnar, partitions=partitions,
+                        plan, candidate, tracer, guard, faults, columnar=columnar
                     )
                 except (TransientFault, DataCorruption) as err:
                     last_error = err
@@ -349,7 +329,7 @@ class ExecutionEngine:
 
     def _run_once(
         self, plan: PlanNode, strategy: str, tracer, guard, faults,
-        *, columnar: bool = False, partitions: int = 1,
+        *, columnar: bool = False,
     ) -> QueryResult:
         """One execution attempt under an installed guard and fault plan."""
         with use_tracer(tracer), use_guard(guard), use_faults(faults), tracer.span(
@@ -377,11 +357,10 @@ class ExecutionEngine:
                 result = None
                 executed_plan = widened
                 if columnar:
-                    result, mode = self._run_columnar(
-                        widened, tracer, partitions, degraded_causes
-                    )
-                if result is None:
-                    mode = "row"
+                    result = self._run_columnar(widened, tracer, degraded_causes)
+                if result is not None:
+                    mode = "columnar"
+                else:
                     if strategy in _OPTIMIZED_STRATEGIES:
                         with tracer.span("optimize"):
                             executed_plan = self.optimizer.optimize(widened)
@@ -425,41 +404,34 @@ class ExecutionEngine:
                 root.set("failures", list(degraded_causes))
         return QueryResult(result, stats, plan, executed_plan, original_schema)
 
-    def _run_columnar(self, widened, tracer, partitions, degraded_causes):
+    def _run_columnar(self, widened, tracer, degraded_causes):
         """The columnar attempt inside one `_run_once` call.
 
-        Returns ``(relation, mode)`` — ``(None, "row")`` when the row path
-        must take over: silently on :exc:`~repro.errors.ColumnarUnsupported`
-        (capability miss), with the cause recorded in *degraded_causes* on a
-        typed worker fault.  Guard trips propagate — their budgets span the
-        query, so the row engine would only trip them again.
+        Returns the relation, or ``None`` when the row path must take over:
+        silently on :exc:`~repro.errors.ColumnarUnsupported` (capability
+        miss), with the cause recorded in *degraded_causes* on a typed fault.
+        Guard trips propagate — their budgets span the query, so the row
+        engine would only trip them again.
         """
-        from .parallel import execute_parallel  # lazy: parallel imports columnar,
-        # which imports this package's batchscore — a module-level import here
-        # would run during ``repro.pexec.__init__`` and close the cycle.
-
         with tracer.span("engine.columnar") as span:
-            span.set("requested_partitions", partitions)
             try:
-                result, info = execute_parallel(
-                    widened, self.db, self.aggregate, partitions,
-                    strict=self.strict,
+                result = evaluate_columnar(
+                    widened, self.db, self.aggregate, strict=self.strict
                 )
             except ColumnarUnsupported as err:
                 span.set("fallback", "unsupported")
                 span.set("cause", str(err))
-                return None, "row"
+                return None
             except (TransientFault, DataCorruption) as err:
                 span.set("fallback", "fault")
                 span.set("cause", f"{type(err).__name__}: {err}")
                 degraded_causes.append(
                     f"columnar: {type(err).__name__}: {err}"
                 )
-                return None, "row"
-            for key, value in info.items():
-                span.set(key, value)
+                return None
+            span.set("mode", "columnar")
             span.add("rows_out", len(result))
-            return result, info["mode"]
+            return result
 
     def explain_result(self, result: QueryResult, index: int = 0):
         """Provenance for one result tuple: each preference's contribution.

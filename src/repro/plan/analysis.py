@@ -125,30 +125,6 @@ def widen_projections(plan: PlanNode, extra: set[str], catalog: Catalog) -> Plan
     return Project(plan.child, kept)
 
 
-def node_at_path(plan: PlanNode, path: tuple[int, ...]) -> PlanNode:
-    """The node reached from *plan* by following child indexes in *path*.
-
-    Paths (rather than node identity) are how the partition-parallel driver
-    names the leaf to slice: object identity does not survive pickling into
-    a worker process, child positions do.
-    """
-    node = plan
-    for index in path:
-        node = node.children()[index]
-    return node
-
-
-def replace_at_path(
-    plan: PlanNode, path: tuple[int, ...], replacement: PlanNode
-) -> PlanNode:
-    """A copy of *plan* with the node at *path* swapped for *replacement*."""
-    if not path:
-        return replacement
-    children = list(plan.children())
-    children[path[0]] = replace_at_path(children[path[0]], path[1:], replacement)
-    return plan.with_children(children)
-
-
 def selection_conditions(plan: PlanNode) -> list:
     """All selection conditions in the plan (pre-order) — used in tests."""
     return [node.condition for node in plan.walk() if isinstance(node, Select)]

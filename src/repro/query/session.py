@@ -102,9 +102,7 @@ class Session:
         guard: QueryGuard | None = None,
         faults=None,
         resilience: ResiliencePolicy | None = None,
-        batch_scoring: bool | None = None,
         columnar: bool | None = None,
-        partitions: int | None = None,
     ) -> QueryResult:
         """Run SQL text, a plan, or a compiled query; returns a QueryResult.
 
@@ -118,15 +116,10 @@ class Session:
         degradation policy for this call; *faults* installs a chaos
         :class:`~repro.resilience.FaultPlan`.
 
-        *batch_scoring* toggles fused batch preference scoring (default on;
-        see :mod:`repro.pexec.batchscore`): ``False`` runs the sequential
-        per-preference reference fold instead.
-
-        *columnar* routes the query through the columnar executor and
-        *partitions* > 1 splits it over the partition-parallel worker pool
-        (see :mod:`repro.pexec.parallel`); results are byte-identical to the
-        row engine, with automatic fallback when the plan shape is
-        unsupported.  ``result.stats.mode`` says which executor answered.
+        *columnar* routes the query through the columnar executor (see
+        :mod:`repro.columnar`); results are byte-identical to the row engine,
+        with automatic fallback when the plan shape is unsupported.
+        ``result.stats.mode`` says which executor answered.
         """
         if guard is not None and (timeout is not None or max_rows is not None):
             raise PreferenceError(
@@ -162,9 +155,7 @@ class Session:
             guard=guard,
             faults=faults,
             resilience=resilience,
-            batch_scoring=batch_scoring,
             columnar=columnar,
-            partitions=partitions,
         )
         if order_by:
             result.relation = ranked(result.relation, order_by)
@@ -176,7 +167,6 @@ class Session:
         *,
         optimized: bool = False,
         columnar: bool = False,
-        partitions: int | None = None,
     ):
         """Statically verify a query's plan; returns a list of diagnostics.
 
@@ -189,11 +179,9 @@ class Session:
         cheapest-first heuristic) — user-written plans are exempt from that
         check because the paper lets users write chains in any order.
 
-        ``columnar=True`` additionally audits the columnar selection
-        pushdown rewrite (RWxxx findings, exactly like optimizer rules);
-        *partitions* runs the PV3xx partition-split verifier for that
-        partition count — the same checks the strict engine applies before
-        fanning workers out.
+        ``columnar=True`` additionally audits the selection pushdown the
+        columnar executor applies (RWxxx findings, exactly like optimizer
+        rules).
         """
         from ..analysis_static import verify_plan
 
@@ -209,9 +197,9 @@ class Session:
             ordered_chains=optimized,
             default_aggregate=self.engine.aggregate,
         )
-        if columnar or partitions:
+        if columnar:
             from ..analysis_static import RewriteAuditor
-            from ..columnar import push_selections
+            from ..engine.native_optimizer import push_selections
 
             pushed = push_selections(prepared, self.db.catalog)
             if pushed != prepared:
@@ -221,14 +209,6 @@ class Session:
                 findings.extend(
                     auditor.audit("columnar.push_selections", prepared, pushed)
                 )
-        if partitions:
-            from ..analysis_static import verify_partition_plan
-
-            findings.extend(
-                verify_partition_plan(
-                    prepared, self.db.catalog, partitions=partitions
-                )
-            )
         return findings
 
     def explain(self, query: "str | PlanNode | PreferentialQuery", strategy: str | None = None) -> str:

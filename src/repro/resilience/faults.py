@@ -21,11 +21,7 @@ Instrumented sites:
                         flips one score pair to an invalid value, which the
                         engine's integrity check must catch.
 ``strategy.columnar``   Columnar evaluator operator boundaries (fires once
-                        per plan node, driver- or worker-side).
-``pexec.partition``     One partition of a partition-parallel run; fires
-                        inside the worker, and a ``corrupt`` fault flips a
-                        pair in that partition's result, which the driver's
-                        per-partition integrity gate must catch.
+                        per plan node).
 ``net.accept``          The network front end accepting one connection
                         (:mod:`repro.serve.net`): ``transient`` drops the
                         connection before any frame is served.
@@ -73,7 +69,6 @@ KNOWN_SITES = (
     "strategy.reference",
     "strategy.columnar",
     "pexec.scores",
-    "pexec.partition",
     "net.accept",
     "net.read",
     "net.write",

@@ -85,16 +85,15 @@ def serve_bench(
     session_limit: int | None = None,
     trace_sink=None,
     columnar: bool = False,
-    partitions: int | None = None,
 ) -> ServeBenchReport:
     """Run the closed-loop serving benchmark; returns the report.
 
     Everything is in-memory (ephemeral server): the benchmark measures the
     snapshot/execute/admission path, not disk.  ``queue_limit`` defaults to
     ``2 × threads``; sheds are counted, not errors — closed-loop clients
-    retry immediately.  ``columnar``/``partitions`` route every served
-    query through the columnar (partition-parallel) engine, measuring its
-    behaviour under concurrent snapshot load.
+    retry immediately.  ``columnar`` routes every served query through the
+    columnar executor, measuring its behaviour under concurrent snapshot
+    load.
     """
     from ..resilience.chaos_concurrent import _base_preference, preference_pool
     from ..serve.server import PreferenceServer
@@ -139,7 +138,6 @@ def serve_bench(
             BENCH_SQL.format(names=", ".join(names)),
             strategy=strategy,
             columnar=columnar,
-            partitions=partitions,
         )
 
     executor = ServeExecutor(

@@ -67,10 +67,7 @@ DATA_OPS = frozenset(
 #: must keep working exactly when the data plane is refusing.
 CONTROL_OPS = frozenset({"ping", "health", "ready", "stats"})
 
-# DEFAULT_SQL (the preferential query template used when a ``query``
-# request names no ``sql``) now lives beside the query path it feeds, in
-# :mod:`repro.cache.service`; re-exported here for compatibility.
-__all__ = ["NetServer", "NetServerHandle", "serve_in_thread", "namespaced", "DEFAULT_SQL"]
+__all__ = ["NetServer", "NetServerHandle", "serve_in_thread", "namespaced"]
 
 
 def namespaced(tenant: str, user: str) -> str:

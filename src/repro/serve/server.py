@@ -40,8 +40,9 @@ pointer at it.  No durable file is ever overwritten in place, so a crash at
 *any* instant leaves either the old complete checkpoint (pointer unmoved,
 WAL intact → replay redoes the gap) or the new one — never a manifest
 describing half-written table files.  Superseded checkpoint directories are
-garbage-collected only after the pointer flip is durable.  (The pre-PR-8
-single ``checkpoint/`` layout is still readable.)
+garbage-collected only after the pointer flip is durable.  A directory in
+the older unversioned layout (a fixed ``checkpoint/`` directory and no
+``CURRENT``) is refused rather than opened as empty.
 
 A server opened without a directory is *ephemeral*: same write path and
 snapshot semantics, no durability — what the pure-concurrency stress tests
@@ -74,8 +75,8 @@ from .codec import canonical_json, preference_from_dict, preference_to_dict
 from .wal import WAL_FILE, PreferenceWAL, WalReplay
 
 PREFS_FILE = "preferences.json"
-#: Pre-PR-8 fixed checkpoint directory; still readable, never written.
-CHECKPOINT_DIR = "checkpoint"
+#: Fixed checkpoint directory of the unversioned layout; refused on open.
+LEGACY_CHECKPOINT_DIR = "checkpoint"
 #: Pointer file naming the live versioned checkpoint directory.
 CURRENT_FILE = "CURRENT"
 
@@ -85,10 +86,11 @@ _CHECKPOINT_NAME = re.compile(r"^checkpoint-(\d{8})$")
 def _current_checkpoint(directory: str, vfs) -> tuple[str | None, int]:
     """Resolve the live checkpoint of *directory*: ``(path-or-None, epoch)``.
 
-    Reads the ``CURRENT`` pointer (new layout), falling back to the legacy
-    fixed ``checkpoint/`` directory.  A pointer that names a missing or
+    Reads the ``CURRENT`` pointer.  A pointer that names a missing or
     malformed checkpoint is corruption — the pointer flip is ordered after
-    the checkpoint files become durable, so no crash can produce it.
+    the checkpoint files become durable, so no crash can produce it.  No
+    pointer but an unversioned ``checkpoint/`` directory is a layout this
+    version cannot read: opening it as empty would drop its state.
     """
     pointer_path = os.path.join(directory, CURRENT_FILE)
     if vfs.exists(pointer_path):
@@ -106,9 +108,12 @@ def _current_checkpoint(directory: str, vfs) -> tuple[str | None, int]:
                 path=pointer_path,
             )
         return target, int(match.group(1))
-    legacy = os.path.join(directory, CHECKPOINT_DIR)
-    if vfs.exists(os.path.join(legacy, SCHEMA_FILE)):
-        return legacy, 0
+    legacy = os.path.join(directory, LEGACY_CHECKPOINT_DIR)
+    if vfs.exists(legacy):
+        raise ReproError(
+            f"unsupported server directory layout: {legacy!r} is an "
+            "unversioned checkpoint and there is no CURRENT pointer"
+        )
     return None, 0
 
 
@@ -301,15 +306,10 @@ class PreferenceServer:
         if db.is_snapshot:
             raise ReproError("cannot serve from a snapshot database")
         store = PreferenceStore(db)
-        # New layout keeps the preference checkpoint inside the versioned
-        # checkpoint directory; the legacy layout kept it at the top level.
-        prefs_candidates = [os.path.join(directory, PREFS_FILE)]
         if checkpoint_dir is not None:
-            prefs_candidates.insert(0, os.path.join(checkpoint_dir, PREFS_FILE))
-        for prefs_path in prefs_candidates:
+            prefs_path = os.path.join(checkpoint_dir, PREFS_FILE)
             if vfs.exists(prefs_path):
                 _load_preferences(prefs_path, store)
-                break
         wal, replay = PreferenceWAL.open(
             os.path.join(directory, WAL_FILE), sync=sync
         )
@@ -525,15 +525,8 @@ class PreferenceServer:
         for entry in entries:
             if entry == keep:
                 continue
-            if _CHECKPOINT_NAME.match(entry) or entry == CHECKPOINT_DIR:
+            if _CHECKPOINT_NAME.match(entry):
                 shutil.rmtree(os.path.join(self.directory, entry), ignore_errors=True)
-        # The legacy layout also kept the preference checkpoint at top level.
-        legacy_prefs = os.path.join(self.directory, PREFS_FILE)
-        if os.path.exists(legacy_prefs):
-            try:
-                os.remove(legacy_prefs)  # noqa: LN305 - GC of a superseded file
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     # -- introspection -----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Reusable differential-conformance harness.
 
 Every optimization this repository layers onto the reference evaluator —
-fused batch scoring, the columnar executor, partition-parallel execution —
-carries the same proof obligation: run the query both ways and show the
-results are identical.  This module is that obligation, written once:
+fused batch scoring, the columnar executor, the result cache — carries the
+same proof obligation: run the query both ways and show the results are
+identical.  This module is that obligation, written once:
 
 * :func:`exact_multiset` — the strict comparison: a ``Counter`` of raw
   ``(row, score, conf)`` triples, no rounding.  Use it when the two modes

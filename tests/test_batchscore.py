@@ -7,8 +7,8 @@ Three layers of evidence:
   score relations under the fused pass and the sequential fold, for both
   F_S and F_max.
 * Conformance: every workload query and every plan of the fixed generated
-  corpus returns the same result multiset with ``batch_scoring=True`` and
-  ``False`` on every physical strategy.
+  corpus returns the same result multiset fused (the default) and under
+  ``use_batch_scoring(False)`` on every physical strategy.
 * Chaos: a full chaos run stays conformant with fused scoring disabled.
 """
 
@@ -109,8 +109,9 @@ def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate):
 def test_generated_plans_identical_fused_and_unfused(seed):
     plan = generated_plan(seed)
     for strategy in PHYSICAL:
-        fused = MOVIE_ENGINE.run(plan, strategy, batch_scoring=True)
-        unfused = MOVIE_ENGINE.run(plan, strategy, batch_scoring=False)
+        fused = MOVIE_ENGINE.run(plan, strategy)
+        with use_batch_scoring(False):
+            unfused = MOVIE_ENGINE.run(plan, strategy)
         assert_identical(
             unfused,
             fused,
@@ -127,8 +128,9 @@ def test_workload_queries_identical_fused_and_unfused(
     session = workload_query.session(db)
     compiled = session.compile(workload_query.sql)
     for strategy in PHYSICAL:
-        fused = session.execute(compiled, strategy=strategy, batch_scoring=True)
-        unfused = session.execute(compiled, strategy=strategy, batch_scoring=False)
+        fused = session.execute(compiled, strategy=strategy)
+        with use_batch_scoring(False):
+            unfused = session.execute(compiled, strategy=strategy)
         assert_identical(
             unfused,
             fused,

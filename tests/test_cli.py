@@ -147,10 +147,9 @@ class TestStaticAnalysisCommands:
         out = capsys.readouterr().out
         assert "PV110" in out
 
-    def test_verify_plan_columnar_partitions(self, capsys):
+    def test_verify_plan_columnar(self, capsys):
         assert main([
-            "verify-plan", "--workload", "IMDB-2", "--strict",
-            "--columnar", "--partitions", "2",
+            "verify-plan", "--workload", "IMDB-2", "--strict", "--columnar",
         ]) == 0
         assert "clean" in capsys.readouterr().out
 

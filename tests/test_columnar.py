@@ -15,7 +15,9 @@ Evidence layers:
   through a LeftJoin's right side, a TopK, or a score filter.
 * Plumbing: the per-database column-store cache is reused within a version
   and invalidated by DML; unsupported plan nodes fall back to the row
-  strategy silently (``stats.mode == "row"``, not degraded).
+  strategy silently (``stats.mode == "row"``, not degraded); typed faults
+  inside the columnar executor fall back marked degraded; guard trips
+  propagate.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from repro.columnar import (
     ColumnStore,
     column_store_for,
     evaluate_columnar,
-    push_selections,
     selection_vector,
 )
+from repro.columnar.executor import FAULT_SITE
 from repro.columnar.vectorized import check_selection_invariants
-from repro.errors import ColumnarUnsupported
+from repro.core.preference import Preference
+from repro.engine.native_optimizer import push_selections
+from repro.errors import ColumnarUnsupported, DataCorruption, QueryCancelled
 from repro.pexec.engine import ExecutionEngine
 from repro.pexec.reference import evaluate_reference
 from repro.plan.builder import scan
@@ -60,6 +64,7 @@ from repro.engine.expressions import (
     col,
     eq,
 )
+from repro.resilience import CancellationToken, FaultPlan, QueryGuard
 from repro.workloads.queries import all_queries
 
 from tests.conformance import assert_identical
@@ -345,13 +350,13 @@ def test_unknown_node_raises_columnar_unsupported():
 
 def test_engine_falls_back_to_row_on_unsupported(monkeypatch):
     # Simulate a capability miss: every real node type is columnar-supported,
-    # so patch the parallel entry point to refuse whatever it is given.
-    import repro.pexec.parallel as parallel
+    # so patch the engine's columnar entry point to refuse whatever it is given.
+    import repro.pexec.engine as engine_module
 
     def refuse(*args, **kwargs):
         raise ColumnarUnsupported("patched: no columnar capability")
 
-    monkeypatch.setattr(parallel, "execute_parallel", refuse)
+    monkeypatch.setattr(engine_module, "evaluate_columnar", refuse)
     plan = generated_plan(5)
     reference = MOVIE_ENGINE.run(plan, "reference")
     columnar = MOVIE_ENGINE.run(plan, "reference", columnar=True)
@@ -376,3 +381,63 @@ def test_columnar_trace_span_present():
     span = tracer.root.find("engine.columnar")
     assert span is not None
     assert span.attrs.get("mode") == "columnar"
+
+
+FAULT_PLAN = TopK(
+    Prefer(
+        Relation("GENRES"),
+        Preference("pf", "GENRES", eq("genre", "Comedy"), 0.8, 0.9),
+    ),
+    3,
+    "score",
+)
+
+
+def _assert_degraded_to_reference(result):
+    assert result.stats.mode == "row"
+    assert result.stats.degraded
+    assert any(failure.startswith("columnar: ") for failure in result.stats.failures)
+    reference = MOVIE_ENGINE.run(FAULT_PLAN, "reference")
+    assert_identical(reference, result, labels=("reference", "degraded"))
+
+
+def test_engine_degrades_to_row_on_transient_columnar_fault():
+    faults = FaultPlan.transient(FAULT_SITE)
+    result = MOVIE_ENGINE.run(FAULT_PLAN, "reference", columnar=True, faults=faults)
+    assert [i.site for i in faults.injections] == [FAULT_SITE]
+    _assert_degraded_to_reference(result)
+
+
+def test_engine_degrades_to_row_on_columnar_corruption(monkeypatch):
+    # A corrupt fault spec never fires at strategy.columnar (the evaluator
+    # only visits it through FaultPlan.at), so the executor's corruption is
+    # raised at the engine's columnar call instead.
+    import repro.pexec.engine as engine_module
+
+    def corrupt(*args, **kwargs):
+        raise DataCorruption("patched: columnar result failed its integrity check")
+
+    monkeypatch.setattr(engine_module, "evaluate_columnar", corrupt)
+    _assert_degraded_to_reference(
+        MOVIE_ENGINE.run(FAULT_PLAN, "reference", columnar=True)
+    )
+
+
+def test_precancelled_guard_propagates_through_columnar():
+    from repro.obs import Tracer
+
+    token = CancellationToken()
+    token.cancel()
+    tracer = Tracer()
+    with pytest.raises(QueryCancelled):
+        MOVIE_ENGINE.run(
+            FAULT_PLAN,
+            "reference",
+            tracer=tracer,
+            columnar=True,
+            guard=QueryGuard(token=token),
+        )
+    # Raised by the columnar attempt itself, not by a row fallback.
+    span = tracer.root.find("engine.columnar")
+    assert span is not None and "fallback" not in span.attrs
+    assert tracer.root.find("execute:reference") is None

@@ -92,11 +92,11 @@ def test_site_raises_typed_error(site, movie_db):
 def test_site_falls_back_byte_identical(site, movie_db, monkeypatch):
     # The trigger plan is by construction unknown to EVERY evaluator, so
     # the end-to-end leg routes the engine's columnar attempt through the
-    # genuine raise site: the serial columnar entry point evaluates the
-    # trigger plan (raising the real typed error from the real site), and
-    # the engine must fall back to the row answer for the actual query —
+    # genuine raise site: the engine's columnar call evaluates the trigger
+    # plan (raising the real typed error from the real site), and the
+    # engine must fall back to the row answer for the actual query —
     # silently, and byte-identical.
-    import repro.pexec.parallel as parallel
+    import repro.pexec.engine as engine_module
     from repro.columnar import evaluate_columnar as real_evaluate
 
     trigger = MATRIX[site]()
@@ -104,7 +104,7 @@ def test_site_falls_back_byte_identical(site, movie_db, monkeypatch):
     def tripping(plan, db, aggregate=F_S, **kwargs):
         return real_evaluate(trigger, db, aggregate, pushdown=False)
 
-    monkeypatch.setattr(parallel, "evaluate_columnar", tripping)
+    monkeypatch.setattr(engine_module, "evaluate_columnar", tripping)
     engine = ExecutionEngine(movie_db, F_S)
     recent = Comparison(">=", Attr("MOVIES.year"), Literal(2005))
     plan = TopK(Select(Relation("MOVIES"), recent), 3, "score")
@@ -116,14 +116,3 @@ def test_site_falls_back_byte_identical(site, movie_db, monkeypatch):
     span = tracer.root.find("engine.columnar")
     assert span is not None and span.attrs.get("fallback") == "unsupported"
     assert_identical(row, columnar, labels=("row", "fallback"))
-
-
-def test_trigger_plans_are_not_partitionable(movie_db):
-    # The planner must refuse the trigger plans too (their leaves are not
-    # reachable through row-local operators), so a partition-parallel
-    # request degrades through the same serial columnar attempt the
-    # fallback test exercises — there is no second, unguarded path.
-    from repro.pexec.parallel import plan_partitions
-
-    for build in MATRIX.values():
-        assert plan_partitions(build(), movie_db.catalog) is None

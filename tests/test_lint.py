@@ -257,73 +257,6 @@ class TestRunner:
         assert lint_paths([package_root]) == []
 
 
-class TestLN301WorkerGlobalMutation:
-    def test_global_mutation_in_worker_entry_is_ln301(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    global _COUNT\n"
-            "    _COUNT = 1\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert codes(found) == ["LN301"]
-
-    def test_mutation_in_transitively_reachable_helper(self):
-        found = lint_snippet(
-            "def helper():\n"
-            "    global _STATE\n"
-            "    _STATE += 1\n"
-            "def entry(task):\n"
-            "    helper()\n"
-            "def run(pool):\n"
-            "    pool.imap(entry, [1, 2])\n"
-        )
-        assert codes(found) == ["LN301"]
-
-    def test_process_target_keyword_is_an_entry(self):
-        found = lint_snippet(
-            "def entry():\n"
-            "    global _FLAG\n"
-            "    _FLAG = True\n"
-            "def run():\n"
-            "    Process(target=entry).start()\n"
-        )
-        assert codes(found) == ["LN301"]
-
-    def test_global_read_without_assignment_is_fine(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    return _WORKER_DB\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert found == []
-
-    def test_unreachable_mutation_is_fine(self):
-        found = lint_snippet(
-            "def driver_only():\n"
-            "    global _POOLS\n"
-            "    _POOLS = {}\n"
-            "def entry(task):\n"
-            "    return 1\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert found == []
-
-    def test_thread_submit_is_out_of_scope(self):
-        # Thread executors share the driver's memory; only process pools
-        # have the fork/spawn divergence LN301 guards against.
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    global _COUNT\n"
-            "    _COUNT = 1\n"
-            "def run(executor):\n"
-            "    executor.submit(entry, 1)\n"
-        )
-        assert found == []
-
-
 class TestLN302FaultSiteTypos:
     def test_typo_in_faultplan_constructor_is_ln302(self):
         found = lint_snippet('plan = FaultPlan.transient("strategy.gub")\n')
@@ -351,7 +284,7 @@ class TestLN302FaultSiteTypos:
             'b = FaultPlan.corrupting("pexec.scores")\n'
             'c = FaultSpec("iosim.scan", "latency")\n'
             'd = FaultPlan.transient("strategy.*")\n'
-            'PARTITION_SITE = "pexec.partition"\n'
+            'COLUMNAR_SITE = "strategy.columnar"\n'
         )
         assert found == []
 
@@ -363,64 +296,6 @@ class TestLN302FaultSiteTypos:
         # .at() is a common method name; only dotted site-shaped literals
         # are validated, so unrelated APIs never false-positive.
         found = lint_snippet('calendar.at("monday")\n')
-        assert found == []
-
-
-class TestLN303SharedMemory:
-    def test_segment_outside_shm_module_is_ln303(self):
-        found = lint_snippet(
-            "seg = shared_memory.SharedMemory(create=True, size=10)\n"
-        )
-        assert codes(found) == ["LN303"]
-
-    def test_attach_without_create_is_fine(self):
-        found = lint_snippet('seg = shared_memory.SharedMemory(name="x")\n')
-        assert found == []
-
-    def test_shm_module_itself_is_exempt(self):
-        found = lint_snippet(
-            "seg = shared_memory.SharedMemory(create=True, size=10)\n",
-            path="src/repro/columnar/shm.py",
-        )
-        assert found == []
-
-
-class TestLN304AmbientReadsInWorkers:
-    def test_unguarded_ambient_read_is_ln304(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    faults = current_faults()\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert codes(found) == ["LN304"]
-
-    def test_read_inside_matching_use_block_is_fine(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    with use_guard(None), use_faults(plan):\n"
-            "        faults = current_faults()\n"
-            "        guard = current_guard()\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert found == []
-
-    def test_mismatched_use_block_is_ln304(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    with use_guard(None):\n"
-            "        faults = current_faults()\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
-        )
-        assert codes(found) == ["LN304"]
-
-    def test_ambient_read_outside_workers_is_fine(self):
-        found = lint_snippet(
-            "def driver():\n"
-            "    return current_tracer()\n"
-        )
         assert found == []
 
 
@@ -465,15 +340,6 @@ class TestLN305DurabilityIO:
         found = lint_source(
             "src/repro/serve/server.py",
             "os.remove(path)  # noqa: LN305 - GC of a superseded file\n",
-        )
-        assert found == []
-
-    def test_noqa_suppresses_ln304(self):
-        found = lint_snippet(
-            "def entry(task):\n"
-            "    t = current_tracer()  # noqa: LN304\n"
-            "def run(pool):\n"
-            "    pool.apply_async(entry, (1,))\n"
         )
         assert found == []
 

@@ -162,13 +162,14 @@ class TestCorruptionDetection:
         with pytest.raises(DataCorruption, match="manifest is not valid JSON"):
             load_database(str(saved))
 
-    def test_format_1_manifest_still_loads(self, saved):
+    def test_format_1_manifest_is_refused(self, saved):
         manifest = json.loads((saved / SCHEMA_FILE).read_text())
         manifest["format"] = 1
         for entry in manifest["tables"]:
             del entry["rows"], entry["checksum"]
         (saved / SCHEMA_FILE).write_text(json.dumps(manifest))
-        assert len(load_database(str(saved)).table("ITEMS")) == 3
+        with pytest.raises(ReproError, match="unsupported database format 1"):
+            load_database(str(saved))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,19 @@ def test_replay_is_idempotent_over_checkpoint(tmp_path):
     recovered.close()
 
 
+def test_unversioned_checkpoint_layout_is_refused(tmp_path):
+    # A fixed checkpoint/ directory and no CURRENT pointer: opening it as a
+    # brand-new (empty) directory would silently drop the saved state.
+    from repro.engine.persist import save_database
+
+    directory = tmp_path / "state"
+    save_database(build_movie_db(), str(directory / "checkpoint"))
+    before = sorted(os.listdir(directory))
+    with pytest.raises(ReproError, match="unsupported server directory layout"):
+        PreferenceServer.open(str(directory))
+    assert sorted(os.listdir(directory)) == before  # nothing written or collected
+
+
 def test_auto_checkpoint_after_n_appends(tmp_path):
     directory = str(tmp_path / "state")
     server, _ = PreferenceServer.open(
