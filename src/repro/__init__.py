@@ -82,11 +82,9 @@ from .obs import Tracer, current_tracer, use_tracer
 from .optimizer import OptimizerConfig, PreferenceOptimizer, optimize
 from .resilience import (
     CancellationToken,
-    CircuitBreaker,
     FaultPlan,
     FaultSpec,
     QueryGuard,
-    ResiliencePolicy,
     RetryPolicy,
     use_faults,
     use_guard,
@@ -169,8 +167,6 @@ __all__ = [
     "FaultSpec",
     "use_faults",
     "RetryPolicy",
-    "CircuitBreaker",
-    "ResiliencePolicy",
     # static analysis
     "Diagnostic",
     "Severity",

@@ -99,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort with ResourceExhausted when the result exceeds N rows",
     )
     query.add_argument(
-        "--fallback",
-        action="store_true",
-        help="retry transient faults and fall back along gbu → bu → ftp → "
-        "reference instead of failing (results may be marked degraded)",
-    )
-    query.add_argument(
         "--columnar",
         action="store_true",
         help="execute through the columnar engine (exact; unsupported plan "
@@ -427,12 +421,7 @@ def _query(args) -> int:
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         raise ReproError(f"--strategy {args.strategy!r} names no strategy")
-    resilience = None
-    if args.fallback:
-        from .resilience import ResiliencePolicy
-
-        resilience = ResiliencePolicy()
-    session = Session(db, strategy=strategies[0], resilience=resilience)
+    session = Session(db, strategy=strategies[0])
     want_trace = args.trace or args.profile or args.trace_out
     sink = None
     if args.trace_out:
@@ -461,11 +450,6 @@ def _query(args) -> int:
             columnar=args.columnar,
         )
         _print_result(session, result, args.limit)
-        if result.stats.degraded:
-            print(
-                "warning: degraded result — " + "; ".join(result.stats.failures),
-                file=sys.stderr,
-            )
         if args.trace:
             from .plan.printer import explain_analyze
 

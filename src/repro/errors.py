@@ -62,8 +62,7 @@ class ColumnarUnsupported(ExecutionError):
     """The columnar executor cannot evaluate this plan shape.
 
     A capability miss, not a failure: the engine catches it and silently
-    re-dispatches to the requested row strategy (the result is *not* marked
-    degraded).
+    re-dispatches to the requested row strategy.
     """
 
 
@@ -76,7 +75,7 @@ class ResilienceError(ReproError):
 
     Everything the resilience layer (:mod:`repro.resilience`) raises derives
     from this class, so callers can distinguish "the engine protected itself"
-    (guard trips, injected faults, open circuits, detected corruption) from
+    (guard trips, injected faults, detected corruption) from
     plain programming errors.
     """
 
@@ -124,17 +123,6 @@ class TransientFault(ResilienceError):
     def __init__(self, site: str, message: str | None = None):
         self.site = site
         super().__init__(message or f"transient fault at {site!r}")
-
-
-class CircuitOpen(ResilienceError):
-    """A strategy's circuit breaker is open; the strategy was not attempted."""
-
-    def __init__(self, strategy: str):
-        self.strategy = strategy
-        super().__init__(
-            f"circuit breaker for strategy {strategy!r} is open "
-            "(too many recent failures)"
-        )
 
 
 class Overloaded(ResilienceError):

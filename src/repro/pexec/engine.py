@@ -32,26 +32,10 @@ from ..core.prelation import PRelation
 from ..core.scorepair import ScorePair
 from ..engine.database import Database
 from ..engine.iosim import CostModel
-from ..errors import (
-    CircuitOpen,
-    ColumnarUnsupported,
-    DataCorruption,
-    ExecutionError,
-    QueryCancelled,
-    QueryTimeout,
-    ReproError,
-    ResourceExhausted,
-    TransientFault,
-)
+from ..errors import ColumnarUnsupported, DataCorruption, ExecutionError
 from ..obs import current_tracer, use_tracer
 from ..optimizer import OptimizerConfig, PreferenceOptimizer
-from ..resilience import (
-    ResiliencePolicy,
-    current_faults,
-    current_guard,
-    use_faults,
-    use_guard,
-)
+from ..resilience import current_faults, current_guard, use_faults, use_guard
 from ..plan.analysis import (
     qualify_preferences,
     required_carry_attributes,
@@ -84,12 +68,6 @@ class ExecutionStats:
     ``operators`` counts operator invocations for this query only;
     ``trace`` is the root :class:`repro.obs.Span` when the query ran under
     a collecting tracer, else ``None``.
-
-    When the query ran under a :class:`~repro.resilience.ResiliencePolicy`
-    and any attempt failed before this result was produced, ``degraded`` is
-    ``True``, ``failures`` lists the causes (oldest first) and ``attempts``
-    counts every execution attempt including the successful one; the same
-    information is annotated on the query's tracer span.
     """
 
     strategy: str
@@ -98,20 +76,14 @@ class ExecutionStats:
     cost: dict[str, int] = field(default_factory=dict)
     operators: dict[str, int] = field(default_factory=dict)
     trace: object | None = None
-    degraded: bool = False
-    failures: list[str] = field(default_factory=list)
-    attempts: int = 1
     #: Which executor produced the result: ``"row"`` (the strategy named in
     #: ``strategy``) or ``"columnar"`` (the columnar executor).
     mode: str = "row"
 
     def summary(self) -> str:
-        suffix = ""
-        if self.degraded:
-            suffix = f" (degraded after {self.attempts} attempts)"
         return (
             f"{self.strategy}: {self.wall_time * 1e3:.2f} ms, {self.rows} rows, "
-            f"{self.cost.get('total_io', 0)} simulated page I/Os{suffix}"
+            f"{self.cost.get('total_io', 0)} simulated page I/Os"
         )
 
 
@@ -145,8 +117,8 @@ def _check_integrity(result: PRelation, strategy: str) -> None:
     combine non-negative finite scores and confidences, so any NaN,
     infinity or negative component proves the pair was corrupted somewhere
     between the strategy and the caller.  Raises
-    :exc:`~repro.errors.DataCorruption` (a typed resilience error the
-    fallback chain can recover from) instead of returning a wrong answer.
+    :exc:`~repro.errors.DataCorruption` (a typed resilience error) instead
+    of returning a wrong answer.
     """
     for position, (score, conf) in enumerate(result.pairs):
         score_ok = score is None or (math.isfinite(score) and score >= 0.0)
@@ -169,7 +141,6 @@ class ExecutionEngine:
         tracer=None,
         *,
         strict: bool = False,
-        resilience: ResiliencePolicy | None = None,
     ):
         self.db = db
         self.aggregate = aggregate
@@ -183,9 +154,6 @@ class ExecutionEngine:
         #: Default tracer for every :meth:`run`; ``None`` means "use the
         #: ambient tracer" (a zero-cost no-op unless one is installed).
         self.tracer = tracer
-        #: Default degradation policy for every :meth:`run`; ``None`` means
-        #: fail-fast (one attempt, no fallback) — the historical behavior.
-        self.resilience = resilience
 
     def prepare(self, plan: PlanNode) -> PlanNode:
         """Widen the plan's projections (the parser step of §VI).
@@ -206,7 +174,6 @@ class ExecutionEngine:
         *,
         guard=None,
         faults=None,
-        resilience: ResiliencePolicy | None = None,
         columnar: bool | None = None,
     ) -> QueryResult:
         """Execute *plan* with *strategy*, returning result and statistics.
@@ -218,13 +185,12 @@ class ExecutionEngine:
         ``db.cost``, so the returned stats are isolated per invocation.
 
         *guard* is a :class:`~repro.resilience.QueryGuard` enforced at every
-        operator boundary; its deadline and budgets cover the whole call,
-        including retries and fallback strategies.  *faults* is a
-        :class:`~repro.resilience.FaultPlan` for chaos testing.  *resilience*
-        (or the engine default) enables retry-with-backoff, per-strategy
-        circuit breakers and the strategy fallback chain; a result produced
-        after any failure has ``stats.degraded`` set and the causes recorded
-        both in ``stats.failures`` and on the query's tracer span.
+        operator boundary; its deadline and budgets cover the whole call.
+        *faults* is a :class:`~repro.resilience.FaultPlan` for chaos testing.
+        Every failure — an injected fault, detected result corruption, a
+        guard trip or a strategy error — propagates as its typed
+        :class:`~repro.errors.ReproError`; the engine never retries or
+        re-answers a query with another strategy.
 
         Preference runs are scored by the fused group evaluation of
         :mod:`repro.pexec.batchscore` unless a surrounding
@@ -234,10 +200,9 @@ class ExecutionEngine:
         *columnar* routes execution through the columnar executor
         (:mod:`repro.columnar`).  A plan shape the columnar executor does not
         support silently falls back to the requested row *strategy*
-        (capability miss, not degradation); a typed fault inside the columnar
-        executor falls back too, but marks the result ``degraded`` with the
-        cause recorded.  ``stats.mode`` reports which executor actually
-        produced the result.
+        (a capability miss); a typed fault inside the columnar executor
+        propagates like any other.  ``stats.mode`` reports which executor
+        actually produced the result.
         """
         if strategy not in STRATEGIES:
             raise ExecutionError(
@@ -249,89 +214,15 @@ class ExecutionEngine:
             guard = current_guard()
         if faults is None:
             faults = current_faults()
-        if resilience is None:
-            resilience = self.resilience
-        if resilience is None:
-            return self._run_once(
-                plan, strategy, tracer, guard, faults, columnar=bool(columnar)
-            )
-        return self._run_resilient(
-            plan, strategy, tracer, guard, faults, resilience,
-            columnar=bool(columnar),
+        return self._run_once(
+            plan, strategy, tracer, guard, faults, columnar=bool(columnar)
         )
-
-    def _run_resilient(
-        self, plan: PlanNode, strategy: str, tracer, guard, faults, resilience,
-        *, columnar: bool = False,
-    ) -> QueryResult:
-        """Retry × circuit breaker × fallback orchestration around `_run_once`.
-
-        Transient faults — and detected result corruption, which is just as
-        attempt-local — are retried on the same strategy with exponential
-        backoff (clamped to the guard's deadline); any other library error
-        moves straight to the next strategy in the fallback chain.  Guard
-        trips (timeout, cancellation, exhausted budgets) always propagate:
-        their budgets span the whole query, so another attempt could only
-        trip them again.
-        """
-        failures: list[str] = []
-        last_error: ReproError | None = None
-        attempts = 0
-        retry = resilience.retry
-        for candidate in resilience.chain_for(strategy):
-            if candidate not in STRATEGIES:
-                continue
-            breaker = resilience.breaker(candidate)
-            if breaker is not None and not breaker.allow():
-                failures.append(f"{candidate}: circuit open")
-                if last_error is None:
-                    last_error = CircuitOpen(candidate)
-                continue
-            for attempt in range(1, max(1, retry.attempts) + 1):
-                attempts += 1
-                try:
-                    result = self._run_once(
-                        plan, candidate, tracer, guard, faults, columnar=columnar
-                    )
-                except (TransientFault, DataCorruption) as err:
-                    last_error = err
-                    failures.append(f"{candidate}#{attempt}: {type(err).__name__}: {err}")
-                    if breaker is not None:
-                        breaker.record_failure()
-                    if attempt < max(1, retry.attempts):
-                        retry.pause(attempt, guard)
-                        continue
-                    break  # retries exhausted: fall back to the next strategy
-                except (QueryTimeout, QueryCancelled, ResourceExhausted):
-                    raise
-                except ReproError as err:
-                    last_error = err
-                    failures.append(f"{candidate}#{attempt}: {type(err).__name__}: {err}")
-                    if breaker is not None:
-                        breaker.record_failure()
-                    break  # non-transient: retrying the same strategy won't help
-                else:
-                    if breaker is not None:
-                        breaker.record_success()
-                    stats = result.stats
-                    stats.attempts = attempts
-                    if failures:
-                        stats.degraded = True
-                        stats.failures = list(failures)
-                        span = stats.trace
-                        if span is not None:
-                            span.set("degraded", True)
-                            span.set("failure_cause", failures[-1])
-                            span.set("failures", list(failures))
-                    return result
-        assert last_error is not None  # the chain is never empty
-        raise last_error
 
     def _run_once(
         self, plan: PlanNode, strategy: str, tracer, guard, faults,
         *, columnar: bool = False,
     ) -> QueryResult:
-        """One execution attempt under an installed guard and fault plan."""
+        """One execution under an installed guard and fault plan."""
         with use_tracer(tracer), use_guard(guard), use_faults(faults), tracer.span(
             "query", label=strategy
         ) as root:
@@ -352,12 +243,11 @@ class ExecutionEngine:
             self.db.cost = query_cost
             started = time.perf_counter()
             mode = "row"
-            degraded_causes: list[str] = []
             try:
                 result = None
                 executed_plan = widened
                 if columnar:
-                    result = self._run_columnar(widened, tracer, degraded_causes)
+                    result = self._run_columnar(widened, tracer)
                 if result is not None:
                     mode = "columnar"
                 else:
@@ -396,22 +286,15 @@ class ExecutionEngine:
                 trace=root if tracer.enabled else None,
                 mode=mode,
             )
-            if degraded_causes:
-                stats.degraded = True
-                stats.failures = list(degraded_causes)
-                root.set("degraded", True)
-                root.set("failure_cause", degraded_causes[-1])
-                root.set("failures", list(degraded_causes))
         return QueryResult(result, stats, plan, executed_plan, original_schema)
 
-    def _run_columnar(self, widened, tracer, degraded_causes):
+    def _run_columnar(self, widened, tracer):
         """The columnar attempt inside one `_run_once` call.
 
-        Returns the relation, or ``None`` when the row path must take over:
-        silently on :exc:`~repro.errors.ColumnarUnsupported` (capability
-        miss), with the cause recorded in *degraded_causes* on a typed fault.
-        Guard trips propagate — their budgets span the query, so the row
-        engine would only trip them again.
+        Returns the relation, or ``None`` when the row path must take over
+        on :exc:`~repro.errors.ColumnarUnsupported` (a capability miss).
+        Every other error, injected faults and guard trips included,
+        propagates typed.
         """
         with tracer.span("engine.columnar") as span:
             try:
@@ -421,13 +304,6 @@ class ExecutionEngine:
             except ColumnarUnsupported as err:
                 span.set("fallback", "unsupported")
                 span.set("cause", str(err))
-                return None
-            except (TransientFault, DataCorruption) as err:
-                span.set("fallback", "fault")
-                span.set("cause", f"{type(err).__name__}: {err}")
-                degraded_causes.append(
-                    f"columnar: {type(err).__name__}: {err}"
-                )
                 return None
             span.set("mode", "columnar")
             span.add("rows_out", len(result))

@@ -39,8 +39,8 @@ def evaluate_reference(
     """Evaluate *plan* over the catalog, returning the result p-relation.
 
     Even the oracle honors the ambient query guard (deadline, cancellation)
-    at every operator boundary — it is the last rung of the fallback chain,
-    so it must stay interruptible too.
+    at every operator boundary, so a slow reference run stays interruptible
+    like every other strategy.
     """
     guard = current_guard()
     if guard.enabled:

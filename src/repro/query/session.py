@@ -20,7 +20,7 @@ from ..filtering import ranked
 from ..optimizer import OptimizerConfig
 from ..pexec.engine import ExecutionEngine, QueryResult
 from ..plan.nodes import PlanNode
-from ..resilience import QueryGuard, ResiliencePolicy
+from ..resilience import QueryGuard
 from .model import PreferentialQuery, QueryCompiler
 
 
@@ -35,7 +35,6 @@ class Session:
         optimizer_config: OptimizerConfig | None = None,
         *,
         strict: bool = False,
-        resilience: ResiliencePolicy | None = None,
     ):
         self.db = db
         self.strategy = strategy
@@ -43,9 +42,7 @@ class Session:
         #: plan verifier (:mod:`repro.analysis_static`) and refuse to execute
         #: a plan an invariant-breaking rule produced.
         self.strict = strict
-        self.engine = ExecutionEngine(
-            db, aggregate, optimizer_config, strict=strict, resilience=resilience
-        )
+        self.engine = ExecutionEngine(db, aggregate, optimizer_config, strict=strict)
         self.preferences: dict[str, Preference | ContextualPreference] = {}
         self.context: dict = {}
         self.compiler = QueryCompiler(
@@ -101,7 +98,6 @@ class Session:
         max_rows: int | None = None,
         guard: QueryGuard | None = None,
         faults=None,
-        resilience: ResiliencePolicy | None = None,
         columnar: bool | None = None,
     ) -> QueryResult:
         """Run SQL text, a plan, or a compiled query; returns a QueryResult.
@@ -112,9 +108,10 @@ class Session:
         *timeout* (seconds) and *max_rows* build a per-call
         :class:`~repro.resilience.QueryGuard`; pass *guard* directly for
         finer control (tuple budgets, cancellation tokens) — the two forms
-        are mutually exclusive.  *resilience* overrides the session's
-        degradation policy for this call; *faults* installs a chaos
-        :class:`~repro.resilience.FaultPlan`.
+        are mutually exclusive.  *faults* installs a chaos
+        :class:`~repro.resilience.FaultPlan`.  Every failure propagates as
+        its typed :class:`~repro.errors.ReproError`; nothing is retried or
+        re-answered by another strategy.
 
         *columnar* routes the query through the columnar executor (see
         :mod:`repro.columnar`); results are byte-identical to the row engine,
@@ -146,7 +143,6 @@ class Session:
                 get_aggregate(aggregate_name),
                 self.engine.optimizer.config,
                 strict=self.strict,
-                resilience=self.engine.resilience,
             )
         result = engine.run(
             plan,
@@ -154,7 +150,6 @@ class Session:
             tracer=tracer,
             guard=guard,
             faults=faults,
-            resilience=resilience,
             columnar=columnar,
         )
         if order_by:

@@ -1,16 +1,14 @@
 """Fault tolerance and resource governance for the execution stack.
 
-Four cooperating pieces (see ``docs/RESILIENCE.md``):
+Four pieces (see ``docs/RESILIENCE.md``):
 
 * **Query guards** (:mod:`.guard`) — deadlines, row/tuple budgets and
   cooperative cancellation, checked at operator boundaries in every
   strategy and in the native engine.
 * **Fault injection** (:mod:`.faults`) — seeded, deterministic fault plans
   that make robustness testable (``python -m repro chaos``).
-* **Retry and circuit breaking** (:mod:`.retry`) — exponential backoff for
-  transient faults, per-strategy health tracking.
-* **Degradation policy** (:mod:`.policy`) — the fallback chain that re-runs
-  a failed query on the next strategy and marks the result ``degraded``.
+* **Client retry** (:mod:`.retry`) — exponential backoff and a retry
+  budget for requests a server sheds.
 * **Durability VFS** (:mod:`.vfs`) — the pluggable file-system layer every
   durability module writes through; :class:`FaultyVFS` deterministically
   injects short writes, I/O errors, torn renames and power cuts for the
@@ -38,8 +36,7 @@ from .guard import (
     restore_guard,
     use_guard,
 )
-from .policy import DEFAULT_FALLBACK, ResiliencePolicy
-from .retry import CircuitBreaker, RetryBudget, RetryPolicy
+from .retry import RetryBudget, RetryPolicy
 from .vfs import (
     FAULT_KINDS,
     REAL_VFS,
@@ -66,9 +63,6 @@ __all__ = [
     "use_faults",
     "RetryPolicy",
     "RetryBudget",
-    "CircuitBreaker",
-    "ResiliencePolicy",
-    "DEFAULT_FALLBACK",
     "RealVFS",
     "FaultyVFS",
     "VfsFault",

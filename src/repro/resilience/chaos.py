@@ -2,12 +2,9 @@
 
 The resilience contract this suite enforces: under fault injection, every
 execution strategy either produces **exactly** the answer the unfaulted
-reference oracle produces, or fails with a **typed** resilience error — a
-silently wrong answer is the one outcome that is never acceptable.  A
-second pass re-runs every failing scenario under a
-:class:`~repro.resilience.ResiliencePolicy` and checks that retry +
-strategy fallback recover the oracle answer with ``degraded=True`` recorded
-in the stats.
+reference oracle produces, or fails with a typed resilience error that an
+injection explains — a silently wrong answer is the one outcome that is
+never acceptable, and an error nothing injected is a bug, not resilience.
 
 Everything is deterministic: the dataset generator, the workload queries
 and the :class:`~repro.resilience.FaultPlan` are all seeded, so a failing
@@ -26,12 +23,6 @@ from typing import Callable
 from ..errors import QueryTimeout, ReproError, ResilienceError
 from .faults import FaultPlan, FaultSpec
 from .guard import QueryGuard
-from .policy import ResiliencePolicy
-from .retry import RetryPolicy
-
-
-def _no_sleep(_seconds: float) -> None:
-    """Backoff sleep replacement so chaos runs take milliseconds."""
 
 
 @dataclass(frozen=True)
@@ -39,15 +30,14 @@ class ChaosScenario:
     """One named fault schedule to subject every (query, strategy) cell to.
 
     ``build(seed)`` returns a fresh :class:`FaultPlan` — fresh per cell,
-    because plans carry injection bookkeeping.  ``benign`` scenarios (pure
-    latency) must not change the answer at all; the others are expected to
-    fail typed without a policy and recover degraded with one.
+    because plans carry injection bookkeeping.  A latency-only scenario
+    must not change the answer at all; the others are expected to fail
+    typed wherever one of their faults fires.
     """
 
     name: str
     description: str
     build: Callable[[int], FaultPlan]
-    benign: bool = False
 
 
 def builtin_scenarios() -> list[ChaosScenario]:
@@ -74,7 +64,6 @@ def builtin_scenarios() -> list[ChaosScenario]:
             lambda seed: FaultPlan(
                 [FaultSpec("iosim.scan", "latency", delay=0.0005, times=4)], seed=seed
             ),
-            benign=True,
         ),
         ChaosScenario(
             "score-corruption",
@@ -99,12 +88,11 @@ def builtin_scenarios() -> list[ChaosScenario]:
 
 @dataclass
 class ChaosCell:
-    """Outcome of one (scenario, query, strategy, mode) execution."""
+    """Outcome of one (scenario, query, strategy) execution."""
 
     scenario: str
     query: str
     strategy: str
-    mode: str  # 'strict' (no policy) | 'fallback'
     outcome: str
     ok: bool
     detail: str = ""
@@ -141,8 +129,8 @@ class ChaosReport:
             )
         for cell in self.failures:
             lines.append(
-                f"  FAIL {cell.scenario} / {cell.query} / {cell.strategy} "
-                f"[{cell.mode}]: {cell.outcome} — {cell.detail}"
+                f"  FAIL {cell.scenario} / {cell.query} / {cell.strategy}: "
+                f"{cell.outcome} — {cell.detail}"
             )
         total_ok = sum(1 for c in self.cells if c.ok)
         lines.append(
@@ -167,6 +155,21 @@ def _triples(result) -> list[tuple]:
     return sorted(rounded, key=repr)
 
 
+def _explained(err: ReproError, plan: FaultPlan | None) -> bool:
+    """Whether an injected fault explains the typed failure *err*.
+
+    Typed is not enough: the failure must be a resilience error, and *plan*
+    must have recorded at least one non-latency injection.  Latency alone
+    never explains an error, so a latency-only scenario that fails does not
+    pass.
+    """
+    return (
+        isinstance(err, ResilienceError)
+        and plan is not None
+        and any(i.kind != "latency" for i in plan.injections)
+    )
+
+
 def run_chaos(
     seed: int = 42,
     scale: float = 0.001,
@@ -176,15 +179,12 @@ def run_chaos(
 ) -> ChaosReport:
     """Run every scenario × workload query × strategy; return the report.
 
-    Two modes per cell:
-
-    * **strict** — no resilience policy.  Conformant when the faulted run
-      matches the unfaulted oracle exactly, or raises a typed
-      :exc:`~repro.errors.ReproError` (a resilience error or the integrity
-      gate's :exc:`~repro.errors.DataCorruption`).
-    * **fallback** — same plan under a ``ResiliencePolicy`` (instant
-      backoff).  Conformant when the answer matches the oracle and, if any
-      failure was actually injected, the stats say ``degraded=True``.
+    A cell is conformant when the faulted run matches the unfaulted oracle
+    exactly, or raises a :exc:`~repro.errors.ResilienceError` (an injected
+    fault or the integrity gate's :exc:`~repro.errors.DataCorruption`)
+    while the plan recorded at least one non-latency injection.  Any other
+    typed error is an ``unexplained-error`` cell: nothing injected explains
+    it, so it is a bug the suite must not wave through.
 
     *sanitize* runs the whole sweep under a fresh concurrency sanitizer
     (:mod:`repro.analysis_static.sanitizer`); any SANxxx finding becomes a
@@ -212,7 +212,6 @@ def run_chaos(
                     "sanitizer",
                     "-",
                     "-",
-                    "strict",
                     f"sanitizer:{diagnostic.code}",
                     ok=False,
                     detail=str(diagnostic),
@@ -232,23 +231,22 @@ def _run_all_cells(report, db, scenarios, strategies, seed) -> None:
         for scenario in scenarios:
             for strategy in strategies:
                 report.cells.append(
-                    _strict_cell(session, query, strategy, scenario, seed, oracle)
-                )
-                report.cells.append(
-                    _fallback_cell(session, query, strategy, scenario, seed, oracle)
+                    _cell(session, query, strategy, scenario, seed, oracle)
                 )
 
 
-def _strict_cell(session, query, strategy, scenario, seed, oracle) -> ChaosCell:
+def _cell(session, query, strategy, scenario, seed, oracle) -> ChaosCell:
     plan = scenario.build(seed)
-    cell = ChaosCell(scenario.name, query.name, strategy, "strict", "", ok=False)
+    cell = ChaosCell(scenario.name, query.name, strategy, "", ok=False)
     try:
         result = session.execute(query.sql, strategy=strategy, faults=plan)
     except ReproError as err:
-        cell.outcome = f"typed-error:{type(err).__name__}"
-        # A benign (latency-only) scenario must not fail at all.
-        cell.ok = not scenario.benign
-        cell.detail = "" if cell.ok else f"benign scenario raised {err!r}"
+        if _explained(err, plan):
+            cell.outcome = f"typed-error:{type(err).__name__}"
+            cell.ok = True
+        else:
+            cell.outcome = f"unexplained-error:{type(err).__name__}"
+            cell.detail = f"no injected fault explains {err!r}"
         return cell
     except Exception as err:  # noqa: BLE001 - untyped escape is the bug we hunt
         cell.outcome = f"untyped-error:{type(err).__name__}"
@@ -263,37 +261,6 @@ def _strict_cell(session, query, strategy, scenario, seed, oracle) -> ChaosCell:
             f"faulted answer differs from oracle ({len(plan.injections)} "
             "injections performed) without any error"
         )
-    return cell
-
-
-def _fallback_cell(session, query, strategy, scenario, seed, oracle) -> ChaosCell:
-    plan = scenario.build(seed)
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(attempts=3, base_delay=0.0, sleep=_no_sleep)
-    )
-    cell = ChaosCell(scenario.name, query.name, strategy, "fallback", "", ok=False)
-    try:
-        result = session.execute(
-            query.sql, strategy=strategy, faults=plan, resilience=policy
-        )
-    except Exception as err:  # noqa: BLE001 - fallback must recover these plans
-        cell.outcome = f"unrecovered:{type(err).__name__}"
-        cell.detail = repr(err)
-        return cell
-    if _triples(result) != oracle:
-        cell.outcome = "silent-mismatch"
-        cell.detail = "fallback answer differs from oracle"
-        return cell
-    injected_failures = [i for i in plan.injections if i.kind != "latency"]
-    if injected_failures and not result.stats.degraded:
-        cell.outcome = "undeclared-degradation"
-        cell.detail = (
-            f"{len(injected_failures)} failure(s) injected but stats.degraded "
-            "is False"
-        )
-        return cell
-    cell.outcome = "recovered-degraded" if injected_failures else "match"
-    cell.ok = True
     return cell
 
 

@@ -12,8 +12,8 @@ Two fixtures extend the single-threaded conformance suite in
   injection.  The contract is the snapshot-isolation analogue of the chaos
   contract: every query must **exactly** match the reference oracle
   evaluated *on its own snapshot* — whatever preference set and row set the
-  snapshot captured — or fail with a typed resilience error; fallback-mode
-  cells must additionally recover the oracle answer.  A sampled
+  snapshot captured — or fail with a typed resilience error that one of
+  the cell's injected faults explains.  A sampled
   digest-before/digest-after check proves no writer mutated a captured
   snapshot in place.
 * :func:`wal_recovery_check` — builds a durable server, records the state
@@ -40,11 +40,9 @@ from ..core.preference import Preference
 from ..core.scoring import recency_score
 from ..engine.expressions import cmp, eq
 from ..errors import ReproError
-from .chaos import _no_sleep, _triples
+from .chaos import _explained, _triples
 from .faults import FaultPlan, FaultSpec
 from .guard import QueryGuard
-from .policy import ResiliencePolicy
-from .retry import RetryPolicy
 
 #: The query template readers run; the PREFERRING list is whatever the
 #: captured snapshot holds for the chosen user.
@@ -88,12 +86,8 @@ def _base_preference() -> Preference:
 
 
 def _fault_plan(index: int, seed: int) -> "FaultPlan | None":
-    """Deterministic rotation over the fault kinds (every 4th pair unfaulted).
-
-    Paired with the strict/fallback mode alternation on ``index % 2``, the
-    ``index // 2`` rotation gives every fault kind to both modes.
-    """
-    kind = (index // 2) % 4
+    """Deterministic rotation over the fault kinds (every 4th cell unfaulted)."""
+    kind = index % 4
     cell_seed = seed * 7919 + index
     if kind == 0:
         return FaultPlan.transient("strategy.*", times=1, seed=cell_seed)
@@ -114,7 +108,6 @@ class ConcurrentCell:
     index: int
     user: str
     strategy: str
-    mode: str  # 'strict' | 'fallback'
     outcome: str
     ok: bool
     detail: str = ""
@@ -164,7 +157,7 @@ class ConcurrentChaosReport:
         for cell in self.failures:
             lines.append(
                 f"  FAIL reader{cell.reader}#{cell.index} user={cell.user} "
-                f"{cell.strategy} [{cell.mode}]: {cell.outcome} — {cell.detail}"
+                f"{cell.strategy}: {cell.outcome} — {cell.detail}"
             )
         for error in self.errors:
             lines.append(f"  ERROR {error}")
@@ -191,8 +184,8 @@ def run_concurrent_chaos(
     writer 0) through the single server write path; each reader task
     captures a fresh :class:`~repro.serve.server.ServerSnapshot`, computes
     the reference oracle *on that snapshot*, then re-runs the query under a
-    seeded fault plan — strict cells must match or fail typed, fallback
-    cells must recover the oracle answer.  Reader tasks are admitted
+    seeded fault plan, which must match the oracle or fail with a typed
+    error an injected fault explains.  Reader tasks are admitted
     through a :class:`~repro.serve.executor.ServeExecutor`, so the run also
     exercises admission accounting and cross-thread guard/tracer capture.
 
@@ -279,8 +272,7 @@ def run_concurrent_chaos(
         rng = random.Random(seed * 31 + reader_id * 1000 + index)
         user = rng.choice(users)
         strategy = strategies[(reader_id + index) % len(strategies)]
-        mode = "strict" if index % 2 == 0 else "fallback"
-        cell = ConcurrentCell(reader_id, index, user, strategy, mode, "", ok=False)
+        cell = ConcurrentCell(reader_id, index, user, strategy, "", ok=False)
         snapshot = server.snapshot()
         check_digest = index % 3 == 0
         digest_before = snapshot.digest() if check_digest else None
@@ -295,24 +287,15 @@ def run_concurrent_chaos(
             session = snapshot.session_for(user)
             guard = QueryGuard(timeout=60.0)
             try:
-                if mode == "strict":
-                    result = session.execute(
-                        sql, strategy=strategy, faults=plan, guard=guard
-                    )
-                else:
-                    policy = ResiliencePolicy(
-                        retry=RetryPolicy(attempts=3, base_delay=0.0, sleep=_no_sleep)
-                    )
-                    result = session.execute(
-                        sql, strategy=strategy, faults=plan, guard=guard,
-                        resilience=policy,
-                    )
+                result = session.execute(
+                    sql, strategy=strategy, faults=plan, guard=guard
+                )
             except ReproError as err:
-                if mode == "strict":
+                if _explained(err, plan):
                     cell.outcome, cell.ok = f"typed-error:{type(err).__name__}", True
                 else:
-                    cell.outcome = f"unrecovered:{type(err).__name__}"
-                    cell.detail = repr(err)
+                    cell.outcome = f"unexplained-error:{type(err).__name__}"
+                    cell.detail = f"no injected fault explains {err!r}"
                 return
             except Exception as err:  # noqa: BLE001 - untyped escape is the bug we hunt
                 cell.outcome = f"untyped-error:{type(err).__name__}"
@@ -339,17 +322,7 @@ def run_concurrent_chaos(
                     f"clean-rerun-{'matches' if rerun == oracle else 'differs'})"
                 )
                 return
-            injected = [] if plan is None else [
-                i for i in plan.injections if i.kind != "latency"
-            ]
-            if mode == "fallback" and injected and not result.stats.degraded:
-                cell.outcome = "undeclared-degradation"
-                cell.detail = f"{len(injected)} failure(s) injected, degraded not set"
-                return
-            cell.outcome = (
-                "recovered-degraded" if (injected and result.stats.degraded) else "match"
-            )
-            cell.ok = True
+            cell.outcome, cell.ok = "match", True
 
         if names:
             judge()

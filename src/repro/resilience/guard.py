@@ -6,8 +6,8 @@ and the simulated-I/O accountant (:class:`repro.engine.iosim.CostModel`)
 reports every materialized tuple into it, so a runaway query is stopped by
 whichever trips first:
 
-* **deadline** — wall-clock budget for the whole query, including retries
-  and fallback strategies (:exc:`~repro.errors.QueryTimeout`);
+* **deadline** — wall-clock budget for the whole query
+  (:exc:`~repro.errors.QueryTimeout`);
 * **max_tuples** — ceiling on tuples materialized while executing
   (:exc:`~repro.errors.ResourceExhausted` with ``kind="tuples"``);
 * **max_rows** — ceiling on the final result size, enforced by the
@@ -56,7 +56,7 @@ class QueryGuard:
     """Deadline, budget and cancellation checks for one query execution.
 
     A guard is single-use: it captures its deadline at construction, so the
-    deadline spans every retry and fallback attempt of the query it guards.
+    deadline spans the whole execution of the query it guards.
     ``clock`` is injectable for deterministic tests.
     """
 

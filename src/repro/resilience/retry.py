@@ -1,7 +1,7 @@
-"""Retry with exponential backoff, retry budgets and circuit breakers.
+"""Client-side retry: exponential backoff and retry budgets.
 
-All pieces are deterministic and clock-injectable so the test suite can
-exercise open/half-open transitions and backoff schedules without sleeping.
+Both pieces are deterministic (seeded jitter, injectable sleep) so the test
+suite can exercise backoff schedules without sleeping.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 @dataclass
 class RetryPolicy:
-    """Exponential backoff for transient faults.
+    """Exponential backoff for shed or failed requests.
 
-    ``attempts`` is the total number of tries per strategy (1 = no retry);
+    ``attempts`` is the total number of tries per request (1 = no retry);
     the pause before retry *k* (1-based) is
     ``min(base_delay * multiplier**(k-1), max_delay)``.  ``jitter`` spreads
     that pause uniformly over ``[(1-jitter)·d, (1+jitter)·d]`` through a
@@ -56,21 +56,6 @@ class RetryPolicy:
         return self.jittered(
             min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
         )
-
-    def pause(self, attempt: int, guard=None) -> None:
-        """Sleep the backoff for *attempt*, clamped to the guard's deadline.
-
-        When the guard's remaining time is already spent the pause is
-        skipped — the next operator-boundary check will raise the timeout,
-        keeping the failure typed instead of sleeping past the deadline.
-        """
-        delay = self.backoff(attempt)
-        if guard is not None and guard.enabled:
-            remaining = guard.remaining()
-            if remaining is not None:
-                delay = min(delay, remaining)
-        if delay > 0:
-            self.sleep(delay)
 
 
 class RetryBudget:
@@ -121,41 +106,3 @@ class RetryBudget:
         """A request succeeded: earn back ``refill`` tokens."""
         with self._lock:
             self._tokens = min(self.capacity, self._tokens + self.refill)
-
-
-@dataclass
-class CircuitBreaker:
-    """Per-strategy failure breaker: closed → open → half-open.
-
-    After ``threshold`` consecutive failures the circuit opens and
-    :meth:`allow` returns ``False`` until ``cooldown`` seconds pass, at
-    which point one probe attempt is allowed (half-open); success closes the
-    circuit, failure re-opens it.
-    """
-
-    threshold: int = 3
-    cooldown: float = 30.0
-    clock: object = time.monotonic
-    failures: int = 0
-    opened_at: float | None = field(default=None)
-
-    @property
-    def state(self) -> str:
-        if self.opened_at is None:
-            return "closed"
-        if self.clock() - self.opened_at >= self.cooldown:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        """Whether an attempt may proceed right now."""
-        return self.state != "open"
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.failures >= self.threshold:
-            self.opened_at = self.clock()
-
-    def record_success(self) -> None:
-        self.failures = 0
-        self.opened_at = None

@@ -175,14 +175,18 @@ def triples_digest(triples: list) -> str:
 # Typed errors across the wire
 # ---------------------------------------------------------------------------
 
-#: Structured constructor fields preserved per error type, beyond message.
+#: Structured fields preserved per error type, beyond the message.
 _STRUCTURED_FIELDS = {
     "Overloaded": ("reason", "limit", "session", "retry_after"),
     "QueryTimeout": ("timeout", "elapsed"),
     "ResourceExhausted": ("kind", "limit", "used"),
     "TransientFault": ("site",),
     "NetworkFault": ("site",),
-    "CircuitOpen": ("strategy",),
+    "DurabilityError": ("op", "path"),
+    "WALPoisoned": ("op", "path", "reason"),
+    "PowerCut": ("op", "path"),
+    "DataCorruption": ("path", "line"),
+    "ParseError": ("line", "column"),
 }
 
 
@@ -208,36 +212,23 @@ def error_to_dict(err: BaseException) -> dict:
 def error_from_dict(data: dict) -> ReproError:
     """Rebuild the typed exception an error response carries.
 
-    Unknown or untyped error types come back as plain :class:`ReproError`
-    with the server's message — still typed at the API boundary, but
-    flagged ``server-internal`` so harnesses can treat them as failures.
+    The rebuilt error has the server's class, its exact message and the
+    structured fields of :data:`_STRUCTURED_FIELDS`.  Constructors are
+    bypassed: several derive their message from their fields, so calling
+    one with the already formatted message would mangle it.  Unknown or
+    untyped error types come back as plain :class:`ReproError` with the
+    server's message — still typed at the API boundary, but flagged
+    ``server-internal`` so harnesses can treat them as failures.
     """
     name = data.get("type", "ReproError")
     message = data.get("message", "unknown server error")
     if not data.get("typed", True):
         return ReproError(f"server-internal ({name}): {message}")
-    if name == "Overloaded":
-        return errors.Overloaded(
-            data.get("reason", "unknown"),
-            limit=data.get("limit"),
-            session=data.get("session"),
-            retry_after=data.get("retry_after"),
-        )
-    if name == "QueryTimeout":
-        return errors.QueryTimeout(data.get("timeout", 0.0), data.get("elapsed"))
-    if name == "ResourceExhausted":
-        return errors.ResourceExhausted(
-            data.get("kind", "rows"), data.get("limit", 0), data.get("used", 0)
-        )
-    if name in ("TransientFault", "NetworkFault"):
-        cls = getattr(errors, name)
-        return cls(data.get("site", "net.read"), message)
-    if name == "CircuitOpen":
-        return errors.CircuitOpen(data.get("strategy", "unknown"))
     cls = getattr(errors, name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        try:
-            return cls(message)
-        except TypeError:
-            pass  # constructor wants structured args we did not carry
-    return ReproError(f"{name}: {message}")
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        return ReproError(f"{name}: {message}")
+    err = cls.__new__(cls)
+    Exception.__init__(err, message)
+    for field in _STRUCTURED_FIELDS.get(name, ()):
+        setattr(err, field, data.get(field))
+    return err

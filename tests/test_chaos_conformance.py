@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import ExecutionError
+from repro.resilience import FaultPlan
 from repro.resilience.chaos import (
     ChaosScenario,
     builtin_scenarios,
@@ -37,28 +39,18 @@ class TestConformance:
     def test_every_cell_conformant(self, report):
         assert report.ok, report.describe()
 
-    def test_all_scenarios_and_modes_covered(self, report):
+    def test_all_scenarios_covered(self, report):
         scenarios = len(builtin_scenarios())
-        # 3 IMDB queries × scenarios × 2 strategies × 2 modes.
-        assert len(report.cells) == 3 * scenarios * 2 * 2
-        assert {cell.mode for cell in report.cells} == {"strict", "fallback"}
+        # 3 IMDB queries × scenarios × 2 strategies.
+        assert len(report.cells) == 3 * scenarios * 2
 
     def test_disruptive_scenarios_actually_disrupt(self, report):
-        strict = [c for c in report.cells if c.mode == "strict"]
-        typed = [c for c in strict if c.outcome.startswith("typed-error:")]
-        assert typed, "no strict cell saw a typed failure — faults not firing?"
+        typed = [c for c in report.cells if c.outcome.startswith("typed-error:")]
+        assert typed, "no cell saw a typed failure — faults not firing?"
         assert all(
-            c.outcome in ("match",) or c.outcome.startswith("typed-error:")
-            for c in strict
-        )
-
-    def test_fallback_recovers_with_declared_degradation(self, report):
-        recovered = [
-            c
+            c.outcome == "match" or c.outcome.startswith("typed-error:")
             for c in report.cells
-            if c.mode == "fallback" and c.outcome == "recovered-degraded"
-        ]
-        assert recovered, "no fallback cell recovered from an injected failure"
+        )
 
     def test_benign_latency_never_fails(self, report):
         slow = [c for c in report.cells if c.scenario == "slow-io"]
@@ -85,12 +77,12 @@ class TestConformance:
             seed=42, scale=0.0005, scenarios=[scenario], strategies=("gbu",)
         )
         wanted = [
-            (c.scenario, c.query, c.strategy, c.mode, c.outcome)
+            (c.scenario, c.query, c.strategy, c.outcome)
             for c in report.cells
             if c.scenario == "flaky-mix" and c.strategy == "gbu"
         ]
         got = [
-            (c.scenario, c.query, c.strategy, c.mode, c.outcome)
+            (c.scenario, c.query, c.strategy, c.outcome)
             for c in again.cells
         ]
         assert got == wanted
@@ -105,8 +97,6 @@ class TestTimeoutSmoke:
 
 class TestCustomScenario:
     def test_user_defined_scenario_runs(self):
-        from repro.resilience import FaultPlan
-
         scenario = ChaosScenario(
             "my-transient",
             "one transient page-read failure",
@@ -116,3 +106,26 @@ class TestCustomScenario:
             seed=1, scale=0.0005, scenarios=[scenario], strategies=("gbu",)
         )
         assert report.ok, report.describe()
+
+    def test_typed_error_nothing_injected_fails_the_cell(self, monkeypatch):
+        # A strategy bug surfaces as a typed ExecutionError, but the plan's
+        # only rule targets a site no query visits: nothing explains it.
+        import repro.pexec.engine as engine_module
+
+        def broken(*args, **kwargs):
+            raise ExecutionError("strategy bug")
+
+        monkeypatch.setattr(engine_module, "execute_gbu", broken)
+        scenario = ChaosScenario(
+            "never-fires",
+            "a transient rule on a site no query visits",
+            lambda seed: FaultPlan.transient("no.such.site", seed=seed),
+        )
+        report = run_chaos(
+            seed=1, scale=0.0005, scenarios=[scenario], strategies=("gbu",)
+        )
+        assert not report.ok
+        assert report.failures
+        assert {c.outcome for c in report.failures} == {
+            "unexplained-error:ExecutionError"
+        }

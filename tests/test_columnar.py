@@ -15,9 +15,8 @@ Evidence layers:
   through a LeftJoin's right side, a TopK, or a score filter.
 * Plumbing: the per-database column-store cache is reused within a version
   and invalidated by DML; unsupported plan nodes fall back to the row
-  strategy silently (``stats.mode == "row"``, not degraded); typed faults
-  inside the columnar executor fall back marked degraded; guard trips
-  propagate.
+  strategy silently (``stats.mode == "row"``); typed faults inside the
+  columnar executor and guard trips propagate.
 """
 
 from __future__ import annotations
@@ -36,7 +35,13 @@ from repro.columnar.executor import FAULT_SITE
 from repro.columnar.vectorized import check_selection_invariants
 from repro.core.preference import Preference
 from repro.engine.native_optimizer import push_selections
-from repro.errors import ColumnarUnsupported, DataCorruption, QueryCancelled
+from repro.errors import (
+    ColumnarUnsupported,
+    DataCorruption,
+    QueryCancelled,
+    TransientFault,
+)
+from repro.obs import Tracer
 from repro.pexec.engine import ExecutionEngine
 from repro.pexec.reference import evaluate_reference
 from repro.plan.builder import scan
@@ -361,7 +366,6 @@ def test_engine_falls_back_to_row_on_unsupported(monkeypatch):
     reference = MOVIE_ENGINE.run(plan, "reference")
     columnar = MOVIE_ENGINE.run(plan, "reference", columnar=True)
     assert columnar.stats.mode == "row"
-    assert not columnar.stats.degraded  # capability miss, not a failure
     assert_identical(reference, columnar, labels=("row", "fallback"))
 
 
@@ -374,8 +378,6 @@ def test_stats_mode_reports_columnar_on_success():
 
 
 def test_columnar_trace_span_present():
-    from repro.obs import Tracer
-
     tracer = Tracer()
     MOVIE_ENGINE.run(generated_plan(3), "reference", tracer=tracer, columnar=True)
     span = tracer.root.find("engine.columnar")
@@ -393,22 +395,24 @@ FAULT_PLAN = TopK(
 )
 
 
-def _assert_degraded_to_reference(result):
-    assert result.stats.mode == "row"
-    assert result.stats.degraded
-    assert any(failure.startswith("columnar: ") for failure in result.stats.failures)
-    reference = MOVIE_ENGINE.run(FAULT_PLAN, "reference")
-    assert_identical(reference, result, labels=("reference", "degraded"))
+def _assert_no_row_rerun(tracer):
+    span = tracer.root.find("engine.columnar")
+    assert span is not None and "fallback" not in span.attrs
+    assert tracer.root.find("execute:reference") is None
 
 
-def test_engine_degrades_to_row_on_transient_columnar_fault():
+def test_transient_columnar_fault_propagates_typed():
     faults = FaultPlan.transient(FAULT_SITE)
-    result = MOVIE_ENGINE.run(FAULT_PLAN, "reference", columnar=True, faults=faults)
+    tracer = Tracer()
+    with pytest.raises(TransientFault):
+        MOVIE_ENGINE.run(
+            FAULT_PLAN, "reference", tracer=tracer, columnar=True, faults=faults
+        )
     assert [i.site for i in faults.injections] == [FAULT_SITE]
-    _assert_degraded_to_reference(result)
+    _assert_no_row_rerun(tracer)
 
 
-def test_engine_degrades_to_row_on_columnar_corruption(monkeypatch):
+def test_columnar_corruption_propagates_typed(monkeypatch):
     # A corrupt fault spec never fires at strategy.columnar (the evaluator
     # only visits it through FaultPlan.at), so the executor's corruption is
     # raised at the engine's columnar call instead.
@@ -418,14 +422,13 @@ def test_engine_degrades_to_row_on_columnar_corruption(monkeypatch):
         raise DataCorruption("patched: columnar result failed its integrity check")
 
     monkeypatch.setattr(engine_module, "evaluate_columnar", corrupt)
-    _assert_degraded_to_reference(
-        MOVIE_ENGINE.run(FAULT_PLAN, "reference", columnar=True)
-    )
+    tracer = Tracer()
+    with pytest.raises(DataCorruption, match="patched"):
+        MOVIE_ENGINE.run(FAULT_PLAN, "reference", tracer=tracer, columnar=True)
+    _assert_no_row_rerun(tracer)
 
 
 def test_precancelled_guard_propagates_through_columnar():
-    from repro.obs import Tracer
-
     token = CancellationToken()
     token.cancel()
     tracer = Tracer()
@@ -438,6 +441,4 @@ def test_precancelled_guard_propagates_through_columnar():
             guard=QueryGuard(token=token),
         )
     # Raised by the columnar attempt itself, not by a row fallback.
-    span = tracer.root.find("engine.columnar")
-    assert span is not None and "fallback" not in span.attrs
-    assert tracer.root.find("execute:reference") is None
+    _assert_no_row_rerun(tracer)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     CatalogError,
-    CircuitOpen,
     DataCorruption,
     ExecutionError,
     ExpressionError,
@@ -64,7 +63,7 @@ class TestResilienceErrors:
     @pytest.mark.parametrize(
         "exc",
         [QueryTimeout, QueryCancelled, ResourceExhausted, TransientFault,
-         CircuitOpen, DataCorruption],
+         DataCorruption],
     )
     def test_all_derive_from_resilience_error(self, exc):
         assert issubclass(exc, ResilienceError)
@@ -85,9 +84,6 @@ class TestResilienceErrors:
         err = TransientFault("iosim.scan")
         assert err.site == "iosim.scan"
         assert "iosim.scan" in str(err)
-
-    def test_circuit_open_names_the_strategy(self):
-        assert "'gbu'" in str(CircuitOpen("gbu"))
 
     def test_data_corruption_location_formats(self):
         assert str(DataCorruption("bad")) == "bad"

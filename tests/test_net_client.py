@@ -235,6 +235,11 @@ def test_jittered_backoff_is_seeded_and_bounded():
         assert 0.5 * nominal <= delay <= 1.5 * nominal
 
 
+def test_exponential_schedule_with_cap():
+    policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5)
+    assert [policy.backoff(k) for k in (1, 2, 3, 4)] == [0.1, 0.2, 0.4, 0.5]
+
+
 def test_jitter_zero_is_exact_and_validation_rejects_bad_values():
     policy = RetryPolicy(base_delay=0.2, jitter=0.0)
     assert policy.backoff(1) == pytest.approx(0.2)

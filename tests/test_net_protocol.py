@@ -8,13 +8,16 @@ import threading
 import pytest
 
 from repro.errors import (
-    CircuitOpen,
+    DataCorruption,
+    DurabilityError,
     NetworkFault,
     Overloaded,
+    PowerCut,
     QueryTimeout,
     ReproError,
     ResourceExhausted,
     TransientFault,
+    WALPoisoned,
 )
 from repro.serve.net.protocol import (
     MAX_FRAME,
@@ -177,14 +180,18 @@ def test_triples_digest_sees_changed_rows():
         ResourceExhausted("rows", 100, 150),
         TransientFault("net.read"),
         NetworkFault("net.write", "torn frame"),
-        CircuitOpen("gbu"),
+        DurabilityError("fsync", "/d/wal.log", "EIO"),
+        WALPoisoned("/d/wal.log", "fsync failed"),
+        PowerCut("rename", "/d/checkpoint.tmp"),
+        DataCorruption("bad checksum", path="t.jsonl", line=7),
     ],
 )
 def test_error_codec_round_trips_typed_errors(err):
     rebuilt = error_from_dict(error_to_dict(err))
     assert type(rebuilt) is type(err)
+    assert str(rebuilt) == str(err)
     for attr in ("reason", "limit", "session", "retry_after", "timeout",
-                 "elapsed", "kind", "used", "site", "strategy"):
+                 "elapsed", "kind", "used", "site", "op", "path", "line"):
         assert getattr(rebuilt, attr, None) == getattr(err, attr, None)
 
 

@@ -150,14 +150,3 @@ class TestSessionIntegration:
         plain = session.execute(SQL)
         guarded = session.execute(SQL, timeout=60.0, max_rows=1000)
         assert plain.relation.same_contents(guarded.relation)
-
-    def test_guard_trips_are_not_retried(self, session):
-        from repro.resilience import ResiliencePolicy, RetryPolicy
-
-        calls = []
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(base_delay=0.0, sleep=calls.append)
-        )
-        with pytest.raises(QueryTimeout):
-            session.execute(SQL, timeout=0.0, resilience=policy)
-        assert calls == []  # no backoff pause: the deadline is absolute
