@@ -5,15 +5,34 @@ one aggregate function F.  Evaluating the group sequentially — one full pass
 over the input per preference, the shape of the naive prefer fold — costs
 O(|R|·|λ|) condition checks.  Compiling the group against a schema yields a
 :class:`CompiledGroup` that evaluates every preference in a **single pass**
-over the rows, with three cooperating optimizations:
+over the rows.  Each preference is served by one of three structures,
+chosen at compile time:
 
-* **Preference dispatch index** — preferences whose conditional part carries
-  an equality conjunct (``attr = v``, or ``attr IN (v1..vk)``) are bucketed
-  into per-attribute hash maps ``value → [preferences]``.  Each row then
-  *probes* one map per distinct dispatch attribute instead of testing every
-  condition: O(|R| + matches) instead of O(|R|·|λ|).  Conditions with no
-  usable equality conjunct fall back to a residual always-check list, so the
-  index is a pure optimization, never a semantic restriction.
+* **Column tables** — a preference whose condition and scoring read exactly
+  one resolvable column (``year >= 1990`` scored by ``S_m(year)``,
+  ``genre IN (…)``) joins that column's table ``value → [(index, ⟨S,C⟩)]``.
+  Equality/IN probes with constant scores pre-fill it at compile time; the
+  other members are evaluated lazily, once per *distinct value* of the
+  column instead of once per row.  A table whose values prove near-unique
+  stops caching under the memo's bailout rule (``MEMO_BAILOUT_*``).
+* **Preference dispatch index** — a multi-column condition with an
+  equality conjunct (``genre = 'Drama' AND year >= 2000``, or
+  ``attr IN (v1..vk)``) is bucketed into a per-attribute hash map
+  ``value → [preferences]``; a row probes the map and checks only the
+  remaining conjuncts.
+* **Residual list** — every other condition is checked per computed row,
+  so the tables are a pure optimization, never a semantic restriction.
+
+The per-row match lists then go through three cooperating steps:
+
+* **Memoized distinct-value matching** — condition and scoring outcomes
+  depend only on the *preference-relevant* attributes, and workload rows
+  share few distinct values on preferred attributes.  The compiled group
+  caches the full match list per projection of those attributes, so a
+  repeated value combination costs one dict lookup.  Memo and column tables
+  key on Python value equality.  Caches live on the compiled group —
+  created per evaluation, on the Intermediate/PRelation side — never on
+  shared tables, so snapshot isolation is preserved.
 * **Fused combining** — all matching ⟨S, C⟩ pairs of a row are folded
   through F in one loop.  Fold safety rests on Definition 3: F is
   associative and commutative (asserted via the registered-aggregate law
@@ -21,13 +40,11 @@ over the rows, with three cooperating optimizations:
   per-row fused fold order equivalent to the per-preference sequential
   order.  Where float identity matters (duplicate score-relation keys) the
   fold replays the sequential ``(preference, row)`` order bit-for-bit.
-* **Memoized distinct-value scoring** — condition and scoring outcomes
-  depend only on the *preference-relevant* attributes, and workload rows
-  share few distinct values on preferred attributes.  The compiled group
-  caches the full match list per projection of those attributes, so a
-  repeated value combination costs one dict lookup.  Caches live on the
-  compiled group — created per evaluation, on the Intermediate/PRelation
-  side — never on shared tables, so snapshot isolation is preserved.
+* **One fold per distinct match list** — rows sharing a projection share
+  one match list, and a pass folds each list once.  The cached fold is used
+  only where it is exact: in :meth:`CompiledGroup.score_pairs` when the
+  row's input pair is the same object, in :meth:`CompiledGroup.score_rows`
+  when the key is alone in its bucket and absent from ``base``.
 
 Chomicki's semantic-optimization line of work (see PAPERS.md) prunes and
 reuses preference evaluation by exploiting the structure of the preference
@@ -65,7 +82,8 @@ MEMO_MAX_ATTRS = 8
 #: Adaptive memo bailout: after this many distinct projections, a pass whose
 #: hit rate is below one hit per ``MEMO_BAILOUT_RATIO`` misses abandons the
 #: memo — the projections are evidently near-unique (e.g. keyed on an id
-#: column), so every lookup is a wasted key build.
+#: column), so every lookup is a wasted key build.  Column tables obey the
+#: same rule per column.
 MEMO_BAILOUT_MISSES = 512
 MEMO_BAILOUT_RATIO = 4
 
@@ -94,7 +112,14 @@ def ensure_fold_safe(aggregate: AggregateFunction) -> None:
 
 
 class GroupStats:
-    """Counters of one fused evaluation pass (reported as ``prefer.batch``)."""
+    """Counters of one fused evaluation pass (reported as ``prefer.batch``).
+
+    ``probes`` counts table lookups (column tables and dispatch index),
+    ``dispatch_hits`` the preference matches those lookups returned,
+    ``residual_checks`` the conditions actually evaluated, ``fused_combines``
+    the F applications actually performed, and ``matches`` the matches of
+    the sequential fold (one per combiner application it would make).
+    """
 
     __slots__ = (
         "rows_in",
@@ -126,7 +151,7 @@ class _Entry:
 
     def __init__(self, index, condition, residual, scoring, confidence, pair=None):
         self.index = index
-        #: Full compiled condition (used on the residual always-check list).
+        #: Full compiled condition (residual list and lazy column members).
         self.condition = condition
         #: Non-equality conjuncts of an indexed condition; ``None`` when the
         #: dispatch probe alone decides the match.
@@ -136,6 +161,70 @@ class _Entry:
         #: Precomputed ⟨S,C⟩ when S is row-independent (``ConstantScore``) —
         #: the common workload shape; saves a NamedTuple build per match.
         self.pair = pair
+
+    def match(self, row: Row) -> "tuple[int, ScorePair]":
+        pair = self.pair
+        if pair is None:
+            pair = ScorePair(self.scoring(row), self.confidence)
+        return (self.index, pair)
+
+
+class _ColumnTable:
+    """The preferences reading only one column, as ``value → matches``.
+
+    ``fixed`` holds the pure equality/IN probes with constant scores, filled
+    at compile time; ``lazy`` the members whose condition and scoring must
+    run.  With no lazy member ``table`` *is* ``fixed`` and complete;
+    otherwise it caches each distinct value's match list on first sight,
+    until the values prove near-unique and ``table`` becomes ``None``.
+    """
+
+    __slots__ = ("position", "fixed", "lazy", "table", "hits", "misses")
+
+    def __init__(self, position: int):
+        self.position = position
+        self.fixed: dict = {}
+        self.lazy: list[_Entry] = []
+        self.table: "dict | None" = None
+        self.hits = 0
+        self.misses = 0
+
+    def seal(self) -> None:
+        """Finish compilation: a table without lazy members is complete."""
+        self.table = {} if self.lazy else self.fixed
+
+    def lookup(self, row: Row, stats: GroupStats) -> "list[tuple[int, ScorePair]]":
+        """The column's matches for *row*, in group order (a shared list)."""
+        value = row[self.position]
+        table = self.table
+        if table is not None:
+            found = table.get(value)
+            if found is not None:
+                self.hits += 1
+                return found
+        if not self.lazy:
+            return _NO_MATCHES
+        found = self._evaluate(value, row, stats)
+        if table is not None:
+            table[value] = found
+            self.misses += 1
+            if (
+                self.misses == MEMO_BAILOUT_MISSES
+                and self.hits * MEMO_BAILOUT_RATIO < self.misses
+            ):
+                self.table = None  # near-unique values: stop caching
+        return found
+
+    def _evaluate(self, value, row: Row, stats: GroupStats) -> list:
+        fixed = self.fixed.get(value)
+        found = list(fixed) if fixed else []
+        for entry in self.lazy:
+            if entry.condition(row):
+                found.append(entry.match(row))
+        stats.residual_checks += len(self.lazy)
+        if fixed and len(found) > len(fixed):
+            found.sort(key=_match_index)
+        return found or _NO_MATCHES
 
 
 def dispatch_probe(condition: Expr) -> "tuple[str, tuple, Expr | None] | None":
@@ -213,12 +302,13 @@ class CompiledGroup:
         "schema",
         "combine",
         "stats",
+        "_columns",
         "_dispatch",
-        "_fast",
         "_residual",
         "_memo",
         "_memo_positions",
         "_memo_key",
+        "_column_count",
         "_indexed_count",
     )
 
@@ -227,14 +317,15 @@ class CompiledGroup:
         self.schema = schema
         self.combine = group.aggregate.combine
         self.stats = GroupStats()
-        #: row position → (value → [entry, ...])  — the dispatch index.
-        self._dispatch: list[tuple[int, dict]] = []
-        self._residual: list[_Entry] = []
+        columns: dict[int, _ColumnTable] = {}
         dispatch_tables: dict[int, dict] = {}
-        relevant: set[str] = set()
+        self._residual: list[_Entry] = []
+        self._column_count = 0
         self._indexed_count = 0
+        relevant: set[str] = set()
         for index, preference in enumerate(group.preferences):
-            relevant |= preference.attributes()
+            attributes = preference.attributes()
+            relevant |= attributes
             scoring = preference.scoring.compile(schema)
             confidence = preference.confidence
             pair = (
@@ -243,72 +334,65 @@ class CompiledGroup:
                 else None
             )
             probe = dispatch_probe(preference.condition)
-            if probe is not None:
-                attr, values, residual_expr = probe
-                try:
-                    position = schema.index_of(attr)
-                except SchemaError:
-                    probe = None
+            position = _sole_position(schema, attributes)
+            if position is not None:
+                column = columns.get(position)
+                if column is None:
+                    column = columns[position] = _ColumnTable(position)
+                if probe is not None and probe[2] is None and pair is not None:
+                    for value in probe[1]:
+                        column.fixed.setdefault(value, []).append((index, pair))
                 else:
-                    residual = (
-                        None
-                        if residual_expr is None
-                        else residual_expr.compile(schema)
+                    condition = preference.condition.compile(schema)
+                    column.lazy.append(
+                        _Entry(index, condition, None, scoring, confidence, pair)
                     )
-                    entry = _Entry(index, None, residual, scoring, confidence, pair)
-                    table = dispatch_tables.setdefault(position, {})
-                    for value in values:
-                        table.setdefault(value, []).append(entry)
-                    self._indexed_count += 1
-            if probe is None:
+                self._column_count += 1
+                continue
+            probe_position = None if probe is None else _position(schema, probe[0])
+            if probe_position is not None:
+                _, values, residual_expr = probe
+                residual = (
+                    None if residual_expr is None else residual_expr.compile(schema)
+                )
+                entry = _Entry(index, None, residual, scoring, confidence, pair)
+                table = dispatch_tables.setdefault(probe_position, {})
+                for value in values:
+                    table.setdefault(value, []).append(entry)
+                self._indexed_count += 1
+            else:
                 condition = preference.condition.compile(schema)
                 self._residual.append(
                     _Entry(index, condition, None, scoring, confidence, pair)
                 )
-        self._dispatch = sorted(dispatch_tables.items())
-        # Pure-dispatch fast path: with no residual list, no per-entry
-        # residual conjuncts and row-independent scoring, a probe's match
-        # list is fully determined by the probed value — precompute it, so a
-        # row costs one dict lookup per dispatch attribute and nothing else.
-        self._fast: "list[tuple[int, dict]] | None" = None
-        if self._dispatch and not self._residual:
-            eligible = all(
-                entry.residual is None and entry.pair is not None
-                for _, table in self._dispatch
-                for entries in table.values()
-                for entry in entries
-            )
-            if eligible:
-                self._fast = [
-                    (
-                        position,
-                        {
-                            value: [(e.index, e.pair) for e in entries]
-                            for value, entries in table.items()
-                        },
-                    )
-                    for position, table in self._dispatch
-                ]
+        for column in columns.values():
+            column.seal()
+        #: Column tables, then the dispatch index, each in row-position order.
+        self._columns: list[_ColumnTable] = [columns[p] for p in sorted(columns)]
+        self._dispatch: list[tuple[int, dict]] = sorted(dispatch_tables.items())
         self._memo: dict[tuple, list] = {}
-        if all(_resolves(schema, a) for a in relevant):
-            positions = sorted({schema.index_of(a) for a in relevant})
-        else:
-            positions = None
-        if positions is not None and len(positions) <= MEMO_MAX_ATTRS:
-            self._memo_positions: tuple[int, ...] | None = tuple(positions)
+        positions = {_position(schema, a) for a in relevant}
+        if None not in positions and len(positions) <= MEMO_MAX_ATTRS:
+            ordered = sorted(positions)
+            self._memo_positions: tuple[int, ...] | None = tuple(ordered)
             # itemgetter builds the projection key at C speed; with one
             # position it yields a bare value, which is an equally good (and
             # cheaper) dict key than a 1-tuple.
             self._memo_key: "Callable[[Row], object] | None" = (
-                itemgetter(*positions) if positions else _EMPTY_KEY
+                itemgetter(*ordered) if ordered else _EMPTY_KEY
             )
         else:
             # Wide or unresolvable projections: memoization would cost more
-            # than it saves (or would be unsound); fall back to dispatch.
+            # than it saves (or would be unsound); the tables still apply.
             self._memo_positions = None
             self._memo_key = None
 
     # -- introspection (unit tests / docs) -----------------------------------
+
+    @property
+    def column_count(self) -> int:
+        """How many preferences the per-column tables serve."""
+        return self._column_count
 
     @property
     def indexed_count(self) -> int:
@@ -348,38 +432,22 @@ class CompiledGroup:
 
     def _compute_matches(self, row: Row) -> "list[tuple[int, ScorePair]]":
         stats = self.stats
-        fast = self._fast
-        if fast is not None:
-            found: "list[tuple[int, ScorePair]] | None" = None
-            merged = False
-            hit_count = 0
-            for position, table in fast:
-                value = row[position]
-                if value is None:
-                    continue  # equality never matches NULL
-                lst = table.get(value)
-                if not lst:
-                    continue
-                hit_count += len(lst)
-                if found is None:
-                    found = lst  # the shared precomputed list; never mutated
-                else:
-                    found = found + lst
-                    merged = True
-            stats.probes += len(fast)
-            if found is None:
-                return _NO_MATCHES
-            stats.dispatch_hits += hit_count
-            if merged:
-                # Concatenation of per-table lists: restore group order.
-                found.sort(key=_match_index)
-            return found
-        hits: list[_Entry] = []
-        probes = 0
+        found: "list[tuple[int, ScorePair]] | None" = None
+        merged = False
         dispatch_hits = 0
+        for column in self._columns:
+            matched = column.lookup(row, stats)
+            if not matched:
+                continue
+            dispatch_hits += len(matched)
+            if found is None:
+                found = matched  # a shared table list; never mutated
+            else:
+                found = found + matched
+                merged = True
+        hits: list[_Entry] = []
         residual_checks = 0
         for position, table in self._dispatch:
-            probes += 1
             value = row[position]
             if value is None:
                 continue  # equality never matches NULL
@@ -398,22 +466,19 @@ class CompiledGroup:
             residual_checks += 1
             if entry.condition(row):
                 hits.append(entry)
-        stats.probes += probes
+        stats.probes += len(self._columns) + len(self._dispatch)
         stats.dispatch_hits += dispatch_hits
         stats.residual_checks += residual_checks
-        if not hits:
+        if hits:
+            extra = [entry.match(row) for entry in hits]
+            found = extra if found is None else found + extra
+            merged = True
+        if found is None:
             return _NO_MATCHES
-        if len(hits) > 1:
-            hits.sort(key=_entry_index)
-        return [
-            (
-                entry.index,
-                entry.pair
-                if entry.pair is not None
-                else ScorePair(entry.scoring(row), entry.confidence),
-            )
-            for entry in hits
-        ]
+        if merged:
+            # Concatenation of per-source lists: restore group order.
+            found.sort(key=_match_index)
+        return found
 
     def _bail_out_of_memo(self) -> None:
         """Drop the memo for this group: projections proved near-unique.
@@ -434,7 +499,8 @@ class CompiledGroup:
 
         Bit-identical to folding each preference over the arrays in group
         order: rows are independent here, so the per-row fused fold *is* the
-        sequential order.
+        sequential order.  A match list's fold is reused for every row whose
+        input pair is the very object the fold started from.
         """
         combine = self.combine
         memo = self._memo
@@ -443,6 +509,10 @@ class CompiledGroup:
         memo_hits = 0
         misses = 0
         match_count = 0
+        combines = 0
+        # id(match list) → (list, input pair, folded pair); holding the list
+        # keeps its id from being reused within the pass.
+        folds: dict[int, tuple] = {}
         out: list[ScorePair] = []
         append = out.append
         for row, current in zip(rows, pairs):
@@ -464,14 +534,21 @@ class CompiledGroup:
                 matched = compute(row)
             if matched:
                 match_count += len(matched)
-                for _, fresh in matched:
-                    current = combine(current, fresh)
+                fold = folds.get(id(matched))
+                if fold is not None and fold[1] is current:
+                    current = fold[2]
+                else:
+                    start = current
+                    for _, fresh in matched:
+                        current = combine(current, fresh)
+                    combines += len(matched)
+                    folds[id(matched)] = (matched, start, current)
             append(current)
         stats = self.stats
         stats.rows_in += len(out)
         stats.memo_hits += memo_hits
         stats.matches += match_count
-        stats.fused_combines += match_count
+        stats.fused_combines += combines
         return out
 
     def score_rows(
@@ -486,7 +563,10 @@ class CompiledGroup:
         including the removal of keys whose pair collapses to the default:
         matches are folded per key in ``(preference, row)`` order — the order
         |λ| separate passes would have produced — so results stay
-        bit-identical even when several rows share a score-relation key.
+        bit-identical even when several rows share a score-relation key.  A
+        key alone in its bucket and absent from *base* folds from nothing,
+        so its result depends on its match list alone and is folded once
+        per distinct list.
         """
         stats = self.stats
         combine = self.combine
@@ -529,9 +609,22 @@ class CompiledGroup:
         stats.rows_in += rows_in
         stats.memo_hits += memo_hits
         stats.matches += match_count
+        combines = 0
+        # id(match list) → its fold from no pair; ``buckets`` holds every
+        # list until the loop ends, so no id is reused within it.
+        folds: dict[int, "ScorePair | None"] = {}
         for key, per_row in buckets.items():
             if len(per_row) == 1:
                 flat = per_row[0][1]
+                if key not in scores:
+                    previous = folds.get(id(flat), _UNFOLDED)
+                    if previous is _UNFOLDED:
+                        previous, count = _fold(combine, None, flat)
+                        combines += count
+                        folds[id(flat)] = previous
+                    if previous is not None:
+                        scores[key] = previous
+                    continue
             else:
                 # Re-serialize to the sequential fold order: preference-major,
                 # then row order — what per-preference passes would have done.
@@ -542,18 +635,13 @@ class CompiledGroup:
                 ]
                 triples.sort(key=_triple_order)
                 flat = [(index, fresh) for index, _, fresh in triples]
-            previous = scores.get(key)
-            for _, fresh in flat:
-                if previous is None:
-                    combined = fresh
-                else:
-                    combined = combine(previous, fresh)
-                    stats.fused_combines += 1
-                previous = None if combined.is_default else combined
+            previous, count = _fold(combine, scores.get(key), flat)
+            combines += count
             if previous is None:
                 scores.pop(key, None)
             else:
                 scores[key] = previous
+        stats.fused_combines += combines
         return scores
 
 
@@ -561,27 +649,52 @@ class CompiledGroup:
 #: under selective pools; never mutated by callers.
 _NO_MATCHES: "list[tuple[int, ScorePair]]" = []
 
+#: Marks a match list :meth:`CompiledGroup.score_rows` has not folded yet.
+_UNFOLDED = object()
+
+
+def _fold(combine, previous, matches) -> "tuple[ScorePair | None, int]":
+    """Fold *matches* into *previous* as the sequential prefer does.
+
+    ``None`` stands for "no pair yet": the first match is taken as is, and a
+    pair that collapses to the default is dropped.  Returns the final pair
+    (or ``None``) and the number of combiner applications made.
+    """
+    combines = 0
+    for _, fresh in matches:
+        if previous is None:
+            combined = fresh
+        else:
+            combined = combine(previous, fresh)
+            combines += 1
+        previous = None if combined.is_default else combined
+    return previous, combines
+
 
 def _EMPTY_KEY(row: Row) -> tuple:
     """Memo key for attribute-free groups: every row projects to ``()``."""
     return ()
 
 
-#: Sort key restoring group order after merging per-table match lists.
+#: Sort key restoring group order after merging per-source match lists.
 _match_index = itemgetter(0)
-
-
-def _entry_index(entry: _Entry) -> int:
-    return entry.index
 
 
 def _triple_order(triple) -> tuple[int, int]:
     return (triple[0], triple[1])
 
 
-def _resolves(schema: TableSchema, attr: str) -> bool:
+def _position(schema: TableSchema, attr: str) -> "int | None":
+    """*attr*'s row position in *schema*, or ``None`` when it does not resolve."""
     try:
-        schema.index_of(attr)
+        return schema.index_of(attr)
     except SchemaError:
-        return False
-    return True
+        return None
+
+
+def _sole_position(schema: TableSchema, attributes: set[str]) -> "int | None":
+    """The one row position all of *attributes* resolve to, else ``None``."""
+    positions = {_position(schema, attr) for attr in attributes}
+    if len(positions) != 1 or None in positions:
+        return None
+    return positions.pop()

@@ -3,8 +3,9 @@
 The execution strategies evaluate *runs* of prefer operators: FtP folds the
 whole region's preference list over one delegated result, BU/GBU walk chains
 of adjacent ``Prefer`` nodes.  This module applies such a run as **one**
-fused pass (dispatch index + fused combining + distinct-value memoization,
-see :mod:`repro.core.prefgroup`) instead of |λ| separate passes.
+fused pass (column tables + dispatch index + distinct-value memoization +
+fused combining, see :mod:`repro.core.prefgroup`) instead of |λ| separate
+passes.
 
 Batch scoring is on by default and gated by an ambient flag
 (``with use_batch_scoring(False): ...``) — the unfused sequential fold stays
@@ -12,8 +13,9 @@ available as the reference path and as the baseline the
 ``bench_batch_scoring`` benchmark and the CI perf-smoke gate compare
 against.
 
-Every fused application reports a ``prefer.batch`` span with the pass's
-counters (``probes``, ``dispatch_hits``, ``memo_hits``, ``fused_combines``,
+Every fused application reports a ``prefer.batch`` span with the group's
+shape (``columns``, ``indexed``, ``residual``: preferences per structure)
+and the pass's counters (``probes``, ``dispatch_hits``, ``memo_hits``, ``fused_combines``,
 ``residual_checks``, ``rows_in``, ``matches``) so EXPLAIN ANALYZE shows
 where the pass saved work.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import itemgetter
 from typing import Sequence
 
 from ..core.aggregates import AggregateFunction
@@ -31,7 +32,7 @@ from ..core.prefgroup import CompiledGroup, PreferenceGroup
 from ..core.prelation import PRelation
 from ..core.scorepair import ScorePair
 from ..engine.schema import TableSchema
-from ..engine.table import Row
+from ..engine.table import Row, row_getter
 from ..obs import current_tracer
 from .scorerel import Intermediate
 
@@ -61,6 +62,7 @@ def _report_batch(compiled: CompiledGroup, label: str) -> None:
         return
     with tracer.span("prefer.batch", label=label) as span:
         span.set("preferences", len(compiled.group))
+        span.set("columns", compiled.column_count)
         span.set("indexed", compiled.indexed_count)
         span.set("residual", compiled.residual_count)
         span.set("memo", compiled.memo_enabled)
@@ -119,14 +121,8 @@ def group_scores_from_rows(
     keys are resolved by name.  Returns a fresh dict merging into *base*
     without mutating it.
     """
-    group = PreferenceGroup(preferences, aggregate)
-    compiled = group.compile(schema)
-    positions = tuple(schema.index_of(a) for a in key_attrs)
-    if len(positions) == 1:
-        position = positions[0]
-        key_fn = lambda row: (row[position],)  # noqa: E731
-    else:
-        key_fn = itemgetter(*positions)
+    compiled = PreferenceGroup(preferences, aggregate).compile(schema)
+    key_fn = row_getter([schema.index_of(a) for a in key_attrs])
     scores = compiled.score_rows(rows, key_fn, base)
     _report_batch(compiled, f"|λ|={len(preferences)}")
     return scores

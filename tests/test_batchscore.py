@@ -3,9 +3,13 @@
 Three layers of evidence:
 
 * Hypothesis property tests: random preference pools over random row
-  multisets (duplicate keys included) produce *identical* score pairs and
-  score relations under the fused pass and the sequential fold, for both
-  F_S and F_max.
+  multisets produce *identical* score pairs and score relations under the
+  fused pass and the sequential fold, for both F_S and F_max.  The pools
+  reach every path of the compiled group (pre-filled and lazy column
+  tables, expression scores over a nullable column, ``IN (…, NULL)``, the
+  dispatch index, multi-column residual conditions); the inputs carry
+  shared and distinct non-identity pairs, duplicate score-relation keys and
+  a non-empty base relation, so every reuse of a cached fold is checked.
 * Conformance: every workload query and every plan of the fixed generated
   corpus returns the same result multiset fused (the default) and under
   ``use_batch_scoring(False)`` on every physical strategy.
@@ -23,8 +27,11 @@ from repro.core.prefer import prefer, prefer_seq
 from repro.core.preference import Preference
 from repro.core.prefgroup import PreferenceGroup
 from repro.core.prelation import PRelation
-from repro.core.scoring import ConstantScore
-from repro.engine.expressions import TRUE, InList, cmp, col, eq
+from repro.core.scorepair import IDENTITY, ScorePair, bottom
+from repro.core.scoring import ConstantScore, around_score, recency_score
+from repro.engine.expressions import TRUE, And, InList, Or, cmp, col, eq
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import DataType
 from repro.pexec.batchscore import (
     batch_scoring_enabled,
     prefer_group,
@@ -32,7 +39,6 @@ from repro.pexec.batchscore import (
 )
 from repro.pexec.engine import ExecutionEngine
 from repro.pexec.scorerel import Intermediate, apply_prefer, apply_prefer_seq
-from repro.plan.builder import scan
 from repro.workloads.queries import all_queries
 
 from tests.conformance import assert_identical
@@ -41,48 +47,92 @@ from tests.test_strategy_conformance import PHYSICAL, generated_plan
 
 MOVIE_DB = build_movie_db()
 MOVIE_ENGINE = ExecutionEngine(MOVIE_DB)
-GENRES_SCHEMA = scan("GENRES").build().schema(MOVIE_DB.catalog)
 
-GENRES = st.sampled_from(["Drama", "Comedy", "Action", "Horror", None])
 AGGREGATES = st.sampled_from([F_S, F_MAX])
+
+#: A relation with a key-like column, a text column and a nullable numeric
+#: column: enough to put preferences on every path of the compiled group.
+T_SCHEMA = TableSchema(
+    "T",
+    [
+        Column("k", DataType.INT, "T"),
+        Column("g", DataType.TEXT, "T"),
+        Column("n", DataType.INT, "T"),
+    ],
+)
+GENRES = st.sampled_from(["Drama", "Comedy", "Action", "Horror", None])
+NUMBERS = st.one_of(st.none(), st.integers(0, 12))
+UNIT = st.floats(0.0, 1.0, allow_nan=False, width=32)
+FRESH_PAIRS = st.builds(ScorePair, st.one_of(st.none(), UNIT), UNIT)
+#: Shared pair objects, so identical inputs meet the fold cache.
+SHARED_PAIRS = [IDENTITY, ScorePair(0.5, 0.5), bottom(0.3), ScorePair(0.2, 0.0)]
+PAIRS = st.one_of(st.sampled_from(SHARED_PAIRS), FRESH_PAIRS)
+
+
+def n_score(draw):
+    """An expression score over the nullable column (NULL scores ⊥)."""
+    if draw(st.booleans()):
+        return recency_score("T.n", draw(st.integers(1, 12)))
+    return around_score("T.n", float(draw(st.integers(1, 12))))
 
 
 @st.composite
 def preferences(draw):
-    """One random preference over GENRES: indexed, residual, or catch-all."""
-    kind = draw(st.sampled_from(["eq", "in", "range", "true"]))
-    if kind == "eq":
-        condition = eq("GENRES.genre", draw(GENRES.filter(lambda g: g is not None)))
-    elif kind == "in":
-        values = draw(
-            st.lists(
-                GENRES.filter(lambda g: g is not None),
-                min_size=1,
-                max_size=3,
-                unique=True,
-            )
+    """One random preference over T, for every path of the compiled group:
+    pre-filled and lazy column tables (constant and expression scores, IN
+    with NULL), the dispatch index, and multi-column residual conditions."""
+    genre = GENRES.filter(lambda g: g is not None)
+    kind = draw(
+        st.sampled_from(
+            ["eq", "in", "range_k", "range_n", "true_n", "in_null_n",
+             "eq_scored", "eq_and_range", "multi", "true"]
         )
-        condition = InList(col("GENRES.genre"), tuple(values))
-    elif kind == "range":
-        condition = cmp("GENRES.m_id", ">=", draw(st.integers(0, 5)))
+    )
+    score = ConstantScore(draw(UNIT))
+    if kind == "eq":
+        condition = eq("T.g", draw(genre))
+    elif kind == "in":
+        values = draw(st.lists(GENRES, min_size=1, max_size=3, unique=True))
+        condition = InList(col("T.g"), tuple(values))
+    elif kind == "range_k":
+        condition = cmp("T.k", ">=", draw(st.integers(0, 5)))
+    elif kind == "range_n":
+        condition, score = cmp("T.n", ">=", draw(st.integers(0, 12))), n_score(draw)
+    elif kind == "true_n":
+        condition, score = TRUE, n_score(draw)
+    elif kind == "in_null_n":
+        values = (draw(st.integers(0, 12)), None)
+        condition, score = InList(col("T.n"), values), n_score(draw)
+    elif kind == "eq_scored":
+        condition, score = eq("T.g", draw(genre)), n_score(draw)
+    elif kind == "eq_and_range":
+        condition = And(eq("T.g", draw(genre)), cmp("T.k", ">=", draw(st.integers(0, 5))))
+    elif kind == "multi":
+        condition = Or(
+            cmp("T.k", ">=", draw(st.integers(0, 5))),
+            cmp("T.n", "<=", draw(st.integers(0, 12))),
+        )
     else:
         condition = TRUE
-    score = draw(st.floats(0.0, 1.0, allow_nan=False, width=32))
-    conf = draw(st.floats(0.0, 1.0, allow_nan=False, width=32))
+    conf = draw(UNIT)
     name = f"h{draw(st.integers(0, 10**6))}"
-    return Preference(name, "GENRES", condition, ConstantScore(score), conf)
+    return Preference(name, "T", condition, score, conf)
 
 
 ROWS = st.lists(
-    st.tuples(st.integers(1, 4), GENRES), min_size=0, max_size=12
+    st.tuples(st.integers(1, 4), GENRES, NUMBERS), min_size=0, max_size=14
 )
 POOLS = st.lists(preferences(), min_size=1, max_size=8)
+#: Score-relation entries before the group runs, keyed like the rows (some
+#: keys have rows, some do not).
+BASES = st.dictionaries(st.tuples(st.integers(1, 6)), FRESH_PAIRS, max_size=4)
 
 
-@given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES)
-@settings(max_examples=60, deadline=None)
-def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate):
-    relation = PRelation(GENRES_SCHEMA, rows)
+@given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate, data):
+    pairs = data.draw(st.lists(PAIRS, min_size=len(rows), max_size=len(rows)))
+    relation = PRelation(T_SCHEMA, rows, pairs)
     sequential = relation
     for preference in pool:  # noqa: LN201 — reference fold
         sequential = prefer(sequential, preference, aggregate)
@@ -91,17 +141,22 @@ def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate):
     assert prefer_seq(relation, pool, aggregate).pairs == sequential.pairs
 
 
-@given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES)
-@settings(max_examples=60, deadline=None)
-def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate):
-    # Key on m_id only: duplicate keys force the per-key replay path.
-    inter = Intermediate(GENRES_SCHEMA, rows, ["GENRES.m_id"], {})
+@given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, base=BASES)
+@settings(max_examples=120, deadline=None)
+def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate, base):
+    # Key on k only: duplicate keys force the per-key replay path, and the
+    # base relation puts pairs under some keys before the group runs.
+    inter = Intermediate(T_SCHEMA, rows, ["T.k"], dict(base))
     sequential = inter
     for preference in pool:  # noqa: LN201 — reference fold
         sequential = apply_prefer(sequential, preference, aggregate)
-    compiled = PreferenceGroup(pool, aggregate).compile(GENRES_SCHEMA)
+    compiled = PreferenceGroup(pool, aggregate).compile(T_SCHEMA)
     fused = compiled.score_rows(rows, inter.key_fn(), inter.scores)
     assert fused == sequential.scores
+    assert inter.scores == base  # the base relation is not mutated
+    for row in rows:  # merged per-source match lists keep group order
+        indices = [index for index, _ in compiled.matches(row)]
+        assert indices == sorted(indices)
     assert apply_prefer_seq(inter, pool, aggregate).scores == sequential.scores
 
 

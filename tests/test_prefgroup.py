@@ -5,17 +5,22 @@ import pytest
 from repro.core.aggregates import F_MAX, F_S
 from repro.core.preference import Preference
 from repro.core.prefgroup import (
+    MEMO_BAILOUT_MISSES,
     MEMO_MAX_ATTRS,
     CompiledGroup,
     PreferenceGroup,
     dispatch_probe,
 )
-from repro.core.scorepair import IDENTITY, ScorePair
-from repro.core.scoring import ConstantScore
+from repro.core.scorepair import IDENTITY, ScorePair, bottom
+from repro.core.scoring import ConstantScore, ExprScore
 from repro.engine.expressions import (
     TRUE,
     And,
+    Arithmetic,
+    Attr,
     InList,
+    Literal,
+    Or,
     cmp,
     col,
     eq,
@@ -76,19 +81,22 @@ class TestDispatchProbe:
 
 
 class TestCompiledGroup:
-    def test_indexed_vs_residual_partition(self, movie_db):
+    def test_column_dispatch_residual_partition(self, movie_db):
         group = PreferenceGroup(
             [
-                pref("a", eq("GENRES.genre", "Drama")),
+                pref("a", eq("GENRES.genre", "Drama")),  # column, pre-filled
                 pref("b", InList(col("GENRES.genre"), ("Comedy", "Action"))),
-                pref("c", cmp("GENRES.m_id", ">=", 2)),  # no equality conjunct
-                pref("d", TRUE),
+                pref("c", cmp("GENRES.m_id", ">=", 2)),  # column, lazy
+                pref("d", And(eq("GENRES.genre", "Drama"), cmp("GENRES.m_id", ">=", 2))),
+                pref("e", Or(eq("GENRES.genre", "Drama"), cmp("GENRES.m_id", ">=", 2))),
+                pref("f", TRUE),
             ],
             F_S,
         )
         compiled = group.compile(genres_schema(movie_db))
-        assert compiled.indexed_count == 2
-        assert compiled.residual_count == 2
+        assert compiled.column_count == 3
+        assert compiled.indexed_count == 1  # d: two columns, one equality
+        assert compiled.residual_count == 2  # e: no top-level equality; f: none
 
     def test_dispatch_skips_non_matching_rows(self, movie_db):
         schema = genres_schema(movie_db)
@@ -234,3 +242,137 @@ class TestScoreRows:
             sequential = prefer(sequential, preference, F_MAX)
         compiled = PreferenceGroup(preferences, F_MAX).compile(schema)
         assert compiled.score_pairs(rows, relation.pairs) == sequential.pairs
+
+
+def sequential_pairs(schema, rows, preferences, aggregate=F_S, pairs=None):
+    from repro.core.prefer import prefer
+    from repro.core.prelation import PRelation
+
+    relation = PRelation(schema, rows, pairs)
+    for preference in preferences:  # noqa: LN201 — reference fold
+        relation = prefer(relation, preference, aggregate)
+    return relation.pairs
+
+
+class TestColumnTables:
+    def test_condition_runs_once_per_distinct_value(self, movie_db):
+        schema = genres_schema(movie_db)
+        preferences = [
+            pref("ids", cmp("GENRES.m_id", ">=", 2)),
+            pref("genres", InList(col("GENRES.genre"), ("Drama", None))),
+        ]
+        compiled = PreferenceGroup(preferences, F_S).compile(schema)
+        assert compiled.column_count == 2
+        rows = [(m, g) for m in (1, 2) for g in ("Drama", "Comedy")] * 3
+        pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        assert pairs == sequential_pairs(schema, rows, preferences)
+        # Four distinct (m_id, genre) projections miss the memo, but each
+        # column has two distinct values: 2 + 2 evaluations, not 4 × 2.
+        assert compiled.stats.memo_hits == 8
+        assert compiled.stats.residual_checks == 4
+
+    def test_null_cell_in_a_table_served_column(self, movie_db):
+        schema = genres_schema(movie_db)
+        preferences = [
+            pref("in-null", InList(col("GENRES.genre"), ("Drama", None)), 0.3, 0.6),
+            pref("eq", eq("GENRES.genre", "Drama"), 0.4, 0.7),
+            Preference(
+                "by-id",
+                "GENRES",
+                TRUE,
+                ExprScore(Arithmetic("*", Literal(0.1), Attr("GENRES.m_id"))),
+                0.9,
+            ),
+        ]
+        compiled = PreferenceGroup(preferences, F_S).compile(schema)
+        assert compiled.column_count == 3
+        # IN (…, NULL) matches a NULL genre, equality never does; a NULL
+        # m_id scores ⊥ with the preference's confidence.
+        assert compiled.matches((None, None)) == [
+            (0, ScorePair(0.3, 0.6)),
+            (2, bottom(0.9)),
+        ]
+        rows = [(None, None), (1, None), (None, "Drama"), (3, "Comedy")]
+        pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        assert pairs == sequential_pairs(schema, rows, preferences)
+
+    def test_near_unique_column_stops_caching(self, movie_db):
+        schema = genres_schema(movie_db)
+        compiled = PreferenceGroup(
+            [pref("ids", cmp("GENRES.m_id", ">=", 0))], F_S
+        ).compile(schema)
+        rows = [(m_id, "Drama") for m_id in range(MEMO_BAILOUT_MISSES)] + [(0, "Drama")]
+        pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        assert pairs == [ScorePair(0.5, 0.8)] * len(rows)
+        assert not compiled.memo_enabled
+        # Both the memo and the m_id table gave up after the unique values,
+        # so the repeated m_id = 0 is evaluated again.
+        assert compiled.stats.residual_checks == MEMO_BAILOUT_MISSES + 1
+
+    def test_group_order_when_sources_interleave(self, movie_db):
+        schema = genres_schema(movie_db)
+        preferences = [
+            pref("residual", TRUE, 0.1, 0.5),
+            pref("lazy-genre", InList(col("GENRES.genre"), ("Drama", None)), 0.15, 0.55),
+            pref("column", eq("GENRES.genre", "Drama"), 0.2, 0.6),
+            pref(
+                "dispatch",
+                And(eq("GENRES.genre", "Drama"), cmp("GENRES.m_id", ">=", 0)),
+                0.3,
+                0.7,
+            ),
+            pref("lazy-column", cmp("GENRES.m_id", ">=", 1), 0.4, 0.8),
+            pref(
+                "residual-or",
+                Or(eq("GENRES.genre", "Drama"), cmp("GENRES.m_id", ">=", 5)),
+                0.5,
+                0.9,
+            ),
+            pref("in-column", InList(col("GENRES.genre"), ("Drama", "Comedy")), 0.6, 1.0),
+        ]
+        compiled = PreferenceGroup(preferences, F_MAX).compile(schema)
+        assert (compiled.column_count, compiled.indexed_count, compiled.residual_count) == (
+            4,
+            1,
+            2,
+        )
+        assert [i for i, _ in compiled.matches((1, "Drama"))] == [0, 1, 2, 3, 4, 5, 6]
+        rows = [(1, "Drama"), (0, "Comedy"), (7, None), (1, "Drama")]
+        pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        assert pairs == sequential_pairs(schema, rows, preferences, F_MAX)
+
+
+class TestFoldCache:
+    def test_score_pairs_folds_each_match_list_once(self, movie_db):
+        schema = genres_schema(movie_db)
+        preferences = [
+            pref("a", eq("GENRES.genre", "Drama"), 0.3, 0.9),
+            pref("b", TRUE, 0.7, 0.4),
+        ]
+        compiled = PreferenceGroup(preferences, F_S).compile(schema)
+        rows = [(m_id, "Drama") for m_id in range(4)]
+        other = ScorePair(0.2, 0.5)
+        inputs = [IDENTITY, IDENTITY, other, IDENTITY]
+        pairs = compiled.score_pairs(rows, inputs)
+        assert pairs == sequential_pairs(schema, rows, preferences, F_S, inputs)
+        # One match list; folded for IDENTITY, for `other`, then for IDENTITY
+        # again (the cache holds one input per list).
+        assert compiled.stats.matches == 8
+        assert compiled.stats.fused_combines == 6
+
+    def test_score_rows_folds_once_for_unique_keys_only(self, movie_db):
+        schema = genres_schema(movie_db)
+        preferences = [
+            pref("a", eq("GENRES.genre", "Drama"), 0.3, 0.9),
+            pref("b", TRUE, 0.7, 0.4),
+        ]
+        compiled = PreferenceGroup(preferences, F_S).compile(schema)
+        rows = [(1, "Drama"), (2, "Drama"), (3, "Drama"), (3, "Drama")]
+        base = {(2,): ScorePair(0.1, 0.2)}
+        scores = compiled.score_rows(rows, lambda r: (r[0],), base)
+        # Key 1 folds the shared list once (1 combine); key 2 starts from its
+        # base pair (2); key 3 has two rows, replayed in order (3).
+        assert compiled.stats.fused_combines == 6
+        assert compiled.stats.matches == 8
+        assert set(scores) == {(1,), (2,), (3,)}
+        assert base == {(2,): ScorePair(0.1, 0.2)}  # not mutated
