@@ -27,8 +27,8 @@ package).  Rules (catalog codes LN1xx, see ``docs/STATIC_ANALYSIS.md``):
   ``apply_prefer_to_rows`` / ``prefer_scores_from_rows``) re-scans the input
   once per preference, O(|R|·|λ|).  Use the fused group API
   (:func:`repro.pexec.batchscore.prefer_group` /
-  ``apply_prefer_group``) — or mark intentional reference folds with
-  ``# noqa: LN201``.
+  ``apply_prefer_group``).  Only the test-side reference folds the fused
+  pass is checked against suppress it, with a ``noqa`` marker.
 
 Fault-injection and durability rules (LN3xx):
 
@@ -54,8 +54,8 @@ Serving-layer cache-coherence rules (LN4xx), added with the result cache:
   ``<x>.db.insert/insert_many/create_table/drop_table(...)``).  Every
   committed mutation must flow through the :class:`PreferenceServer`
   single-writer mutators, whose commit feed (``add_listener``) is what
-  invalidates the digest-keyed result cache and patches the maintained
-  score relations — a bypassing write leaves both silently stale.
+  invalidates the digest-keyed result cache — a bypassing write leaves it
+  silently stale.
 
 Suppression: append ``# noqa: LN103`` (or a comma-separated code list, or a
 bare ``# noqa``) to the reported line.
@@ -284,7 +284,7 @@ class _FileChecker(ast.NodeVisitor):
             f"{what} mutated via .{owner_name}.{func.attr}() outside the "
             "server's single-writer path; route the write through the "
             "PreferenceServer mutators so the commit feed invalidates the "
-            "result cache and patches maintained score relations",
+            "result cache",
         )
 
     # -- LN305: direct I/O bypassing the VFS in durability modules -----------
@@ -421,8 +421,7 @@ class _FileChecker(ast.NodeVisitor):
                         "LN201",
                         f"loop over preferences applies {call}() once per "
                         "preference (O(|R|·|λ|) passes); use the fused group "
-                        "API (prefer_group / apply_prefer_group / "
-                        "prefer_seq) instead",
+                        "API (prefer_group / apply_prefer_group) instead",
                     )
                 )
         self.generic_visit(node)

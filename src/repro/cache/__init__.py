@@ -1,26 +1,20 @@
-"""Result caching and incremental preference maintenance for the serving layer.
+"""Result caching for the serving layer.
 
-Two cooperating layers over the :class:`~repro.serve.server.PreferenceServer`
+Two cooperating modules over the :class:`~repro.serve.server.PreferenceServer`
 commit feed (see ``docs/PERFORMANCE.md`` §result caching):
 
 * :mod:`repro.cache.result_cache` — a digest-keyed, bounded-LRU,
   single-flight cache of fully rendered query replies.
-* :mod:`repro.cache.maintenance` — materialized per-user score relations
-  patched incrementally on preference add/remove and row inserts instead
-  of recomputed from scratch.
 * :mod:`repro.cache.service` — the cache-aware query path
   :class:`~repro.serve.net.server.NetServer` delegates to (and the
   conformance tests drive directly).
 """
 
-from .maintenance import ScoreMaintainer, applicable_preferences
 from .result_cache import ResultCache
 from .service import DEFAULT_SQL, CachedQueryService
 
 __all__ = [
     "ResultCache",
-    "ScoreMaintainer",
     "CachedQueryService",
-    "applicable_preferences",
     "DEFAULT_SQL",
 ]

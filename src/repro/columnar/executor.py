@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from ..core import algebra
 from ..core.aggregates import F_S, AggregateFunction
-from ..core.prefer import prefer
 from ..core.prelation import PRelation
 from ..engine.native_optimizer import push_selections
 from ..errors import ColumnarUnsupported
@@ -129,43 +128,17 @@ def _evaluate(plan: PlanNode, db, aggregate: AggregateFunction) -> ColumnarRelat
 def _evaluate_prefer_chain(
     plan: Prefer, db, aggregate: AggregateFunction
 ) -> ColumnarRelation:
-    """Fold a maximal chain of Prefer nodes, fused per same-aggregate run.
-
-    The chain applies innermost-first (the written preference order).
-    Consecutive prefers sharing one effective aggregate become a single
-    :func:`prefer_group` pass; a change of aggregate starts a new run.
+    """Fold a run of Prefer nodes sharing one effective aggregate as a
+    single :func:`prefer_group` pass, innermost-first (the written
+    preference order); a change of aggregate below is evaluated first as
+    the run's child.
     """
-    from ..pexec.batchscore import batch_scoring_enabled, prefer_group
+    from ..pexec.batchscore import prefer_group, prefer_run
 
-    chain: list[Prefer] = []
-    node: PlanNode = plan
-    while isinstance(node, Prefer):
-        chain.append(node)
-        node = node.child
-    child = _evaluate(node, db, aggregate)
-
-    relation = child.to_prelation()
-    fused = batch_scoring_enabled()
-    run: list = []
-    run_aggregate: AggregateFunction | None = None
-    for prefer_node in reversed(chain):
-        effective = prefer_node.aggregate or aggregate
-        if run and effective is not run_aggregate:
-            relation = _apply_run(relation, run, run_aggregate, fused, prefer_group)
-            run = []
-        run.append(prefer_node.preference)
-        run_aggregate = effective
-    if run:
-        relation = _apply_run(relation, run, run_aggregate, fused, prefer_group)
+    chain, run_aggregate = prefer_run(plan, aggregate)
+    relation = _evaluate(chain[0].child, db, aggregate).to_prelation()
+    relation = prefer_group(relation, [node.preference for node in chain], run_aggregate)
     return ColumnarRelation.from_rows(relation.schema, relation.rows, relation.pairs)
-
-
-def _apply_run(relation, preferences, aggregate, fused, prefer_group):
-    if fused:
-        return prefer_group(relation, preferences, aggregate)
-    for preference in preferences:  # noqa: LN201 — deliberate sequential fold
-        relation = prefer(relation, preference, aggregate)
-    return relation
 
 
 # ---------------------------------------------------------------------------

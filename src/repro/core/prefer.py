@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..engine.schema import TableSchema
 from ..engine.table import Row
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..obs import current_tracer
 from .aggregates import F_S, AggregateFunction
@@ -45,36 +45,6 @@ def prefer(
         tracer.count("rows_in", len(relation.rows))
         tracer.count("aggregate.combine", applied)
     return PRelation(relation.schema, list(relation.rows), pairs)
-
-
-def prefer_seq(
-    relation: PRelation,
-    preferences: "Sequence[Preference]",
-    aggregate: AggregateFunction = F_S,
-) -> PRelation:
-    """Sequentially fold *preferences* over *relation*, copying pairs ONCE.
-
-    Identical results to ``prefer()`` applied per preference, but the rows
-    and pairs lists are copied once per group instead of once per
-    preference — the unfused counterpart of
-    :func:`repro.pexec.batchscore.prefer_group`.
-    """
-    rows = list(relation.rows)
-    pairs = list(relation.pairs)
-    applied = 0
-    for preference in preferences:
-        combiner = make_combiner(relation.schema, preference, aggregate)
-        for position, row in enumerate(rows):
-            current = pairs[position]
-            fresh = combiner(row, current)
-            if fresh is not current:
-                applied += 1
-                pairs[position] = fresh
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count("rows_in", len(rows) * len(preferences))
-        tracer.count("aggregate.combine", applied)
-    return PRelation(relation.schema, rows, pairs)
 
 
 def make_combiner(

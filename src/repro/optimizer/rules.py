@@ -135,7 +135,9 @@ def push_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
     to the left input, which every result tuple comes from.  It stops just
     on top of a select, project or leaf (Rule 3), and never crosses a TopK
     or a score-referencing selection (their output depends on scores).
-    Chains of prefers sink through each other (Property 4.3).
+    Chains of prefers sink through each other (Property 4.3).  A prefer with
+    its own aggregate is a barrier: it neither moves nor lets another
+    prefer sink through it.
     """
     children = plan.children()
     if children:
@@ -148,8 +150,12 @@ def push_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
 def _sink(node: Prefer, catalog: Catalog) -> PlanNode:
     child = node.child
     preference = node.preference
+    if node.aggregate is not None:
+        # Properties 4.3/4.4 move a prefer across pairs combined with the
+        # query's one F; an aggregate override stays where it was written.
+        return node
 
-    if isinstance(child, Prefer):
+    if isinstance(child, Prefer) and child.aggregate is None:
         # Sink through the sibling prefer (4.3), then retry at this level.
         lowered = _sink(Prefer(child.child, preference, node.aggregate), catalog)
         return Prefer(lowered, child.preference, child.aggregate)
@@ -238,7 +244,8 @@ def _resolves(preference: Preference, plan: PlanNode, catalog: Catalog) -> bool:
 def reorder_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
     """Sort every maximal chain of prefer operators by ascending selectivity.
 
-    Property 4.3 makes any order equivalent; evaluating the most selective
+    Property 4.3 makes any order equivalent under one aggregate, so a chain
+    is sorted per run of prefers sharing one; evaluating the most selective
     conditional parts first materializes fewer score-relation entries early
     (the paper's "from less to more expensive").
     """
@@ -248,7 +255,7 @@ def reorder_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
         # chain, which dominated planning time for wide preference pools.
         chain: list[Prefer] = []
         node: PlanNode = plan
-        while isinstance(node, Prefer):
+        while isinstance(node, Prefer) and node.aggregate is plan.aggregate:
             chain.append(node)
             node = node.child
         base = reorder_prefers(node, catalog)

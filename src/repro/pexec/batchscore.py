@@ -7,11 +7,9 @@ fused pass (column tables + dispatch index + distinct-value memoization +
 fused combining, see :mod:`repro.core.prefgroup`) instead of |λ| separate
 passes.
 
-Batch scoring is on by default and gated by an ambient flag
-(``with use_batch_scoring(False): ...``) — the unfused sequential fold stays
-available as the reference path and as the baseline the
-``bench_batch_scoring`` benchmark and the CI perf-smoke gate compare
-against.
+It is the only way a strategy scores a prefer run; the ``reference``
+strategy's per-preference fold (:func:`repro.core.prefer.prefer`) is the
+oracle it is checked against.
 
 Every fused application reports a ``prefer.batch`` span with the group's
 shape (``columns``, ``indexed``, ``residual``: preferences per structure)
@@ -22,8 +20,6 @@ where the pass saved work.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Sequence
 
 from ..core.aggregates import AggregateFunction
@@ -34,25 +30,27 @@ from ..core.scorepair import ScorePair
 from ..engine.schema import TableSchema
 from ..engine.table import Row, row_getter
 from ..obs import current_tracer
+from ..plan.nodes import Prefer
 from .scorerel import Intermediate
 
-#: Ambient switch: fused batch scoring is the default execution mode.
-_BATCH_SCORING: ContextVar[bool] = ContextVar("repro-batch-scoring", default=True)
 
+def prefer_run(
+    plan: Prefer, default: AggregateFunction
+) -> "tuple[list[Prefer], AggregateFunction]":
+    """The longest run of adjacent Prefer nodes sharing *plan*'s aggregate.
 
-def batch_scoring_enabled() -> bool:
-    """Whether strategies should evaluate preference runs as fused groups."""
-    return _BATCH_SCORING.get()
-
-
-@contextmanager
-def use_batch_scoring(enabled: bool):
-    """Ambiently enable/disable fused batch scoring for the dynamic extent."""
-    token = _BATCH_SCORING.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _BATCH_SCORING.reset(token)
+    Returned innermost-first, matching the order a per-node postorder
+    traversal would apply them in, with that effective aggregate (a node's
+    own, else the query's *default*).
+    """
+    aggregate = plan.aggregate or default
+    chain = [plan]
+    node = plan.child
+    while isinstance(node, Prefer) and (node.aggregate or default) is aggregate:
+        chain.append(node)
+        node = node.child
+    chain.reverse()
+    return chain, aggregate
 
 
 def _report_batch(compiled: CompiledGroup, label: str) -> None:
@@ -68,8 +66,8 @@ def _report_batch(compiled: CompiledGroup, label: str) -> None:
         span.set("memo", compiled.memo_enabled)
         for name, value in compiled.stats.as_dict().items():
             span.add(name, value)
-        # A match is exactly one combiner application of the sequential
-        # fold, so the standard counter stays comparable across modes.
+        # A match is exactly one combiner application of the per-preference
+        # fold, so the standard counter stays comparable with `reference`.
         span.add("aggregate.combine", compiled.stats.matches)
 
 

@@ -32,7 +32,6 @@ from ..plan.nodes import (
     Union,
 )
 from . import batchscore, scorerel
-from .batchscore import batch_scoring_enabled
 from .scorerel import Intermediate
 
 
@@ -92,23 +91,8 @@ class _Evaluator:
             return scorerel.apply_topk(child, plan.k, plan.by)
         raise ExecutionError(f"BU cannot execute node {plan!r}")
 
-    def _prefer_chain(self, plan: Prefer) -> "tuple[list[Prefer], AggregateFunction]":
-        """Longest run of adjacent Prefer nodes sharing one effective aggregate.
-
-        Returned innermost-first, matching the order a per-node postorder
-        traversal would apply them in.
-        """
-        aggregate = plan.aggregate or self.aggregate
-        chain = [plan]
-        node = plan.child
-        while isinstance(node, Prefer) and (node.aggregate or self.aggregate) is aggregate:
-            chain.append(node)
-            node = node.child
-        chain.reverse()
-        return chain, aggregate
-
     def _prefer(self, plan: Prefer) -> Intermediate:
-        chain, aggregate = self._prefer_chain(plan)
+        chain, aggregate = batchscore.prefer_run(plan, self.aggregate)
         for _ in chain:
             self.db.cost.count_operator("prefer")
         innermost = chain[0]
@@ -132,14 +116,9 @@ class _Evaluator:
             return result
         child = self.evaluate(innermost.child)
         preferences = [node.preference for node in chain]
-        if batch_scoring_enabled():
-            # Fused: one pass over the materialized child for the whole run.
-            self.db.cost.scan(len(child.rows))
-            result = batchscore.apply_prefer_group(child, preferences, aggregate)
-        else:
-            for _ in preferences:
-                self.db.cost.scan(len(child.rows))
-            result = scorerel.apply_prefer_seq(child, preferences, aggregate)
+        # One fused pass over the materialized child for the whole run.
+        self.db.cost.scan(len(child.rows))
+        result = batchscore.apply_prefer_group(child, preferences, aggregate)
         self.db.cost.materialize(len(result.scores))
         return result
 

@@ -192,10 +192,9 @@ class ExecutionEngine:
         :class:`~repro.errors.ReproError`; the engine never retries or
         re-answers a query with another strategy.
 
-        Preference runs are scored by the fused group evaluation of
-        :mod:`repro.pexec.batchscore` unless a surrounding
-        ``use_batch_scoring(False)`` selects the sequential per-preference
-        fold.
+        Every physical strategy scores a preference run with the fused
+        group evaluation of :mod:`repro.pexec.batchscore`; ``reference``
+        keeps the per-preference fold it is checked against.
 
         *columnar* routes execution through the columnar executor
         (:mod:`repro.columnar`).  A plan shape the columnar executor does not

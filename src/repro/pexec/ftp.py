@@ -29,7 +29,7 @@ from ..filtering import topk as topk_filter
 from ..obs import current_tracer
 from ..resilience import current_faults, current_guard
 from ..plan.analysis import strip_prefers
-from .batchscore import batch_scoring_enabled, prefer_group
+from .batchscore import prefer_group
 from .conform import conform
 from ..plan.nodes import (
     Difference,
@@ -103,14 +103,27 @@ class RegionEvaluator:
         tracer = current_tracer()
         if not tracer.enabled:
             return self._evaluate(plan)
-        name = "region" if is_spj_region(plan) else plan.kind
+        name = "region" if self._is_region(plan) else plan.kind
         with tracer.span(f"ftp.{name}", label=plan.label()) as span:
             result = self._evaluate(plan)
             span.add("rows_out", len(result))
             return result
 
+    def _is_region(self, plan: PlanNode) -> bool:
+        """An SPJ region whose prefers all fold with this evaluator's F.
+
+        ``region_fn`` folds every preference of a region with one aggregate,
+        so a prefer overriding it is a region boundary, evaluated by the
+        ``Prefer`` branch of :meth:`_evaluate` with its own aggregate.
+        """
+        return is_spj_region(plan) and all(
+            node.aggregate is None or node.aggregate is self.aggregate
+            for node in plan.walk()
+            if isinstance(node, Prefer)
+        )
+
     def _evaluate(self, plan: PlanNode) -> PRelation:
-        if is_spj_region(plan):
+        if self._is_region(plan):
             return self.region_fn(plan)
         if isinstance(plan, Select):
             return algebra.select(self.evaluate(plan.child), plan.condition)
@@ -174,29 +187,13 @@ def _make_ftp_region(db: Database, aggregate: AggregateFunction) -> RegionFn:
             return result
         for _ in preferences:
             db.cost.count_operator("prefer")
-        if batch_scoring_enabled():
-            # Fused group evaluation: one pass over the delegated result,
-            # dispatch index + memoized distinct-value scoring underneath.
-            db.cost.scan(len(rows))
-            with tracer.span("ftp.prefer", label=f"batch |λ|={len(preferences)}") as span:
-                result = prefer_group(result, preferences, aggregate)
-                if tracer.enabled:
-                    span.add(
-                        "scores",
-                        sum(1 for p in result.pairs if not p.is_default),
-                    )
-        else:
-            # Unfused reference path: one pass per preference (scores list
-            # still copied once per group, see core.prefer.prefer_seq).
-            for preference in preferences:  # noqa: LN201 — reference fold
-                db.cost.scan(len(rows))
-                with tracer.span("ftp.prefer", label=preference.name) as span:
-                    result = apply_prefer(result, preference, aggregate)
-                    if tracer.enabled:
-                        span.add(
-                            "scores",
-                            sum(1 for p in result.pairs if not p.is_default),
-                        )
+        # Fused group evaluation: one pass over the delegated result,
+        # dispatch index + memoized distinct-value scoring underneath.
+        db.cost.scan(len(rows))
+        with tracer.span("ftp.prefer", label=f"batch |λ|={len(preferences)}") as span:
+            result = prefer_group(result, preferences, aggregate)
+            if tracer.enabled:
+                span.add("scores", sum(1 for p in result.pairs if not p.is_default))
         return result
 
     return run_region

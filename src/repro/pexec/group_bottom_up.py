@@ -35,7 +35,6 @@ from ..plan.nodes import (
     Union,
 )
 from . import batchscore, scorerel
-from .batchscore import batch_scoring_enabled
 from .scorerel import Intermediate
 
 
@@ -126,18 +125,8 @@ class _Evaluator:
         The block itself stays deferred (lazy rows), exactly like the paper's
         prototype where prefer leaves R unchanged and updates R_P.
         """
-        aggregate = plan.aggregate or self.aggregate
         preference = plan.preference
-
-        chain: list[Prefer] = [plan]
-        if batch_scoring_enabled():
-            node = plan.child
-            while isinstance(node, Prefer) and (
-                node.aggregate or self.aggregate
-            ) is aggregate:
-                chain.append(node)
-                node = node.child
-            chain.reverse()
+        chain, aggregate = batchscore.prefer_run(plan, self.aggregate)
         for _ in chain:
             self.db.cost.count_operator("prefer")
         if len(chain) > 1:

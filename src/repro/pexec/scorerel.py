@@ -142,25 +142,6 @@ def _report_prefer(rows_in: int, qualifying: int, combined: int) -> None:
         tracer.count("aggregate.combine", combined)
 
 
-def _apply_prefer_into(
-    scores: dict,
-    inter: Intermediate,
-    preference: Preference,
-    aggregate: AggregateFunction,
-    key,
-) -> None:
-    """One sequential prefer pass, mutating *scores* in place.
-
-    Shared core of :func:`apply_prefer` and :func:`apply_prefer_seq`: the
-    callers decide how often the score relation is copied (once per call vs
-    once per *group* — the latter keeps the unfused path linear in |λ|
-    instead of quadratic in the size of the score relation).
-    """
-    qualifying = list(filter(preference.condition.compile(inter.schema), inter.rows))
-    combined = _fold_prefer(scores, inter.schema, qualifying, key, preference, aggregate)
-    _report_prefer(len(inter.rows), len(qualifying), combined)
-
-
 def _fold_prefer(
     scores: dict,
     schema: TableSchema,
@@ -202,27 +183,11 @@ def apply_prefer(
     tuples absent from it are inserted with their fresh pair.
     """
     scores = dict(inter.scores)
-    _apply_prefer_into(scores, inter, preference, aggregate, inter.key_fn())
-    return Intermediate(inter.schema, inter.rows, inter.key_attrs, scores, inter.source)
-
-
-def apply_prefer_seq(
-    inter: Intermediate,
-    preferences: Sequence[Preference],
-    aggregate: AggregateFunction = F_S,
-) -> Intermediate:
-    """Sequential (unfused) evaluation of a prefer run, copying scores ONCE.
-
-    Semantically identical to folding :func:`apply_prefer` per preference —
-    each preference still scans every row — but the score relation is copied
-    once per group instead of once per preference, so the unfused path costs
-    O(|R|·|λ|) instead of O((|R| + |R_P|)·|λ|) dict copies.  The fused
-    counterpart is :func:`repro.pexec.batchscore.apply_prefer_group`.
-    """
-    scores = dict(inter.scores)
-    key = inter.key_fn()
-    for preference in preferences:
-        _apply_prefer_into(scores, inter, preference, aggregate, key)
+    qualifying = list(filter(preference.condition.compile(inter.schema), inter.rows))
+    combined = _fold_prefer(
+        scores, inter.schema, qualifying, inter.key_fn(), preference, aggregate
+    )
+    _report_prefer(len(inter.rows), len(qualifying), combined)
     return Intermediate(inter.schema, inter.rows, inter.key_attrs, scores, inter.source)
 
 

@@ -266,9 +266,8 @@ class PreferenceServer:
         mutations in exactly commit (= WAL) order.  The payload carries live
         objects (``pref.add`` passes the preference itself, not its
         serialization); listeners must be fast and must not call back into
-        the server's write path.  This is the change feed the cache layer's
-        invalidation and the incremental score maintainer
-        (:mod:`repro.cache`) hang off.
+        the server's write path.  This is the change feed the result
+        cache's invalidation (:mod:`repro.cache`) hangs off.
         """
         self._listeners.append(listener)
 

@@ -7,16 +7,14 @@ identical.  This module is that obligation, written once:
 
 * :func:`exact_multiset` — the strict comparison: a ``Counter`` of raw
   ``(row, score, conf)`` triples, no rounding.  Use it when the two modes
-  are supposed to perform bit-identical float operations (fused vs
-  sequential folds, columnar vs reference).
+  are supposed to perform bit-identical float operations (the fused
+  pass vs the per-preference fold, columnar vs reference).
 * :func:`canonical_multiset` — the cross-strategy comparison: scores and
   confidences rounded to ``precision`` digits (the same canonicalization
   :meth:`PRelation.as_multiset` applies), for modes that combine pairs in a
   different but law-equivalent order.
 * :func:`assert_identical` — assert baseline == candidate, with a
   row-level diff report on failure instead of two opaque Counters.
-* :func:`run_both_modes` — run one callable twice with different keyword
-  sets and assert the results agree.
 
 Callables may return a :class:`~repro.pexec.engine.QueryResult` or a bare
 :class:`~repro.core.prelation.PRelation`; :func:`result_relation` unwraps
@@ -131,40 +129,3 @@ def assert_identical(
             f"{labels[1]} diverged from {labels[0]} ({kind}){where}\n"
             + diff_report(base, cand, labels)
         )
-
-
-def run_both_modes(
-    run,
-    base_kwargs: dict,
-    cand_kwargs: dict,
-    *,
-    exact: bool = True,
-    precision: int = 9,
-    context: str = "",
-    labels: tuple[str, str] | None = None,
-):
-    """Run ``run(**kwargs)`` in two modes and assert identical results.
-
-    Returns ``(baseline, candidate)`` so callers can make further
-    assertions (e.g. on ``stats.mode``).  *labels* defaults to a rendering
-    of the two keyword sets.
-    """
-    if labels is None:
-        labels = (_label(base_kwargs), _label(cand_kwargs))
-    baseline = run(**base_kwargs)
-    candidate = run(**cand_kwargs)
-    assert_identical(
-        baseline,
-        candidate,
-        exact=exact,
-        precision=precision,
-        context=context,
-        labels=labels,
-    )
-    return baseline, candidate
-
-
-def _label(kwargs: dict) -> str:
-    if not kwargs:
-        return "default"
-    return ",".join(f"{key}={value}" for key, value in sorted(kwargs.items()))

@@ -1,29 +1,27 @@
-"""Fused batch scoring equals the sequential per-preference fold — exactly.
+"""Fused batch scoring equals the per-preference reference fold — exactly.
 
-Three layers of evidence:
+The fused group pass is the only way the strategies score a prefer run, so
+these Hypothesis properties pin it to the per-preference folds
+(``core.prefer.prefer`` on p-relations, ``scorerel.apply_prefer`` on score
+relations): random preference pools over random row multisets produce
+*identical* score pairs and score relations, for both F_S and F_max.  The
+pools reach every path of the compiled group (pre-filled and lazy column
+tables, expression scores over a nullable column, ``IN (…, NULL)``, the
+dispatch index, multi-column residual conditions); the inputs carry shared
+and distinct non-identity pairs, duplicate score-relation keys and a
+non-empty base relation, so every reuse of a cached fold is checked.
 
-* Hypothesis property tests: random preference pools over random row
-  multisets produce *identical* score pairs and score relations under the
-  fused pass and the sequential fold, for both F_S and F_max.  The pools
-  reach every path of the compiled group (pre-filled and lazy column
-  tables, expression scores over a nullable column, ``IN (…, NULL)``, the
-  dispatch index, multi-column residual conditions); the inputs carry
-  shared and distinct non-identity pairs, duplicate score-relation keys and
-  a non-empty base relation, so every reuse of a cached fold is checked.
-* Conformance: every workload query and every plan of the fixed generated
-  corpus returns the same result multiset fused (the default) and under
-  ``use_batch_scoring(False)`` on every physical strategy.
-* Chaos: a full chaos run stays conformant with fused scoring disabled.
+End-to-end agreement of every strategy with the ``reference`` oracle is
+``tests/test_strategy_conformance.py``'s job.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import F_MAX, F_S
-from repro.core.prefer import prefer, prefer_seq
+from repro.core.prefer import prefer
 from repro.core.preference import Preference
 from repro.core.prefgroup import PreferenceGroup
 from repro.core.prelation import PRelation
@@ -32,21 +30,8 @@ from repro.core.scoring import ConstantScore, around_score, recency_score
 from repro.engine.expressions import TRUE, And, InList, Or, cmp, col, eq
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
-from repro.pexec.batchscore import (
-    batch_scoring_enabled,
-    prefer_group,
-    use_batch_scoring,
-)
-from repro.pexec.engine import ExecutionEngine
-from repro.pexec.scorerel import Intermediate, apply_prefer, apply_prefer_seq
-from repro.workloads.queries import all_queries
-
-from tests.conformance import assert_identical
-from tests.conftest import build_movie_db
-from tests.test_strategy_conformance import PHYSICAL, generated_plan
-
-MOVIE_DB = build_movie_db()
-MOVIE_ENGINE = ExecutionEngine(MOVIE_DB)
+from repro.pexec.batchscore import apply_prefer_group, prefer_group
+from repro.pexec.scorerel import Intermediate, apply_prefer
 
 AGGREGATES = st.sampled_from([F_S, F_MAX])
 
@@ -138,7 +123,6 @@ def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate, data):
         sequential = prefer(sequential, preference, aggregate)
     fused = prefer_group(relation, pool, aggregate)
     assert fused.pairs == sequential.pairs
-    assert prefer_seq(relation, pool, aggregate).pairs == sequential.pairs
 
 
 @given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, base=BASES)
@@ -153,60 +137,8 @@ def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate, base
     compiled = PreferenceGroup(pool, aggregate).compile(T_SCHEMA)
     fused = compiled.score_rows(rows, inter.key_fn(), inter.scores)
     assert fused == sequential.scores
+    assert apply_prefer_group(inter, pool, aggregate).scores == sequential.scores
     assert inter.scores == base  # the base relation is not mutated
     for row in rows:  # merged per-source match lists keep group order
         indices = [index for index, _ in compiled.matches(row)]
         assert indices == sorted(indices)
-    assert apply_prefer_seq(inter, pool, aggregate).scores == sequential.scores
-
-
-@pytest.mark.parametrize("seed", range(0, 50, 2))
-def test_generated_plans_identical_fused_and_unfused(seed):
-    plan = generated_plan(seed)
-    for strategy in PHYSICAL:
-        fused = MOVIE_ENGINE.run(plan, strategy)
-        with use_batch_scoring(False):
-            unfused = MOVIE_ENGINE.run(plan, strategy)
-        assert_identical(
-            unfused,
-            fused,
-            context=f"{strategy} seed {seed}",
-            labels=("unfused", "fused"),
-        )
-
-
-@pytest.mark.parametrize("workload_query", all_queries(), ids=lambda q: q.name)
-def test_workload_queries_identical_fused_and_unfused(
-    workload_query, imdb_tiny, dblp_tiny
-):
-    db = imdb_tiny if workload_query.dataset == "imdb" else dblp_tiny
-    session = workload_query.session(db)
-    compiled = session.compile(workload_query.sql)
-    for strategy in PHYSICAL:
-        fused = session.execute(compiled, strategy=strategy)
-        with use_batch_scoring(False):
-            unfused = session.execute(compiled, strategy=strategy)
-        assert_identical(
-            unfused,
-            fused,
-            context=f"{strategy} on {workload_query.name}",
-            labels=("unfused", "fused"),
-        )
-
-
-def test_chaos_conformant_with_fused_scoring_disabled():
-    from repro.resilience.chaos import run_chaos
-
-    with use_batch_scoring(False):
-        report = run_chaos(seed=7, scale=0.0005, strategies=("gbu",))
-    assert report.ok, report.describe()
-
-
-def test_context_flag_round_trips():
-    assert batch_scoring_enabled()  # fused is the default
-    with use_batch_scoring(False):
-        assert not batch_scoring_enabled()
-        with use_batch_scoring(True):
-            assert batch_scoring_enabled()
-        assert not batch_scoring_enabled()
-    assert batch_scoring_enabled()

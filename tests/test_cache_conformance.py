@@ -11,9 +11,6 @@ optimization (see ``tests/conformance.py``):
   cache-off oracle against the same live server and asserting reply
   equality at every step — and exact ``(row, score, conf)`` multiset
   equality of the underlying relations;
-* the same interleavings hold the incremental
-  :class:`~repro.cache.maintenance.ScoreMaintainer` to its full-recompute
-  oracle with exact :class:`ScorePair` equality;
 * a concurrent stress pushes one hot key through a
   :class:`~repro.serve.executor.ServeExecutor` worker pool to show
   single-flight deduplication never changes an answer.
@@ -26,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conformance import assert_identical, exact_multiset
-from repro.cache import CachedQueryService, ResultCache, ScoreMaintainer
+from repro.cache import CachedQueryService, ResultCache
 from repro.core.preference import Preference
 from repro.engine.database import Database
 from repro.engine.expressions import cmp, eq
@@ -166,27 +163,6 @@ class TestCacheConformance:
                 once, twice, exact=True, context=f"{user}/{strategy} determinism"
             )
             assert exact_multiset(once) == exact_multiset(twice)
-
-
-class TestMaintainerConformance:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(_ops, min_size=1, max_size=16))
-    def test_maintained_scores_equal_full_recompute(self, ops):
-        server = fresh_server()
-        maintainer = ScoreMaintainer(server.db, server.store).attach(server)
-        for user in USERS:  # materialize up front so every event patches
-            maintainer.score_relation(user, "ITEMS")
-        for op in ops:
-            if op[0] == "query":
-                continue
-            apply_mutation(server, op)
-            for user in USERS:
-                maintained = maintainer.score_relation(user, "ITEMS")
-                oracle = maintainer.recompute(user, "ITEMS")
-                assert maintained == oracle, (
-                    f"divergence for {user} after {op}: "
-                    f"{maintained} != {oracle}"
-                )
 
 
 class TestConcurrentSingleFlight:

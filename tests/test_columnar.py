@@ -74,7 +74,7 @@ from repro.workloads.queries import all_queries
 
 from tests.conformance import assert_identical
 from tests.conftest import build_movie_db
-from tests.test_strategy_conformance import PHYSICAL, generated_plan
+from tests.test_strategy_conformance import OVERRIDE_PLANS, PHYSICAL, generated_plan
 
 MOVIE_DB = build_movie_db()
 MOVIE_ENGINE = ExecutionEngine(MOVIE_DB)
@@ -180,6 +180,16 @@ def test_generated_plans_columnar_exact(seed):
         context=f"seed {seed}",
         labels=("reference", "columnar"),
     )
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_PLANS))
+def test_aggregate_override_plans_columnar_exact(name):
+    # A change of aggregate inside a prefer chain splits it into runs.
+    plan = OVERRIDE_PLANS[name]
+    reference = MOVIE_ENGINE.run(plan, "reference")
+    columnar = MOVIE_ENGINE.run(plan, "reference", columnar=True)
+    assert columnar.stats.mode == "columnar"
+    assert_identical(reference, columnar, context=name, labels=("reference", "columnar"))
 
 
 @pytest.mark.parametrize("workload_query", all_queries(), ids=lambda q: q.name)

@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.preference import Preference
 from repro.engine.expressions import cmp, eq
-from repro.pexec.batchscore import use_batch_scoring
 from repro.pexec.group_bottom_up import _Evaluator
+from repro.pexec.reference import evaluate_reference
 from repro.pexec.scorerel import Intermediate
 from repro.core.aggregates import F_S
 from repro.plan.builder import scan
 from repro.plan.analysis import qualify_preferences
+
+from tests.conformance import assert_identical
 
 
 def run_gbu_evaluator(db, plan):
@@ -81,10 +83,12 @@ class TestLazyPreferBlocks:
         assert value.source is not None
         # Both preferences' entries accumulated into the same score relation.
         assert len(value.scores) == 6
-        with use_batch_scoring(False):
-            lazy = _Evaluator(movie_db, F_S).evaluate(plan)
-        assert lazy.rows is None  # the unfused reference path stays lazy
-        assert lazy.scores == value.scores  # and scores agree exactly
+        # And the pairs agree exactly with the reference evaluator's.
+        assert_identical(
+            evaluate_reference(plan, movie_db.catalog),
+            value.to_prelation(),
+            labels=("reference", "gbu"),
+        )
 
     def test_forcing_lazy_materializes(self, movie_db, example_preferences):
         plan = qualify_preferences(

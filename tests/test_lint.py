@@ -371,7 +371,7 @@ class TestLN401ServingLayerWrites:
 
     def test_db_insert_in_cache_module_is_ln401(self):
         found = lint_source(
-            "src/repro/cache/maintenance.py",
+            "src/repro/cache/service.py",
             "def apply(self, table, values):\n"
             "    self.db.insert(table, values)\n",
         )

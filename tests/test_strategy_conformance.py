@@ -1,6 +1,6 @@
 """Cross-strategy conformance: every physical strategy equals the oracle.
 
-Three query sources, ≥50 generated queries total:
+Four query sources, ≥50 generated queries total:
 
 * the six Table II workload queries over the tiny synthetic IMDB/DBLP sets;
 * 50 deterministically generated random plans over the example movie
@@ -8,7 +8,9 @@ Three query sources, ≥50 generated queries total:
   suffixes — the same space the Hypothesis fuzzer samples, but with a fixed
   seed corpus so CI failures reproduce bit-for-bit);
 * prefgen-manufactured preferences of controlled selectivity over the
-  synthetic IMDB set.
+  synthetic IMDB set;
+* per-node aggregate overrides: a mixed-aggregate prefer chain and an
+  override above a join.
 
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
@@ -21,6 +23,7 @@ import random
 import pytest
 
 from repro import Tracer
+from repro.core.aggregates import F_MAX
 from repro.core.preference import Preference
 from repro.core.scoring import ConstantScore, around_score, rating_score, recency_score
 from repro.engine.expressions import TRUE, cmp, eq
@@ -195,3 +198,42 @@ def test_prefgen_pool_queries_conform(imdb_tiny, count):
         return engine.run(plan, strategy, tracer=tracer)
 
     _assert_conformant(run, f"prefgen pool |λ|={count}")
+
+
+# ---------------------------------------------------------------------------
+# Per-node aggregate overrides (Prefer.aggregate)
+# ---------------------------------------------------------------------------
+
+RECENT = Preference(
+    "recent", "MOVIES", cmp("MOVIES.year", ">=", 2005),
+    recency_score("MOVIES.year", 2011), 0.5,
+)
+DIRECTOR = Preference("director", "MOVIES", eq("MOVIES.d_id", 1), ConstantScore(0.9), 0.8)
+COMEDY = Preference("comedy", "GENRES", eq("GENRES.genre", "Comedy"), ConstantScore(0.8), 0.9)
+
+
+def _movies_genres(left):
+    genres = Relation("GENRES")
+    return Join(left, genres, natural_join_condition(MOVIE_DB.catalog, left, genres))
+
+
+OVERRIDE_PLANS = {
+    "mixed-chain": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR, F_MAX),
+    "override-above-join": Prefer(
+        _movies_genres(Prefer(Relation("MOVIES"), RECENT)), COMEDY, F_MAX
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERRIDE_PLANS))
+def test_per_node_aggregate_override_conforms(name):
+    # Every strategy must fold an overriding prefer with its own aggregate,
+    # where it was written: FtP and the plug-ins once folded the whole
+    # region with the query default, and the optimizer once moved the
+    # override across prefers and joins combined with F_S.
+    plan = OVERRIDE_PLANS[name]
+
+    def run(strategy, tracer):
+        return MOVIE_ENGINE.run(plan, strategy, tracer=tracer)
+
+    _assert_conformant(run, name)
