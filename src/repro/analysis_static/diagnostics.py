@@ -62,7 +62,6 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "LN103": (Severity.ERROR, "strict plan-node dispatch is missing subclasses"),
     "LN104": (Severity.ERROR, "aggregate registry mutated outside register_aggregate"),
     "LN105": (Severity.ERROR, "registered aggregate function violates the algebraic laws"),
-    "LN201": (Severity.WARNING, "per-preference prefer loop; use the fused group API (prefer_group/apply_prefer_group)"),
     "LN302": (Severity.ERROR, "unknown fault-injection site literal; a typo here silently never fires"),
     "LN305": (Severity.ERROR, "direct file I/O in a durability module bypasses the crash-torture VFS"),
     "LN401": (Severity.ERROR, "serving-layer store/db mutation bypasses the single-writer commit feed; caches go stale"),

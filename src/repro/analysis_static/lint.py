@@ -22,13 +22,6 @@ package).  Rules (catalog codes LN1xx, see ``docs/STATIC_ANALYSIS.md``):
 * **LN105** — every registered aggregate function must satisfy Definition
   3's laws (associativity, commutativity, identity ``⟨⊥,0⟩``); checked by
   re-running the law suite against the live registry.
-* **LN201** *(warning)* — a ``for`` loop over a preference collection whose
-  body applies preferences one at a time (``prefer`` / ``apply_prefer`` /
-  ``apply_prefer_to_rows`` / ``prefer_scores_from_rows``) re-scans the input
-  once per preference, O(|R|·|λ|).  Use the fused group API
-  (:func:`repro.pexec.batchscore.prefer_group` /
-  ``apply_prefer_group``).  Only the test-side reference folds the fused
-  pass is checked against suppress it, with a ``noqa`` marker.
 
 Fault-injection and durability rules (LN3xx):
 
@@ -75,15 +68,6 @@ _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 #: Minimum number of distinct concrete plan classes an isinstance chain must
 #: mention before LN103 treats the function as a plan-node dispatcher.
 _DISPATCH_THRESHOLD = 3
-
-#: Single-preference application entry points; calling one of these inside a
-#: loop over a preference collection is the LN201 anti-pattern.
-_PER_PREFERENCE_CALLS = frozenset(
-    {"prefer", "apply_prefer", "apply_prefer_to_rows", "prefer_scores_from_rows"}
-)
-
-#: Names that read as "a collection of preferences" when looped over.
-_PREFERENCE_COLLECTION_NAMES = frozenset({"prefs", "pool", "preference_pool"})
 
 #: Modules whose file I/O must flow through the ambient VFS (LN305).
 _DURABILITY_MODULES = ("engine/persist.py", "serve/wal.py", "serve/server.py")
@@ -408,36 +392,6 @@ class _FileChecker(ast.NodeVisitor):
                 )
             )
 
-    # -- LN201: per-preference prefer loop ----------------------------------
-
-    def visit_For(self, node: ast.For) -> None:
-        if _iterates_preferences(node.iter):
-            call = self._per_preference_call(node)
-            if call is not None:
-                self.findings.append(
-                    LintFinding(
-                        self.path,
-                        node.lineno,
-                        "LN201",
-                        f"loop over preferences applies {call}() once per "
-                        "preference (O(|R|·|λ|) passes); use the fused group "
-                        "API (prefer_group / apply_prefer_group) instead",
-                    )
-                )
-        self.generic_visit(node)
-
-    def _per_preference_call(self, loop: ast.For) -> str | None:
-        for statement in loop.body:
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Call):
-                    name = _callee_name(node.func)
-                    # Every single-preference *application* takes the input
-                    # relation plus the preference; one-argument calls (e.g.
-                    # the plan builder's .prefer(p)) construct plan nodes.
-                    if name in _PER_PREFERENCE_CALLS and len(node.args) >= 2:
-                        return name
-        return None
-
     # -- LN104: registry mutation -------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -497,25 +451,6 @@ class _FileChecker(ast.NodeVisitor):
         if isinstance(node, ast.Call):
             self._check_registry_method(node)
         super().generic_visit(node)
-
-
-def _iterates_preferences(expr: ast.AST) -> bool:
-    """Does this ``for`` iterable read as a collection of preferences?"""
-    if isinstance(expr, ast.Name):
-        name = expr.id
-    elif isinstance(expr, ast.Attribute):
-        name = expr.attr
-    elif isinstance(expr, ast.Call):
-        callee = _callee_name(expr.func)
-        if callee == "preferences":  # e.g. plan.preferences()
-            return True
-        if callee in ("reversed", "sorted", "list", "tuple", "iter") and expr.args:
-            return _iterates_preferences(expr.args[0])
-        return False
-    else:
-        return False
-    lowered = name.lower()
-    return lowered.endswith("preferences") or lowered in _PREFERENCE_COLLECTION_NAMES
 
 
 def _registry_ref(node: ast.AST) -> bool:

@@ -25,8 +25,8 @@ Commands:
   multi-tenant admission, deadline propagation and graceful drain on
   SIGTERM.  ``chaos --scenario network`` is its fault-injection suite.
 * ``serve-load`` — zipfian multi-tenant load generator against the network
-  front end (``repro.serve.net.load``); writes the
-  ``results/BENCH_serve_load.json`` artifact with p50/p95/p99 and shed-rate.
+  front end (``repro.serve.net.load``); prints p50/p95/p99 and shed-rate
+  (``--out FILE`` also writes the JSON report).
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_load.add_argument(
         "--out", metavar="FILE",
-        help="write the JSON report to FILE (e.g. results/BENCH_serve_load.json)",
+        help="write the JSON report to FILE",
     )
 
     return parser

@@ -6,13 +6,13 @@ tuple satisfying the conditional part receives the pair
 preference's score and confidence; all other tuples pass through unchanged.
 Preference evaluation never filters tuples: filtering is a separate,
 subsequent phase (Section V).
+
+This one-preference-at-a-time fold is the ``reference`` strategy's oracle;
+the physical strategies score through :mod:`repro.core.prefgroup` and are
+checked against it.
 """
 
 from __future__ import annotations
-
-from ..engine.schema import TableSchema
-from ..engine.table import Row
-from typing import Callable
 
 from ..obs import current_tracer
 from .aggregates import F_S, AggregateFunction
@@ -32,40 +32,19 @@ def prefer(
     pair; rows satisfying it have their pair combined with
     ``⟨S(row), C⟩`` through *aggregate*.
     """
-    combiner = make_combiner(relation.schema, preference, aggregate)
+    condition = preference.condition.compile(relation.schema)
+    scoring = preference.scoring.compile(relation.schema)
+    confidence = preference.confidence
+    combine = aggregate.combine
     applied = 0
     pairs = []
     for row, pair in zip(relation.rows, relation.pairs):
-        fresh = combiner(row, pair)
-        if fresh is not pair:  # the combiner returns the input pair untouched
-            applied += 1      # unless the conditional part matched
-        pairs.append(fresh)
+        if condition(row):
+            pair = combine(pair, ScorePair(scoring(row), confidence))
+            applied += 1
+        pairs.append(pair)
     tracer = current_tracer()
     if tracer.enabled:
         tracer.count("rows_in", len(relation.rows))
         tracer.count("aggregate.combine", applied)
     return PRelation(relation.schema, list(relation.rows), pairs)
-
-
-def make_combiner(
-    schema: TableSchema,
-    preference: Preference,
-    aggregate: AggregateFunction = F_S,
-) -> Callable[[Row, ScorePair], ScorePair]:
-    """Compile the per-row core of the prefer operator against *schema*.
-
-    The returned closure maps ``(row, current_pair)`` to the updated pair.
-    Both the reference evaluator and the physical score-relation routines
-    share this compilation, so their semantics cannot drift apart.
-    """
-    condition = preference.condition.compile(schema)
-    scoring = preference.scoring.compile(schema)
-    confidence = preference.confidence
-    combine = aggregate.combine
-
-    def apply(row: Row, current: ScorePair) -> ScorePair:
-        if not condition(row):
-            return current
-        return combine(current, ScorePair(scoring(row), confidence))
-
-    return apply

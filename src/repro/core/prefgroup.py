@@ -559,8 +559,10 @@ class CompiledGroup:
     ) -> "dict[tuple, ScorePair]":
         """Fused prefer fold into a sparse score relation (Intermediate form).
 
-        Replays the sequential semantics of ``scorerel.apply_prefer`` exactly,
-        including the removal of keys whose pair collapses to the default:
+        Replays the per-preference score-relation fold exactly (§VI prefer
+        UDF: a qualifying key's fresh pair is inserted, or combined into the
+        pair it already has), including the removal of keys whose pair
+        collapses to the default:
         matches are folded per key in ``(preference, row)`` order — the order
         |λ| separate passes would have produced — so results stay
         bit-identical even when several rows share a score-relation key.  A

@@ -19,8 +19,6 @@ _SHOWN_COUNTERS = (
     "rows_in",
     "rows_out",
     "scores",
-    "qualifying",
-    "prefer.applied",
     "aggregate.combine",
 )
 

@@ -7,9 +7,10 @@ fused pass (column tables + dispatch index + distinct-value memoization +
 fused combining, see :mod:`repro.core.prefgroup`) instead of |λ| separate
 passes.
 
-It is the only way a strategy scores a prefer run; the ``reference``
-strategy's per-preference fold (:func:`repro.core.prefer.prefer`) is the
-oracle it is checked against.
+It is the only way a physical strategy turns rows into score pairs, for a
+run of one prefer as for a longer one; the ``reference`` strategy's
+per-preference fold (:func:`repro.core.prefer.prefer`) is the oracle it is
+checked against.
 
 Every fused application reports a ``prefer.batch`` span with the group's
 shape (``columns``, ``indexed``, ``residual``: preferences per structure)
@@ -76,11 +77,13 @@ def apply_prefer_group(
     preferences: Sequence[Preference],
     aggregate: AggregateFunction,
 ) -> Intermediate:
-    """Fused equivalent of folding ``scorerel.apply_prefer`` per preference.
+    """The prefer run over an intermediate (§VI, prefer UDF).
 
-    One pass over ``inter.rows``; the score relation is copied once for the
-    whole group.  Bit-identical to the sequential fold (see
-    :meth:`CompiledGroup.score_rows`).
+    One pass over ``inter.rows``: qualifying tuples already in the score
+    relation have their pairs updated, the others are inserted with their
+    fresh pair.  The score relation is copied once for the whole group;
+    the result is bit-identical to folding the preferences one at a time
+    (see :meth:`CompiledGroup.score_rows`).
     """
     compiled = PreferenceGroup(preferences, aggregate).compile(inter.schema)
     scores = compiled.score_rows(inter.rows, inter.key_fn(), inter.scores)
@@ -113,11 +116,12 @@ def group_scores_from_rows(
     aggregate: AggregateFunction,
     base: "dict[tuple, ScorePair] | None" = None,
 ) -> "dict[tuple, ScorePair]":
-    """Fused score-relation derivation for a natively-executed block (GBU).
+    """Score-relation entries for rows a native query delivered (GBU, BU).
 
-    *schema* is the block result's schema as delivered (possibly permuted);
-    keys are resolved by name.  Returns a fresh dict merging into *base*
-    without mutating it.
+    *schema* is the rows' schema as delivered (possibly permuted); keys are
+    resolved by name.  The rows may be pre-qualified by ``σ_φ`` or the whole
+    block: every row is matched against the group either way.  Returns a
+    fresh dict merging into *base* without mutating it.
     """
     compiled = PreferenceGroup(preferences, aggregate).compile(schema)
     key_fn = row_getter([schema.index_of(a) for a in key_attrs])

@@ -96,26 +96,23 @@ class _Evaluator:
         for _ in chain:
             self.db.cost.count_operator("prefer")
         innermost = chain[0]
+        preferences = [node.preference for node in chain]
         if len(chain) == 1 and isinstance(innermost.child, Relation):
             # Base-relation prefer: run the conditional part natively so
-            # index access paths apply (Heuristic 4's rationale).
-            table = self.db.table(innermost.child.name)
-            child = Intermediate.from_table(
-                table, innermost.child.schema(self.db.catalog)
-            )
-            child.source = innermost.child
-            _, qualifying = execute_native(
+            # index access paths apply (Heuristic 4's rationale), then score
+            # only the qualifying rows.
+            child = self._evaluate(innermost.child)
+            schema, qualifying = execute_native(
                 Select(innermost.child, innermost.preference.condition),
                 self.db.catalog,
                 self.db.cost,
             )
-            result = scorerel.apply_prefer_to_rows(
-                child, innermost.preference, list(qualifying), aggregate
+            child.scores = batchscore.group_scores_from_rows(
+                schema, qualifying, child.key_attrs, preferences, aggregate
             )
-            self.db.cost.materialize(len(result.scores))
-            return result
+            self.db.cost.materialize(len(child.scores))
+            return child
         child = self.evaluate(innermost.child)
-        preferences = [node.preference for node in chain]
         # One fused pass over the materialized child for the whole run.
         self.db.cost.scan(len(child.rows))
         result = batchscore.apply_prefer_group(child, preferences, aggregate)

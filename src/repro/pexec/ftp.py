@@ -21,7 +21,6 @@ from typing import Callable
 
 from ..core import algebra
 from ..core.aggregates import F_S, AggregateFunction
-from ..core.prefer import prefer as apply_prefer
 from ..core.prelation import PRelation
 from ..engine.database import Database
 from ..errors import ExecutionError
@@ -29,7 +28,7 @@ from ..filtering import topk as topk_filter
 from ..obs import current_tracer
 from ..resilience import current_faults, current_guard
 from ..plan.analysis import strip_prefers
-from .batchscore import prefer_group
+from .batchscore import prefer_group, prefer_run
 from .conform import conform
 from ..plan.nodes import (
     Difference,
@@ -156,10 +155,11 @@ class RegionEvaluator:
                 self.evaluate(plan.left), self.evaluate(plan.right), self.aggregate
             )
         if isinstance(plan, Prefer):
-            return apply_prefer(
-                self.evaluate(plan.child),
-                plan.preference,
-                plan.aggregate or self.aggregate,
+            chain, aggregate = prefer_run(plan, self.aggregate)
+            return prefer_group(
+                self.evaluate(chain[0].child),
+                [node.preference for node in chain],
+                aggregate,
             )
         if isinstance(plan, TopK):
             return topk_filter(self.evaluate(plan.child), plan.k, plan.by)

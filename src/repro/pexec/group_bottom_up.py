@@ -115,24 +115,27 @@ class _Evaluator:
         raise ExecutionError(f"GBU cannot execute node {plan!r}")
 
     def _prefer(self, plan: Prefer) -> Intermediate:
-        """Evaluate a prefer operator without copying its input.
+        """Evaluate a run of adjacent prefer operators without copying its input.
 
-        When the child is a *pure* block (standard operators over base
+        When the run's input is a *pure* block (standard operators over base
         relations, no embedded intermediates) — the common shape after the
-        optimizer pushed the prefer down — the conditional part runs through
+        optimizer pushed the prefers down — only the row source depends on
+        the run's length.  A single prefer runs its conditional part through
         the native engine as ``σ_φ(block)``, so selection pushdown and index
-        access paths apply, and only the score relation is materialized.
-        The block itself stays deferred (lazy rows), exactly like the paper's
-        prototype where prefer leaves R unchanged and updates R_P.
+        access paths apply, and the block itself stays deferred (lazy rows),
+        exactly like the paper's prototype where prefer leaves R unchanged
+        and updates R_P.  A longer run reads the block **once** and keeps its
+        rows, so a later :meth:`force` is free while ``source`` still lets
+        :meth:`_as_deferred` embed the block into a larger delegated query.
+        Either way the rows are scored in one pass through the compiled
+        preference group (:mod:`repro.core.prefgroup`).
         """
-        preference = plan.preference
         chain, aggregate = batchscore.prefer_run(plan, self.aggregate)
         for _ in chain:
             self.db.cost.count_operator("prefer")
-        if len(chain) > 1:
-            return self._prefer_fused(chain, aggregate)
+        preferences = [node.preference for node in chain]
+        child = self.evaluate(chain[0].child)
 
-        child = self.evaluate(plan.child)
         block: PlanNode | None = None
         base_scores: dict = {}
         if isinstance(child, Intermediate):
@@ -146,71 +149,37 @@ class _Evaluator:
             # Impure input (filters/set-ops below): force and scan.
             forced = self.force(child)
             self.db.cost.scan(len(forced.rows))
-            result = scorerel.apply_prefer(forced, preference, aggregate)
-            self.db.cost.materialize(len(result.scores))
-            return result
-
-        conditional = Select(block, preference.condition)
-        optimized = optimize_native(conditional, self.db.catalog)
-        result_schema, qualifying = execute_native(
-            optimized, self.db.catalog, self.db.cost
-        )
-        schema = block.schema(self.db.catalog)
-        key_attrs = self._block_key_attrs(block, schema)
-        scores = scorerel.prefer_scores_from_rows(
-            result_schema, list(qualifying), key_attrs, preference, aggregate, base_scores
-        )
-        self.db.cost.materialize(len(scores))
-        return Intermediate(schema, None, key_attrs, scores, source=block)
-
-    def _prefer_fused(self, chain: "list[Prefer]", aggregate: AggregateFunction) -> Intermediate:
-        """Evaluate a run of adjacent prefer operators as one fused pass.
-
-        Instead of one native ``σ_φᵢ(block)`` per preference, the block runs
-        **once** and the whole run is scored through the dispatch index
-        (:mod:`repro.core.prefgroup`).  The block result is kept on the
-        intermediate so a later :meth:`force` is free, while ``source`` still
-        lets :meth:`_as_deferred` embed the block into a larger delegated
-        query.
-        """
-        innermost = chain[0]
-        preferences = [node.preference for node in chain]
-        child = self.evaluate(innermost.child)
-
-        block: PlanNode | None = None
-        base_scores: dict = {}
-        if isinstance(child, Intermediate):
-            if child.rows is None:
-                block = child.source
-                base_scores = child.scores
-        elif not self._has_embedded(child):
-            block = child
-
-        if block is None:
-            forced = self.force(child)
-            self.db.cost.scan(len(forced.rows))
             result = batchscore.apply_prefer_group(forced, preferences, aggregate)
             self.db.cost.materialize(len(result.scores))
             return result
 
-        if isinstance(block, Relation):
-            # Base-relation chain (the common shape after prefer pushdown):
+        schema = block.schema(self.db.catalog)
+        key_attrs = self._block_key_attrs(block, schema)
+        if len(chain) == 1:
+            conditional = Select(block, preferences[0].condition)
+            optimized = optimize_native(conditional, self.db.catalog)
+            result_schema, rows = execute_native(
+                optimized, self.db.catalog, self.db.cost
+            )
+        elif isinstance(block, Relation):
+            # Base-relation run (the common shape after prefer pushdown):
             # read the table directly, no per-query native machinery needed.
-            result_schema = block.schema(self.db.catalog)
+            result_schema = schema
             rows = list(self.db.table(block.name).rows)
             self.db.cost.scan(len(rows))
+            self.db.cost.materialize(len(rows))
         else:
             optimized = optimize_native(block, self.db.catalog)
             result_schema, rows = execute_native(
                 optimized, self.db.catalog, self.db.cost
             )
-            rows = list(rows)
-        self.db.cost.materialize(len(rows))
-        key_attrs = self._block_key_attrs(block, block.schema(self.db.catalog))
+            self.db.cost.materialize(len(rows))
         scores = batchscore.group_scores_from_rows(
             result_schema, rows, key_attrs, preferences, aggregate, base_scores
         )
         self.db.cost.materialize(len(scores))
+        if len(chain) == 1:
+            return Intermediate(schema, None, key_attrs, scores, source=block)
         return Intermediate(result_schema, rows, key_attrs, scores, source=block)
 
     def _block_key_attrs(self, block: PlanNode, schema) -> list[str]:

@@ -6,7 +6,8 @@ a sparse map from primary-key values to non-default ⟨score, conf⟩ pairs
 (§VI, "Implementing p-relations").  The helpers here implement the two-step
 evaluation of §VI: run the conventional operation on base rows (done by the
 caller through the native engine), then derive the result's score relation
-from the inputs' score relations.
+from the inputs' score relations.  Prefer operators derive theirs through
+the compiled preference group (:mod:`repro.pexec.batchscore`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from ..core.aggregates import F_S, AggregateFunction
-from ..core.preference import Preference
 from ..core.prelation import PRelation
 from ..core.scorepair import IDENTITY, ScorePair
 from ..engine.schema import TableSchema
@@ -105,9 +105,6 @@ class Intermediate:
             return lambda row: row
         return row_getter(positions)
 
-    def pair_of(self, row: Row) -> ScorePair:
-        return self.scores.get(self.key_fn()(row), IDENTITY)
-
     # -- conversion -----------------------------------------------------------------
 
     def to_prelation(self) -> PRelation:
@@ -130,107 +127,6 @@ class Intermediate:
 # ---------------------------------------------------------------------------
 # Operator-level score-relation derivations
 # ---------------------------------------------------------------------------
-
-
-def _report_prefer(rows_in: int, qualifying: int, combined: int) -> None:
-    """Credit prefer-evaluation counters to the ambient tracer (no-op cost:
-    one attribute check when tracing is off)."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.count("rows_in", rows_in)
-        tracer.count("qualifying", qualifying)
-        tracer.count("aggregate.combine", combined)
-
-
-def _fold_prefer(
-    scores: dict,
-    schema: TableSchema,
-    qualifying: "list[Row] | tuple[Row, ...]",
-    key,
-    preference: Preference,
-    aggregate: AggregateFunction,
-) -> int:
-    """Fold *preference*'s fresh pair into *scores* (in place) for every
-    qualifying row; returns how many pairs went through ``F``."""
-    scoring = preference.scoring.compile(schema)
-    confidence = preference.confidence
-    combine = aggregate.combine
-    combined = 0
-    for row, k in zip(qualifying, map(key, qualifying)):
-        fresh = ScorePair(scoring(row), confidence)
-        previous = scores.get(k)
-        if previous is None:
-            pair = fresh
-        else:
-            pair = combine(previous, fresh)
-            combined += 1
-        if pair.is_default:
-            scores.pop(k, None)
-        else:
-            scores[k] = pair
-    return combined
-
-
-def apply_prefer(
-    inter: Intermediate,
-    preference: Preference,
-    aggregate: AggregateFunction = F_S,
-) -> Intermediate:
-    """Evaluate a prefer operator on an intermediate (§VI, prefer UDF).
-
-    The conditional part runs over the base rows; qualifying tuples already
-    present in the score relation have their pairs updated, qualifying
-    tuples absent from it are inserted with their fresh pair.
-    """
-    scores = dict(inter.scores)
-    qualifying = list(filter(preference.condition.compile(inter.schema), inter.rows))
-    combined = _fold_prefer(
-        scores, inter.schema, qualifying, inter.key_fn(), preference, aggregate
-    )
-    _report_prefer(len(inter.rows), len(qualifying), combined)
-    return Intermediate(inter.schema, inter.rows, inter.key_attrs, scores, inter.source)
-
-
-def prefer_scores_from_rows(
-    schema: TableSchema,
-    qualifying: "list[Row] | tuple[Row, ...]",
-    key_attrs: Sequence[str],
-    preference: Preference,
-    aggregate: AggregateFunction = F_S,
-    base: dict[tuple, ScorePair] | None = None,
-) -> dict[tuple, ScorePair]:
-    """Score-relation entries for a prefer whose qualifying rows are given.
-
-    *schema* is the schema of the rows as delivered (which may be permuted
-    relative to the logical block schema — keys are resolved by name).  The
-    returned dict merges into *base* without mutating it.
-    """
-    key = row_getter([schema.index_of(a) for a in key_attrs])
-    scores = dict(base or {})
-    combined = _fold_prefer(scores, schema, qualifying, key, preference, aggregate)
-    _report_prefer(len(qualifying), len(qualifying), combined)
-    return scores
-
-
-def apply_prefer_to_rows(
-    inter: Intermediate,
-    preference: Preference,
-    qualifying: list[Row],
-    aggregate: AggregateFunction = F_S,
-) -> Intermediate:
-    """Prefer evaluation when the qualifying rows are already known.
-
-    Used when the conditional part was executed through the native engine
-    (e.g. via an index over a base relation — the access-path advantage
-    behind the paper's Heuristic 4): only the matching tuples are scored,
-    instead of scanning the whole input.
-    """
-    scores = dict(inter.scores)
-    combined = _fold_prefer(
-        scores, inter.schema, qualifying, inter.key_fn(), preference, aggregate
-    )
-    _report_prefer(len(qualifying), len(qualifying), combined)
-    return Intermediate(inter.schema, inter.rows, inter.key_attrs, scores, inter.source)
 
 
 def filter_rows(inter: Intermediate, rows: list[Row]) -> Intermediate:

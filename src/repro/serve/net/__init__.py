@@ -19,7 +19,7 @@ Four modules (see ``docs/SERVING.md``, "The network front end"):
   honored over blind backoff, client-side deadlines propagated per
   attempt, and end-to-end result-digest verification.
 * :mod:`.load` — the zipfian multi-tenant load generator behind
-  ``python -m repro serve-load`` (``results/BENCH_serve_load.json``).
+  ``python -m repro serve-load``.
 
 The chaos suite for all of it is :mod:`repro.serve.net.chaos`
 (``python -m repro chaos --scenario network``).

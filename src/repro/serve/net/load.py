@@ -16,9 +16,8 @@ has all users active.
 Every worker is a well-behaved :class:`PreferenceClient`: jittered
 retries under one process-wide :class:`~repro.resilience.RetryBudget`,
 per-request deadlines, server ``retry_after`` hints honored.  The report
-(committed as ``results/BENCH_serve_load.json``) records client-observed
-p50/p95/p99 latency, throughput, shed-rate and per-tenant traffic — the
-numbers the admission-control story stands on.
+records client-observed p50/p95/p99 latency, throughput, shed-rate and
+per-tenant traffic — the numbers the admission-control story stands on.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The fused group pass is the only way the strategies score a prefer run, so
 these Hypothesis properties pin it to the per-preference folds
-(``core.prefer.prefer`` on p-relations, ``scorerel.apply_prefer`` on score
-relations): random preference pools over random row multisets produce
+(``core.prefer.prefer`` on p-relations, :func:`sequential_score_relation`
+below on score relations): random preference pools over random row multisets produce
 *identical* score pairs and score relations, for both F_S and F_max.  The
 pools reach every path of the compiled group (pre-filled and lazy column
 tables, expression scores over a nullable column, ``IN (…, NULL)``, the
@@ -31,7 +31,7 @@ from repro.engine.expressions import TRUE, And, InList, Or, cmp, col, eq
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
 from repro.pexec.batchscore import apply_prefer_group, prefer_group
-from repro.pexec.scorerel import Intermediate, apply_prefer
+from repro.pexec.scorerel import Intermediate
 
 AGGREGATES = st.sampled_from([F_S, F_MAX])
 
@@ -113,13 +113,37 @@ POOLS = st.lists(preferences(), min_size=1, max_size=8)
 BASES = st.dictionaries(st.tuples(st.integers(1, 6)), FRESH_PAIRS, max_size=4)
 
 
+def sequential_score_relation(inter, preferences, aggregate):
+    """The score-relation oracle: one pass over the rows per preference.
+
+    The §VI prefer UDF applied preference by preference: a qualifying key's
+    fresh pair is inserted, or combined into the pair it already has, and a
+    pair that collapses to the default is dropped.  Returns a new dict.
+    """
+    scores = dict(inter.scores)
+    key = inter.key_fn()
+    for preference in preferences:
+        condition = preference.condition.compile(inter.schema)
+        scoring = preference.scoring.compile(inter.schema)
+        for row in filter(condition, inter.rows):
+            k = key(row)
+            fresh = ScorePair(scoring(row), preference.confidence)
+            previous = scores.get(k)
+            pair = fresh if previous is None else aggregate.combine(previous, fresh)
+            if pair.is_default:
+                scores.pop(k, None)
+            else:
+                scores[k] = pair
+    return scores
+
+
 @given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate, data):
     pairs = data.draw(st.lists(PAIRS, min_size=len(rows), max_size=len(rows)))
     relation = PRelation(T_SCHEMA, rows, pairs)
     sequential = relation
-    for preference in pool:  # noqa: LN201 — reference fold
+    for preference in pool:
         sequential = prefer(sequential, preference, aggregate)
     fused = prefer_group(relation, pool, aggregate)
     assert fused.pairs == sequential.pairs
@@ -131,13 +155,11 @@ def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate, base
     # Key on k only: duplicate keys force the per-key replay path, and the
     # base relation puts pairs under some keys before the group runs.
     inter = Intermediate(T_SCHEMA, rows, ["T.k"], dict(base))
-    sequential = inter
-    for preference in pool:  # noqa: LN201 — reference fold
-        sequential = apply_prefer(sequential, preference, aggregate)
+    sequential = sequential_score_relation(inter, pool, aggregate)
     compiled = PreferenceGroup(pool, aggregate).compile(T_SCHEMA)
     fused = compiled.score_rows(rows, inter.key_fn(), inter.scores)
-    assert fused == sequential.scores
-    assert apply_prefer_group(inter, pool, aggregate).scores == sequential.scores
+    assert fused == sequential
+    assert apply_prefer_group(inter, pool, aggregate).scores == sequential
     assert inter.scores == base  # the base relation is not mutated
     for row in rows:  # merged per-source match lists keep group order
         indices = [index for index, _ in compiled.matches(row)]

@@ -168,58 +168,6 @@ class TestLN105AggregateLaws:
         assert any("commut" in m or "identity" in m or "assoc" in m for m in messages)
 
 
-class TestLN201PerPreferenceLoop:
-    def test_apply_prefer_in_loop_is_ln201(self):
-        found = lint_snippet(
-            "for preference in preferences:\n"
-            "    result = apply_prefer(result, preference, aggregate)\n"
-        )
-        assert codes(found) == ["LN201"]
-
-    def test_reversed_plan_preferences_counts_too(self):
-        found = lint_snippet(
-            "for p in reversed(plan.preferences()):\n"
-            "    result = prefer(result, p)\n"
-        )
-        assert codes(found) == ["LN201"]
-
-    def test_pool_name_counts_too(self):
-        found = lint_snippet(
-            "for p in pool:\n"
-            "    scores = prefer_scores_from_rows(schema, rows, keys, p, agg)\n"
-        )
-        assert codes(found) == ["LN201"]
-
-    def test_group_api_in_loop_is_fine(self):
-        found = lint_snippet(
-            "for batch in preferences_by_region:\n"
-            "    result = apply_prefer_group(result, batch, aggregate)\n"
-        )
-        assert found == []
-
-    def test_plan_building_loop_is_fine(self):
-        # One-argument .prefer(p) constructs a plan node; it does not apply.
-        found = lint_snippet(
-            "for preference in preferences:\n"
-            "    builder = builder.prefer(preference)\n"
-        )
-        assert found == []
-
-    def test_loop_over_rows_is_fine(self):
-        found = lint_snippet(
-            "for row in rows:\n"
-            "    result = apply_prefer(result, preference, aggregate)\n"
-        )
-        assert found == []
-
-    def test_noqa_suppresses_reference_folds(self):
-        found = lint_snippet(
-            "for preference in preferences:  # noqa: LN201 — reference fold\n"
-            "    result = apply_prefer(result, preference, aggregate)\n"
-        )
-        assert found == []
-
-
 class TestSuppression:
     def test_bare_noqa_suppresses(self):
         assert lint_snippet("ok = a.score == b.score  # noqa\n") == []

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.aggregates import F_MAX, F_S
-from repro.core.prefer import make_combiner, prefer
+from repro.core.aggregates import F_MAX
+from repro.core.prefer import prefer
 from repro.core.preference import Preference
 from repro.core.prelation import PRelation
 from repro.core.scorepair import IDENTITY, ScorePair
@@ -105,12 +105,3 @@ class TestSemantics:
         out = prefer(prefer(movies, p), p)
         assert all(pr.conf == pytest.approx(0.8) for pr in out.pairs)
         assert all(pr.score == pytest.approx(0.5) for pr in out.pairs)
-
-
-class TestMakeCombiner:
-    def test_combiner_matches_prefer(self, movies):
-        p = Preference("rec", "MOVIES", cmp("year", ">", 2005), 0.9, 0.5)
-        combiner = make_combiner(movies.schema, p, F_S)
-        expected = prefer(movies, p)
-        for row, before, after in zip(movies.rows, movies.pairs, expected.pairs):
-            assert combiner(row, before).approx_equal(after)

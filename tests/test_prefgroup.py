@@ -209,7 +209,8 @@ class TestScoreRows:
         assert not scores[(1,)].is_default
 
     def test_rows_sharing_a_key_fold_in_sequential_order(self, movie_db):
-        from repro.pexec.scorerel import Intermediate, apply_prefer
+        from repro.pexec.scorerel import Intermediate
+        from tests.test_batchscore import sequential_score_relation
 
         schema = genres_schema(movie_db)
         preferences = [
@@ -219,12 +220,10 @@ class TestScoreRows:
         rows = [(1, "Drama"), (2, "Drama"), (3, "Comedy")]
         # Key on genre so several rows share one score-relation key.
         inter = Intermediate(schema, rows, ["GENRES.genre"], {})
-        sequential = inter
-        for preference in preferences:  # noqa: LN201 — reference fold
-            sequential = apply_prefer(sequential, preference, F_S)
+        sequential = sequential_score_relation(inter, preferences, F_S)
         compiled = PreferenceGroup(preferences, F_S).compile(schema)
         fused = compiled.score_rows(rows, inter.key_fn(), inter.scores)
-        assert fused == sequential.scores
+        assert fused == sequential
 
     def test_score_pairs_matches_sequential_for_fmax(self, movie_db):
         from repro.core.prefer import prefer
@@ -238,7 +237,7 @@ class TestScoreRows:
         rows = [(1, "Drama"), (2, "Comedy")]
         relation = PRelation(schema, rows)
         sequential = relation
-        for preference in preferences:  # noqa: LN201 — reference fold
+        for preference in preferences:
             sequential = prefer(sequential, preference, F_MAX)
         compiled = PreferenceGroup(preferences, F_MAX).compile(schema)
         assert compiled.score_pairs(rows, relation.pairs) == sequential.pairs
@@ -249,7 +248,7 @@ def sequential_pairs(schema, rows, preferences, aggregate=F_S, pairs=None):
     from repro.core.prelation import PRelation
 
     relation = PRelation(schema, rows, pairs)
-    for preference in preferences:  # noqa: LN201 — reference fold
+    for preference in preferences:
         relation = prefer(relation, preference, aggregate)
     return relation.pairs
 

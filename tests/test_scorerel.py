@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.aggregates import F_S
 from repro.core.preference import Preference
 from repro.core.scorepair import IDENTITY, ScorePair
 from repro.engine.expressions import TRUE, cmp, eq
 from repro.errors import ExecutionError
 from repro.pexec import scorerel
+from repro.pexec.batchscore import apply_prefer_group, group_scores_from_rows
 from repro.pexec.scorerel import Intermediate
 
 
@@ -38,10 +40,6 @@ class TestIntermediate:
         with pytest.raises(ExecutionError, match="widened"):
             Intermediate(schema, [], ["missing_key"])
 
-    def test_pair_of(self, directors_inter):
-        assert directors_inter.pair_of((1, "C. Eastwood")) == ScorePair(0.8, 1.0)
-        assert directors_inter.pair_of((3, "O. Stone")) == IDENTITY
-
     def test_to_prelation(self, directors_inter):
         prel = directors_inter.to_prelation()
         assert len(prel) == 3
@@ -50,31 +48,36 @@ class TestIntermediate:
 
 
 class TestApplyPrefer:
+    """The prefer operator on an intermediate, through the compiled group."""
+
     def test_inserts_and_updates(self, movies_inter):
         p = Preference("p", "MOVIES", cmp("year", ">", 2005), 0.5, 0.6)
-        out = scorerel.apply_prefer(movies_inter, p)
+        out = apply_prefer_group(movies_inter, [p], F_S)
         assert len(out.scores) == 3  # 2008, 2010, 2006
-        again = scorerel.apply_prefer(out, p)
+        again = apply_prefer_group(out, [p], F_S)
         assert again.scores[(1,)].conf == pytest.approx(1.2)
 
     def test_sparse_storage_invariant(self, movies_inter):
         """Only non-default pairs are stored: |R_P| ≤ |R| (§VI)."""
         p = Preference("p", "MOVIES", eq("m_id", 1), 1.0, 1.0)
-        out = scorerel.apply_prefer(movies_inter, p)
+        out = apply_prefer_group(movies_inter, [p], F_S)
         assert len(out.scores) == 1
         assert len(out.rows) == 5
 
     def test_input_not_mutated(self, movies_inter):
         p = Preference("p", "MOVIES", TRUE, 0.5, 0.5)
-        scorerel.apply_prefer(movies_inter, p)
+        apply_prefer_group(movies_inter, [p], F_S)
         assert movies_inter.scores == {}
 
     def test_apply_prefer_to_rows_equivalent(self, movies_inter, movie_db):
+        """Scoring only the rows σ_φ returned equals the full pass."""
         p = Preference("p", "MOVIES", cmp("year", ">", 2005), 0.5, 0.6)
-        full = scorerel.apply_prefer(movies_inter, p)
+        full = apply_prefer_group(movies_inter, [p], F_S)
         qualifying = [r for r in movie_db.table("MOVIES").rows if r[2] > 2005]
-        via_rows = scorerel.apply_prefer_to_rows(movies_inter, p, qualifying)
-        assert full.scores == via_rows.scores
+        via_rows = group_scores_from_rows(
+            movies_inter.schema, qualifying, movies_inter.key_attrs, [p], F_S
+        )
+        assert full.scores == via_rows
 
 
 class TestFilterAndProject:

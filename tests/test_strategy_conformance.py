@@ -10,7 +10,9 @@ Four query sources, ≥50 generated queries total:
 * prefgen-manufactured preferences of controlled selectivity over the
   synthetic IMDB set;
 * per-node aggregate overrides: a mixed-aggregate prefer chain and an
-  override above a join.
+  override above a join;
+* one plan per prefer path of the row strategies, traced to check that the
+  compiled preference group scores every prefer node.
 
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
@@ -30,7 +32,7 @@ from repro.engine.expressions import TRUE, cmp, eq
 from repro.obs import render_trace
 from repro.pexec.engine import ExecutionEngine
 from repro.plan.builder import natural_join_condition
-from repro.plan.nodes import Join, LeftJoin, Prefer, Relation, Select, TopK
+from repro.plan.nodes import Join, LeftJoin, Prefer, Relation, Select, TopK, Union
 from repro.workloads.prefgen import (
     equality_preference,
     preference_pool,
@@ -38,7 +40,7 @@ from repro.workloads.prefgen import (
 )
 from repro.workloads.queries import all_queries
 
-from tests.conformance import canonical_multiset, diff_report
+from tests.conformance import assert_identical, canonical_multiset, diff_report
 from tests.conftest import build_movie_db
 
 PHYSICAL = ("gbu", "bu", "ftp", "plugin-rma", "plugin-shared")
@@ -237,3 +239,50 @@ def test_per_node_aggregate_override_conforms(name):
         return MOVIE_ENGINE.run(plan, strategy, tracer=tracer)
 
     _assert_conformant(run, name)
+
+
+# ---------------------------------------------------------------------------
+# Every prefer node is scored by the compiled group
+# ---------------------------------------------------------------------------
+
+
+def _movies_union():
+    movies = Relation("MOVIES")
+    return Union(
+        Select(movies, cmp("MOVIES.year", ">=", 2005)),
+        Select(movies, cmp("MOVIES.duration", "<", 125)),
+    )
+
+
+#: One plan per prefer path of the row strategies: a single prefer over a
+#: base relation (native σ_φ) and over impure input (a union, a score
+#: select), a same-aggregate run over a relation and over a join, and an
+#: aggregate override (FtP's Prefer branch, GBU's lazy input with scores).
+PREFER_PATH_PLANS = {
+    "single-over-base": Prefer(Relation("MOVIES"), RECENT),
+    "single-over-union": Prefer(_movies_union(), DIRECTOR),
+    "single-over-score-select": Prefer(
+        Select(Prefer(Relation("MOVIES"), RECENT), cmp("conf", ">=", 0.2)), DIRECTOR
+    ),
+    "run-over-base": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR),
+    "run-over-join": Prefer(Prefer(_movies_genres(Relation("MOVIES")), RECENT), COMEDY),
+    "override": OVERRIDE_PLANS["mixed-chain"],
+}
+
+
+@pytest.mark.parametrize("strategy", ("gbu", "bu", "ftp"))
+@pytest.mark.parametrize("name", sorted(PREFER_PATH_PLANS))
+def test_every_prefer_is_scored_by_the_compiled_group(name, strategy):
+    # The fused group pass is the only way a row strategy turns rows into
+    # score pairs: its prefer.batch spans account for every Prefer node.
+    plan = PREFER_PATH_PLANS[name]
+    tracer = Tracer()
+    result = MOVIE_ENGINE.run(plan, strategy, tracer=tracer)
+    scored = sum(span.attrs["preferences"] for span in tracer.root.find_all("prefer.batch"))
+    assert scored == sum(isinstance(node, Prefer) for node in plan.walk())
+    assert_identical(
+        MOVIE_ENGINE.run(plan, "reference"),
+        result,
+        context=name,
+        labels=("reference", strategy),
+    )
