@@ -108,6 +108,10 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._entries
+
     @property
     def bytes_used(self) -> int:
         with self._lock:

@@ -22,6 +22,17 @@ Explicit invalidation (:meth:`CachedQueryService.on_mutation`, wired to
 the server's commit feed) reclaims the memory of entries whose keys just
 became unreachable and keeps hit-rate accounting honest.
 
+Building that key costs a compile, a plan fingerprint and the table
+digests — more than the lookup it serves.  A *prepared-key memo* maps
+``(snapshot db_version, profile digest, SQL text, strategy, oracle flag)``
+to the ``(cache key, relations)`` it produced, so a repeated request skips
+all three.  The memo belongs to one service, which fronts one server and
+one :class:`~repro.engine.database.Database`; for that one object
+``db_version`` pins catalog and data exactly (every DDL and DML call bumps
+it), and the profile digest pins the user's preferences, so the memoized
+key is the key a fresh compile would build.  The result-cache key itself
+is unchanged, which keeps a cache shared between services safe.
+
 Queries with no stable value identity — materialized plan leaves,
 preferences without a canonical serialization — bypass the cache
 (``bypasses`` counter) and compute exactly as the cache-off path does.
@@ -32,6 +43,7 @@ computation, minus the lookup; that is the conformance oracle mode.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 from ..errors import PreferenceError
 from ..plan.fingerprint import UncacheablePlan, plan_fingerprint
@@ -77,6 +89,13 @@ class CachedQueryService:
         self.cache = cache
         self.default_sql = default_sql
         self.default_strategy = default_strategy
+        #: The prepared-key memo (see the module docstring): memo key →
+        #: ``(cache key, relations, user)``.  Bounded three ways: a newer
+        #: ``db_version`` drops every older entry, a preference write drops
+        #: the writer's entries, and it never outgrows the result cache.
+        self._prepared: dict[tuple, tuple] = {}
+        self._prepared_version = -1
+        self._prepared_lock = threading.Lock()
         if cache is not None:
             server.add_listener(self.on_mutation)
 
@@ -93,6 +112,10 @@ class CachedQueryService:
             return
         if op in ("pref.add", "pref.remove", "pref.clear"):
             self.cache.invalidate(user=payload["user"], reason=op)
+            with self._prepared_lock:
+                memo = self._prepared
+                for key in [k for k, v in memo.items() if v[2] == payload["user"]]:
+                    del memo[key]
         elif op == "row.insert":
             self.cache.invalidate(table=str(payload["table"]).upper(), reason=op)
 
@@ -127,27 +150,44 @@ class CachedQueryService:
                     "rows": 0,
                 }
             text = self.default_sql.format(names=", ".join(names))
-        session = snapshot.session_for(user, strategy=strategy)
         if self.cache is None:
-            return self._compute(session, snapshot, user, text, strategy, names, want_oracle)
-        keyed = self._key(session, snapshot, user, text, strategy, want_oracle)
-        if keyed is None:
-            self.cache.count_bypass()
-            return self._compute(session, snapshot, user, text, strategy, names, want_oracle)
-        key, compiled, relations = keyed
-        return self.cache.get_or_compute(
+            return self._compute(None, snapshot, user, text, strategy, names, want_oracle)
+        try:
+            profile = snapshot.store.profile_digest(user)
+        except PreferenceError:
+            profile = None  # no stable identity: never memoized, bypasses below
+        memo_key = (snapshot.db_version, profile, text, strategy, bool(want_oracle))
+        prepared = self._prepared.get(memo_key)
+        session, query = None, text
+        if prepared is not None:
+            # The hit path: no session, compile, fingerprint or table digest.
+            # Should the entry have left the cache, _compute recompiles.
+            key, relations, _owner = prepared
+        else:
+            session = snapshot.session_for(user, strategy=strategy)
+            query = session.compile(text)
+            keyed = None
+            if profile is not None:
+                keyed = self._key(session, snapshot, query, strategy, want_oracle, profile)
+            if keyed is None:
+                self.cache.count_bypass()
+                return self._compute(session, snapshot, user, query, strategy, names, want_oracle)
+            key, relations = keyed
+        reply = self.cache.get_or_compute(
             key,
             lambda: self._compute(
-                session, snapshot, user, compiled, strategy, names, want_oracle
+                session, snapshot, user, query, strategy, names, want_oracle
             ),
             user=user,
             relations=relations,
             lsn=snapshot.lsn,
         )
+        if prepared is None:
+            self._remember(memo_key, key, relations, user)
+        return reply
 
-    def _key(self, session, snapshot, user, text, strategy, want_oracle):
-        """(cache key, compiled query, relations) — or None when uncacheable."""
-        compiled = session.compile(text)
+    def _key(self, session, snapshot, compiled, strategy, want_oracle, profile):
+        """(cache key, relations) of *compiled* — or None when uncacheable."""
         try:
             fingerprint = plan_fingerprint(
                 compiled.plan,
@@ -157,25 +197,45 @@ class CachedQueryService:
                 order_by=compiled.order_by,
                 extra={"oracle": bool(want_oracle)},
             )
-            relations = sorted(compiled.plan.relations())
-            data = canonical_json(
-                {name: table_digest(snapshot.db.table(name)) for name in relations}
-            )
-            profile = snapshot.store.profile_digest(user)
-        except (UncacheablePlan, PreferenceError):
+        except UncacheablePlan:
             return None
+        relations = tuple(sorted(compiled.plan.relations()))
+        data = canonical_json(
+            {name: table_digest(snapshot.db.table(name)) for name in relations}
+        )
         data_digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-        return (data_digest, fingerprint, profile), compiled, relations
+        return (data_digest, fingerprint, profile), relations
+
+    def _remember(self, memo_key, key, relations, user) -> None:
+        """Memoize a freshly built key, keeping the memo within its bounds."""
+        version = memo_key[0]
+        with self._prepared_lock:
+            memo = self._prepared
+            if version > self._prepared_version:
+                memo.clear()
+                self._prepared_version = version
+            elif version < self._prepared_version:
+                return  # an older snapshot's key: no newer request can probe it
+            memo[memo_key] = (key, relations, user)
+            if len(memo) > len(self.cache):
+                for stale in [k for k, v in memo.items() if v[0] not in self.cache]:
+                    del memo[stale]
+                # Several texts can share one cache key: drop the oldest.
+                while len(memo) > len(self.cache):
+                    del memo[next(iter(memo))]
 
     def _compute(self, session, snapshot, user, query, strategy, names, want_oracle):
         """The cache-off computation: execute + render the wire reply.
 
         *query* is SQL text or an already-compiled
         :class:`~repro.query.model.PreferentialQuery` — byte-identical
-        results either way (compilation is deterministic).
+        results either way (compilation is deterministic).  *session* may
+        be None: the snapshot then builds one for *user*.
         """
         from ..serve.net import protocol
 
+        if session is None:
+            session = snapshot.session_for(user, strategy=strategy)
         result = session.execute(query, strategy=strategy)
         presented = result.presented()
         triples = protocol.wire_triples(result)

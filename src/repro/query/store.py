@@ -40,9 +40,14 @@ class PreferenceStore:
         #: Monotonic mutation counter, copied into snapshots.
         self.version = 0
         self._frozen = False
-        #: Per-user profile-digest memo; entries are dropped by every
-        #: mutation touching that user, so a cached digest is always current.
-        self._profile_digests: dict[str, str] = {}
+        #: Per-user mutation stamp: the store version of the user's last
+        #: mutation.  Copied into snapshots, so a stamp names one profile.
+        self._stamps: dict[str, int] = {}
+        #: Profile-digest memo, ``user -> (stamp, digest)``, shared by the
+        #: live store and every snapshot of it.  An entry answers only for
+        #: its exact stamp, and mutators pop the user's entry, so the memo
+        #: holds at most one digest per user.
+        self._profile_digests: dict[str, tuple[int, str]] = {}
 
     # -- snapshots --------------------------------------------------------------
 
@@ -67,7 +72,8 @@ class PreferenceStore:
             }
             clone.version = self.version
             clone._frozen = True
-            clone._profile_digests = dict(self._profile_digests)
+            clone._stamps = dict(self._stamps)
+            clone._profile_digests = self._profile_digests
             return clone
 
     def _ensure_mutable(self) -> None:
@@ -83,8 +89,7 @@ class PreferenceStore:
         with self._lock.write_locked():
             self._ensure_mutable()
             self._add_locked(user, preference)
-            self.version += 1
-            self._profile_digests.pop(user, None)
+            self._touched(user)
 
     def _add_locked(
         self, user: str, preference: "Preference | ContextualPreference"
@@ -121,8 +126,7 @@ class PreferenceStore:
                 staged[key] = preference
             if staged:
                 self._by_user[user] = staged
-            self.version += 1
-            self._profile_digests.pop(user, None)
+            self._touched(user)
 
     def remove(self, user: str, name: str) -> bool:
         """Drop one stored preference; False when the user didn't have it."""
@@ -130,8 +134,7 @@ class PreferenceStore:
             self._ensure_mutable()
             removed = self._by_user.get(user, {}).pop(name.lower(), None)
             if removed is not None:
-                self.version += 1
-                self._profile_digests.pop(user, None)
+                self._touched(user)
             return removed is not None
 
     def clear(self, user: str) -> int:
@@ -140,9 +143,14 @@ class PreferenceStore:
             self._ensure_mutable()
             dropped = len(self._by_user.pop(user, {}))
             if dropped:
-                self.version += 1
-                self._profile_digests.pop(user, None)
+                self._touched(user)
             return dropped
+
+    def _touched(self, user: str) -> None:
+        """Record a mutation of *user*'s bucket (caller holds the write lock)."""
+        self.version += 1
+        self._stamps[user] = self.version
+        self._profile_digests.pop(user, None)
 
     def preferences_of(self, user: str) -> list[object]:
         with self._lock.read_locked():
@@ -153,10 +161,11 @@ class PreferenceStore:
 
         Order-insensitive (serializations are sorted before hashing): two
         profiles digest equal iff they hold the same preference *set*.  The
-        digest is memoized per user and the memo entry is dropped by
-        :meth:`add`/:meth:`add_all`/:meth:`remove`/:meth:`clear`, so cache
-        keys and invalidation never re-serialize an unchanged profile.
-        An unknown user digests as the empty profile.
+        digest is memoized under the user's mutation stamp, in a memo the
+        live store shares with its snapshots: successive snapshots of an
+        unchanged profile serialize it once, and a digest computed on a
+        stale snapshot never answers for a newer stamp.  An unknown user
+        digests as the empty profile.
 
         Raises :exc:`~repro.errors.PreferenceError` when a stored preference
         has no canonical serialization (``CallableScore``, predicate
@@ -167,18 +176,21 @@ class PreferenceStore:
         from ..serve.codec import canonical_json, preference_to_dict
 
         with self._lock.read_locked():
+            stamp = self._stamps.get(user)
             cached = self._profile_digests.get(user)
-            if cached is not None:
-                return cached
+            if cached is not None and cached[0] == stamp:
+                return cached[1]
             stored = list(self._by_user.get(user, {}).values())
             body = canonical_json(
                 sorted((preference_to_dict(s) for s in stored), key=canonical_json)
             )
             digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            # Benign to race with another reader: both compute the same
-            # value, and writers (which would change it) are excluded for
-            # as long as we hold the shared side.
-            self._profile_digests[user] = digest
+            # Racing a reader of another snapshot (or a mutator popping the
+            # entry) can at worst leave an older stamp in place, which costs
+            # a recomputation but never a wrong answer: lookups match stamps
+            # exactly.
+            if stamp is not None and (cached is None or cached[0] < stamp):
+                self._profile_digests[user] = (stamp, digest)
             return digest
 
     def users(self) -> list[str]:

@@ -11,12 +11,20 @@ optimization (see ``tests/conformance.py``):
   cache-off oracle against the same live server and asserting reply
   equality at every step — and exact ``(row, score, conf)`` multiset
   equality of the underlying relations;
+* a seeded interleaving adds what the property leaves out — DDL on the
+  live database (drop and re-create a table under the same name with a
+  different schema), custom SQL and ``oracle=True`` — so the prepared-key
+  memo is held to the same byte-identity;
 * a concurrent stress pushes one hot key through a
   :class:`~repro.serve.executor.ServeExecutor` worker pool to show
   single-flight deduplication never changes an answer.
 """
 
 from __future__ import annotations
+
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +36,8 @@ from repro.core.preference import Preference
 from repro.engine.database import Database
 from repro.engine.expressions import cmp, eq
 from repro.engine.types import DataType
+from repro.query.store import PreferenceStore
+from repro.serve.codec import canonical_json
 from repro.serve.executor import ServeExecutor
 from repro.serve.server import PreferenceServer
 
@@ -165,6 +175,87 @@ class TestCacheConformance:
             assert exact_multiset(once) == exact_multiset(twice)
 
 
+#: Custom SQL the seeded interleaving sends: inline preferences, which
+#: compile whatever the user's profile holds.
+CUSTOM_SQL = (
+    """
+    SELECT name, colour FROM ITEMS WHERE weight >= 10
+    PREFERRING (colour = 'green') SCORE 0.7 ON ITEMS
+    TOP 3 BY score
+    """,
+    """
+    SELECT name FROM ITEMS
+    PREFERRING (weight >= 50) SCORE 0.6 CONFIDENCE 0.8 ON ITEMS
+    TOP 2 BY score
+    """,
+)
+
+
+def recreate_items(db: Database, generation: int) -> None:
+    """Drop ITEMS and re-create it under the same name with another schema.
+
+    Goes straight to the live database, around the commit feed: only the
+    database version and the table digests know the catalog changed.
+    """
+    # Odd generations store weight as FLOAT and key the table on name.
+    odd = bool(generation % 2)
+    db.drop_table("ITEMS")
+    db.create_table(
+        "ITEMS",
+        [
+            ("i_id", DataType.INT),
+            ("name", DataType.TEXT),
+            ("colour", DataType.TEXT),
+            ("weight", DataType.FLOAT if odd else DataType.INT),
+        ],
+        primary_key=["name"] if odd else ["i_id"],
+    )
+    rows = [
+        (1, "apple", "red", 120 + generation),
+        (2, "pear", "green", 90),
+        (3, "fig", "green", 30 * generation),
+    ]
+    db.insert_many("ITEMS", rows)
+
+
+class TestSeededMemoInterleaving:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cache_on_matches_cache_off_under_ddl_custom_sql_and_oracle(self, seed):
+        rng = random.Random(seed)
+        server = fresh_server()
+        cached = CachedQueryService(server, ResultCache(), default_sql=SQL)
+        oracle = CachedQueryService(server, None, default_sql=SQL)
+        generation = 0
+        for _step in range(60):
+            roll = rng.random()
+            user = rng.choice(USERS)
+            if roll < 0.12:
+                apply_mutation(server, ("add", user, rng.choice(sorted(PREF_POOL))))
+            elif roll < 0.18:
+                apply_mutation(server, ("remove", user, rng.choice(sorted(PREF_POOL))))
+            elif roll < 0.21:
+                apply_mutation(server, ("clear", user, ""))
+            elif roll < 0.27:
+                apply_mutation(server, ("insert", rng.choice(COLOURS), rng.randint(0, 200)))
+            elif roll < 0.31:
+                generation += 1
+                recreate_items(server.db, generation)
+            else:
+                request = {
+                    "strategy": rng.choice(STRATEGIES),
+                    "want_oracle": rng.random() < 0.3,
+                    "sql": rng.choice((None, None) + CUSTOM_SQL),
+                }
+                # Every request twice: the second one probes the memo.
+                for _ in range(2):
+                    on, off = cached.query(user, **request), oracle.query(user, **request)
+                    assert canonical_json(on) == canonical_json(off)
+                    if request["want_oracle"] and on["rows"]:
+                        assert on["digest"] == on["oracle_digest"]
+        stats = cached.stats_snapshot()
+        assert stats["hits"] > 0 and stats["misses"] > 0
+
+
 class TestConcurrentSingleFlight:
     def test_hot_key_under_a_worker_pool_stays_identical(self):
         server = fresh_server()
@@ -188,6 +279,71 @@ class TestConcurrentSingleFlight:
         # hits or single-flight waits — never a divergent recompute.
         assert stats["misses"] == 1
         assert stats["hits"] + stats["single_flight_waits"] >= 31
+
+    def test_memo_and_profile_digests_survive_racing_readers_and_writers(self):
+        # More threads than cores and a short switch interval, so the
+        # shared memos' check-then-act steps interleave as much as they can.
+        server = fresh_server()
+        # A preference the writer never removes: every query takes the memo.
+        for user in USERS:
+            server.add_preference(user, PREF_POOL["likes_purple"]())
+        churned = sorted(set(PREF_POOL) - {"likes_purple"})
+        cache = ResultCache()
+        cached = CachedQueryService(server, cache, default_sql=SQL)
+        oracle = CachedQueryService(server, None, default_sql=SQL)
+        errors: list = []
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    reply = cached.query(
+                        rng.choice(USERS), strategy=rng.choice(("gbu", "ftp")),
+                        want_oracle=True,
+                    )
+                    if reply["rows"] and reply["digest"] != reply["oracle_digest"]:
+                        errors.append(reply)
+            except Exception as err:  # recorded, asserted below
+                errors.append(err)
+
+        def writer() -> None:
+            rng = random.Random(99)
+            try:
+                for _ in range(30):
+                    apply_mutation(server, rng.choice([
+                        ("add", rng.choice(USERS), rng.choice(churned)),
+                        ("remove", rng.choice(USERS), rng.choice(churned)),
+                        ("insert", rng.choice(COLOURS), rng.randint(0, 200)),
+                    ]))
+            except Exception as err:
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,)) for n in range(6)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Quiescent: every answer matches the oracle, the memo holds only
+        # keys of the current version and never more than the cache, and
+        # every memoized profile digest is the one a fresh store computes.
+        for user in USERS:
+            for strategy in ("gbu", "ftp"):
+                assert cached.query(user, strategy=strategy) == oracle.query(
+                    user, strategy=strategy
+                )
+            fresh = PreferenceStore(server.db)
+            fresh.add_all(user, server.store.preferences_of(user))
+            assert server.store.profile_digest(user) == fresh.profile_digest(user)
+        assert len(cached._prepared) <= len(cache)
+        assert {key[0] for key in cached._prepared} <= {server.db.version}
 
     def test_churn_under_concurrency_never_serves_stale(self):
         server = fresh_server()

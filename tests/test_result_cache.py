@@ -25,6 +25,9 @@ from repro.engine.types import DataType
 from repro.errors import PreferenceError
 from repro.plan import UncacheablePlan, plan_fingerprint
 from repro.plan.nodes import Materialized
+from repro.query.session import Session
+from repro.serve import codec
+from repro.serve.server import ServerSnapshot
 from repro.serve.server import PreferenceServer, state_digest, table_digest
 from repro.serve.net.server import namespaced  # noqa: F401 - fixture parity
 
@@ -33,6 +36,19 @@ SQL = """
     PREFERRING {names}
     TOP 3 BY score
 """
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Wrap ``owner.name`` with a counter; returns the one-cell count."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def small_db() -> Database:
@@ -154,6 +170,26 @@ class TestProfileDigest:
         server.add_preference("u1", opaque())
         with pytest.raises(PreferenceError):
             server.store.profile_digest("u1")
+
+    def test_successive_snapshots_serialize_the_profile_once(self, server, monkeypatch):
+        server.add_preference("u1", green())
+        serialized = _count_calls(monkeypatch, codec, "preference_to_dict")
+        first = server.snapshot().store.profile_digest("u1")
+        second = server.snapshot().store.profile_digest("u1")
+        assert first == second == server.store.profile_digest("u1")
+        assert serialized == [1]
+
+    def test_stale_snapshot_digest_never_answers_for_the_live_store(self, server):
+        server.add_preference("u1", green())
+        stale = server.snapshot()
+        server.add_preference("u1", red())
+        # Computed on the stale snapshot *after* the mutation: it lands in
+        # the shared memo under the old stamp only.
+        old = stale.store.profile_digest("u1")
+        live = server.store.profile_digest("u1")
+        assert live != old
+        assert server.snapshot().store.profile_digest("u1") == live
+        assert stale.store.profile_digest("u1") == old
 
 
 # -- table digests and snapshot digest memoization -----------------------------
@@ -360,3 +396,68 @@ class TestCachedQueryService:
         assert reply["rows"] == 0
         assert reply["triples"] == []
         assert cached.stats_snapshot()["entries"] == 0
+
+    def test_bypassed_query_compiles_once(self, server, monkeypatch):
+        server.add_preference("u1", opaque())
+        cached = CachedQueryService(server, ResultCache(), default_sql=SQL)
+        compiles = _count_calls(monkeypatch, Session, "compile")
+        cached.query("u1")
+        assert compiles == [1]
+        assert cached.stats_snapshot()["bypasses"] == 1
+
+
+class TestPreparedKeyMemo:
+    def test_repeated_query_skips_session_compile_and_fingerprint(
+        self, server, monkeypatch
+    ):
+        from repro.cache import service
+
+        server.add_preference("u1", green())
+        cached = CachedQueryService(server, ResultCache(), default_sql=SQL)
+        first = cached.query("u1")
+        compiles = _count_calls(monkeypatch, Session, "compile")
+        fingerprints = _count_calls(monkeypatch, service, "plan_fingerprint")
+        sessions = _count_calls(monkeypatch, ServerSnapshot, "session_for")
+        for _ in range(3):
+            assert cached.query("u1") == first
+        assert compiles == fingerprints == sessions == [0]
+        assert cached.stats_snapshot()["hits"] == 3
+
+    def test_memo_hit_with_evicted_entry_recomputes_identically(self, server):
+        server.add_preference("u1", green())
+        cache = ResultCache()
+        cached = CachedQueryService(server, cache, default_sql=SQL)
+        oracle = CachedQueryService(server, None, default_sql=SQL)
+        cached.query("u1")
+        cache.clear()  # the memo still maps the request to its key
+        assert cached.query("u1") == oracle.query("u1")
+        assert cached.stats_snapshot()["misses"] == 2
+
+    def test_memo_never_outgrows_the_result_cache(self, server):
+        server.add_preference("u1", green())
+        server.add_preference("u1", red())
+        # Room for a handful of replies only, so the LRU evicts as we go.
+        cache = ResultCache(max_bytes=600)
+        cached = CachedQueryService(server, cache, default_sql=SQL)
+        for n in range(40):
+            # Distinct texts: TOP k changes the key, padding does not.
+            text = SQL.format(names="likes_green, likes_red").replace(
+                "TOP 3", f"TOP {1 + n % 8}"
+            ) + " " * n
+            cached.query("u1", sql=text)
+            assert len(cached._prepared) <= len(cache)
+        assert cache.stats_snapshot()["evictions"] > 0
+
+    def test_preference_write_and_new_db_version_drop_memo_entries(self, server):
+        server.add_preference("u1", green())
+        server.add_preference("u2", red())
+        cached = CachedQueryService(server, ResultCache(), default_sql=SQL)
+        cached.query("u1")
+        cached.query("u2")
+        assert len(cached._prepared) == 2
+        server.add_preference("u1", red())
+        assert [v[2] for v in cached._prepared.values()] == ["u2"]
+        server.insert("ITEMS", (5, "lime", "green"))
+        cached.query("u2")
+        assert len(cached._prepared) == 1
+        assert {k[0] for k in cached._prepared} == {server.db.version}
