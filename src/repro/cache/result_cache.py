@@ -177,6 +177,24 @@ class ResultCache:
             flight.event.set()
             return value
 
+    def peek(self, key: tuple):
+        """The cached value for *key*, or None; never computes or waits.
+
+        A hit counts and refreshes the entry exactly as in
+        :meth:`get_or_compute`.  An absent key, or one a leader is still
+        computing, returns None without counting anything: the caller
+        then takes :meth:`get_or_compute`, which counts the lookup once.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            value = entry.value
+        self._emit("cache.hit", key=_short(key))
+        return value
+
     def count_bypass(self) -> None:
         """Record a request served around the cache (uncacheable plan/profile)."""
         with self._lock:

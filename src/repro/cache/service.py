@@ -33,6 +33,14 @@ it), and the profile digest pins the user's preferences, so the memoized
 key is the key a fresh compile would build.  The result-cache key itself
 is unchanged, which keeps a cache shared between services safe.
 
+:meth:`CachedQueryService.probe` answers a repeated request without
+blocking: the server's current snapshot
+(:meth:`~repro.serve.server.PreferenceServer.current_snapshot`), the same
+memo key :meth:`~CachedQueryService.query` derives, and a
+:meth:`~repro.cache.result_cache.ResultCache.peek`.  It never takes the
+server mutex, builds a snapshot or waits on single-flight, which is what
+lets the network front end run it on its event loop.
+
 Queries with no stable value identity — materialized plan leaves,
 preferences without a canonical serialization — bypass the cache
 (``bypasses`` counter) and compute exactly as the cache-off path does.
@@ -137,26 +145,20 @@ class CachedQueryService:
 
         strategy = strategy or self.default_strategy
         snapshot = self.server.snapshot()
-        names = sorted(p.name for p in snapshot.store.preferences_of(user))
-        text = sql
+        names, text = self._text(snapshot, user, sql)
         if text is None:
-            if not names:
-                empty: list = []
-                return {
-                    "triples": empty,
-                    "columns": [],
-                    "prefs": [],
-                    "digest": protocol.triples_digest(empty),
-                    "rows": 0,
-                }
-            text = self.default_sql.format(names=", ".join(names))
+            empty: list = []
+            return {
+                "triples": empty,
+                "columns": [],
+                "prefs": [],
+                "digest": protocol.triples_digest(empty),
+                "rows": 0,
+            }
         if self.cache is None:
             return self._compute(None, snapshot, user, text, strategy, names, want_oracle)
-        try:
-            profile = snapshot.store.profile_digest(user)
-        except PreferenceError:
-            profile = None  # no stable identity: never memoized, bypasses below
-        memo_key = (snapshot.db_version, profile, text, strategy, bool(want_oracle))
+        memo_key = self._memo_key(snapshot, user, text, strategy, want_oracle)
+        profile = memo_key[1]
         prepared = self._prepared.get(memo_key)
         session, query = None, text
         if prepared is not None:
@@ -185,6 +187,52 @@ class CachedQueryService:
         if prepared is None:
             self._remember(memo_key, key, relations, user)
         return reply
+
+    def probe(
+        self,
+        user: str,
+        *,
+        sql: str | None = None,
+        strategy: str | None = None,
+        want_oracle: bool = False,
+    ) -> "dict | None":
+        """The cached reply to a repeated request, or None; never blocks.
+
+        Answers only from the server's current snapshot through a memoized
+        key whose entry is in the cache: no server mutex, no snapshot
+        build, no compile, no single-flight wait.  None counts nothing and
+        sends the caller to :meth:`query`, whose reply is byte-identical.
+        """
+        if self.cache is None:
+            return None
+        snapshot = self.server.current_snapshot()
+        if snapshot is None:
+            return None
+        _names, text = self._text(snapshot, user, sql)
+        if text is None:
+            return None
+        strategy = strategy or self.default_strategy
+        prepared = self._prepared.get(
+            self._memo_key(snapshot, user, text, strategy, want_oracle)
+        )
+        return None if prepared is None else self.cache.peek(prepared[0])
+
+    def _text(self, snapshot, user: str, sql: str | None) -> tuple:
+        """``(preference names, SQL text)``; a None text means the empty reply."""
+        names = sorted(p.name for p in snapshot.store.preferences_of(user))
+        if sql is not None:
+            return names, sql
+        if not names:
+            return names, None
+        return names, self.default_sql.format(names=", ".join(names))
+
+    def _memo_key(self, snapshot, user, text, strategy, want_oracle) -> tuple:
+        """The prepared-key memo key of one request on *snapshot*."""
+        try:
+            profile = snapshot.store.profile_digest(user)
+        except PreferenceError:
+            profile = None  # no stable identity: never memoized, bypasses the cache
+        return (snapshot.db_version, profile, text, strategy, bool(want_oracle))
 
     def _key(self, session, snapshot, compiled, strategy, want_oracle, profile):
         """(cache key, relations) of *compiled* — or None when uncacheable."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..analysis_static.sanitizer import current_sanitizer
@@ -15,6 +17,31 @@ from .physical import execute_native
 from .schema import TableSchema, make_schema
 from .table import Row, Table
 from .types import DataType
+
+#: ``(database, cost model)`` of the query running in this context; see
+#: :func:`use_query_cost`.
+_QUERY_COST: ContextVar["tuple[Database, CostModel] | None"] = ContextVar(
+    "repro.query_cost", default=None
+)
+
+
+@contextmanager
+def use_query_cost(db: "Database", cost: CostModel):
+    """Make *cost* answer ``db.cost`` in this context only.
+
+    One snapshot :class:`Database` is shared by every query a server runs
+    on it, so a per-query model must not be installed by assigning to the
+    shared object: concurrent queries would then charge each other's
+    counters, guard budgets and fault plans.  Other databases, and other
+    threads, keep seeing their own accumulator, into which *cost* is
+    merged on exit.
+    """
+    token = _QUERY_COST.set((db, cost))
+    try:
+        yield
+    finally:
+        _QUERY_COST.reset(token)
+        db._cost.merge(cost)
 
 
 class Database:
@@ -36,7 +63,7 @@ class Database:
 
     def __init__(self) -> None:
         self.catalog = Catalog()
-        self.cost = CostModel()
+        self._cost = CostModel()
         #: Monotonic mutation counter: bumped by every DDL/DML call, copied
         #: into snapshots so results can state which version answered them.
         self.version = 0
@@ -54,6 +81,19 @@ class Database:
         self._cow: set[str] = set()
         self._frozen = False
 
+    @property
+    def cost(self) -> CostModel:
+        """The simulated-I/O accountant operators charge.
+
+        Inside an engine run on this database that is the run's own model
+        (:func:`use_query_cost`); everywhere else the database-wide
+        accumulator the runs merge into.
+        """
+        active = _QUERY_COST.get()
+        if active is not None and active[0] is self:
+            return active[1]
+        return self._cost
+
     # -- snapshots -------------------------------------------------------------
 
     @property
@@ -65,9 +105,10 @@ class Database:
         """An immutable, consistent view of the database as of this instant.
 
         The snapshot shares row storage with the live database (cheap:
-        O(#tables) dictionary copies), owns a fresh :class:`CostModel` so
-        per-query statistics cannot bleed between concurrent queries, and
-        refuses every mutation.  Writers proceed concurrently: their first
+        O(#tables) dictionary copies), owns a fresh :class:`CostModel`
+        accumulator, and refuses every mutation.  Many queries may run on
+        one snapshot at once; each charges its own per-query model (see
+        :func:`use_query_cost`).  Writers proceed concurrently: their first
         write to a captured table forks it, leaving the snapshot's view
         untouched.  Snapshotting a snapshot returns the snapshot itself.
         """
@@ -210,4 +251,4 @@ class Database:
 
     def reset_cost(self) -> None:
         """Forget accumulated simulated-I/O counters (fresh measurement)."""
-        self.cost.reset()
+        self._cost.reset()

@@ -30,7 +30,7 @@ from ..columnar import evaluate_columnar
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
 from ..core.scorepair import ScorePair
-from ..engine.database import Database
+from ..engine.database import Database, use_query_cost
 from ..engine.iosim import CostModel
 from ..errors import ColumnarUnsupported, DataCorruption, ExecutionError
 from ..obs import current_tracer, use_tracer
@@ -231,7 +231,6 @@ class ExecutionEngine:
                 widened = self.prepare(plan)
             target_schema = widened.schema(self.db.catalog)
 
-            outer_cost = self.db.cost
             query_cost = CostModel()
             # The per-query cost model doubles as the resilience layer's
             # data-volume choke point: every strategy charges scans and
@@ -239,10 +238,11 @@ class ExecutionEngine:
             # plan here covers the whole execution without per-site plumbing.
             query_cost.guard = guard if guard.enabled else None
             query_cost.faults = faults if faults.enabled else None
-            self.db.cost = query_cost
             started = time.perf_counter()
             mode = "row"
-            try:
+            # Installed for this context only, never assigned to the
+            # database: one snapshot serves many queries at once.
+            with use_query_cost(self.db, query_cost):
                 result = None
                 executed_plan = widened
                 if columnar:
@@ -269,9 +269,6 @@ class ExecutionEngine:
                 if guard.enabled:
                     guard.note_rows(len(result))
                     guard.check()
-            finally:
-                self.db.cost = outer_cost
-                outer_cost.merge(query_cost)
             elapsed = time.perf_counter() - started
             root.add("rows_out", len(result))
             root.set("mode", mode)

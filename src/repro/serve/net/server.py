@@ -32,10 +32,13 @@ wires the robustness machinery that makes it survivable:
 * **Observability** — each connection is one ``serve.net`` span
   (frames/bytes in and out, errors, sheds) written to any obs sink.
 
-The event loop only frames, admits and dispatches; queries and writes run
-on the :class:`~repro.serve.executor.ServeExecutor` worker pool and are
-awaited through :func:`asyncio.wrap_future`, so a slow query never stalls
-another connection's reads.
+The event loop frames, admits and dispatches.  It also answers a query
+whose reply is already cached for the server's current snapshot
+(:meth:`~repro.cache.service.CachedQueryService.probe`, which never
+blocks); every other query and every write runs on the
+:class:`~repro.serve.executor.ServeExecutor` worker pool and is awaited
+through :func:`asyncio.wrap_future`, so a slow query never stalls another
+connection's reads.
 """
 
 from __future__ import annotations
@@ -184,6 +187,10 @@ class NetServer:
         self._conn_counter = itertools.count()
         self._tenant_lock = threading.Lock()
         self._tenant_inflight: dict[str, int] = {}
+        #: Queries answered on the event loop (cache hits on the current
+        #: snapshot); they never reach the executor's LatencyStats.
+        #: Touched only on the event-loop thread.
+        self.loop_hits = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -439,7 +446,8 @@ class NetServer:
             raise Overloaded("shutting-down")
         guard = self._guard_from(request)
         if op == "query":
-            return await self._admitted(tenant, self._query_fn(request, tenant), guard)
+            run_query, probe = self._query_fns(request, tenant)
+            return await self._admitted(tenant, run_query, guard, probe)
         return await self._admitted(tenant, self._write_fn(op, request, tenant), guard)
 
     def _guard_from(self, request: dict) -> QueryGuard | None:
@@ -453,8 +461,12 @@ class NetServer:
             raise QueryTimeout(max(0.0, deadline_ms) / 1e3, 0.0)
         return QueryGuard(timeout=deadline_ms / 1e3)
 
-    async def _admitted(self, tenant: str, fn, guard: QueryGuard | None):
-        """Tenant quota → executor admission → worker execution, awaited."""
+    async def _admitted(self, tenant: str, fn, guard: QueryGuard | None, probe=None):
+        """Tenant quota → loop probe → executor admission → worker execution.
+
+        *probe* answers a cache hit on the event loop (None: not a hit);
+        only what it cannot answer takes a worker.
+        """
         quota = self.quotas.get(tenant, self.tenant_quota)
         with self._tenant_lock:
             inflight = self._tenant_inflight.get(tenant, 0)
@@ -470,6 +482,11 @@ class NetServer:
                 )
             self._tenant_inflight[tenant] = inflight + 1
         try:
+            if probe is not None:
+                reply = probe()
+                if reply is not None:
+                    self.loop_hits += 1
+                    return reply
             # The guard is installed *around submission*: the executor copies
             # the submitting context, so the client's deadline governs the
             # worker thread exactly as an in-process caller's would.
@@ -489,24 +506,29 @@ class NetServer:
 
     # -- data-plane ops ----------------------------------------------------------
 
-    def _query_fn(self, request: dict, tenant: str):
+    def _query_fns(self, request: dict, tenant: str):
+        """``(run_query, probe)``: the worker's query and its loop probe."""
         user = request.get("user")
         if not user:
             raise ReproError("query needs a user")
         key = namespaced(tenant, str(user))
-        sql = request.get("sql")
-        strategy = request.get("strategy", self.default_strategy)
-        want_oracle = bool(request.get("oracle"))
+        args = {
+            "sql": request.get("sql"),
+            "strategy": request.get("strategy", self.default_strategy),
+            "want_oracle": bool(request.get("oracle")),
+        }
 
         def run_query() -> dict:
             # The shared cache-aware path (repro.cache.service): snapshot,
             # compile, digest-keyed lookup with single-flight, compute on
             # miss — byte-identical to the cache-off computation.
-            return self.service.query(
-                key, sql=sql, strategy=strategy, want_oracle=want_oracle
-            )
+            return self.service.query(key, **args)
 
-        return run_query
+        def probe() -> "dict | None":
+            # A hit on the published snapshot: no mutex, no worker.
+            return self.service.probe(key, **args)
+
+        return run_query, probe
 
     def _write_fn(self, op: str, request: dict, tenant: str):
         from ..codec import preference_from_dict
@@ -569,6 +591,7 @@ class NetServer:
         with self._tenant_lock:
             tenants = dict(self._tenant_inflight)
         snapshot = self.executor.stats.snapshot()
+        snapshot["loop_hits"] = self.loop_hits
         snapshot["tenants"] = tenants
         snapshot["draining"] = self.draining
         snapshot["cache"] = self.service.stats_snapshot()

@@ -9,7 +9,10 @@ pillars together:
   :meth:`PreferenceStore.snapshot`) under the server mutex, so a reader
   never sees a database from one instant paired with preferences from
   another.  Readers then run entire workloads against the snapshot while
-  writers keep mutating the live state.
+  writers keep mutating the live state.  The last snapshot built is
+  published and handed to every reader until a version moves, so a read
+  of unchanged state takes neither the mutex nor a new snapshot
+  (:meth:`~PreferenceServer.current_snapshot`).
 * **Durability** — every mutation is applied and then appended to the
   :class:`~repro.serve.wal.PreferenceWAL` before the call returns (the
   append is the commit point: a crash loses only writes that were never
@@ -56,6 +59,7 @@ import json
 import os
 import re
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import Lock
 
@@ -254,6 +258,11 @@ class PreferenceServer:
         # so a snapshot can never pair a database from one instant with
         # preferences from another.
         self._mutex = Lock()
+        #: The last snapshot built; handed out until the state moves on.
+        self._published: ServerSnapshot | None = None
+        #: ``(db.version, store.version)`` as the write holding the mutex
+        #: found them, or None between writes (see :meth:`current_snapshot`).
+        self._writing: tuple[int, int] | None = None
         #: Commit hooks: ``listener(op, payload)`` called after each mutation
         #: is applied and logged, still under the mutex — in commit order.
         self._listeners: list = []
@@ -333,26 +342,67 @@ class PreferenceServer:
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> ServerSnapshot:
-        """Capture an immutable, consistent view of the entire server state.
+        """An immutable, consistent view of the entire server state.
+
+        Profiles and data change far less often than they are read, so one
+        snapshot serves every read until the state moves on: the published
+        one comes back without the mutex while :meth:`current_snapshot`
+        vouches for it, and a stale one is rebuilt under the mutex.
 
         Refuses (:exc:`~repro.errors.WALPoisoned`) on a poisoned server: the
         in-memory state then contains a mutation that was never acknowledged
         as durable, so handing it out would let readers observe data a
         recovery cannot reproduce.
         """
+        published = self.current_snapshot()
+        if published is not None:
+            return published
         with self._mutex:
             self._check_healthy()
-            db_snap = self.db.snapshot()
-            store_snap = self.store.snapshot(db_snap)
-            return ServerSnapshot(
-                db=db_snap,
-                store=store_snap,
-                db_version=db_snap.version,
-                store_version=store_snap.version,
-                lsn=self.wal.lsn if self.wal is not None else 0,
-            )
+            published = self.current_snapshot()  # another reader rebuilt it
+            if published is None:
+                db_snap = self.db.snapshot()
+                store_snap = self.store.snapshot(db_snap)
+                published = ServerSnapshot(
+                    db=db_snap,
+                    store=store_snap,
+                    db_version=db_snap.version,
+                    store_version=store_snap.version,
+                    lsn=self.wal.lsn if self.wal is not None else 0,
+                )
+                self._published = published
+            return published
+
+    def current_snapshot(self) -> ServerSnapshot | None:
+        """The published snapshot while it is current, else None; never blocks.
+
+        Current means the server is not poisoned and the live versions are
+        the ones the snapshot captured — every mutation, including a direct
+        ``server.db`` write around the write methods, bumps a version.  A
+        write that started from exactly those versions and has not returned
+        yet (it may sit in the WAL fsync) leaves the snapshot current too:
+        that write is not acknowledged, so a read may order before it.
+        """
+        published = self._published
+        if published is None or self._poisoned is not None:
+            return None
+        captured = (published.db_version, published.store_version)
+        if captured == (self.db.version, self.store.version) or captured == self._writing:
+            return published
+        return None
 
     # -- the write path ----------------------------------------------------------
+
+    @contextmanager
+    def _committing(self):
+        """The write critical section: mutex, health check, in-flight marker."""
+        with self._mutex:
+            self._check_healthy()
+            self._writing = (self.db.version, self.store.version)
+            try:
+                yield
+            finally:
+                self._writing = None
 
     def add_preference(self, user: str, preference) -> None:
         """Store a preference for *user*, durably (WAL append = commit)."""
@@ -364,15 +414,13 @@ class PreferenceServer:
             if self.wal is not None
             else None
         )
-        with self._mutex:
-            self._check_healthy()
+        with self._committing():
             self.store.add(user, preference)
             self._log("pref.add", payload)
             self._notify("pref.add", {"user": user, "preference": preference})
 
     def remove_preference(self, user: str, name: str) -> bool:
-        with self._mutex:
-            self._check_healthy()
+        with self._committing():
             removed = self.store.remove(user, name)
             if removed:
                 self._log("pref.remove", {"user": user, "name": name})
@@ -380,8 +428,7 @@ class PreferenceServer:
             return removed
 
     def clear_preferences(self, user: str) -> int:
-        with self._mutex:
-            self._check_healthy()
+        with self._committing():
             dropped = self.store.clear(user)
             if dropped:
                 self._log("pref.clear", {"user": user})
@@ -390,8 +437,7 @@ class PreferenceServer:
 
     def insert(self, table: str, values) -> None:
         """Insert one row through the copy-on-write write path, durably."""
-        with self._mutex:
-            self._check_healthy()
+        with self._committing():
             self.db.insert(table, values)
             self._log("row.insert", {"table": table, "values": list(values)})
             self._notify("row.insert", {"table": table, "values": list(values)})

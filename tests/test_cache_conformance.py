@@ -15,6 +15,9 @@ optimization (see ``tests/conformance.py``):
   live database (drop and re-create a table under the same name with a
   different schema), custom SQL and ``oracle=True`` — so the prepared-key
   memo is held to the same byte-identity;
+* the same seeded interleavings go over the wire through a caching and a
+  cache-off ``NetServer`` on one live server, so the event-loop hit path
+  is held to it too;
 * a concurrent stress pushes one hot key through a
   :class:`~repro.serve.executor.ServeExecutor` worker pool to show
   single-flight deduplication never changes an answer.
@@ -37,8 +40,11 @@ from repro.engine.database import Database
 from repro.engine.expressions import cmp, eq
 from repro.engine.types import DataType
 from repro.query.store import PreferenceStore
+from repro.resilience import RetryPolicy
 from repro.serve.codec import canonical_json
 from repro.serve.executor import ServeExecutor
+from repro.serve.net.client import PreferenceClient
+from repro.serve.net.server import NetServer, namespaced, serve_in_thread
 from repro.serve.server import PreferenceServer
 
 STRATEGIES = ("gbu", "bu", "ftp", "plugin-rma", "plugin-shared", "reference")
@@ -254,6 +260,71 @@ class TestSeededMemoInterleaving:
                         assert on["digest"] == on["oracle_digest"]
         stats = cached.stats_snapshot()
         assert stats["hits"] > 0 and stats["misses"] > 0
+
+
+class TestWireInterleaving:
+    """The same seeded interleavings end to end through two ``NetServer``s.
+
+    One front end caches (and so answers repeated queries on its event
+    loop), the other serves every query cache-off; both front the same
+    live server, so each request's two replies must be the same bytes.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_front_end_matches_the_cache_off_one(self, seed):
+        rng = random.Random(seed)
+        server = fresh_server()
+        handles = [
+            serve_in_thread(
+                NetServer(server, cache=cache, tenant_quota=None, default_sql=SQL)
+            )
+            for cache in (True, False)
+        ]
+        on, off = (
+            PreferenceClient(
+                "127.0.0.1", handle.port, deadline_s=15.0, retry=RetryPolicy(attempts=1)
+            )
+            for handle in handles
+        )
+        generation = 0
+        try:
+            for _step in range(50):
+                roll = rng.random()
+                user = rng.choice(USERS)
+                held = {p.name for p in server.store.preferences_of(namespaced("public", user))}
+                name = rng.choice(sorted(PREF_POOL))
+                if roll < 0.12:
+                    if name not in held:
+                        on.add_preference(user, PREF_POOL[name]())
+                elif roll < 0.18:
+                    on.remove_preference(user, name)
+                elif roll < 0.21:
+                    on.clear_preferences(user)
+                elif roll < 0.27:
+                    next_id = len(server.db.table("ITEMS").rows) + 1
+                    on.insert("ITEMS", [next_id, f"item{next_id}",
+                                        rng.choice(COLOURS), rng.randint(0, 200)])
+                elif roll < 0.31:
+                    generation += 1
+                    recreate_items(server.db, generation)
+                else:
+                    request = {
+                        "strategy": rng.choice(STRATEGIES),
+                        "oracle": rng.random() < 0.3,
+                        "sql": rng.choice((None, None) + CUSTOM_SQL),
+                    }
+                    # Twice: the second one is a candidate loop hit.
+                    for _ in range(2):
+                        served = on.query(user, **request)
+                        assert canonical_json(served) == canonical_json(off.query(user, **request))
+            stats = on.stats()
+            assert stats["loop_hits"] > 0
+            assert stats["cache"]["hits"] >= stats["loop_hits"]
+        finally:
+            on.close()
+            off.close()
+            for handle in handles:
+                handle.stop()
 
 
 class TestConcurrentSingleFlight:

@@ -326,6 +326,43 @@ class TestResultCache:
         assert outcomes["waiter"] == {"r": "recovered"}
         assert len(attempts) == 2
 
+    def test_peek_hits_and_refreshes_like_get_or_compute(self):
+        payload = {"filler": "x" * 60}
+        sizing = ResultCache()
+        sizing.get_or_compute("k", lambda: dict(payload))
+        entry_bytes = sizing.stats_snapshot()["bytes"]
+        cache = ResultCache(max_bytes=2 * entry_bytes + entry_bytes // 2)  # two fit
+        assert cache.peek("k0") is None
+        assert cache.stats_snapshot()["misses"] == 0  # an absent key counts nothing
+        cache.get_or_compute("k0", lambda: dict(payload))
+        cache.get_or_compute("k1", lambda: dict(payload))
+        assert cache.peek("k0") == payload  # k0 is now the hot end
+        assert cache.stats_snapshot()["hits"] == 1
+        cache.get_or_compute("k2", lambda: dict(payload))
+        assert cache.peek("k1") is None
+        assert cache.peek("k0") == payload
+
+    def test_peek_never_waits_on_an_in_flight_key(self):
+        cache = ResultCache()
+        entered, release = threading.Event(), threading.Event()
+
+        def compute():
+            entered.set()
+            release.wait(2.0)
+            return {"r": 1}
+
+        leader = threading.Thread(target=lambda: cache.get_or_compute("k", compute))
+        leader.start()
+        try:
+            assert entered.wait(2.0)
+            before = cache.stats_snapshot()
+            assert cache.peek("k") is None
+            assert cache.stats_snapshot() == before
+        finally:
+            release.set()
+            leader.join()
+        assert cache.peek("k") == {"r": 1}
+
 
 # -- the cached query service --------------------------------------------------
 

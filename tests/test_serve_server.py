@@ -51,6 +51,43 @@ def test_snapshot_isolated_from_later_writes():
     assert live.store_version > snap.store_version
 
 
+def test_snapshot_is_reused_until_a_version_moves():
+    server = PreferenceServer(build_movie_db())
+    server.add_preference("alice", comedy())
+    first = server.snapshot()
+    assert server.snapshot() is first
+    assert server.current_snapshot() is first
+
+    server.add_preference("alice", drama())
+    assert server.current_snapshot() is None
+    second = server.snapshot()
+    assert second is not first
+    assert server.snapshot() is second
+
+    # Writes around the write methods move a version too: never hidden.
+    server.db.insert("MOVIES", NEW_MOVIE)
+    assert server.current_snapshot() is None
+    third = server.snapshot()
+    assert third is not second
+    assert third.db_version == server.db.version
+    assert len(third.db.catalog.table("MOVIES").rows) == len(
+        server.db.catalog.table("MOVIES").rows
+    )
+    server.store.add("bob", comedy())
+    assert server.current_snapshot() is None
+    assert [p.name for p in server.snapshot().store.preferences_of("bob")] == ["comedy"]
+
+
+def test_a_poisoned_server_publishes_no_snapshot(tmp_path):
+    server, _ = PreferenceServer.open(str(tmp_path), initial=build_movie_db())
+    server.snapshot()
+    server._poisoned = "simulated append failure"
+    assert server.current_snapshot() is None
+    with pytest.raises(ReproError):
+        server.snapshot()
+    server.close()
+
+
 def test_snapshot_is_read_only():
     server = PreferenceServer(build_movie_db())
     snap = server.snapshot()
