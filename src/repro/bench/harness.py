@@ -4,7 +4,8 @@ Measurement protocol mirrors §VII: each (query, strategy) cell is executed
 with a warm-up discarded run, then ``repeats`` timed runs; the median wall
 time is reported together with the simulated-I/O counters of one run (the
 cold-cache analogue: counters are reset before each run, and our engine has
-no buffer cache to warm).
+no buffer cache to warm).  The database's memo of preference-free blocks is
+emptied before every run, so each one executes its native blocks cold.
 """
 
 from __future__ import annotations
@@ -136,7 +137,10 @@ def measure(
     The timed runs always execute with the default no-op tracer.  With
     ``trace=True`` one extra *untimed* traced run is performed afterwards;
     its trace is attached to the measurement (and written to *trace_sink*
-    if given) together with the traced-vs-untraced overhead.
+    if given) together with the traced-vs-untraced overhead.  Every run,
+    warm-up included, starts from an empty block memo
+    (:meth:`~repro.engine.database.Database.forget_blocks`), so FtP and GBU
+    time their delegated native blocks cold, as §VII does.
 
     *timeout* arms a fresh per-run :class:`~repro.resilience.QueryGuard`
     deadline on every execution (warm-up included), so a hung strategy
@@ -148,12 +152,14 @@ def measure(
     the hook benchmarks use to time executor variants, e.g.
     ``measure(..., columnar=True)``.
     """
+    session.db.forget_blocks()
     session.execute(
         query, strategy=strategy, timeout=timeout, **execute_kwargs
     )  # warm-up
     times: list[float] = []
     last = None
     for _ in range(max(1, repeats)):
+        session.db.forget_blocks()
         started = time.perf_counter()
         last = session.execute(
             query, strategy=strategy, timeout=timeout, **execute_kwargs
@@ -173,6 +179,7 @@ def measure(
         tracer = Tracer()
         traced_times: list[float] = []
         for _ in range(max(1, repeats)):
+            session.db.forget_blocks()
             started = time.perf_counter()
             traced_result = session.execute(
                 query, strategy=strategy, tracer=tracer, timeout=timeout, **execute_kwargs
@@ -213,15 +220,18 @@ def tracer_overhead(
     median of *repeats* runs each way (untraced runs use the no-op tracer
     path, i.e. the default production configuration).
     """
+    session.db.forget_blocks()
     session.execute(query, strategy=strategy)  # warm-up
     untraced: list[float] = []
     for _ in range(max(1, repeats)):
+        session.db.forget_blocks()
         started = time.perf_counter()
         session.execute(query, strategy=strategy)
         untraced.append(time.perf_counter() - started)
     traced: list[float] = []
     for _ in range(max(1, repeats)):
         tracer = Tracer()
+        session.db.forget_blocks()
         started = time.perf_counter()
         session.execute(query, strategy=strategy, tracer=tracer)
         traced.append(time.perf_counter() - started)

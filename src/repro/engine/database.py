@@ -7,9 +7,12 @@ from contextvars import ContextVar
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..analysis_static.sanitizer import current_sanitizer
-from ..plan.nodes import PlanNode
+from ..obs import current_tracer
+from ..plan.nodes import Materialized, PlanNode
+from ..resilience import current_faults, current_guard
 from ..serve.rwlock import RWLock
 from ..errors import CatalogError
+from .blockmemo import Block, BlockMemo, Tally
 from .catalog import Catalog
 from .iosim import CostModel
 from .native_optimizer import optimize_native
@@ -75,6 +78,9 @@ class Database:
         #: :func:`repro.columnar.column.column_store_for`).  Snapshots get a
         #: fresh dict, so cached columns never alias across versions.
         self.columnar_cache: dict = {}
+        #: Preference-free blocks answered at one version (see
+        #: :meth:`execute`); snapshots share it, ``analyze`` replaces it.
+        self.blocks = BlockMemo()
         self._rwlock = RWLock("db.rwlock")
         #: Table keys captured by at least one live snapshot and not yet
         #: forked; the first post-snapshot write forks them (copy-on-write).
@@ -134,6 +140,7 @@ class Database:
             snap = Database()
             snap.catalog = self.catalog.fork()
             snap.version = self.version
+            snap.blocks = self.blocks
             snap._frozen = True
             return snap
 
@@ -225,6 +232,16 @@ class Database:
             # snapshots keep the TableStats they captured; allowed on
             # snapshots too (their catalog dictionaries are private).
             self.catalog.analyze(table)
+            # New statistics may choose another join order: never replay
+            # a block planned with the old ones.
+            self.forget_blocks()
+
+    def forget_blocks(self) -> None:
+        """Give this database a fresh, empty block memo (cold runs again).
+
+        Snapshots taken earlier keep the memo they were handed.
+        """
+        self.blocks = BlockMemo()
 
     # -- queries --------------------------------------------------------------
 
@@ -240,10 +257,60 @@ class Database:
 
         Preference operators raise; they are handled by
         :class:`repro.pexec.engine.ExecutionEngine`.
+
+        The answer is memoized in :attr:`blocks` for this data version:
+        the second cold run of a block stores it, and from then on the
+        block — asked by any user, session or snapshot of this version —
+        costs a dictionary probe (see :mod:`repro.engine.blockmemo`).  A
+        hit returns a fresh list, charges ``cost`` and the guard's tuple
+        budget exactly what the cold run charged, checks the guard once
+        and opens a ``native.memo`` span.  The memo is bypassed under an
+        armed fault plan (faults model operator execution) and for plans
+        with a :class:`Materialized` leaf (identity equality).
         """
+        cost = self.cost
+        if current_faults().enabled or any(
+            type(node) is Materialized for node in plan.walk()
+        ):
+            return self._run_native(plan, optimize, cost)
+        key = (plan, optimize)
+        version = self.version
+        memo = self.blocks
+        block = memo.get(key, version, self.catalog)
+        if block is not None:
+            return self._replay(plan, block, cost)
+        tally = Tally(cost.guard)
+        run_cost = CostModel(guard=tally)
+        try:
+            schema, rows = self._run_native(plan, optimize, run_cost)
+        finally:
+            cost.merge(run_cost)
+        if self.version == version:  # no write landed while it ran
+            memo.put(key, version, schema, rows, run_cost, tally.tuples)
+        return schema, rows
+
+    def _run_native(
+        self, plan: PlanNode, optimize: bool, cost: CostModel
+    ) -> tuple[TableSchema, list[Row]]:
         if optimize:
             plan = optimize_native(plan, self.catalog)
-        return execute_native(plan, self.catalog, self.cost)
+        return execute_native(plan, self.catalog, cost)
+
+    @staticmethod
+    def _replay(
+        plan: PlanNode, block: Block, cost: CostModel
+    ) -> tuple[TableSchema, list[Row]]:
+        guard = current_guard()
+        if guard.enabled:
+            guard.check()
+        tracer = current_tracer()
+        if tracer.enabled:
+            with tracer.span("native.memo", label=plan.label()) as span:
+                span.add("rows_out", len(block.rows))
+        cost.merge(block.cost)
+        if cost.guard is not None:
+            cost.guard.note_tuples(block.tuples)
+        return block.schema, list(block.rows)
 
     def explain_native(self, plan: PlanNode) -> PlanNode:
         """The plan the native optimizer would execute (PostgreSQL's EXPLAIN)."""

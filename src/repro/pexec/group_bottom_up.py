@@ -4,7 +4,9 @@ GBU performs the same postorder traversal as BU but **defers** standard
 operators: contiguous selects/projects/joins/set-operations are accumulated
 (the paper's DAG ``G``) and, when a prefer operator — or the root — forces
 evaluation, the whole accumulated block is combined into a *single* query
-delegated to the native engine, which optimizes it with its own machinery.
+delegated to the native engine, which optimizes it with its own machinery
+and, through :meth:`~repro.engine.database.Database.execute`, reuses its
+answer while the data version stands still.
 Intermediates produced by prefer operators re-enter blocks as materialized
 leaves, so the only materializations are the unavoidable ones at prefer
 boundaries.
@@ -15,7 +17,6 @@ from __future__ import annotations
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
 from ..engine.database import Database
-from ..engine.native_optimizer import optimize_native
 from ..engine.physical import execute_native
 from ..errors import ExecutionError
 from ..obs import current_tracer
@@ -156,10 +157,10 @@ class _Evaluator:
         schema = block.schema(self.db.catalog)
         key_attrs = self._block_key_attrs(block, schema)
         if len(chain) == 1:
+            # σ_φ carries one user's condition: run natively, never memoized.
             conditional = Select(block, preferences[0].condition)
-            optimized = optimize_native(conditional, self.db.catalog)
             result_schema, rows = execute_native(
-                optimized, self.db.catalog, self.db.cost
+                self.db.explain_native(conditional), self.db.catalog, self.db.cost
             )
         elif isinstance(block, Relation):
             # Base-relation run (the common shape after prefer pushdown):
@@ -169,10 +170,7 @@ class _Evaluator:
             self.db.cost.scan(len(rows))
             self.db.cost.materialize(len(rows))
         else:
-            optimized = optimize_native(block, self.db.catalog)
-            result_schema, rows = execute_native(
-                optimized, self.db.catalog, self.db.cost
-            )
+            result_schema, rows = self.db.execute(block)
             self.db.cost.materialize(len(rows))
         scores = batchscore.group_scores_from_rows(
             result_schema, rows, key_attrs, preferences, aggregate, base_scores
@@ -224,14 +222,11 @@ class _Evaluator:
             if value.rows is None:
                 # Lazy (prefer over a pure block): execute the block now.
                 with self.tracer.span("gbu.force", label="lazy block") as span:
-                    optimized = optimize_native(value.source, self.db.catalog)
-                    schema, rows = execute_native(
-                        optimized, self.db.catalog, self.db.cost
-                    )
+                    schema, rows = self.db.execute(value.source)
                     self.db.cost.materialize(len(rows))
                     span.add("rows_out", len(rows))
                     span.add("scores", len(value.scores))
-                return Intermediate(schema, list(rows), value.key_attrs, value.scores)
+                return Intermediate(schema, rows, value.key_attrs, value.scores)
             return value
         with self.tracer.span("gbu.force", label="block") as span:
             result = self._force_block(value)
@@ -253,8 +248,7 @@ class _Evaluator:
                 schema = node.schema(self.db.catalog)
                 for attr in schema.primary_key:
                     extra_keys.append(schema.column(attr).qualified_name)
-        optimized = optimize_native(block, self.db.catalog)
-        schema, rows = execute_native(optimized, self.db.catalog, self.db.cost)
+        schema, rows = self.db.execute(block)
         self.db.cost.materialize(len(rows))
         return scorerel.merge_embedded(
             schema, rows, embedded, extra_keys, self.aggregate

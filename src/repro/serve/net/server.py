@@ -595,6 +595,7 @@ class NetServer:
         snapshot["tenants"] = tenants
         snapshot["draining"] = self.draining
         snapshot["cache"] = self.service.stats_snapshot()
+        snapshot["block_memo"] = self.server.db.blocks.stats()
         return snapshot
 
 

@@ -15,7 +15,7 @@ from repro.bench import (
     table2_properties,
     write_report,
 )
-from repro.bench.harness import Measurement
+from repro.bench.harness import Measurement, tracer_overhead
 from repro.query.session import Session
 from repro.workloads import imdb_2
 
@@ -91,6 +91,33 @@ class TestMeasure:
         assert m.trace.attrs["mode"] == "columnar"  # not a row trace
         assert len(calls) == 3  # warm-up, timed, traced
         assert all(call["timeout"] == 60.0 and call["columnar"] for call in calls)
+
+    @pytest.mark.parametrize("strategy", ["ftp", "gbu"])
+    def test_every_run_starts_with_an_empty_block_memo(self, imdb_tiny, monkeypatch, strategy):
+        query = imdb_2(k=5)
+        session = query.session(imdb_tiny)
+        for _ in range(2):  # leave a warm memo behind
+            session.execute(query.sql, strategy=strategy)
+        assert len(session.db.blocks) > 0
+        memo_sizes, hits, results = [], [], []
+        execute = session.execute
+
+        def spy(*args, **kwargs):
+            memo_sizes.append(len(session.db.blocks))
+            result = execute(*args, **kwargs)
+            hits.append(session.db.blocks.hits)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(session, "execute", spy)
+        measure(session, query.sql, strategy, repeats=3, trace=True)
+        tracer_overhead(session, query.sql, strategy, repeats=2)
+        assert len(memo_sizes) == 7 + 5
+        assert memo_sizes == [0] * len(memo_sizes)
+        assert hits == [0] * len(hits)  # every run cold
+        timed = results[1:4]
+        assert len({r.stats.cost["total_io"] for r in timed}) == 1
+        assert all(r.stats.operators == timed[0].stats.operators for r in timed)
 
     def test_compare_strategies(self, imdb_tiny):
         query = imdb_2(k=5)

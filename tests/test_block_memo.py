@@ -1,0 +1,242 @@
+"""The block memo's contract: a hit answers and bills exactly like a cold run.
+
+``Database.execute`` memoizes every preference-free block a strategy
+delegates to the native engine, for one data version (see
+:mod:`repro.engine.blockmemo`).  These tests pin what makes that safe: the
+same answer and the same charges, fresh result lists, version and
+statistics discipline, the two bypasses and the row budget.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import Database, DataType
+from repro.engine.expressions import Attr, Comparison, cmp
+from repro.errors import ResourceExhausted
+from repro.obs import Tracer, use_tracer
+from repro.plan.builder import scan
+from repro.plan.nodes import Materialized
+from repro.query.session import Session
+from repro.resilience import FaultPlan, QueryGuard, RetryPolicy, use_faults
+from repro.serve.net.client import PreferenceClient
+from repro.serve.net.server import NetServer, serve_in_thread
+from repro.serve.server import PreferenceServer
+
+from tests.conformance import assert_identical
+
+SQL = (
+    "SELECT id, label FROM T NATURAL JOIN U WHERE w >= 60 "
+    "PREFERRING (k = 1) SCORE 0.8 ON T, (label = 'l2') SCORE 0.5 ON U "
+    "TOP 5 BY score"
+)
+STRATEGIES = ("gbu", "ftp", "plugin-shared")
+ON_K = Comparison("=", Attr("T.k"), Attr("U.k"))
+
+
+def _db() -> Database:
+    """T ⋈ U plus a PAD table, so the join's block fits the row budget."""
+    db = Database()
+    db.create_table(
+        "T", [("id", DataType.INT), ("k", DataType.INT), ("w", DataType.FLOAT)],
+        primary_key=["id"],
+    )
+    db.create_table("U", [("k", DataType.INT), ("label", DataType.TEXT)], primary_key=["k"])
+    db.create_table("PAD", [("id", DataType.INT)], primary_key=["id"])
+    db.insert_many("U", [(k, f"l{k}") for k in range(4)])
+    db.insert_many("T", [(i, i % 4, float(i)) for i in range(80)])
+    db.insert_many("PAD", [(i,) for i in range(200)])
+    db.analyze()
+    return db
+
+
+def _block():
+    return scan("T").select(cmp("w", ">=", 60.0)).join(scan("U"), on=ON_K).build()
+
+
+def _warm(db: Database, plan) -> None:
+    """Run *plan* cold twice: the second run stores its block."""
+    for _ in range(2):
+        db.execute(plan)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_hit_charges_what_the_cold_run_charged(strategy):
+    db = _db()
+    session = Session(db)
+    first = session.execute(SQL, strategy=strategy)
+    assert len(db.blocks) == 0  # asked once: only the key is kept
+    cold = session.execute(SQL, strategy=strategy)
+    assert db.blocks.stats()["hits"] == 0 and len(db.blocks) > 0
+    hit = session.execute(SQL, strategy=strategy)
+    assert db.blocks.stats()["hits"] > 0
+    for run in (cold, hit):
+        assert run.stats.cost == first.stats.cost
+        assert run.stats.operators == first.stats.operators
+        assert_identical(first, run)
+    assert_identical(session.execute(SQL, strategy="reference"), hit, exact=False)
+
+
+def test_a_tuple_budget_that_trips_cold_trips_on_a_hit():
+    db = _db()
+    session = Session(db)
+    probe = QueryGuard()
+    session.execute(SQL, strategy="gbu", guard=probe)
+    charged = probe.tuples
+    db.forget_blocks()
+    with pytest.raises(ResourceExhausted):
+        session.execute(SQL, strategy="gbu", guard=QueryGuard(max_tuples=charged - 1))
+    for _ in range(2):
+        session.execute(SQL, strategy="gbu")  # memo warm
+    hits = db.blocks.hits
+    with pytest.raises(ResourceExhausted):
+        session.execute(SQL, strategy="gbu", guard=QueryGuard(max_tuples=charged - 1))
+    assert db.blocks.hits > hits
+    exact = QueryGuard(max_tuples=charged)
+    session.execute(SQL, strategy="gbu", guard=exact)
+    assert exact.tuples == charged
+
+
+def test_a_returned_result_is_the_callers_own():
+    db = _db()
+    _, expected = db.execute(_block())
+    _, stored = db.execute(_block())
+    stored.append(("bogus",))
+    _, hit = db.execute(_block())
+    assert db.blocks.hits == 1
+    assert hit == expected
+    hit.clear()
+    assert db.execute(_block())[1] == expected
+
+
+def test_a_hit_opens_a_native_memo_span():
+    db = _db()
+    _warm(db, _block())
+    tracer = Tracer()
+    with use_tracer(tracer):
+        _, rows = db.execute(_block())
+    (span,) = tracer.root.children
+    assert span.name == "native.memo"
+    assert span.counters["rows_out"] == len(rows)
+
+
+def test_an_older_snapshot_bypasses_a_newer_memo():
+    db = _db()
+    old = db.snapshot()
+    _, before = old.execute(_block())
+    db.insert("T", (80, 2, 99.0))
+    _warm(db, _block())
+    _, after = db.execute(_block())
+    assert len(after) == len(before) + 1
+    assert db.blocks.version == db.version and db.blocks.hits == 1
+    stats = db.blocks.stats()
+    for _ in range(2):
+        assert old.execute(_block())[1] == before
+    assert db.blocks.stats() == stats  # neither read nor written
+    assert db.execute(_block())[1] == after
+
+
+def test_a_newer_version_drops_older_entries():
+    db = _db()
+    _warm(db, _block())
+    assert len(db.blocks) == 1
+    db.insert("PAD", (200,))
+    _warm(db, scan("U").build())
+    assert len(db.blocks) == 1 and db.blocks.rows == 4
+
+
+def test_snapshots_of_one_version_share_the_memo():
+    db = _db()
+    db.execute(_block())
+    snap = db.snapshot()
+    assert snap.blocks is db.blocks
+    snap.execute(_block())  # the second cold run at this version stores it
+    db.execute(_block())
+    assert db.blocks.hits == 1
+
+
+@pytest.mark.parametrize("forget", ["analyze", "forget_blocks"])
+def test_analyze_and_forget_blocks_give_a_fresh_memo(forget):
+    db = _db()
+    _warm(db, _block())
+    snap = db.snapshot()
+    shared = db.blocks
+    getattr(db, forget)()
+    assert db.blocks is not shared and len(db.blocks) == 0
+    assert db.blocks.stats() == {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
+    _warm(db, _block())
+    assert db.blocks.misses == 2 and db.blocks.hits == 0
+    assert snap.blocks is shared  # an earlier snapshot keeps its memo
+
+
+def test_an_armed_fault_plan_bypasses_the_memo():
+    db = _db()
+    with use_faults(FaultPlan()):
+        for _ in range(3):
+            db.execute(_block())
+    assert len(db.blocks) == 0
+    assert db.blocks.stats() == {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
+
+
+def test_a_materialized_leaf_bypasses_the_memo():
+    db = _db()
+    schema, rows = db.execute(scan("U").build())
+    before = db.blocks.stats()
+    plan = scan("T").join(Materialized(schema, rows), on=ON_K).build()
+    for _ in range(3):
+        db.execute(plan)
+    assert db.blocks.stats() == before
+
+
+def test_rows_stay_within_the_budget_in_lru_order():
+    db = _db()
+    total = sum(len(table) for table in db.catalog.tables())
+    blocks = [scan("PAD").select(cmp("id", "<", n)).build() for n in (30, 20, 15)]
+    for block in blocks:
+        _warm(db, block)
+    assert db.blocks.budget == total // 4 == 71
+    assert db.blocks.rows == 65 and len(db.blocks) == 3
+    db.execute(blocks[0])  # touch: the 20-row block is now least recent
+    _warm(db, scan("PAD").select(cmp("id", "<", 10)).build())
+    assert db.blocks.rows == 55 and db.blocks.evictions == 1
+    hits = db.blocks.hits
+    db.execute(blocks[0])
+    db.execute(blocks[2])
+    assert db.blocks.hits == hits + 2
+    _warm(db, blocks[1])
+    assert db.blocks.hits == hits + 2  # evicted, so two misses
+    assert db.blocks.rows == 65 and db.blocks.evictions == 2
+    _warm(db, scan("PAD").select(cmp("id", "<", 72)).build())
+    assert db.blocks.rows == 65 and len(db.blocks) == 3  # over budget: not stored
+
+
+def test_keys_asked_once_count_against_the_budget():
+    db = _db()
+    _warm(db, scan("PAD").select(cmp("id", "<", 65)).build())
+    assert db.blocks.rows == 65
+    for n in range(6):  # six keys fill the budget: 65 + 6 = 71
+        db.execute(scan("PAD").select(cmp("id", "=", n)).build())
+    assert len(db.blocks) == 1 and db.blocks.evictions == 0
+    db.execute(scan("PAD").select(cmp("id", "=", 6)).build())
+    assert len(db.blocks) == 0 and db.blocks.rows == 0  # the LRU block made room
+    assert db.blocks.evictions == 1
+
+
+def test_the_stats_op_reports_the_block_memo():
+    server = PreferenceServer(_db())
+    handle = serve_in_thread(NetServer(server, cache=False, tenant_quota=None))
+    try:
+        with PreferenceClient(
+            "127.0.0.1", handle.port, deadline_s=15.0, retry=RetryPolicy(attempts=1)
+        ) as client:
+            before = client.stats()["block_memo"]
+            for user in ("alice", "bob", "carol"):  # three users, one block
+                client.query(user, SQL)
+            after = client.stats()["block_memo"]
+    finally:
+        handle.stop()
+        handle.thread.join(10.0)
+    assert set(after) == {"hits", "misses", "evictions", "rows"}
+    assert after["misses"] > before["misses"]
+    assert after["hits"] > before["hits"]
+    assert 0 < after["rows"] <= server.db.blocks.budget

@@ -8,7 +8,9 @@ exactly the single-threaded oracle's answer).
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,13 @@ from hypothesis import strategies as st
 from repro import Preference, eq
 from repro.errors import PreferenceError
 from repro.obs import NullTracer, Tracer, capture_tracer, current_tracer, restore_tracer, use_tracer
+from repro.query.session import Session
 from repro.query.store import PreferenceStore
 from repro.resilience import QueryGuard, capture_guard, current_guard, restore_guard, use_guard
 
+from repro.workloads.imdb import generate_imdb
+
+from .conformance import canonical_multiset
 from .conftest import build_movie_db
 
 THREADS = 4
@@ -139,6 +145,79 @@ def test_concurrent_sessions_match_single_threaded_oracle():
     for t in threads:
         t.join(timeout=60)
     assert failures == []
+
+
+def test_snapshot_readers_share_the_block_memo_with_a_writer():
+    """4 snapshot readers and 1 writer at a tiny switch interval: every
+    gbu / ftp answer equals ``reference`` on the same snapshot, whether its
+    blocks came from the shared memo or a cold run, and the memo never
+    holds more rows than its budget."""
+    db = generate_imdb(scale=0.0005, seed=5)
+    sql = (
+        "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES WHERE year >= 1990 "
+        "PREFERRING (genre = 'Drama') SCORE 0.9 ON GENRES, "
+        "(year >= 2000) SCORE 0.5 ON MOVIES"
+    )
+    movies = [row[0] for row in db.table("MOVIES").rows[:40]]
+    barrier = threading.Barrier(THREADS + 1, timeout=10)
+    readers_done = threading.Event()
+    failures: list = []
+    hits: list[int] = []
+
+    def within_budget(memo) -> bool:
+        # Rows first: the budget only grows while the writer only inserts.
+        rows = memo.rows
+        return rows <= memo.budget
+
+    def reader(worker: int) -> None:
+        try:
+            barrier.wait()
+            for i in range(8):
+                snap = db.snapshot()
+                session = Session(snap)
+                oracle = canonical_multiset(session.execute(sql, strategy="reference"))
+                strategy = "gbu" if (worker + i) % 2 == 0 else "ftp"
+                memo, before = snap.blocks, snap.blocks.hits
+                for _ in range(3):
+                    answer = session.execute(sql, strategy=strategy)
+                    if canonical_multiset(answer) != oracle:
+                        failures.append(f"{strategy} diverged at version {snap.version}")
+                hits.append(memo.hits - before)
+                if not within_budget(memo):
+                    failures.append("memo over budget")
+        except Exception as err:  # surfaced to the assert below
+            failures.append(err)
+
+    def writer() -> None:
+        try:
+            barrier.wait()
+            i = 0
+            while not readers_done.is_set():
+                db.insert("GENRES", (movies[i % len(movies)], f"Genre{i}"))
+                if i % 10 == 0:
+                    db.analyze()
+                i += 1
+                time.sleep(0.002)
+        except Exception as err:  # surfaced to the assert below
+            failures.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=reader, args=(w,)) for w in range(THREADS)]
+        writing = threading.Thread(target=writer)
+        for t in readers + [writing]:
+            t.start()
+        for t in readers:
+            t.join(timeout=120)
+        readers_done.set()
+        writing.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + [writing])
+    assert failures == []
+    assert any(hits)  # the readers did replay shared blocks
+    assert within_budget(db.blocks)
 
 
 # -- hypothesis: add_all is transactional --------------------------------------

@@ -5,6 +5,10 @@ of hashing the base relation per query, so an index or key map that drifts
 from its table's rows silently changes join answers.  This property drives
 any interleaving of the write paths, failing ones included, with snapshots
 in between, and checks every structure against a rebuild from rows.
+
+The same write paths, with ``analyze`` and drop + re-create mixed in, must
+never let the block memo (:mod:`repro.engine.blockmemo`) answer from a
+stale version: every gbu / ftp answer equals ``reference`` and a cold run.
 """
 
 import os
@@ -17,6 +21,8 @@ from repro import Database, DataType
 from repro.engine.index import HashIndex, build_index
 from repro.engine.persist import load_csv_table
 from repro.errors import ReproError
+from repro.query.session import Session
+from tests.conformance import assert_identical
 
 ids = st.integers(0, 12)
 keys = st.one_of(st.none(), st.integers(0, 3))
@@ -110,3 +116,95 @@ def test_interleaved_writes_keep_key_maps_exact(ops):
         fork.insert((99, 1))
         assert fork.get((99,)) == (99, 1)
         assert table.rows == before and table.get((99,)) is None
+
+
+# -- the block memo under interleaved writes ----------------------------------
+
+#: Both read the T ⋈ K block the memo keeps; the second filters it first.
+QUERIES = (
+    "SELECT id, name FROM T NATURAL JOIN K "
+    "PREFERRING (k = 1) SCORE 0.8 ON T, (name = 'n2') SCORE 0.5 ON K",
+    "SELECT id, name FROM T NATURAL JOIN K WHERE id >= 4 "
+    "PREFERRING (k = 2) SCORE 0.6 ON T, (name = 'n1') SCORE 0.9 ON K TOP 3 BY score",
+)
+memo_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.tuples(ids, keys)),
+        st.tuples(st.just("insert_many"), batch),
+        st.tuples(st.just("create_index"), st.sampled_from(["hash", "btree"])),
+        st.tuples(st.just("recreate"), st.none()),
+        st.tuples(st.just("analyze"), st.none()),
+        st.tuples(st.just("snapshot"), st.none()),
+        st.tuples(
+            st.just("query"),
+            st.tuples(st.sampled_from(["gbu", "ftp"]), st.sampled_from(QUERIES)),
+        ),
+    ),
+    max_size=16,
+)
+
+
+def _memo_db() -> Database:
+    """T ⋈ K, plus a PAD table so a whole join fits the memo's row budget."""
+    db = _fresh_db()
+    db.create_table("K", [("k", DataType.INT), ("name", DataType.TEXT)], primary_key=["k"])
+    db.insert_many("K", [(k, f"n{k}") for k in range(4)])
+    db.create_table("PAD", [("id", DataType.INT)], primary_key=["id"])
+    db.insert_many("PAD", [(i,) for i in range(64)])
+    return db
+
+
+def _cold_twin(db: Database) -> Database:
+    """A snapshot of *db*'s version with a memo of its own (cold runs)."""
+    twin = db.snapshot()
+    twin.forget_blocks()
+    return twin
+
+
+def _answers_like_reference_and_cold(db: Database, cold: Database, strategy: str, sql: str):
+    """Ask *db* three times (the second run stores a block that fits, the
+    third reads it) and compare every answer with ``reference`` and with
+    *cold*'s."""
+    expected = Session(cold).execute(sql, strategy=strategy)
+    oracle = Session(db).execute(sql, strategy="reference")
+    for _ in range(3):
+        answer = Session(db).execute(sql, strategy=strategy)
+        assert_identical(expected, answer)
+        assert_identical(oracle, answer, exact=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(memo_operations)
+def test_interleaved_writes_and_queries_match_reference_and_cold_runs(ops):
+    db = _memo_db()
+    snapshots = []
+    for op, arg in ops:
+        if op == "query":
+            _answers_like_reference_and_cold(db, _cold_twin(db), *arg)
+            assert db.blocks.rows <= db.blocks.budget
+        elif op == "snapshot":
+            snapshots.append((db.snapshot(), _cold_twin(db)))
+        elif op == "analyze":
+            db.analyze()
+        elif op == "recreate":
+            db.drop_table("T")
+            db.create_table(
+                "T", [("id", DataType.INT), ("k", DataType.INT)], primary_key=["id"]
+            )
+        else:
+            try:
+                if op == "create_index":
+                    db.create_index("T", "k", kind=arg)
+                else:
+                    _apply(db, op, arg, "")
+            except ReproError:
+                pass
+    # Older snapshots answer from their own version, never from the memo
+    # the newest version holds, and never leave their blocks in it.
+    for sql in QUERIES:
+        _answers_like_reference_and_cold(db, _cold_twin(db), "gbu", sql)
+    for snap, cold in reversed(snapshots):
+        for sql in QUERIES:
+            _answers_like_reference_and_cold(snap, cold, "gbu", sql)
+    for sql in QUERIES:
+        _answers_like_reference_and_cold(db, _cold_twin(db), "gbu", sql)
