@@ -57,12 +57,27 @@ class AggregateFunction:
     def combine(self, a: ScorePair, b: ScorePair) -> ScorePair:
         raise NotImplementedError
 
-    def combine_many(self, pairs: Iterable[ScorePair]) -> ScorePair:
-        """Left fold of :meth:`combine` starting from the identity."""
-        out = IDENTITY
-        for p in pairs:
-            out = self.combine(out, p)
-        return out
+    def fold(
+        self, previous: "ScorePair | None", pairs: Iterable[ScorePair]
+    ) -> "tuple[ScorePair | None, int]":
+        """Left fold of :meth:`combine` over *pairs*, starting from *previous*.
+
+        ``None`` stands for "no pair yet": the first pair is taken as is,
+        and a pair that collapses to the default ``⟨⊥,0⟩`` is dropped, so
+        the fold may end at ``None``.  This is the prefer UDF's per-key
+        update (§VI).  Returns the final pair and the number of
+        :meth:`combine` applications made.
+        """
+        combine = self.combine
+        combines = 0
+        for fresh in pairs:
+            if previous is None:
+                combined = fresh
+            else:
+                combined = combine(previous, fresh)
+                combines += 1
+            previous = None if combined.is_default else combined
+        return previous, combines
 
     def __repr__(self) -> str:
         return f"F[{self.name}]"
@@ -99,6 +114,60 @@ class WeightedSum(AggregateFunction):
             return a
         score = (a.conf * a.score + b.conf * b.score) / total_conf
         return ScorePair(score, total_conf)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # The kernel below replays *this* combine; a subclass that redefines
+        # combine folds through it with the generic loop instead.
+        super().__init_subclass__(**kwargs)
+        if cls.combine is not WeightedSum.combine and "fold" not in vars(cls):
+            cls.fold = AggregateFunction.fold
+
+    def fold(
+        self, previous: "ScorePair | None", pairs: Iterable[ScorePair]
+    ) -> "tuple[ScorePair | None, int]":
+        """:meth:`AggregateFunction.fold` with :meth:`combine` inlined.
+
+        The same float operations in the same order, so the same bits, but
+        the running pair lives in two locals: ``held`` is the pair object
+        equal to them when there is one (an input returned as is, or a ⊥
+        built through :func:`bottom`), and a weighted result becomes a
+        :class:`ScorePair` once, when the fold ends.
+        """
+        empty = previous is None
+        if not empty:
+            score, conf = previous
+        held = previous
+        combines = 0
+        for fresh in pairs:
+            fscore, fconf = fresh
+            if empty:
+                if fscore is None and fconf == 0.0:
+                    continue  # the default is dropped
+                score, conf, held, empty = fscore, fconf, fresh, False
+                continue
+            combines += 1
+            if score is None:
+                if fscore is None:
+                    held = bottom(conf + fconf)
+                    conf = held.conf
+                    if conf == 0.0:
+                        empty, held = True, None
+                else:
+                    score, conf, held = fscore, fconf, fresh
+            elif fscore is not None:
+                total = conf + fconf
+                if total == 0.0:
+                    score, conf, held = max(score, fscore), 0.0, None
+                elif conf == 0.0:
+                    score, conf, held = fscore, fconf, fresh
+                elif fconf != 0.0:
+                    score = (conf * score + fconf * fscore) / total
+                    conf, held = total, None
+        if empty:
+            return None, combines
+        if held is None:
+            held = ScorePair(score, conf)
+        return held, combines
 
 
 class MaxConfidence(AggregateFunction):

@@ -34,7 +34,8 @@ The per-row match lists then go through three cooperating steps:
   created per evaluation, on the Intermediate/PRelation side — never on
   shared tables, so snapshot isolation is preserved.
 * **Fused combining** — all matching ⟨S, C⟩ pairs of a row are folded
-  through F in one loop.  Fold safety rests on Definition 3: F is
+  through F in one call to :meth:`AggregateFunction.fold` (F_S folds on
+  bare floats there).  Fold safety rests on Definition 3: F is
   associative and commutative (asserted via the registered-aggregate law
   checks before any group is built), which is exactly what makes the
   per-row fused fold order equivalent to the per-preference sequential
@@ -71,7 +72,7 @@ from ..engine.table import Row
 from ..errors import PreferenceError, SchemaError
 from .aggregates import AggregateFunction, failed_laws
 from .preference import Preference
-from .scorepair import ScorePair
+from .scorepair import IDENTITY, ScorePair
 from .scoring import ConstantScore
 
 #: Memoization is skipped when a group reads more than this many distinct
@@ -300,7 +301,7 @@ class CompiledGroup:
     __slots__ = (
         "group",
         "schema",
-        "combine",
+        "fold",
         "stats",
         "_columns",
         "_dispatch",
@@ -315,7 +316,7 @@ class CompiledGroup:
     def __init__(self, group: PreferenceGroup, schema: TableSchema):
         self.group = group
         self.schema = schema
-        self.combine = group.aggregate.combine
+        self.fold = group.aggregate.fold
         self.stats = GroupStats()
         columns: dict[int, _ColumnTable] = {}
         dispatch_tables: dict[int, dict] = {}
@@ -502,7 +503,7 @@ class CompiledGroup:
         sequential order.  A match list's fold is reused for every row whose
         input pair is the very object the fold started from.
         """
-        combine = self.combine
+        fold = self.fold
         memo = self._memo
         memo_key = self._memo_key
         compute = self._compute_matches
@@ -534,14 +535,15 @@ class CompiledGroup:
                 matched = compute(row)
             if matched:
                 match_count += len(matched)
-                fold = folds.get(id(matched))
-                if fold is not None and fold[1] is current:
-                    current = fold[2]
+                cached = folds.get(id(matched))
+                if cached is not None and cached[1] is current:
+                    current = cached[2]
                 else:
                     start = current
-                    for _, fresh in matched:
-                        current = combine(current, fresh)
-                    combines += len(matched)
+                    current, count = fold(start, map(_match_pair, matched))
+                    if current is None:
+                        current = IDENTITY
+                    combines += count
                     folds[id(matched)] = (matched, start, current)
             append(current)
         stats = self.stats
@@ -571,7 +573,7 @@ class CompiledGroup:
         per distinct list.
         """
         stats = self.stats
-        combine = self.combine
+        fold = self.fold
         memo = self._memo
         memo_key = self._memo_key
         compute = self._compute_matches
@@ -617,16 +619,17 @@ class CompiledGroup:
         folds: dict[int, "ScorePair | None"] = {}
         for key, per_row in buckets.items():
             if len(per_row) == 1:
-                flat = per_row[0][1]
+                matched = per_row[0][1]
                 if key not in scores:
-                    previous = folds.get(id(flat), _UNFOLDED)
+                    previous = folds.get(id(matched), _UNFOLDED)
                     if previous is _UNFOLDED:
-                        previous, count = _fold(combine, None, flat)
+                        previous, count = fold(None, map(_match_pair, matched))
                         combines += count
-                        folds[id(flat)] = previous
+                        folds[id(matched)] = previous
                     if previous is not None:
                         scores[key] = previous
                     continue
+                flat = map(_match_pair, matched)
             else:
                 # Re-serialize to the sequential fold order: preference-major,
                 # then row order — what per-preference passes would have done.
@@ -636,8 +639,8 @@ class CompiledGroup:
                     for index, fresh in matched
                 ]
                 triples.sort(key=_triple_order)
-                flat = [(index, fresh) for index, _, fresh in triples]
-            previous, count = _fold(combine, scores.get(key), flat)
+                flat = [fresh for _, _, fresh in triples]
+            previous, count = fold(scores.get(key), flat)
             combines += count
             if previous is None:
                 scores.pop(key, None)
@@ -655,24 +658,6 @@ _NO_MATCHES: "list[tuple[int, ScorePair]]" = []
 _UNFOLDED = object()
 
 
-def _fold(combine, previous, matches) -> "tuple[ScorePair | None, int]":
-    """Fold *matches* into *previous* as the sequential prefer does.
-
-    ``None`` stands for "no pair yet": the first match is taken as is, and a
-    pair that collapses to the default is dropped.  Returns the final pair
-    (or ``None``) and the number of combiner applications made.
-    """
-    combines = 0
-    for _, fresh in matches:
-        if previous is None:
-            combined = fresh
-        else:
-            combined = combine(previous, fresh)
-            combines += 1
-        previous = None if combined.is_default else combined
-    return previous, combines
-
-
 def _EMPTY_KEY(row: Row) -> tuple:
     """Memo key for attribute-free groups: every row projects to ``()``."""
     return ()
@@ -680,6 +665,8 @@ def _EMPTY_KEY(row: Row) -> tuple:
 
 #: Sort key restoring group order after merging per-source match lists.
 _match_index = itemgetter(0)
+#: A match's ⟨S,C⟩, the part the aggregate folds.
+_match_pair = itemgetter(1)
 
 
 def _triple_order(triple) -> tuple[int, int]:

@@ -217,7 +217,7 @@ def _fold_lookups(
     with *rows*) and how many pairs went through ``F``.
     """
     columns = [_pairs_of_rows(rows, positions, table) for positions, table in lookups if table]
-    combine = aggregate.combine
+    fold = aggregate.fold
     uncovered = (None,) * len(columns)
     scores: dict[tuple, ScorePair] = {}
     pairs = [IDENTITY] * len(rows)
@@ -225,16 +225,10 @@ def _fold_lookups(
     for index, found in enumerate(zip(*columns)):
         if found == uncovered:
             continue
-        pair = None
-        for candidate in found:
-            if candidate is None:
-                continue
-            if pair is None:
-                pair = candidate
-            else:
-                pair = combine(pair, candidate)
-                combined += 1
-        if not pair.is_default:
+        # filter(None, ...) drops the misses: a pair is a 2-tuple, never falsy.
+        pair, count = fold(None, filter(None, found))
+        combined += count
+        if pair is not None:
             scores[key(rows[index])] = pairs[index] = pair
     return scores, pairs, combined
 

@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Database, DataType, Preference, cmp, eq, recency_score
 from repro.workloads import generate_dblp, generate_imdb
+
+#: ``--hypothesis-profile=deep`` runs the properties that size themselves
+#: through :func:`examples` on at least 1000 examples each; without it,
+#: Hypothesis's default profile applies unchanged.
+settings.register_profile("deep", max_examples=1000)
+
+
+def examples(count: int) -> int:
+    """*count* Hypothesis examples, or the active profile's when it asks for more.
+
+    An explicit ``@settings(max_examples=...)`` overrides any profile, so a
+    property that should deepen under ``deep`` asks through this helper.
+    """
+    return max(count, settings.default.max_examples)
+
 
 MOVIES_ROWS = [
     # (m_id, title, year, duration, d_id) — the paper's Fig. 3(a) movies.

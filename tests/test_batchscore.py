@@ -10,6 +10,9 @@ tables, expression scores over a nullable column, ``IN (…, NULL)``, the
 dispatch index, multi-column residual conditions); the inputs carry shared
 and distinct non-identity pairs, duplicate score-relation keys and a
 non-empty base relation, so every reuse of a cached fold is checked.
+The last test pins the scoring counters EXPLAIN ANALYZE reports for one
+``embed_prefs``-shaped query, so a faster fold keeps them comparable with
+``reference``.
 
 End-to-end agreement of every strategy with the ``reference`` oracle is
 ``tests/test_strategy_conformance.py``'s job.
@@ -30,8 +33,12 @@ from repro.core.scoring import ConstantScore, around_score, recency_score
 from repro.engine.expressions import TRUE, And, InList, Or, cmp, col, eq
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
+from repro.obs import Tracer
 from repro.pexec.batchscore import apply_prefer_group, prefer_group
 from repro.pexec.scorerel import Intermediate
+from repro.query.session import Session
+from repro.workloads import generate_imdb
+from tests.conftest import examples
 
 AGGREGATES = st.sampled_from([F_S, F_MAX])
 
@@ -138,7 +145,7 @@ def sequential_score_relation(inter, preferences, aggregate):
 
 
 @given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, data=st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate, data):
     pairs = data.draw(st.lists(PAIRS, min_size=len(rows), max_size=len(rows)))
     relation = PRelation(T_SCHEMA, rows, pairs)
@@ -150,7 +157,7 @@ def test_fused_pairs_equal_sequential_fold(rows, pool, aggregate, data):
 
 
 @given(rows=ROWS, pool=POOLS, aggregate=AGGREGATES, base=BASES)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate, base):
     # Key on k only: duplicate keys force the per-key replay path, and the
     # base relation puts pairs under some keys before the group runs.
@@ -164,3 +171,66 @@ def test_fused_score_relation_equals_sequential_fold(rows, pool, aggregate, base
     for row in rows:  # merged per-source match lists keep group order
         indices = [index for index, _ in compiled.matches(row)]
         assert indices == sorted(indices)
+
+
+# ---------------------------------------------------------------------------
+# Counter pin: EXPLAIN ANALYZE's scoring counters on an embed_prefs-shaped query
+# ---------------------------------------------------------------------------
+
+#: MOVIES ⋈ GENRES with 24 range, IN and equality preferences, a third of
+#: them scored by an expression: the spine's ``embed_prefs`` query shape.
+PIN_PREFERENCES = [
+    ("eq", "GENRES", "genre", "Drama"),
+    ("ge", "MOVIES", "year", 1983),
+    ("in", "MOVIES", "year", (1957, 1970, 1983, 1996)),
+    ("dur", "MOVIES", "duration", 90),
+    ("ge", "MOVIES", "year", 1991),
+    ("eq", "GENRES", "genre", "Comedy"),
+    ("ge", "MOVIES", "year", 1999),
+    ("in", "MOVIES", "year", (1960, 1973, 2001, 2005)),
+]
+PIN_SQL = (
+    "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES WHERE year >= 2000 "
+    "PREFERRING " + ", ".join(f"pin{n}" for n in range(24)) + " TOP 10 BY score"
+)
+#: (prefer.batch fused_combines, matches, aggregate.combine, tuples scanned,
+#: tuples materialized) per strategy, as measured before F_S folded on bare
+#: floats: a faster fold must not change what EXPLAIN ANALYZE reports.
+PINNED_COUNTERS = {
+    "gbu": (2633, 6108, 6108, 1994, 3694),
+    "ftp": (2731, 3085, 3085, 1286, 1286),
+    "bu": (2633, 6108, 6108, 6457, 4559),
+}
+
+
+def pin_preference(n: int) -> Preference:
+    kind, relation, attr, value = PIN_PREFERENCES[n % len(PIN_PREFERENCES)]
+    conf = 0.5 + (n * 37 % 45) / 100
+    if kind == "eq":
+        return Preference(f"pin{n}", relation, eq(attr, value), 0.3 + n / 40, conf)
+    if kind == "in":
+        return Preference(f"pin{n}", relation, InList(col(attr), value), 0.4, conf)
+    if kind == "dur":
+        condition = cmp(attr, ">=", value + n)
+        return Preference(f"pin{n}", relation, condition, around_score(attr, 120), conf)
+    condition = cmp(attr, ">=", value + n // 2)
+    return Preference(f"pin{n}", relation, condition, recency_score(attr, 2011), conf)
+
+
+def scoring_counters(session, strategy: str) -> tuple:
+    result = session.execute(PIN_SQL, strategy=strategy, tracer=Tracer())
+    batches = result.stats.trace.find_all("prefer.batch")
+    totals = tuple(
+        sum(span.counters.get(name, 0) for span in batches)
+        for name in ("fused_combines", "matches", "aggregate.combine")
+    )
+    cost = result.stats.cost
+    return totals + (cost["tuples_scanned"], cost["tuples_materialized"])
+
+
+def test_scoring_counters_are_pinned():
+    session = Session(generate_imdb(scale=0.001, seed=2012))
+    for n in range(24):
+        session.register(pin_preference(n))
+    measured = {strategy: scoring_counters(session, strategy) for strategy in PINNED_COUNTERS}
+    assert measured == PINNED_COUNTERS
