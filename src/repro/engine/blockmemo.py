@@ -19,14 +19,30 @@ A block is stored on its second cold run at a version; the first leaves
 only its key, charged one row of the budget.  A block asked for once then
 costs no copy and evicts nothing.  ``docs/PERFORMANCE.md`` ("Reused
 preference-free blocks") gives the measurements behind this rule.
+
+Blocks that differ only in the literal of one range conjunct — ``year >=
+2003`` and ``year >= 2005`` over the same joins — form a **range family**
+(:func:`range_family`) and share one entry: the widest cold run stored so
+far, its bound, and the bounded column's value in each row.  A lookup with
+the same bound is an exact hit; a narrower bound is a *subsumed* hit that
+keeps the stored rows passing its own bound test and bills the stored run
+it read; a wider bound runs cold and replaces the entry.  Admission stays
+per key: a family is stored on its second cold run, whatever the bounds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
+from operator import ge, gt, itemgetter, le, lt
 from threading import Lock
+from typing import Any, Callable
 
+from ..plan.nodes import Join, PlanNode, Project, Select
+from .catalog import Catalog
+from .expressions import Attr, Comparison, Literal, conjoin, conjuncts
 from .iosim import CostModel
 from .schema import TableSchema
 from .table import Row
@@ -41,6 +57,121 @@ class Block:
     cost: CostModel
     #: Tuples the cold run charged against the query guard's budget.
     tuples: int
+    #: A range family's entry: the bound the cold run ran with and the
+    #: bounded column's value in each row (None under an exact key).
+    bound: Any = None
+    values: tuple | None = None
+
+
+#: ``value op bound`` written ``test(bound, value)``, per range operator.
+_TESTS = {">=": le, ">": lt, "<=": ge, "<": gt}
+
+
+#: The literal a family key holds in place of the bound.
+_BOUND = Literal(object())
+
+
+class RangeFamily:
+    """The family of one block: where its range conjunct is and its bound.
+
+    ``key`` is the block with that conjunct's literal abstracted, plus the
+    operator and the ``optimize`` flag.
+    """
+
+    __slots__ = ("key", "op", "bound", "attr", "select")
+
+    def __init__(self, key: tuple, op: str, bound: Any, attr: str, select: Select) -> None:
+        self.key = key
+        self.op = op
+        self.bound = bound
+        #: The bounded attribute as written, and the σ holding the conjunct.
+        self.attr = attr
+        self.select = select
+
+    def within(self, stored: Any) -> bool:
+        """True when this bound keeps no row the *stored* bound drops;
+        raises TypeError when the two bounds do not compare."""
+        if self.op in (">=", ">"):
+            return self.bound >= stored
+        return self.bound <= stored
+
+    def rows(self, block: Block) -> list[Row]:
+        """The rows of *block* (stored at this or a wider bound) that pass
+        this bound, in stored order."""
+        if block.bound == self.bound:
+            return list(block.rows)
+        test = partial(_TESTS[self.op], self.bound)
+        return list(compress(block.rows, map(test, block.values)))
+
+    def run(
+        self, plan: Project, catalog: Catalog,
+        run: Callable[[PlanNode], tuple[TableSchema, list[Row]]],
+    ) -> tuple[TableSchema, list[Row], tuple]:
+        """Run *plan* cold and split off the bounded column's values.
+
+        A root projection without the column gets it appended for the run;
+        projections keep rows and charges alike, so only the output widens.
+        """
+        column = self.select.child.schema(catalog).column(self.attr).qualified_name
+        if not plan.schema(catalog).has(column):
+            schema, rows = run(Project(plan.child, plan.attrs + (column,)))
+            values = tuple(map(itemgetter(-1), rows))
+            return schema.project(plan.attrs), list(map(itemgetter(slice(-1)), rows)), values
+        schema, rows = run(plan)
+        return schema, rows, tuple(map(itemgetter(schema.index_of(column)), rows))
+
+
+def range_family(plan: PlanNode, optimize: bool) -> RangeFamily | None:
+    """The range family of *plan*, or None when it is memoized by its own key.
+
+    The family's conjunct is the first ``attr op literal`` (``op`` in
+    ``>= > <= <``, literal not NULL) found from the root through σ, π and
+    inner ⋈ only; a π below the root must list the attribute as the σ
+    writes it, so the column reaches the root.  Only a block with a root
+    projection has a family: that projection fixes the column order
+    whatever join order the optimizer picks for a bound, and carries the
+    column when the block does not output it.
+    """
+    if not isinstance(plan, Project):
+        return None
+    found = _abstract(plan.child)
+    if found is None:
+        return None
+    child, select, part = found
+    key = (Project(child, plan.attrs), part.op, optimize)
+    return RangeFamily(key, part.op, part.right.value, part.left.name, select)
+
+
+def _abstract(node: PlanNode) -> tuple[PlanNode, Select, Comparison] | None:
+    """*node* with its family literal abstracted, the σ and the conjunct."""
+    if isinstance(node, Select):
+        parts = conjuncts(node.condition)
+        for position, part in enumerate(parts):
+            if (
+                type(part) is Comparison and part.op in _TESTS
+                and type(part.left) is Attr and type(part.right) is Literal
+                and part.right.value is not None
+            ):
+                parts[position] = Comparison(part.op, part.left, _BOUND)
+                return Select(node.child, conjoin(parts)), node, part
+        children = [node.child]
+    elif isinstance(node, Project):
+        children = [node.child]
+    elif type(node) is Join:
+        children = [node.left, node.right]
+    else:
+        return None
+    for position, child in enumerate(children):
+        found = _abstract(child)
+        if found is None:
+            continue
+        if isinstance(node, Project):
+            name = found[2].left.name.lower()
+            if all(attr.lower() != name for attr in node.attrs):
+                return None
+        children[position] = found[0]
+        return (node.with_children(children),) + found[1:]
+    return None
 
 
 class Tally:
@@ -83,9 +214,18 @@ class BlockMemo:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Hits answered from a family entry stored at a wider bound.
+        self.subsumed = 0
 
-    def get(self, key: tuple, version: int, catalog) -> Block | None:
-        """The block stored under *key* at *version*, or None."""
+    def get(
+        self, key: tuple, version: int, catalog, family: RangeFamily | None = None
+    ) -> Block | None:
+        """The block stored under *key* at *version*, or None.
+
+        Under a *family* key the stored block must be at the family's bound
+        or a wider one; a bound that does not compare with the stored one
+        raises TypeError before anything is counted.
+        """
         with self._lock:
             if version != self.version:
                 if version < self.version:
@@ -96,36 +236,58 @@ class BlockMemo:
                 self.version = version
                 self.budget = sum(len(table) for table in catalog.tables()) // 4
             block = self._entries.get(key)
+            if block is not None and family is not None and not family.within(block.bound):
+                block = None  # a wider bound: runs cold, then replaces it
             if block is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
+            if family is not None and block.bound != family.bound:
+                self.subsumed += 1
             return block
+
+    def admitted(self, key: tuple) -> bool:
+        """True when a cold run under *key* would be stored (the key is
+        pending or holds a block)."""
+        return key in self._entries
 
     def put(
         self, key: tuple, version: int, schema: TableSchema, rows: list[Row],
-        cost: CostModel, tuples: int,
+        cost: CostModel, tuples: int, family: RangeFamily | None = None,
+        values: tuple | None = None,
     ) -> None:
         """Account a cold run at *version*: remember its key the first
-        time, store its answer and charges the second, if it fits."""
+        time, store its answer and charges the second, if it fits.
+
+        A family run is stored only with its *values*, and replaces a
+        stored entry whose bound is narrower than its own.
+        """
         size = len(rows)
         if size > self.budget:
             return
         block = None
-        if key in self._entries:  # re-checked under the lock
-            block = Block(schema, tuple(rows), cost, tuples)
+        if key in self._entries and (family is None or values is not None):
+            # re-checked under the lock
+            bound = None if family is None else family.bound
+            block = Block(schema, tuple(rows), cost, tuples, bound, values)
         with self._lock:
             if version != self.version:
                 return
             if key not in self._entries:
                 self._entries[key] = None
                 self._pending += 1
-            elif block is not None and self._entries[key] is None:
+            elif block is None:
+                return
+            elif self._entries[key] is None:
                 self._entries[key] = block
                 self._entries.move_to_end(key)
                 self._pending -= 1
                 self.rows += size
+            elif family is not None and _wider(family, self._entries[key]):
+                self.rows += size - len(self._entries[key].rows)
+                self._entries[key] = block
+                self._entries.move_to_end(key)
             else:
                 return
             while self.rows + self._pending > self.budget:
@@ -141,7 +303,8 @@ class BlockMemo:
         return len(self._entries) - self._pending
 
     def stats(self) -> dict[str, int]:
-        """``hits`` / ``misses`` / ``evictions`` and the ``rows`` held."""
+        """``hits`` / ``misses`` / ``evictions`` and the ``rows`` held;
+        subsumed hits count as hits (:attr:`subsumed` tells them apart)."""
         with self._lock:
             return {
                 "hits": self.hits,
@@ -149,3 +312,11 @@ class BlockMemo:
                 "evictions": self.evictions,
                 "rows": self.rows,
             }
+
+
+def _wider(family: RangeFamily, stored: Block) -> bool:
+    """True when *family*'s bound keeps rows *stored*'s bound drops."""
+    try:
+        return not family.within(stored.bound)
+    except TypeError:
+        return False

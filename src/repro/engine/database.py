@@ -12,7 +12,7 @@ from ..plan.nodes import Materialized, PlanNode
 from ..resilience import current_faults, current_guard
 from ..serve.rwlock import RWLock
 from ..errors import CatalogError
-from .blockmemo import Block, BlockMemo, Tally
+from .blockmemo import Block, BlockMemo, RangeFamily, Tally, range_family
 from .catalog import Catalog
 from .iosim import CostModel
 from .native_optimizer import optimize_native
@@ -267,26 +267,46 @@ class Database:
         and opens a ``native.memo`` span.  The memo is bypassed under an
         armed fault plan (faults model operator execution) and for plans
         with a :class:`Materialized` leaf (identity equality).
+
+        A block in a range family is keyed by its family: a narrower bound
+        than the stored one's keeps the stored rows passing its bound and
+        bills the stored run; a bound of another type than the stored
+        one's falls back to the block's own key.
         """
         cost = self.cost
         if current_faults().enabled or any(
             type(node) is Materialized for node in plan.walk()
         ):
             return self._run_native(plan, optimize, cost)
-        key = (plan, optimize)
         version = self.version
         memo = self.blocks
-        block = memo.get(key, version, self.catalog)
+        family = range_family(plan, optimize)
+        block = None
+        if family is not None:
+            key = family.key
+            try:
+                block = memo.get(key, version, self.catalog, family)
+            except TypeError:
+                family = None
+        if family is None:
+            key = (plan, optimize)
+            block = memo.get(key, version, self.catalog)
         if block is not None:
-            return self._replay(plan, block, cost)
+            return self._replay(plan, block, cost, family)
         tally = Tally(cost.guard)
         run_cost = CostModel(guard=tally)
+        values = None
         try:
-            schema, rows = self._run_native(plan, optimize, run_cost)
+            if family is not None and memo.admitted(key):
+                schema, rows, values = family.run(
+                    plan, self.catalog, lambda node: self._run_native(node, optimize, run_cost)
+                )
+            else:
+                schema, rows = self._run_native(plan, optimize, run_cost)
         finally:
             cost.merge(run_cost)
         if self.version == version:  # no write landed while it ran
-            memo.put(key, version, schema, rows, run_cost, tally.tuples)
+            memo.put(key, version, schema, rows, run_cost, tally.tuples, family, values)
         return schema, rows
 
     def _run_native(
@@ -298,19 +318,23 @@ class Database:
 
     @staticmethod
     def _replay(
-        plan: PlanNode, block: Block, cost: CostModel
+        plan: PlanNode, block: Block, cost: CostModel, family: RangeFamily | None
     ) -> tuple[TableSchema, list[Row]]:
         guard = current_guard()
         if guard.enabled:
             guard.check()
+        rows = list(block.rows) if family is None else family.rows(block)
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span("native.memo", label=plan.label()) as span:
-                span.add("rows_out", len(block.rows))
+                span.add("rows_out", len(rows))
+                if family is not None:
+                    span.set("subsumed", block.bound != family.bound)
+                    span.set("bound", block.bound)
         cost.merge(block.cost)
         if cost.guard is not None:
             cost.guard.note_tuples(block.tuples)
-        return block.schema, list(block.rows)
+        return block.schema, rows
 
     def explain_native(self, plan: PlanNode) -> PlanNode:
         """The plan the native optimizer would execute (PostgreSQL's EXPLAIN)."""

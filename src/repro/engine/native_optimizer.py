@@ -198,18 +198,21 @@ def _greedy_order(
         best = None
         best_plan = None
         best_size = None
-        for unit in remaining_units:
+        best_schema = None
+        for unit in remaining_units if remaining_parts else ():
+            unit_schema = schemas[id(unit)]
+            combined = current_schema.join(unit_schema)
             applicable = [
                 p
                 for p in remaining_parts
-                if _covered(p, current_schema, schemas[id(unit)])
+                if _covered(p, current_schema, unit_schema, combined)
             ]
             if not applicable:
                 continue
             candidate = Join(current, unit, conjoin(applicable))
             size = estimate_cardinality(candidate, catalog)
             if best_size is None or size < best_size:
-                best, best_plan, best_size = unit, candidate, size
+                best, best_plan, best_size, best_schema = unit, candidate, size, combined
         if best is None:
             # No connected unit: cross product with the smallest one.
             best = min(remaining_units, key=lambda u: sizes[id(u)])
@@ -220,7 +223,9 @@ def _greedy_order(
         )
         remaining_parts = [p for p in remaining_parts if p not in used]
         remaining_units.remove(best)
-        current_schema = current_schema.join(schemas[id(best)])
+        if best_schema is None:
+            best_schema = current_schema.join(schemas[id(best)])
+        current_schema = best_schema
         current = best_plan
 
     leftover = conjoin(remaining_parts)
@@ -229,12 +234,14 @@ def _greedy_order(
     return current
 
 
-def _covered(part: Expr, left: TableSchema, right: TableSchema) -> bool:
-    """True when *part* references both sides and is fully resolvable."""
+def _covered(
+    part: Expr, left: TableSchema, right: TableSchema, combined: TableSchema
+) -> bool:
+    """True when *part* references both sides and is fully resolvable in
+    *combined*, the schema of ``left ⋈ right``."""
     attrs = part.attributes()
     if not attrs:
         return False
-    combined = left.join(right)
     if not all(combined.has(a) for a in attrs):
         return False
     touches_left = any(left.has(a) for a in attrs)

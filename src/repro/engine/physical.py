@@ -23,7 +23,8 @@ with its row count) and its rows are charged as materialized, so simulated
 I/O, guard budgets, fault schedules and EXPLAIN ANALYZE trees read as if
 the table had been built.  The index nested loop probes the same maps, one
 batched lookup over all outer keys, charged one index probe per non-NULL
-key.
+key.  A selection ``σ[pk = c]`` on a base relation probes the key map too,
+charged one index probe and no scan.
 
 Preference operators are rejected: they belong to the layer above
 (:mod:`repro.pexec`), exactly like the paper's prefer routines live outside
@@ -154,7 +155,8 @@ class _Executor:
     def _try_index_access(
         self, relation: Relation, condition: Expr
     ) -> tuple[TableSchema, Iterator[Row]] | None:
-        """Use a secondary index when a conjunct allows it (σ over base table)."""
+        """Use a secondary index, or the one-column primary key's map, when
+        a conjunct allows it (σ over base table)."""
         schema = relation.schema(self.catalog)
         parts = conjuncts(condition)
         for position, part in enumerate(parts):
@@ -182,9 +184,16 @@ class _Executor:
         # bucket and ``range()`` would read NULL as an open bound.
         if part.op == "=":
             index = self.catalog.find_index(relation.name, bare)
-            if index is None:
+            if index is not None:
+                return [] if value is None else index.lookup(value)
+            # A one-column primary key: probe the table's key → row map
+            # (a key is never NULL, so a NULL constant finds no row).
+            table = self.catalog.table(relation.name)
+            key_map = table.key_map(table.schema.index_of(bare))
+            if key_map is None:
                 return None
-            return [] if value is None else index.lookup(value)
+            row = key_map.get(value)
+            return [] if row is None else [row]
         index = self.catalog.find_index(relation.name, bare, kind="btree")
         if not isinstance(index, OrderedIndex):
             return None

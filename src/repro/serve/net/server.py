@@ -595,7 +595,9 @@ class NetServer:
         snapshot["tenants"] = tenants
         snapshot["draining"] = self.draining
         snapshot["cache"] = self.service.stats_snapshot()
-        snapshot["block_memo"] = self.server.db.blocks.stats()
+        blocks = self.server.db.blocks
+        snapshot["block_memo"] = blocks.stats()
+        snapshot["block_memo_subsumed"] = blocks.subsumed
         return snapshot
 
 

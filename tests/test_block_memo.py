@@ -12,7 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, DataType
-from repro.engine.expressions import Attr, Comparison, cmp
+from repro.engine.blockmemo import range_family
+from repro.engine.database import use_query_cost
+from repro.engine.expressions import And, Attr, Comparison, cmp
+from repro.engine.iosim import CostModel
 from repro.errors import ResourceExhausted
 from repro.obs import Tracer, use_tracer
 from repro.plan.builder import scan
@@ -240,3 +243,186 @@ def test_the_stats_op_reports_the_block_memo():
     assert after["misses"] > before["misses"]
     assert after["hits"] > before["hits"]
     assert 0 < after["rows"] <= server.db.blocks.budget
+
+
+# -- range families ------------------------------------------------------------
+
+
+def _ranged(bound, op=">="):
+    """T ⋈ U under ``w op bound``; w is not in the output."""
+    return (
+        scan("T").select(cmp("w", op, bound)).join(scan("U"), on=ON_K)
+        .project(["id", "label"]).build()
+    )
+
+
+def _ranged_sql(bound, op=">="):
+    return SQL.replace("w >= 60", f"w {op} {bound}")
+
+
+def _charged(db: Database, plan, guard=None):
+    """Run *plan* on *db* under a fresh cost model; its counters and rows."""
+    cost = CostModel(guard=guard)
+    with use_query_cost(db, cost):
+        _, rows = db.execute(plan)
+    return cost, rows
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_subsumed_hit_returns_what_a_cold_twin_returns(strategy):
+    db = _db()
+    session = Session(db)
+    for _ in range(2):  # the second cold run stores the family at w >= 40
+        session.execute(_ranged_sql(40), strategy=strategy)
+    for bound in (60, 41, 55, 40):
+        hits, subsumed = db.blocks.hits, db.blocks.subsumed
+        hit = session.execute(_ranged_sql(bound), strategy=strategy)
+        assert db.blocks.hits > hits
+        assert db.blocks.subsumed - subsumed == (bound != 40)
+        cold = Session(_db()).execute(_ranged_sql(bound), strategy=strategy)
+        assert_identical(cold, hit, exact=True)
+        reference = session.execute(_ranged_sql(bound), strategy="reference")
+        assert_identical(reference, hit, exact=False)
+
+
+def test_a_subsumed_hit_bills_the_stored_run():
+    db = _db()
+    stored, _ = _charged(db, _ranged(40))
+    _warm(db, _ranged(40))
+    narrower, _ = _charged(_db(), _ranged(60))
+    assert narrower != stored
+    hit, rows = _charged(db, _ranged(60))
+    assert db.blocks.subsumed == 1
+    assert hit == stored
+    assert sorted(rows) == sorted(_charged(_db(), _ranged(60))[1])
+
+
+def test_a_tuple_budget_that_trips_on_the_stored_run_trips_on_a_subsumed_hit():
+    db = _db()
+    probe = QueryGuard()
+    _charged(db, _ranged(40), probe)
+    charged = probe.tuples
+    with pytest.raises(ResourceExhausted):
+        _charged(_db(), _ranged(40), QueryGuard(max_tuples=charged - 1))
+    db.execute(_ranged(40))  # stored
+    with pytest.raises(ResourceExhausted):
+        _charged(db, _ranged(60), QueryGuard(max_tuples=charged - 1))
+    assert db.blocks.subsumed == 1
+    exact = QueryGuard(max_tuples=charged)
+    _charged(db, _ranged(60), exact)
+    assert exact.tuples == charged and db.blocks.subsumed == 2
+
+
+def test_a_wider_bound_replaces_the_entry():
+    db = _db()
+    _warm(db, _ranged(60))
+    assert len(db.blocks) == 1 and db.blocks.rows == 20
+    misses = db.blocks.misses
+    _, rows = db.execute(_ranged(40))  # wider: runs cold and replaces
+    assert db.blocks.misses == misses + 1
+    assert len(db.blocks) == 1 and db.blocks.rows == len(rows) == 40
+    _, rows = db.execute(_ranged(50))
+    assert db.blocks.subsumed == 1 and len(rows) == 30
+    _, rows = db.execute(_ranged(60))
+    assert db.blocks.subsumed == 2 and len(rows) == 20
+    assert db.blocks.misses == misses + 1
+
+
+@pytest.mark.parametrize(
+    "op, stored, narrower, wider",
+    [(">=", 60.0, 70.0, 50.0), (">", 60.0, 70.0, 50.0),
+     ("<=", 20.0, 10.0, 30.0), ("<", 20.0, 10.0, 30.0)],
+)
+def test_each_operator_keeps_its_own_family(op, stored, narrower, wider):
+    db = _db()
+    cold = _db()
+    _warm(db, _ranged(stored, op))
+    for bound, subsumed in ((stored, 0), (narrower, 1)):
+        _, rows = db.execute(_ranged(bound, op))
+        assert db.blocks.subsumed == subsumed
+        assert sorted(rows) == sorted(cold.execute(_ranged(bound, op))[1])
+    # The same bound under the strict or non-strict twin: another family.
+    twin = {">=": ">", ">": ">=", "<=": "<", "<": "<="}[op]
+    same = len(db.execute(_ranged(stored, op))[1])
+    hits = db.blocks.hits
+    _, rows = db.execute(_ranged(stored, twin))
+    assert db.blocks.hits == hits
+    assert sorted(rows) == sorted(cold.execute(_ranged(stored, twin))[1])
+    assert len(rows) == same + (1 if "=" in twin else -1)  # one row has w == stored
+    _, rows = db.execute(_ranged(wider, op))
+    assert db.blocks.hits == hits  # the wider bound ran cold
+    assert sorted(rows) == sorted(cold.execute(_ranged(wider, op))[1])
+
+
+def test_a_bound_of_another_type_falls_back_to_exact_keys():
+    db = _db()
+
+    def block(bound):
+        # ``k = 9`` matches no row, so the range test never compares.
+        return (
+            scan("T").select(And(cmp("k", "=", 9), cmp("w", ">=", bound)))
+            .join(scan("U"), on=ON_K).project(["id", "label"]).build()
+        )
+
+    _warm(db, block(40))
+    assert range_family(block("x"), True).key == range_family(block(40), True).key
+    _warm(db, block("x"))
+    assert len(db.blocks) == 2  # the family entry and the exact key
+    hits = db.blocks.hits
+    assert db.execute(block("x"))[1] == db.execute(block(50))[1] == []
+    assert db.blocks.hits == hits + 2 and db.blocks.subsumed == 1
+
+
+def test_no_family_forms_outside_select_project_and_inner_joins():
+    ranged = scan("T").select(cmp("w", ">=", 40.0))
+    u = scan("U")
+    outside = [
+        u.left_join(ranged, on=ON_K).project(["label"]).build(),
+        ranged.project(["id"]).union(scan("PAD").project(["id"])).project(["id"]).build(),
+        ranged.project(["id"]).intersect(scan("PAD").project(["id"])).project(["id"]).build(),
+        ranged.project(["id"]).difference(scan("PAD").project(["id"])).project(["id"]).build(),
+        ranged.build(),  # no root projection
+        ranged.join(u, on=ON_K).build(),
+        ranged.project(["id"]).project(["id"]).build(),  # a projection drops w
+    ]
+    for plan in outside:
+        assert range_family(plan, True) is None, plan.label()
+    assert range_family(ranged.project(["id"]).build(), True) is not None
+    db = _db()
+    plan = scan("U").join(Materialized(*db.execute(scan("T").build())), on=ON_K)
+    plan = plan.select(cmp("w", ">=", 40.0)).project(["label"]).build()
+    before = db.blocks.stats()
+    for _ in range(3):
+        db.execute(plan)
+    assert db.blocks.stats() == before and db.blocks.subsumed == 0
+
+
+def test_a_subsumed_hit_opens_a_native_memo_span():
+    db = _db()
+    _warm(db, _ranged(40))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        _, rows = db.execute(_ranged(60))
+        db.execute(_ranged(40))
+    subsumed, exact = tracer.root.children
+    assert subsumed.name == exact.name == "native.memo"
+    assert subsumed.counters["rows_out"] == len(rows) == 20
+    assert subsumed.attrs == {"subsumed": True, "bound": 40}
+    assert exact.attrs == {"subsumed": False, "bound": 40}
+
+
+def test_the_stats_op_reports_subsumed_hits():
+    server = PreferenceServer(_db())
+    handle = serve_in_thread(NetServer(server, cache=False, tenant_quota=None))
+    try:
+        with PreferenceClient(
+            "127.0.0.1", handle.port, deadline_s=15.0, retry=RetryPolicy(attempts=1)
+        ) as client:
+            for user, bound in (("alice", 40), ("bob", 40), ("carol", 60)):
+                client.query(user, _ranged_sql(bound))
+            stats = client.stats()
+    finally:
+        handle.stop()
+        handle.thread.join(10.0)
+    assert stats["block_memo_subsumed"] == server.db.blocks.subsumed >= 1
+    assert stats["block_memo"]["hits"] >= stats["block_memo_subsumed"]

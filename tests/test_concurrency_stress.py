@@ -150,14 +150,17 @@ def test_concurrent_sessions_match_single_threaded_oracle():
 def test_snapshot_readers_share_the_block_memo_with_a_writer():
     """4 snapshot readers and 1 writer at a tiny switch interval: every
     gbu / ftp answer equals ``reference`` on the same snapshot, whether its
-    blocks came from the shared memo or a cold run, and the memo never
-    holds more rows than its budget."""
+    blocks came from the shared memo (exact or subsumed by a wider cut-off
+    of the same range family) or a cold run, and the memo never holds more
+    rows than its budget."""
     db = generate_imdb(scale=0.0005, seed=5)
     sql = (
-        "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES WHERE year >= 1990 "
+        "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES WHERE year >= {} "
         "PREFERRING (genre = 'Drama') SCORE 0.9 ON GENRES, "
         "(year >= 2000) SCORE 0.5 ON MOVIES"
     )
+    # Stored on the second run, then two narrower cut-offs and a repeat.
+    cutoffs = (1990, 1990, 2000, 1995, 1990)
     movies = [row[0] for row in db.table("MOVIES").rows[:40]]
     barrier = threading.Barrier(THREADS + 1, timeout=10)
     readers_done = threading.Event()
@@ -175,13 +178,20 @@ def test_snapshot_readers_share_the_block_memo_with_a_writer():
             for i in range(8):
                 snap = db.snapshot()
                 session = Session(snap)
-                oracle = canonical_multiset(session.execute(sql, strategy="reference"))
+                oracles = {
+                    cutoff: canonical_multiset(
+                        session.execute(sql.format(cutoff), strategy="reference")
+                    )
+                    for cutoff in set(cutoffs)
+                }
                 strategy = "gbu" if (worker + i) % 2 == 0 else "ftp"
                 memo, before = snap.blocks, snap.blocks.hits
-                for _ in range(3):
-                    answer = session.execute(sql, strategy=strategy)
-                    if canonical_multiset(answer) != oracle:
-                        failures.append(f"{strategy} diverged at version {snap.version}")
+                for cutoff in cutoffs:
+                    answer = session.execute(sql.format(cutoff), strategy=strategy)
+                    if canonical_multiset(answer) != oracles[cutoff]:
+                        failures.append(
+                            f"{strategy} diverged at version {snap.version}, year >= {cutoff}"
+                        )
                 hits.append(memo.hits - before)
                 if not within_budget(memo):
                     failures.append("memo over budget")

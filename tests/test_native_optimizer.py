@@ -159,3 +159,41 @@ class TestOrderJoins:
         after = evaluate_reference(optimized, movie_db.catalog)
         assert before.same_contents(after)
         assert is_left_deep(optimized)
+
+
+IMDB_1 = ("MOVIES", "GENRES", "DIRECTORS", "CAST", "ACTORS")
+
+
+@pytest.fixture(scope="module")
+def imdb_db():
+    from repro.workloads.imdb import generate_imdb
+
+    return generate_imdb(scale=0.001, seed=2012)
+
+
+@pytest.mark.parametrize(
+    "names, cutoff, leaves, conditions",
+    [
+        (
+            IMDB_1, 2003,
+            ["DIRECTORS", "MOVIES", "GENRES", "CAST", "ACTORS"],
+            ["(CAST.a_id = ACTORS.a_id)", "(GENRES.m_id = CAST.m_id)",
+             "(MOVIES.m_id = GENRES.m_id)", "(MOVIES.d_id = DIRECTORS.d_id)"],
+        ),
+        (
+            IMDB_1, 2007,
+            ["MOVIES", "GENRES", "DIRECTORS", "CAST", "ACTORS"],
+            ["(CAST.a_id = ACTORS.a_id)", "(GENRES.m_id = CAST.m_id)",
+             "(MOVIES.d_id = DIRECTORS.d_id)", "(MOVIES.m_id = GENRES.m_id)"],
+        ),
+        (("MOVIES", "GENRES"), 2004, ["MOVIES", "GENRES"], ["(MOVIES.m_id = GENRES.m_id)"]),
+    ],
+)
+def test_greedy_join_order_is_pinned(imdb_db, names, cutoff, leaves, conditions):
+    """The greedy order chosen for the IMDB-1 5-way join (two cut-offs that
+    order it differently) and the 2-way MOVIES ⋈ GENRES join."""
+    plan = joined(imdb_db, *names).select(cmp("year", ">=", cutoff)).project(["title"]).build()
+    optimized = optimize_native(plan, imdb_db.catalog)
+    assert is_left_deep(optimized)
+    assert [n.name for n in optimized.walk() if isinstance(n, Relation)] == leaves
+    assert [repr(n.condition) for n in optimized.walk() if isinstance(n, Join)] == conditions

@@ -225,6 +225,47 @@ class TestNullConstantThroughIndex:
         assert indexed == scanned == []
 
 
+class TestPrimaryKeyProbe:
+    """``σ[pk = c]`` on a base relation probes the table's key map: one
+    index probe, no scan, and the rows the scan path returns."""
+
+    @pytest.mark.parametrize("value", [2, 2.0, 9, None])
+    @pytest.mark.parametrize("literal_first", [False, True])
+    def test_probe_agrees_with_scan(self, value, literal_first):
+        db = _nullable_db()
+        operands = (Literal(value), Attr("id")) if literal_first else (Attr("id"), Literal(value))
+        condition = Comparison("=", *operands)
+        table = db.table("T")
+        scan_cost = CostModel()
+        _, scanned = execute_native(
+            Select(Materialized(table.schema, table.rows), condition), db.catalog, scan_cost
+        )
+        assert scan_cost.tuples_scanned == 3
+        cost = CostModel()
+        _, probed = execute_native(Select(Relation("T"), condition), db.catalog, cost)
+        assert probed == scanned == ([(2, 5)] if value == 2 else [])
+        assert cost.index_lookups == 1
+        assert cost.tuples_scanned == 0
+
+    def test_residual_conjuncts_filter_the_probed_row(self):
+        db = _nullable_db()
+        for bound, expected in ((6, [(3, 7)]), (7, [])):
+            cost = CostModel()
+            plan = Select(Relation("T"), And(cmp("x", ">", bound), eq("id", 3)))
+            _, rows = execute_native(plan, db.catalog, cost)
+            assert rows == expected
+            assert (cost.index_lookups, cost.tuples_scanned) == (1, 0)
+
+    def test_a_composite_key_is_not_probed(self):
+        db = Database()
+        db.create_table("P", [("a", DataType.INT), ("b", DataType.INT)], primary_key=["a", "b"])
+        db.insert_many("P", [(1, 1), (1, 2), (2, 1)])
+        cost = CostModel()
+        _, rows = execute_native(Select(Relation("P"), eq("a", 1)), db.catalog, cost)
+        assert rows == [(1, 1), (1, 2)]
+        assert (cost.index_lookups, cost.tuples_scanned) == (0, 3)
+
+
 # -- kernels vs a naive nested-loop evaluator ---------------------------------
 
 _OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,

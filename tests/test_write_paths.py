@@ -9,6 +9,8 @@ in between, and checks every structure against a rebuild from rows.
 The same write paths, with ``analyze`` and drop + re-create mixed in, must
 never let the block memo (:mod:`repro.engine.blockmemo`) answer from a
 stale version: every gbu / ftp answer equals ``reference`` and a cold run.
+Range queries on ``MOVIES.year`` drive its range families the same way:
+narrower, wider and repeated bounds answered from one stored block.
 """
 
 import os
@@ -23,6 +25,7 @@ from repro.engine.persist import load_csv_table
 from repro.errors import ReproError
 from repro.query.session import Session
 from tests.conformance import assert_identical
+from tests.conftest import examples
 
 ids = st.integers(0, 12)
 keys = st.one_of(st.none(), st.integers(0, 3))
@@ -208,3 +211,85 @@ def test_interleaved_writes_and_queries_match_reference_and_cold_runs(ops):
             _answers_like_reference_and_cold(snap, cold, "gbu", sql)
     for sql in QUERIES:
         _answers_like_reference_and_cold(db, _cold_twin(db), "gbu", sql)
+
+
+# -- range families under interleaved writes ------------------------------------
+
+years = st.one_of(st.none(), st.integers(1995, 2012))
+bounds = st.one_of(st.sampled_from([2000, 2003, 2005]), st.integers(1994, 2013))
+range_operations = st.lists(
+    st.one_of(
+        # One operator, one to three bounds asked in turn.
+        st.tuples(
+            st.just("query"),
+            st.tuples(
+                st.sampled_from(["gbu", "ftp"]), st.sampled_from([">=", ">", "<=", "<"]),
+                st.lists(bounds, min_size=1, max_size=3),
+            ),
+        ),
+        # Movie ids from 1 to 12 exist; a larger one inserts, with its genre.
+        st.tuples(st.just("insert"), st.tuples(st.integers(10, 16), years)),
+        st.tuples(st.just("analyze"), st.none()),
+        st.tuples(st.just("forget_blocks"), st.none()),
+        st.tuples(st.just("snapshot"), st.none()),
+    ),
+    max_size=14,
+)
+
+
+def _movies_db() -> Database:
+    """MOVIES ⋈ GENRES, some years NULL, plus a PAD table for the budget."""
+    db = Database()
+    db.create_table(
+        "MOVIES", [("m_id", DataType.INT), ("title", DataType.TEXT), ("year", DataType.INT)],
+        primary_key=["m_id"],
+    )
+    db.create_table(
+        "GENRES", [("m_id", DataType.INT), ("genre", DataType.TEXT)],
+        primary_key=["m_id", "genre"],
+    )
+    db.create_table("PAD", [("id", DataType.INT)], primary_key=["id"])
+    db.insert_many("MOVIES", [
+        (m, f"m{m}", None if m % 5 == 0 else 1996 + (m * 7) % 16) for m in range(1, 13)
+    ])
+    db.insert_many("GENRES", [(m, g) for m in range(1, 13) for g in ("g1", "g2")[: 1 + m % 2]])
+    db.insert_many("PAD", [(i,) for i in range(120)])
+    db.analyze()
+    return db
+
+
+def _range_sql(op: str, bound: int) -> str:
+    return (
+        "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES "
+        f"WHERE year {op} {bound} "
+        "PREFERRING (genre = 'g1') SCORE 0.8 ON GENRES, (m_id = 3) SCORE 0.6 ON MOVIES "
+        "TOP 4 BY score"
+    )
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(range_operations)
+def test_range_queries_match_reference_and_cold_runs(ops):
+    db = _movies_db()
+    snapshots = []
+    for op, arg in ops:
+        if op == "query":
+            strategy, comparison, asked = arg
+            for bound in asked:
+                sql = _range_sql(comparison, bound)
+                _answers_like_reference_and_cold(db, _cold_twin(db), strategy, sql)
+                assert db.blocks.rows <= db.blocks.budget
+        elif op == "insert":
+            m_id, year = arg
+            try:
+                db.insert("MOVIES", (m_id, f"m{m_id}", year))
+            except ReproError:
+                continue
+            db.insert("GENRES", (m_id, "g1"))
+        elif op == "snapshot":
+            snapshots.append((db.snapshot(), _cold_twin(db)))
+        else:
+            getattr(db, op)()
+    for snap, cold in reversed(snapshots):
+        for comparison in (">=", "<"):
+            _answers_like_reference_and_cold(snap, cold, "gbu", _range_sql(comparison, 2003))
