@@ -86,7 +86,6 @@ from .resilience import (
     FaultSpec,
     QueryGuard,
     RetryPolicy,
-    use_faults,
     use_guard,
 )
 from .pexec import STRATEGIES, ExecutionEngine, QueryResult, evaluate_reference
@@ -165,7 +164,6 @@ __all__ = [
     "use_guard",
     "FaultPlan",
     "FaultSpec",
-    "use_faults",
     "RetryPolicy",
     # static analysis
     "Diagnostic",

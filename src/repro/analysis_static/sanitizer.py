@@ -20,11 +20,11 @@ the structures the serving layer leans on —
   ``sync`` mode, the fsync — happened (``SAN302``), and must be mutually
   exclusive (``SAN303``).
 
-Like the tracer, guard and fault plan, the default is a no-op behind one
-``enabled`` attribute check (:data:`NULL_SANITIZER`), so instrumentation
-costs nothing when off.  Unlike those three the active sanitizer is a
-**process-global**, not a ``ContextVar``: lock-order and snapshot-sharing
-facts span threads by nature, so every thread must feed the same instance.
+Like the tracer and guard, the default is a no-op behind one ``enabled``
+attribute check (:data:`NULL_SANITIZER`), so instrumentation costs nothing
+when off.  Unlike those two the active sanitizer is a **process-global**,
+not a ``ContextVar``: lock-order and snapshot-sharing facts span threads by
+nature, so every thread must feed the same instance.
 
 Enable it with ``REPRO_SANITIZE=1`` in the environment (picked up at import
 time — this is how CI runs the stress and chaos suites as race detectors),

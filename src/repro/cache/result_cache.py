@@ -17,7 +17,7 @@ Three disciplines:
   compute once: the first caller becomes the leader, the rest block on an
   event and reuse its value.  A leader that *fails* wakes the waiters to
   retry themselves (one becomes the next leader) — errors are per-request
-  (deadlines, faults) and must not be broadcast.
+  (deadlines, cancellations) and must not be broadcast.
 * **Targeted invalidation** — ``invalidate(user=...)`` / ``(table=...)`` /
   ``(below_lsn=...)`` drop exactly the entries a committed mutation made
   unreachable, using the metadata each entry carries (owning user, referenced

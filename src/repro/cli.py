@@ -10,13 +10,12 @@ Commands:
 * ``repl`` — interactive SQL loop against a saved or generated database.
 * ``lint`` — run the algebraic-safety source linter (``repro.analysis_static``).
 * ``verify-plan`` — statically verify workload or ad-hoc query plans.
-* ``chaos`` — run the seeded fault-injection conformance suite
-  (``repro.resilience.chaos``): every strategy under every fault scenario
-  must match the oracle or fail with a typed resilience error.
-  ``--scenario concurrent`` runs the serving-layer scenario instead
-  (``repro.resilience.chaos_concurrent``): writer threads mutate
-  preferences while reader threads must match the oracle on their own
-  snapshot, plus the crash-at-arbitrary-WAL-offset recovery sweep.
+* ``chaos`` — run the seeded chaos scenarios (``--scenario``, repeatable;
+  default: all).  ``concurrent`` (``repro.resilience.chaos_concurrent``):
+  writer threads mutate preferences while reader threads must match the
+  oracle on their own snapshot, plus the crash-at-arbitrary-WAL-offset
+  recovery sweep.  ``crash``: a short crash-torture run.  ``network``: the
+  network front end under seeded wire faults.
 * ``serve-bench`` — closed-loop concurrent serving benchmark
   (``repro.serve.bench``): N client threads through the admission-controlled
   executor, reporting throughput and p50/p95/p99 tail latency.
@@ -38,6 +37,20 @@ import sys
 from .engine.persist import load_database, save_database
 from .errors import ReproError
 from .query.session import Session
+
+
+#: ``chaos --scenario`` choices, in run order, with their ``--list`` lines.
+CHAOS_SCENARIOS = {
+    "concurrent": "writers mutate the live server while readers must match "
+    "the oracle on their snapshot; plus the crash-at-any-WAL-offset "
+    "recovery sweep",
+    "crash": "short crash-torture run: injected I/O faults and a SIGKILL "
+    "round, recovery digest-verified (full sweep: python -m repro "
+    "crash-torture)",
+    "network": "network front-end chaos: seeded connection drops / stalls / "
+    "torn frames with server-side oracle digests, kill+recovery of acked "
+    "writes, typed overload shedding",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,26 +162,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        help="run the seeded fault-injection conformance suite "
-        "(strategies must match the oracle or fail typed)",
+        help="run the seeded chaos scenarios (concurrent writers, crash "
+        "recovery, network faults)",
     )
-    chaos.add_argument("--seed", type=int, default=42, help="fault-plan RNG seed")
+    chaos.add_argument("--seed", type=int, default=42, help="scenario RNG seed")
     chaos.add_argument(
         "--scale", type=float, default=0.001, help="synthetic IMDB dataset scale"
     )
     chaos.add_argument(
         "--scenario",
         action="append",
+        choices=tuple(CHAOS_SCENARIOS),
         help="run only the named scenario (repeatable); default: all",
     )
     chaos.add_argument(
-        "--list", action="store_true", help="list built-in scenarios and exit"
-    )
-    chaos.add_argument(
-        "--timeout-smoke",
-        action="store_true",
-        help="also verify that a 1ms-deadline query raises QueryTimeout "
-        "instead of hanging",
+        "--list", action="store_true", help="list the scenarios and exit"
     )
     chaos.add_argument(
         "--writers", type=int, default=4,
@@ -580,80 +588,27 @@ def _verify_plan(args) -> int:
 
 
 def _chaos(args) -> int:
-    from .resilience.chaos import builtin_scenarios, run_chaos, timeout_smoke
-
-    scenarios = builtin_scenarios()
     if args.list:
-        for scenario in scenarios:
-            print(f"{scenario.name:<20} {scenario.description}")
-        print(
-            f"{'concurrent':<20} writers mutate the live server while readers "
-            "must match the oracle on their snapshot; plus the "
-            "crash-at-any-WAL-offset recovery sweep"
-        )
-        print(
-            f"{'crash':<20} short crash-torture run: injected I/O faults and "
-            "a SIGKILL round, recovery digest-verified "
-            "(full sweep: python -m repro crash-torture)"
-        )
-        print(
-            f"{'network':<20} network front-end chaos: seeded connection "
-            "drops / stalls / torn frames with server-side oracle digests, "
-            "kill+recovery of acked writes, typed overload shedding"
-        )
+        for name, description in CHAOS_SCENARIOS.items():
+            print(f"{name:<20} {description}")
         return 0
-    status = 0
-    run_classic = True
-    if args.scenario:
-        wanted = {name.lower() for name in args.scenario}
-        if "concurrent" in wanted:
-            wanted.discard("concurrent")
-            if not _concurrent_chaos(args):
-                status = 1
-            run_classic = run_classic and bool(wanted)
-        if "crash" in wanted:
-            wanted.discard("crash")
-            from .resilience.crashtest import run_crash_torture
+    wanted = set(args.scenario or CHAOS_SCENARIOS)
+    ok = True
+    if "concurrent" in wanted:
+        ok &= _concurrent_chaos(args)
+    if "crash" in wanted:
+        from .resilience.crashtest import run_crash_torture
 
-            report = run_crash_torture(seed=args.seed, rounds=3, ops=12)
-            print(report.describe())
-            if not report.ok:
-                status = 1
-            run_classic = run_classic and bool(wanted)
-        if "network" in wanted:
-            wanted.discard("network")
-            from .serve.net.chaos import run_network_chaos
-
-            report = run_network_chaos(seed=args.seed, scale=min(args.scale, 0.001))
-            print(report.describe())
-            if not report.ok:
-                status = 1
-            run_classic = run_classic and bool(wanted)
-        known = {s.name.lower() for s in scenarios}
-        unknown = wanted - known
-        if unknown:
-            raise ReproError(
-                f"unknown scenario(s) {sorted(unknown)}; choose from "
-                + ", ".join(sorted(known | {'concurrent', 'crash', 'network'}))
-            )
-        scenarios = [s for s in scenarios if s.name.lower() in wanted]
-    if run_classic:
-        report = run_chaos(
-            seed=args.seed,
-            scale=args.scale,
-            scenarios=scenarios,
-            sanitize=args.sanitize or None,
-        )
+        report = run_crash_torture(seed=args.seed, rounds=3, ops=12)
         print(report.describe())
-        if not report.ok:
-            status = 1
-    if args.timeout_smoke:
-        print()
-        outcome = timeout_smoke(scale=args.scale)
-        print(outcome.message)
-        if not outcome.ok:
-            status = 1
-    return status
+        ok &= report.ok
+    if "network" in wanted:
+        from .serve.net.chaos import run_network_chaos
+
+        report = run_network_chaos(seed=args.seed, scale=min(args.scale, 0.001))
+        print(report.describe())
+        ok &= report.ok
+    return 0 if ok else 1
 
 
 def _concurrent_chaos(args) -> bool:

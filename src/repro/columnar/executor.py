@@ -1,10 +1,10 @@
 """The columnar plan evaluator: a reference-shaped walk over columns.
 
 ``evaluate_columnar`` mirrors :func:`repro.pexec.reference.evaluate_reference`
-node by node — same recursion, same guard checks at operator boundaries,
-fault-injection site ``strategy.columnar`` — but executes Select/Project/
-Join/LeftJoin/TopK through the columnar operators (:mod:`.ops`) and chains
-of adjacent ``Prefer`` nodes as one fused pass through
+node by node — same recursion, same guard checks at operator boundaries —
+but executes Select/Project/Join/LeftJoin/TopK through the columnar
+operators (:mod:`.ops`) and chains of adjacent ``Prefer`` nodes as one
+fused pass through
 :func:`repro.pexec.batchscore.prefer_group` (bit-identical to the sequential
 fold; falls back to the per-preference fold when batch scoring is ambiently
 disabled).  Set operations are rare and not on the hot path: they delegate
@@ -47,11 +47,9 @@ from ..plan.nodes import (
     TopK,
     Union,
 )
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from . import ops
 from .column import ColumnarRelation, column_store_for
-
-FAULT_SITE = "strategy.columnar"
 
 
 def evaluate_columnar(
@@ -82,9 +80,6 @@ def _evaluate(plan: PlanNode, db, aggregate: AggregateFunction) -> ColumnarRelat
     guard = current_guard()
     if guard.enabled:
         guard.check()
-    faults = current_faults()
-    if faults.enabled:
-        faults.at(FAULT_SITE)
     if isinstance(plan, Relation):
         store = column_store_for(db, plan.name)
         return ColumnarRelation(plan.schema(db.catalog), store)

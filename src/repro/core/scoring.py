@@ -29,8 +29,8 @@ ScoreFn = Callable[[Row], float | None]
 
 
 def _clamp_unit(value: Any) -> float | None:
-    """Force a raw scoring result into ``[0, 1] ∪ {⊥}``."""
-    if value is None:
+    """Force a raw scoring result into ``[0, 1] ∪ {⊥}``; NaN scores ⊥."""
+    if value is None or value != value:
         return None
     if value < 0.0:
         return 0.0
@@ -100,7 +100,8 @@ class ConstantScore(ScoringFunction):
 class ExprScore(ScoringFunction):
     """Score computed by an arithmetic expression, clamped into [0, 1].
 
-    A ``None`` result (NULL attribute or division by zero) becomes ⊥.
+    A ``None`` result (NULL attribute or division by zero) or a NaN one
+    becomes ⊥.
     """
 
     def __init__(self, expr: Expr, label: str | None = None):
@@ -130,7 +131,7 @@ class CallableScore(ScoringFunction):
     """Score computed by an arbitrary Python callable over named attributes.
 
     The callable receives the attribute values positionally, in the declared
-    order; results are clamped into [0, 1], ``None`` becomes ⊥.  Declared
+    order; results are clamped into [0, 1], ``None`` and NaN become ⊥.  Declared
     attributes make the function transparent to the optimizer (Property 4.4
     needs to know which relation owns them) and to the query parser (which
     must project them).

@@ -9,7 +9,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..analysis_static.sanitizer import current_sanitizer
 from ..obs import current_tracer
 from ..plan.nodes import Materialized, PlanNode
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..serve.rwlock import RWLock
 from ..errors import CatalogError
 from .blockmemo import Block, BlockMemo, RangeFamily, Tally, range_family
@@ -35,7 +35,7 @@ def use_query_cost(db: "Database", cost: CostModel):
     One snapshot :class:`Database` is shared by every query a server runs
     on it, so a per-query model must not be installed by assigning to the
     shared object: concurrent queries would then charge each other's
-    counters, guard budgets and fault plans.  Other databases, and other
+    counters and guard budgets.  Other databases, and other
     threads, keep seeing their own accumulator, into which *cost* is
     merged on exit.
     """
@@ -264,8 +264,7 @@ class Database:
         costs a dictionary probe (see :mod:`repro.engine.blockmemo`).  A
         hit returns a fresh list, charges ``cost`` and the guard's tuple
         budget exactly what the cold run charged, checks the guard once
-        and opens a ``native.memo`` span.  The memo is bypassed under an
-        armed fault plan (faults model operator execution) and for plans
+        and opens a ``native.memo`` span.  The memo is bypassed for plans
         with a :class:`Materialized` leaf (identity equality).
 
         A block in a range family is keyed by its family: a narrower bound
@@ -274,9 +273,7 @@ class Database:
         one's falls back to the block's own key.
         """
         cost = self.cost
-        if current_faults().enabled or any(
-            type(node) is Materialized for node in plan.walk()
-        ):
+        if any(type(node) is Materialized for node in plan.walk()):
             return self._run_native(plan, optimize, cost)
         version = self.version
         memo = self.blocks

@@ -30,11 +30,10 @@ class CostModel:
     """Mutable accumulator of simulated storage costs for one query run.
 
     The accountant doubles as the resilience layer's data-volume choke
-    point: when the execution engine attaches a query guard and/or fault
-    plan (:mod:`repro.resilience`), every simulated page read visits the
-    ``iosim.scan`` fault site and every scanned/materialized tuple is
-    charged against the guard's budget.  Both hooks default to ``None`` and
-    cost one attribute check on the unguarded path.
+    point: when the execution engine attaches a query guard
+    (:mod:`repro.resilience`), every scanned/materialized tuple is charged
+    against the guard's budget.  The hook defaults to ``None`` and costs
+    one attribute check on the unguarded path.
     """
 
     pages_read: int = 0
@@ -45,15 +44,11 @@ class CostModel:
     operator_calls: dict[str, int] = field(default_factory=dict)
     #: Optional :class:`repro.resilience.QueryGuard` charged per tuple.
     guard: object = field(default=None, repr=False, compare=False)
-    #: Optional :class:`repro.resilience.FaultPlan` visited per page read.
-    faults: object = field(default=None, repr=False, compare=False)
 
     def scan(self, tuples: int) -> None:
         """Account for a sequential scan of *tuples* rows."""
         self.tuples_scanned += tuples
         self.pages_read += pages_for(tuples)
-        if self.faults is not None:
-            self.faults.at("iosim.scan")
         if self.guard is not None:
             self.guard.note_tuples(tuples)
 
@@ -67,9 +62,6 @@ class CostModel:
         self.index_lookups += probes
         # One page per index descent plus the data pages touched.
         self.pages_read += probes + sum(map(pages_for, matches))
-        if self.faults is not None:
-            for _ in range(probes):
-                self.faults.at("iosim.scan")
         if self.guard is not None:
             self.guard.note_tuples(sum(matches))
 

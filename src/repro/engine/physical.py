@@ -18,13 +18,12 @@ key → row map or the index's key → rows buckets (NULL keys kept apart, in
 table order) instead of hashing the relation again; only derived inputs —
 selections, joins, materialized relations — are built per query.  The
 charges do not change with it: the skipped input still runs as an operator
-(guard check, ``native.dispatch`` visit, operator count, scan, traced span
-with its row count) and its rows are charged as materialized, so simulated
-I/O, guard budgets, fault schedules and EXPLAIN ANALYZE trees read as if
-the table had been built.  The index nested loop probes the same maps, one
-batched lookup over all outer keys, charged one index probe per non-NULL
-key.  A selection ``σ[pk = c]`` on a base relation probes the key map too,
-charged one index probe and no scan.
+(guard check, operator count, scan, traced span with its row count) and
+its rows are charged as materialized, so simulated I/O, guard budgets and
+EXPLAIN ANALYZE trees read as if the table had been built.  The index
+nested loop probes the same maps, one batched lookup over all outer keys,
+charged one index probe per non-NULL key.  A selection ``σ[pk = c]`` on a
+base relation probes the key map too, charged one index probe and no scan.
 
 Preference operators are rejected: they belong to the layer above
 (:mod:`repro.pexec`), exactly like the paper's prefer routines live outside
@@ -40,7 +39,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ExecutionError
 from ..obs import current_tracer, traced_rows
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..plan.nodes import (
     Difference,
     Intersect,
@@ -79,15 +78,12 @@ class _Executor:
         self.cost = cost
         self.tracer = tracer if tracer is not None else current_tracer()
         self.guard = current_guard()
-        self.faults = current_faults()
 
     def run(self, plan: PlanNode) -> tuple[TableSchema, Iterator[Row]]:
         # Operator-boundary resilience checkpoint: honor deadlines and
-        # cancellation, and visit the ``native.dispatch`` fault site.
+        # cancellation.
         if self.guard.enabled:
             self.guard.check()
-        if self.faults.enabled:
-            self.faults.at("native.dispatch")
         self.cost.count_operator(plan.kind)
         tracer = self.tracer
         if not tracer.enabled:

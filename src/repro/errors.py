@@ -117,7 +117,7 @@ class TransientFault(ResilienceError):
     """A transient failure that may succeed on retry (I/O hiccup, injected fault).
 
     ``site`` names where the fault surfaced (see
-    :class:`repro.resilience.FaultPlan` for the site vocabulary).
+    :mod:`repro.resilience.faults` for the site vocabulary).
     """
 
     def __init__(self, site: str, message: str | None = None):
@@ -223,12 +223,11 @@ class PowerCut(ResilienceError):
 
 
 class DataCorruption(ResilienceError):
-    """Persisted data failed an integrity check, or a result carried invalid pairs.
+    """Persisted data failed an integrity check.
 
     ``path`` and ``line`` pinpoint the corrupt file location when the error
     comes from :func:`repro.engine.persist.load_database`; both are ``None``
-    for in-memory integrity failures (e.g. an out-of-range score pair caught
-    at the execution engine's result gate).
+    for other integrity failures (e.g. a malformed WAL record).
     """
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):

@@ -16,7 +16,7 @@ from ..engine.database import Database
 from ..engine.physical import execute_native
 from ..errors import ExecutionError
 from ..obs import current_tracer
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..plan.nodes import (
     Difference,
     Intersect,
@@ -48,7 +48,6 @@ class _Evaluator:
         self.aggregate = aggregate
         self.tracer = current_tracer()
         self.guard = current_guard()
-        self.faults = current_faults()
 
     # Each operator is executed through the native engine as its own query
     # over Materialized inputs, mirroring BU's one-query-per-operator shape.
@@ -56,8 +55,6 @@ class _Evaluator:
     def evaluate(self, plan: PlanNode) -> Intermediate:
         if self.guard.enabled:
             self.guard.check()
-        if self.faults.enabled:
-            self.faults.at("strategy.bu")
         tracer = self.tracer
         if not tracer.enabled:
             return self._evaluate(plan)

@@ -22,20 +22,18 @@ Strategies:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 from ..columnar import evaluate_columnar
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
-from ..core.scorepair import ScorePair
 from ..engine.database import Database, use_query_cost
 from ..engine.iosim import CostModel
-from ..errors import ColumnarUnsupported, DataCorruption, ExecutionError
+from ..errors import ColumnarUnsupported, ExecutionError
 from ..obs import current_tracer, use_tracer
 from ..optimizer import OptimizerConfig, PreferenceOptimizer
-from ..resilience import current_faults, current_guard, use_faults, use_guard
+from ..resilience import current_guard, use_guard
 from ..plan.analysis import (
     qualify_preferences,
     required_carry_attributes,
@@ -110,26 +108,6 @@ class QueryResult:
         return project(self.relation, target)
 
 
-def _check_integrity(result: PRelation, strategy: str) -> None:
-    """Result gate: every score pair must be well-formed.
-
-    A single preference scores in ``[0, 1]`` and aggregates only ever
-    combine non-negative finite scores and confidences, so any NaN,
-    infinity or negative component proves the pair was corrupted somewhere
-    between the strategy and the caller.  Raises
-    :exc:`~repro.errors.DataCorruption` (a typed resilience error) instead
-    of returning a wrong answer.
-    """
-    for position, (score, conf) in enumerate(result.pairs):
-        score_ok = score is None or (math.isfinite(score) and score >= 0.0)
-        conf_ok = math.isfinite(conf) and conf >= 0.0
-        if not (score_ok and conf_ok):
-            raise DataCorruption(
-                f"strategy {strategy!r} produced an invalid score pair "
-                f"⟨{score}, {conf}⟩ at result position {position}"
-            )
-
-
 class ExecutionEngine:
     """Runs extended query plans against a :class:`Database`."""
 
@@ -173,7 +151,6 @@ class ExecutionEngine:
         tracer=None,
         *,
         guard=None,
-        faults=None,
         columnar: bool | None = None,
     ) -> QueryResult:
         """Execute *plan* with *strategy*, returning result and statistics.
@@ -186,10 +163,8 @@ class ExecutionEngine:
 
         *guard* is a :class:`~repro.resilience.QueryGuard` enforced at every
         operator boundary; its deadline and budgets cover the whole call.
-        *faults* is a :class:`~repro.resilience.FaultPlan` for chaos testing.
-        Every failure — an injected fault, detected result corruption, a
-        guard trip or a strategy error — propagates as its typed
-        :class:`~repro.errors.ReproError`; the engine never retries or
+        Every failure — a guard trip or a strategy error — propagates as its
+        typed :class:`~repro.errors.ReproError`; the engine never retries or
         re-answers a query with another strategy.
 
         Every physical strategy scores a preference run with the fused
@@ -199,9 +174,9 @@ class ExecutionEngine:
         *columnar* routes execution through the columnar executor
         (:mod:`repro.columnar`).  A plan shape the columnar executor does not
         support silently falls back to the requested row *strategy*
-        (a capability miss); a typed fault inside the columnar executor
-        propagates like any other.  ``stats.mode`` reports which executor
-        actually produced the result.
+        (a capability miss); any other typed error inside the columnar
+        executor propagates like any other.  ``stats.mode`` reports which
+        executor actually produced the result.
         """
         if strategy not in STRATEGIES:
             raise ExecutionError(
@@ -211,18 +186,14 @@ class ExecutionEngine:
             tracer = self.tracer if self.tracer is not None else current_tracer()
         if guard is None:
             guard = current_guard()
-        if faults is None:
-            faults = current_faults()
-        return self._run_once(
-            plan, strategy, tracer, guard, faults, columnar=bool(columnar)
-        )
+        return self._run_once(plan, strategy, tracer, guard, columnar=bool(columnar))
 
     def _run_once(
-        self, plan: PlanNode, strategy: str, tracer, guard, faults,
+        self, plan: PlanNode, strategy: str, tracer, guard,
         *, columnar: bool = False,
     ) -> QueryResult:
-        """One execution under an installed guard and fault plan."""
-        with use_tracer(tracer), use_guard(guard), use_faults(faults), tracer.span(
+        """One execution under an installed guard."""
+        with use_tracer(tracer), use_guard(guard), tracer.span(
             "query", label=strategy
         ) as root:
             root.set("strategy", strategy)
@@ -234,10 +205,9 @@ class ExecutionEngine:
             query_cost = CostModel()
             # The per-query cost model doubles as the resilience layer's
             # data-volume choke point: every strategy charges scans and
-            # materializations through it, so attaching the guard and fault
-            # plan here covers the whole execution without per-site plumbing.
+            # materializations through it, so attaching the guard here covers
+            # the whole execution without per-site plumbing.
             query_cost.guard = guard if guard.enabled else None
-            query_cost.faults = faults if faults.enabled else None
             started = time.perf_counter()
             mode = "row"
             # Installed for this context only, never assigned to the
@@ -258,14 +228,6 @@ class ExecutionEngine:
                         execute_span.add("rows_out", len(result))
                 with tracer.span("conform"):
                     result = conform(result, target_schema)
-                if faults.enabled:
-                    if faults.corrupts("pexec.scores") and result.pairs:
-                        victim = faults.pick(len(result.pairs))
-                        result.pairs[victim] = ScorePair(float("nan"), -1.0)
-                    # Chaos mode arms the result-integrity gate: a corrupted
-                    # score pair must surface as a typed error, never as a
-                    # silently wrong answer.
-                    _check_integrity(result, strategy)
                 if guard.enabled:
                     guard.note_rows(len(result))
                     guard.check()
@@ -289,8 +251,7 @@ class ExecutionEngine:
 
         Returns the relation, or ``None`` when the row path must take over
         on :exc:`~repro.errors.ColumnarUnsupported` (a capability miss).
-        Every other error, injected faults and guard trips included,
-        propagates typed.
+        Every other error, guard trips included, propagates typed.
         """
         with tracer.span("engine.columnar") as span:
             try:

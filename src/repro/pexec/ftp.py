@@ -26,7 +26,7 @@ from ..engine.database import Database
 from ..errors import ExecutionError
 from ..filtering import topk as topk_filter
 from ..obs import current_tracer
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..plan.analysis import strip_prefers
 from .batchscore import prefer_group, prefer_run
 from .conform import conform
@@ -83,22 +83,15 @@ class RegionEvaluator:
         db: Database,
         aggregate: AggregateFunction,
         region_fn: RegionFn,
-        site: str = "strategy.ftp",
     ):
         self.db = db
         self.aggregate = aggregate
         self.region_fn = region_fn
-        #: Fault-injection site visited at every operator boundary; the
-        #: plug-in baselines share this skeleton under ``strategy.plugin``.
-        self.site = site
         self.guard = current_guard()
-        self.faults = current_faults()
 
     def evaluate(self, plan: PlanNode) -> PRelation:
         if self.guard.enabled:
             self.guard.check()
-        if self.faults.enabled:
-            self.faults.at(self.site)
         tracer = current_tracer()
         if not tracer.enabled:
             return self._evaluate(plan)

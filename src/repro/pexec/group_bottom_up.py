@@ -20,7 +20,7 @@ from ..engine.database import Database
 from ..engine.physical import execute_native
 from ..errors import ExecutionError
 from ..obs import current_tracer
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..plan.nodes import (
     Difference,
     Intersect,
@@ -65,15 +65,12 @@ class _Evaluator:
         self.embedded: dict[int, Intermediate] = {}
         self.tracer = current_tracer()
         self.guard = current_guard()
-        self.faults = current_faults()
 
     # -- traversal -----------------------------------------------------------
 
     def evaluate(self, plan: PlanNode) -> "PlanNode | Intermediate":
         if self.guard.enabled:
             self.guard.check()
-        if self.faults.enabled:
-            self.faults.at("strategy.gbu")
         tracer = self.tracer
         if not tracer.enabled:
             return self._evaluate(plan)

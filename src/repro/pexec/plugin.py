@@ -44,7 +44,7 @@ def execute_plugin_rma(
 ) -> PRelation:
     """Rewrite/Materialize/Aggregate with one full query per preference."""
     return RegionEvaluator(
-        db, aggregate, _make_region(db, aggregate, shared=False), site="strategy.plugin"
+        db, aggregate, _make_region(db, aggregate, shared=False)
     ).evaluate(plan)
 
 
@@ -53,7 +53,7 @@ def execute_plugin_shared(
 ) -> PRelation:
     """Plug-in variant sharing one materialized base result across preferences."""
     return RegionEvaluator(
-        db, aggregate, _make_region(db, aggregate, shared=True), site="strategy.plugin"
+        db, aggregate, _make_region(db, aggregate, shared=True)
     ).evaluate(plan)
 
 

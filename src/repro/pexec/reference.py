@@ -16,7 +16,7 @@ from ..core.prelation import PRelation
 from ..engine.catalog import Catalog
 from ..errors import ExecutionError
 from ..filtering import topk
-from ..resilience import current_faults, current_guard
+from ..resilience import current_guard
 from ..plan.nodes import (
     Difference,
     Intersect,
@@ -45,9 +45,6 @@ def evaluate_reference(
     guard = current_guard()
     if guard.enabled:
         guard.check()
-    faults = current_faults()
-    if faults.enabled:
-        faults.at("strategy.reference")
     if isinstance(plan, Relation):
         relation = PRelation.from_table(catalog.table(plan.name))
         if plan.alias and plan.alias != plan.name:

@@ -97,7 +97,6 @@ class Session:
         timeout: float | None = None,
         max_rows: int | None = None,
         guard: QueryGuard | None = None,
-        faults=None,
         columnar: bool | None = None,
     ) -> QueryResult:
         """Run SQL text, a plan, or a compiled query; returns a QueryResult.
@@ -108,10 +107,9 @@ class Session:
         *timeout* (seconds) and *max_rows* build a per-call
         :class:`~repro.resilience.QueryGuard`; pass *guard* directly for
         finer control (tuple budgets, cancellation tokens) — the two forms
-        are mutually exclusive.  *faults* installs a chaos
-        :class:`~repro.resilience.FaultPlan`.  Every failure propagates as
-        its typed :class:`~repro.errors.ReproError`; nothing is retried or
-        re-answered by another strategy.
+        are mutually exclusive.  Every failure propagates as its typed
+        :class:`~repro.errors.ReproError`; nothing is retried or re-answered
+        by another strategy.
 
         *columnar* routes the query through the columnar executor (see
         :mod:`repro.columnar`); results are byte-identical to the row engine,
@@ -149,7 +147,6 @@ class Session:
             strategy or self.strategy,
             tracer=tracer,
             guard=guard,
-            faults=faults,
             columnar=columnar,
         )
         if order_by:

@@ -6,7 +6,8 @@ Four pieces (see ``docs/RESILIENCE.md``):
   cooperative cancellation, checked at operator boundaries in every
   strategy and in the native engine.
 * **Fault injection** (:mod:`.faults`) — seeded, deterministic fault plans
-  that make robustness testable (``python -m repro chaos``).
+  the network front end serves connections under
+  (``python -m repro chaos --scenario network``).
 * **Client retry** (:mod:`.retry`) — exponential backoff and a retry
   budget for requests a server sheds.
 * **Durability VFS** (:mod:`.vfs`) — the pluggable file-system layer every
@@ -14,9 +15,10 @@ Four pieces (see ``docs/RESILIENCE.md``):
   injects short writes, I/O errors, torn renames and power cuts for the
   crash-torture harness (``python -m repro crash-torture``).
 
-The chaos runner lives in :mod:`repro.resilience.chaos` and the crash-torture
-harness in :mod:`repro.resilience.crashtest`; both are imported lazily by the
-CLI to keep this package free of execution-layer imports.
+The concurrent chaos runner lives in :mod:`repro.resilience.chaos_concurrent`
+and the crash-torture harness in :mod:`repro.resilience.crashtest`; both are
+imported lazily by the CLI to keep this package free of execution-layer
+imports.
 """
 
 from .faults import (
@@ -24,8 +26,6 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     Injection,
-    current_faults,
-    use_faults,
 )
 from .guard import (
     NULL_GUARD,
@@ -59,8 +59,6 @@ __all__ = [
     "FaultSpec",
     "Injection",
     "NULL_FAULTS",
-    "current_faults",
-    "use_faults",
     "RetryPolicy",
     "RetryBudget",
     "RealVFS",

@@ -1,19 +1,17 @@
 """Concurrent chaos: writers mutate state while readers must stay exact.
 
-Two fixtures extend the single-threaded conformance suite in
-:mod:`repro.resilience.chaos` to the serving layer
+Two fixtures exercise the serving layer
 (``python -m repro chaos --scenario concurrent``):
 
 * :func:`run_concurrent_chaos` — N writer threads stream preference
   mutations and row inserts through a live
   :class:`~repro.serve.server.PreferenceServer` while M reader tasks,
   admitted through a :class:`~repro.serve.executor.ServeExecutor`, each
-  capture a snapshot and run a preferential IMDB query under seeded fault
-  injection.  The contract is the snapshot-isolation analogue of the chaos
-  contract: every query must **exactly** match the reference oracle
-  evaluated *on its own snapshot* — whatever preference set and row set the
-  snapshot captured — or fail with a typed resilience error that one of
-  the cell's injected faults explains.  A sampled
+  capture a snapshot and run a preferential IMDB query on the production
+  path, block memo included.  The contract is snapshot isolation: every
+  query must **exactly** match the reference oracle evaluated *on its own
+  snapshot* — whatever preference set and row set the snapshot captured —
+  or fail with a typed query-guard error.  A sampled
   digest-before/digest-after check proves no writer mutated a captured
   snapshot in place.
 * :func:`wal_recovery_check` — builds a durable server, records the state
@@ -39,10 +37,11 @@ from dataclasses import dataclass, field
 from ..core.preference import Preference
 from ..core.scoring import recency_score
 from ..engine.expressions import cmp, eq
-from ..errors import ReproError
-from .chaos import _explained, _triples
-from .faults import FaultPlan, FaultSpec
+from ..errors import QueryCancelled, QueryTimeout, ReproError, ResourceExhausted
 from .guard import QueryGuard
+
+#: The only typed errors a reader cell may fail with: its query guard tripped.
+_GUARD_ERRORS = (QueryTimeout, QueryCancelled, ResourceExhausted)
 
 #: The query template readers run; the PREFERRING list is whatever the
 #: captured snapshot holds for the chosen user.
@@ -85,19 +84,13 @@ def _base_preference() -> Preference:
     )
 
 
-def _fault_plan(index: int, seed: int) -> "FaultPlan | None":
-    """Deterministic rotation over the fault kinds (every 4th cell unfaulted)."""
-    kind = index % 4
-    cell_seed = seed * 7919 + index
-    if kind == 0:
-        return FaultPlan.transient("strategy.*", times=1, seed=cell_seed)
-    if kind == 1:
-        return FaultPlan(
-            [FaultSpec("iosim.scan", "latency", delay=0.0002, times=2)], seed=cell_seed
-        )
-    if kind == 2:
-        return FaultPlan.corrupting("pexec.scores", times=1, seed=cell_seed)
-    return None
+def _triples(result) -> list[tuple]:
+    """A result's presented rows as a canonical, order-independent set."""
+    rounded = [
+        (row, None if score is None else round(score, 9), round(conf, 9))
+        for row, score, conf in result.presented().triples()
+    ]
+    return sorted(rounded, key=repr)
 
 
 @dataclass
@@ -125,6 +118,8 @@ class ConcurrentChaosReport:
     writer_ops: int = 0
     snapshot_checks: int = 0
     latency: dict = field(default_factory=dict)
+    #: The live server's ``db.blocks.stats()`` after the run.
+    memo: dict = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -153,6 +148,11 @@ class ConcurrentChaosReport:
             lines.append(
                 "  admission: admitted={admitted} shed={shed}  "
                 "p50={p50_ms}ms p95={p95_ms}ms p99={p99_ms}ms".format(**self.latency)
+            )
+        if self.memo:
+            lines.append(
+                "  block memo: hits={hits} misses={misses} evictions={evictions} "
+                "rows={rows}".format(**self.memo)
             )
         for cell in self.failures:
             lines.append(
@@ -183,9 +183,9 @@ def run_concurrent_chaos(
     Writers stream preference add/remove/clear (plus movie inserts from
     writer 0) through the single server write path; each reader task
     captures a fresh :class:`~repro.serve.server.ServerSnapshot`, computes
-    the reference oracle *on that snapshot*, then re-runs the query under a
-    seeded fault plan, which must match the oracle or fail with a typed
-    error an injected fault explains.  Reader tasks are admitted
+    the reference oracle *on that snapshot*, then re-runs the query with
+    another strategy, which must match the oracle or fail with a typed
+    query-guard error.  Reader tasks are admitted
     through a :class:`~repro.serve.executor.ServeExecutor`, so the run also
     exercises admission accounting and cross-thread guard/tracer capture.
 
@@ -283,19 +283,16 @@ def run_concurrent_chaos(
             oracle = _triples(
                 snapshot.session_for(user).execute(sql, strategy="reference")
             )
-            plan = _fault_plan(index, seed)
             session = snapshot.session_for(user)
             guard = QueryGuard(timeout=60.0)
             try:
-                result = session.execute(
-                    sql, strategy=strategy, faults=plan, guard=guard
-                )
+                result = session.execute(sql, strategy=strategy, guard=guard)
+            except _GUARD_ERRORS as err:
+                cell.outcome, cell.ok = f"typed-error:{type(err).__name__}", True
+                return
             except ReproError as err:
-                if _explained(err, plan):
-                    cell.outcome, cell.ok = f"typed-error:{type(err).__name__}", True
-                else:
-                    cell.outcome = f"unexplained-error:{type(err).__name__}"
-                    cell.detail = f"no injected fault explains {err!r}"
+                cell.outcome = f"unexplained-error:{type(err).__name__}"
+                cell.detail = f"no query guard explains {err!r}"
                 return
             except Exception as err:  # noqa: BLE001 - untyped escape is the bug we hunt
                 cell.outcome = f"untyped-error:{type(err).__name__}"
@@ -312,14 +309,14 @@ def run_concurrent_chaos(
                     target = os.path.join(dump, f"cell-{reader_id}-{index}")
                     save_database(snapshot.db, os.path.join(target, "db"))
                     _save_preferences(os.path.join(target, "prefs.json"), snapshot.store)
-                # A clean re-run on the same snapshot pins the blame: if it
-                # matches the oracle, the faulted execution itself was wrong;
-                # if it differs too, the snapshot's query-visible state moved.
+                # A re-run on the same snapshot pins the blame: if it matches
+                # the oracle, that one execution was wrong; if it differs
+                # too, the snapshot's query-visible state moved.
                 rerun = _triples(snapshot.session_for(user).execute(sql, strategy=strategy))
                 cell.detail = (
                     f"answer differs from the oracle computed on this snapshot "
                     f"(prefs={names}, |oracle|={len(oracle)}, |answer|={len(answer)}, "
-                    f"clean-rerun-{'matches' if rerun == oracle else 'differs'})"
+                    f"rerun-{'matches' if rerun == oracle else 'differs'})"
                 )
                 return
             cell.outcome, cell.ok = "match", True
@@ -333,7 +330,7 @@ def run_concurrent_chaos(
             cell.outcome, cell.ok = "empty-bucket", True
         if check_digest:
             # Runs whatever the verdict was: a snapshot must stay bit-identical
-            # through oracle runs, faulted runs, and concurrent writer churn.
+            # through its query runs and concurrent writer churn.
             with ops_lock:
                 report.snapshot_checks += 1
             if snapshot.digest() != digest_before:
@@ -370,6 +367,7 @@ def run_concurrent_chaos(
             thread.join()
         executor.shutdown()
     report.latency = executor.stats.snapshot()
+    report.memo = server.db.blocks.stats()
     return report
 
 

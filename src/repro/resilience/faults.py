@@ -1,27 +1,21 @@
-"""Deterministic fault injection for chaos testing.
+"""Deterministic fault injection for network chaos testing.
 
-A :class:`FaultPlan` is a seeded schedule of failures the execution stack
-volunteers to suffer: the instrumented *sites* call into the ambient plan
-and the plan decides — reproducibly, from its seed — whether to raise a
-:exc:`~repro.errors.TransientFault`, inject latency, or corrupt a score
-pair.  Robustness claims then become testable: the chaos conformance suite
-(:mod:`repro.resilience.chaos`) runs every strategy under seeded plans and
-asserts each either matches the reference oracle exactly or raises a typed
-resilience error — never a silently wrong answer.
+A :class:`FaultPlan` is a seeded schedule of failures the network front end
+volunteers to suffer: :class:`~repro.serve.net.server.NetServer` asks its
+``fault_factory`` for one plan per connection, visits the plan at each
+instrumented *site*, and the plan decides — reproducibly, from its seed —
+whether to raise a :exc:`~repro.errors.TransientFault`, inject latency, or
+tear a frame.  The network chaos suite (:mod:`repro.serve.net.chaos`)
+asserts every client call under such a plan either returns the reference
+answer or fails typed.
+
+Fault injection lives only at the wire.  The query engine has no fault
+sites: a site stays only where it guards a hazard that exists without the
+injector (a dropped connection, a stalled read, a torn frame).
 
 Instrumented sites:
 
 ======================  ======================================================
-``iosim.scan``          Simulated page reads (:meth:`CostModel.scan`).
-``native.dispatch``     Native-engine operator dispatch (one hit/operator).
-``strategy.<name>``     Strategy operator boundaries (``strategy.gbu``,
-                        ``strategy.bu``, ``strategy.ftp``,
-                        ``strategy.plugin``, ``strategy.reference``).
-``pexec.scores``        The engine's result gate: a ``corrupt`` fault here
-                        flips one score pair to an invalid value, which the
-                        engine's integrity check must catch.
-``strategy.columnar``   Columnar evaluator operator boundaries (fires once
-                        per plan node).
 ``net.accept``          The network front end accepting one connection
                         (:mod:`repro.serve.net`): ``transient`` drops the
                         connection before any frame is served.
@@ -36,18 +30,15 @@ Instrumented sites:
                         graceful close (abrupt reset instead of FIN).
 ======================  ======================================================
 
-Site patterns may end in ``*`` to match a prefix (``strategy.*``).  Like the
-tracer and guard, the ambient plan defaults to :data:`NULL_FAULTS`, a no-op
-behind one ``enabled`` attribute check.
+Site patterns may end in ``*`` to match a prefix (``net.*``).  A connection
+without a plan is served under :data:`NULL_FAULTS`, a no-op.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import TransientFault
 
@@ -60,15 +51,6 @@ KINDS = ("transient", "latency", "corrupt")
 #: passing chaos suite cannot distinguish from genuine robustness.  A
 #: ``prefix*`` pattern is valid when it matches at least one entry.
 KNOWN_SITES = (
-    "iosim.scan",
-    "native.dispatch",
-    "strategy.gbu",
-    "strategy.bu",
-    "strategy.ftp",
-    "strategy.plugin",
-    "strategy.reference",
-    "strategy.columnar",
-    "pexec.scores",
     "net.accept",
     "net.read",
     "net.write",
@@ -119,10 +101,8 @@ class FaultPlan:
 
     The same ``(specs, seed)`` pair always injects at the same hits — the
     RNG is consulted only for rules with ``probability < 1`` and draws in
-    site-call order, which is itself deterministic for a given query.
+    site-call order, which is itself deterministic for a given connection.
     """
-
-    enabled = True
 
     def __init__(self, specs=(), seed: int = 0, sleep=time.sleep):
         self.specs: list[FaultSpec] = list(specs)
@@ -144,7 +124,7 @@ class FaultPlan:
         return cls([FaultSpec(site, "latency", delay=delay, times=times, **kw)], seed=seed)
 
     @classmethod
-    def corrupting(cls, site: str = "pexec.scores", times: int | None = 1, seed: int = 0, **kw) -> "FaultPlan":
+    def corrupting(cls, site: str, times: int | None = 1, seed: int = 0, **kw) -> "FaultPlan":
         return cls([FaultSpec(site, "corrupt", times=times, **kw)], seed=seed)
 
     # -- the injection protocol ------------------------------------------------
@@ -162,7 +142,7 @@ class FaultPlan:
             else:
                 raise TransientFault(site)
 
-    def corrupts(self, site: str = "pexec.scores") -> bool:
+    def corrupts(self, site: str) -> bool:
         """True when a ``corrupt`` rule fires for this visit of *site*."""
         for index, spec in enumerate(self.specs):
             if spec.kind != "corrupt" or not spec.matches(site):
@@ -174,7 +154,7 @@ class FaultPlan:
         return False
 
     def pick(self, n: int) -> int:
-        """Deterministic index choice in ``[0, n)`` (used to pick the victim pair)."""
+        """Deterministic index choice in ``[0, n)`` (used to pick a frame cut)."""
         return self._rng.randrange(n) if n > 0 else 0
 
     # -- bookkeeping -----------------------------------------------------------
@@ -208,50 +188,15 @@ class FaultPlan:
 
 
 class _NullFaults:
-    """The always-installed default: no faults, near-zero cost."""
+    """The plan of an unfaulted connection: every visit is a no-op."""
 
     __slots__ = ()
-
-    enabled = False
-    specs: list = []
-    injections: list = []
 
     def at(self, site: str) -> None:
         pass
 
-    def corrupts(self, site: str = "pexec.scores") -> bool:
+    def corrupts(self, site: str) -> bool:
         return False
-
-    def pick(self, n: int) -> int:
-        return 0
-
-    def reset(self) -> None:
-        pass
 
 
 NULL_FAULTS = _NullFaults()
-
-#: The ambient fault plan; NULL_FAULTS unless :func:`use_faults` installed one.
-_CURRENT: ContextVar["FaultPlan | _NullFaults"] = ContextVar(
-    "repro_faults", default=NULL_FAULTS
-)
-
-
-def current_faults() -> "FaultPlan | _NullFaults":
-    """The fault plan installed for the current context (no-op by default)."""
-    return _CURRENT.get()
-
-
-@contextmanager
-def use_faults(plan: "FaultPlan | _NullFaults | None"):
-    """Install *plan* as the ambient fault plan for the enclosed block."""
-    token = _CURRENT.set(plan if plan is not None else NULL_FAULTS)
-    try:
-        yield plan
-    finally:
-        # Mirror guard/tracer: tolerate a token from another Context rather
-        # than leaking a fault plan into the next query on this thread.
-        try:
-            _CURRENT.reset(token)
-        except ValueError:  # pragma: no cover - cross-context teardown
-            _CURRENT.set(NULL_FAULTS)

@@ -14,7 +14,7 @@ run *before* a request is accepted, each shedding with a typed
   new is admitted while queued work finishes.
 
 Ambient context (the resilience :class:`~repro.resilience.QueryGuard`, the
-:class:`~repro.obs.Tracer`, an installed fault plan) is captured with
+:class:`~repro.obs.Tracer`) is captured with
 ``contextvars.copy_context()`` at submission and restored inside the worker
 thread, so a guard armed by the submitting thread still cancels the query
 when it runs on a worker — the hazard the ``capture()/restore()`` helpers
@@ -178,7 +178,7 @@ class _Job:
         self.future: Future = Future()
         # The admission boundary is where ambient ContextVars would silently
         # drop to their defaults; copying the submitter's context here is
-        # what carries guard/tracer/fault-plan into the worker.
+        # what carries guard/tracer into the worker.
         self.context = contextvars.copy_context()
         self.fn = fn
         self.args = args

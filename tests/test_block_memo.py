@@ -21,7 +21,7 @@ from repro.obs import Tracer, use_tracer
 from repro.plan.builder import scan
 from repro.plan.nodes import Materialized
 from repro.query.session import Session
-from repro.resilience import FaultPlan, QueryGuard, RetryPolicy, use_faults
+from repro.resilience import QueryGuard, RetryPolicy
 from repro.serve.net.client import PreferenceClient
 from repro.serve.net.server import NetServer, serve_in_thread
 from repro.serve.server import PreferenceServer
@@ -170,15 +170,6 @@ def test_analyze_and_forget_blocks_give_a_fresh_memo(forget):
     _warm(db, _block())
     assert db.blocks.misses == 2 and db.blocks.hits == 0
     assert snap.blocks is shared  # an earlier snapshot keeps its memo
-
-
-def test_an_armed_fault_plan_bypasses_the_memo():
-    db = _db()
-    with use_faults(FaultPlan()):
-        for _ in range(3):
-            db.execute(_block())
-    assert len(db.blocks) == 0
-    assert db.blocks.stats() == {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
 
 
 def test_a_materialized_leaf_bypasses_the_memo():

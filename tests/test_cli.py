@@ -88,24 +88,22 @@ class TestChaosCommand:
     def test_list_scenarios(self, capsys):
         assert main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "transient-io" in out and "score-corruption" in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "concurrent", "crash", "network",
+        ]
 
     def test_unknown_scenario_errors(self, capsys):
-        assert main(["chaos", "--scenario", "kaboom"]) == 1
-        assert "unknown scenario" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--scenario", "kaboom"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_single_scenario_run_passes(self, capsys):
-        assert main(["chaos", "--scale", "0.0005", "--scenario", "slow-io"]) == 0
+        assert main(["chaos", "--scale", "0.0005", "--scenario", "concurrent",
+                     "--writers", "1", "--readers", "1", "--queries", "2"]) == 0
         out = capsys.readouterr().out
-        assert "slow-io" in out and "OK" in out
-
-    def test_timeout_smoke_flag(self, capsys):
-        code = main(
-            ["chaos", "--scale", "0.0005", "--scenario", "slow-io",
-             "--timeout-smoke"]
-        )
-        assert code == 0
-        assert "timeout smoke: OK" in capsys.readouterr().out
+        assert "concurrent chaos" in out and "OK" in out
+        assert "wal recovery" in out and "crash-torture" not in out
 
 
 class TestStaticAnalysisCommands:

@@ -15,7 +15,7 @@ Evidence layers:
   through a LeftJoin's right side, a TopK, or a score filter.
 * Plumbing: the per-database column-store cache is reused within a version
   and invalidated by DML; unsupported plan nodes fall back to the row
-  strategy silently (``stats.mode == "row"``); typed faults inside the
+  strategy silently (``stats.mode == "row"``); typed errors inside the
   columnar executor and guard trips propagate.
 """
 
@@ -31,7 +31,6 @@ from repro.columnar import (
     evaluate_columnar,
     selection_vector,
 )
-from repro.columnar.executor import FAULT_SITE
 from repro.columnar.vectorized import check_selection_invariants
 from repro.core.preference import Preference
 from repro.engine.native_optimizer import push_selections
@@ -39,7 +38,6 @@ from repro.errors import (
     ColumnarUnsupported,
     DataCorruption,
     QueryCancelled,
-    TransientFault,
 )
 from repro.obs import Tracer
 from repro.pexec.engine import ExecutionEngine
@@ -69,7 +67,7 @@ from repro.engine.expressions import (
     col,
     eq,
 )
-from repro.resilience import CancellationToken, FaultPlan, QueryGuard
+from repro.resilience import CancellationToken, QueryGuard
 from repro.workloads.queries import all_queries
 
 from tests.conformance import assert_identical
@@ -395,7 +393,7 @@ def test_columnar_trace_span_present():
     assert span.attrs.get("mode") == "columnar"
 
 
-FAULT_PLAN = TopK(
+TOPK_PLAN = TopK(
     Prefer(
         Relation("GENRES"),
         Preference("pf", "GENRES", eq("genre", "Comedy"), 0.8, 0.9),
@@ -411,21 +409,8 @@ def _assert_no_row_rerun(tracer):
     assert tracer.root.find("execute:reference") is None
 
 
-def test_transient_columnar_fault_propagates_typed():
-    faults = FaultPlan.transient(FAULT_SITE)
-    tracer = Tracer()
-    with pytest.raises(TransientFault):
-        MOVIE_ENGINE.run(
-            FAULT_PLAN, "reference", tracer=tracer, columnar=True, faults=faults
-        )
-    assert [i.site for i in faults.injections] == [FAULT_SITE]
-    _assert_no_row_rerun(tracer)
-
-
 def test_columnar_corruption_propagates_typed(monkeypatch):
-    # A corrupt fault spec never fires at strategy.columnar (the evaluator
-    # only visits it through FaultPlan.at), so the executor's corruption is
-    # raised at the engine's columnar call instead.
+    # The executor's corruption is raised at the engine's columnar call.
     import repro.pexec.engine as engine_module
 
     def corrupt(*args, **kwargs):
@@ -434,7 +419,7 @@ def test_columnar_corruption_propagates_typed(monkeypatch):
     monkeypatch.setattr(engine_module, "evaluate_columnar", corrupt)
     tracer = Tracer()
     with pytest.raises(DataCorruption, match="patched"):
-        MOVIE_ENGINE.run(FAULT_PLAN, "reference", tracer=tracer, columnar=True)
+        MOVIE_ENGINE.run(TOPK_PLAN, "reference", tracer=tracer, columnar=True)
     _assert_no_row_rerun(tracer)
 
 
@@ -444,7 +429,7 @@ def test_precancelled_guard_propagates_through_columnar():
     tracer = Tracer()
     with pytest.raises(QueryCancelled):
         MOVIE_ENGINE.run(
-            FAULT_PLAN,
+            TOPK_PLAN,
             "reference",
             tracer=tracer,
             columnar=True,

@@ -81,9 +81,9 @@ class TestResilienceErrors:
         assert "150 > 100" in str(err)
 
     def test_transient_fault_names_its_site(self):
-        err = TransientFault("iosim.scan")
-        assert err.site == "iosim.scan"
-        assert "iosim.scan" in str(err)
+        err = TransientFault("net.read")
+        assert err.site == "net.read"
+        assert "net.read" in str(err)
 
     def test_data_corruption_location_formats(self):
         assert str(DataCorruption("bad")) == "bad"

@@ -2,42 +2,40 @@
 
 import pytest
 
-from repro.errors import DataCorruption, TransientFault
-from repro.query.session import Session
-from repro.resilience import FaultPlan, FaultSpec, use_faults
-from repro.resilience.faults import NULL_FAULTS, current_faults
+from repro.errors import TransientFault
+from repro.resilience import NULL_FAULTS, FaultPlan, FaultSpec
 
 
 class TestFaultSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            FaultSpec("iosim.scan", "explode")
+            FaultSpec("net.read", "explode")
 
     def test_exact_and_prefix_matching(self):
-        exact = FaultSpec("iosim.scan")
-        assert exact.matches("iosim.scan")
-        assert not exact.matches("iosim.scan2")
-        prefix = FaultSpec("strategy.*")
-        assert prefix.matches("strategy.gbu")
-        assert prefix.matches("strategy.reference")
-        assert not prefix.matches("native.dispatch")
+        exact = FaultSpec("net.read")
+        assert exact.matches("net.read")
+        assert not exact.matches("net.read2")
+        prefix = FaultSpec("net.*")
+        assert prefix.matches("net.accept")
+        assert prefix.matches("net.close")
+        assert not prefix.matches("wal.append")
 
 
 class TestFaultPlan:
     def test_transient_fires_limited_times(self):
-        plan = FaultPlan.transient("iosim.scan", times=2)
+        plan = FaultPlan.transient("net.read", times=2)
         for _ in range(2):
             with pytest.raises(TransientFault):
-                plan.at("iosim.scan")
-        plan.at("iosim.scan")  # budget exhausted: no more failures
+                plan.at("net.read")
+        plan.at("net.read")  # budget exhausted: no more failures
         assert len(plan.injections) == 2
-        assert all(i.site == "iosim.scan" for i in plan.injections)
+        assert all(i.site == "net.read" for i in plan.injections)
 
     def test_transient_error_is_typed_with_site(self):
-        plan = FaultPlan.transient("native.dispatch")
+        plan = FaultPlan.transient("net.accept")
         with pytest.raises(TransientFault) as excinfo:
-            plan.at("native.dispatch")
-        assert excinfo.value.site == "native.dispatch"
+            plan.at("net.accept")
+        assert excinfo.value.site == "net.accept"
 
     def test_after_skips_early_hits(self):
         plan = FaultPlan([FaultSpec("s", after=2)])
@@ -47,19 +45,19 @@ class TestFaultPlan:
             plan.at("s")
 
     def test_other_sites_untouched(self):
-        plan = FaultPlan.transient("iosim.scan")
-        plan.at("native.dispatch")
-        plan.at("strategy.gbu")
+        plan = FaultPlan.transient("net.read")
+        plan.at("net.write")
+        plan.at("net.close")
         assert plan.injections == []
 
     def test_latency_calls_injected_sleep(self):
         naps = []
         plan = FaultPlan(
-            [FaultSpec("iosim.scan", "latency", delay=0.25, times=3)],
+            [FaultSpec("net.write", "latency", delay=0.25, times=3)],
             sleep=naps.append,
         )
         for _ in range(5):
-            plan.at("iosim.scan")
+            plan.at("net.write")
         assert naps == [0.25, 0.25, 0.25]
 
     def test_probability_is_seed_deterministic(self):
@@ -81,9 +79,9 @@ class TestFaultPlan:
         assert not all(firing_pattern(7))  # ...and some don't
 
     def test_corrupts_consumes_its_budget(self):
-        plan = FaultPlan.corrupting()
-        assert plan.corrupts("pexec.scores")
-        assert not plan.corrupts("pexec.scores")
+        plan = FaultPlan.corrupting("net.write")
+        assert plan.corrupts("net.write")
+        assert not plan.corrupts("net.write")
 
     def test_pick_is_deterministic_per_seed(self):
         a = FaultPlan(seed=3)
@@ -101,62 +99,5 @@ class TestFaultPlan:
             plan.at("s")
 
     def test_null_faults_noop(self):
-        assert NULL_FAULTS.enabled is False
-        NULL_FAULTS.at("anything")
-        assert not NULL_FAULTS.corrupts()
-
-    def test_ambient_plan_contextvar(self):
-        assert current_faults() is NULL_FAULTS
-        plan = FaultPlan.transient("s")
-        with use_faults(plan):
-            assert current_faults() is plan
-        assert current_faults() is NULL_FAULTS
-
-
-SQL = "SELECT title FROM MOVIES PREFERRING p5 TOP 3 BY score"
-
-
-@pytest.fixture
-def session(movie_db, example_preferences) -> Session:
-    session = Session(movie_db)
-    session.register(example_preferences["p5"])
-    return session
-
-
-class TestEngineIntegration:
-    def test_page_read_fault_surfaces_typed(self, session):
-        with pytest.raises(TransientFault):
-            session.execute(SQL, faults=FaultPlan.transient("iosim.scan"))
-
-    def test_dispatch_fault_surfaces_typed(self, session):
-        with pytest.raises(TransientFault):
-            session.execute(SQL, faults=FaultPlan.transient("native.dispatch"))
-
-    @pytest.mark.parametrize(
-        "strategy,site",
-        [
-            ("gbu", "strategy.gbu"),
-            ("bu", "strategy.bu"),
-            ("ftp", "strategy.ftp"),
-            ("plugin-rma", "strategy.plugin"),
-            ("plugin-shared", "strategy.plugin"),
-            ("reference", "strategy.reference"),
-        ],
-    )
-    def test_each_strategy_exposes_its_site(self, session, strategy, site):
-        with pytest.raises(TransientFault) as excinfo:
-            session.execute(SQL, strategy=strategy, faults=FaultPlan.transient(site))
-        assert excinfo.value.site == site
-
-    def test_score_corruption_is_caught_by_integrity_gate(self, session):
-        with pytest.raises(DataCorruption) as excinfo:
-            session.execute(SQL, faults=FaultPlan.corrupting())
-        assert "invalid score pair" in str(excinfo.value)
-
-    def test_exhausted_plan_leaves_results_exact(self, session):
-        plan = FaultPlan.transient("iosim.scan", times=1)
-        with pytest.raises(TransientFault):
-            session.execute(SQL, faults=plan)
-        clean = session.execute(SQL)
-        faulted = session.execute(SQL, faults=plan)  # budget already spent
-        assert clean.relation.same_contents(faulted.relation)
+        NULL_FAULTS.at("net.read")
+        assert not NULL_FAULTS.corrupts("net.write")

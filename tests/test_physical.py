@@ -11,7 +11,7 @@ from repro.engine.iosim import CostModel
 from repro.engine.physical import execute_native
 from repro.errors import ExecutionError
 from repro.obs import Tracer
-from repro.resilience import FaultPlan, FaultSpec, use_faults
+from repro.resilience import QueryGuard, use_guard
 from repro.plan.nodes import (
     Difference,
     Intersect,
@@ -432,6 +432,18 @@ _KERNEL_CASES = {
 }
 
 
+class _CountingGuard(QueryGuard):
+    """An unbounded guard that counts its operator-boundary checks."""
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+        super().check()
+
+
 class TestKernelsMatchNestedLoops:
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_exact_multiset_and_counters(self, case):
@@ -448,20 +460,15 @@ class TestKernelsMatchNestedLoops:
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_spans_and_fault_visits_follow_the_operators(self, case):
         """A build side served from a catalog key map still runs as an
-        operator: one finished span with its row count, one ``native.dispatch``
-        visit and one ``iosim.scan`` visit per scan, like a built one."""
-        plan, io, operators = _KERNEL_CASES[case]
-        faults = FaultPlan(
-            [FaultSpec(site, "latency", times=None) for site in ("native.dispatch", "iosim.scan")]
-        )
+        operator: one finished span with its row count and one
+        operator-boundary guard check, like a built one."""
+        plan, _, operators = _KERNEL_CASES[case]
+        guard = _CountingGuard()
         tracer = Tracer()
-        with use_faults(faults):
-            _, rows = execute_native(plan, _keyed_db().catalog, CostModel(faults=faults), tracer)
+        with use_guard(guard):
+            _, rows = execute_native(plan, _keyed_db().catalog, CostModel(), tracer)
         kinds = Counter({k: n for k, n in operators.items() if k != "index-nested-loop"})
-        assert Counter(i.site for i in faults.injections) == {
-            "native.dispatch": sum(kinds.values()),
-            "iosim.scan": kinds["relation"] + io["index_lookups"],
-        }
+        assert guard.checks == sum(kinds.values())
         spans = list(tracer.root.walk())[1:]
         assert Counter(s.name for s in spans) == {f"native.{k}": n for k, n in kinds.items()}
         assert spans[0].counters["rows_out"] == len(rows)

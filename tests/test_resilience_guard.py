@@ -26,6 +26,18 @@ class FakeClock:
         self.now += seconds
 
 
+class ExpiringClock:
+    """A monotonic clock that jumps past any deadline on its *expire_at*-th read."""
+
+    def __init__(self, expire_at: int):
+        self.expire_at = expire_at
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return 0.0 if self.reads < self.expire_at else 1e9
+
+
 class TestCancellationToken:
     def test_starts_unset(self):
         token = CancellationToken()
@@ -121,6 +133,18 @@ class TestSessionIntegration:
     def test_expired_deadline_raises_in_every_strategy(self, session, strategy):
         with pytest.raises(QueryTimeout):
             session.execute(SQL, strategy=strategy, timeout=0.0)
+
+    @pytest.mark.parametrize("expire_at", [3, 4])
+    @pytest.mark.parametrize("strategy", ["gbu", "bu", "ftp", "plugin-rma", "plugin-shared", "reference"])
+    def test_deadline_trips_mid_query(self, session, strategy, expire_at):
+        # Read 1 starts the guard and read 2 is the first operator check,
+        # so the deadline passes at a later check inside the operator tree.
+        clock = ExpiringClock(expire_at)
+        with pytest.raises(QueryTimeout) as excinfo:
+            session.execute(SQL, strategy=strategy, guard=QueryGuard(timeout=1.0, clock=clock))
+        assert clock.reads > expire_at
+        frames = [entry.name for entry in excinfo.traceback]
+        assert "_dispatch" in frames and frames[-1] == "check"
 
     def test_max_rows_enforced_on_result(self, session):
         with pytest.raises(ResourceExhausted) as excinfo:

@@ -249,30 +249,28 @@ class TestInstallation:
 
 class TestChaosIntegration:
     def test_chaos_run_with_sanitizer_is_finding_free(self):
-        from repro.resilience.chaos import builtin_scenarios, run_chaos
+        from repro.resilience.chaos_concurrent import run_concurrent_chaos
 
-        scenarios = [s for s in builtin_scenarios() if s.name == "transient-io"]
-        report = run_chaos(
-            seed=7, scale=0.0005, scenarios=scenarios, sanitize=True
+        report = run_concurrent_chaos(
+            seed=7, scale=0.0005, writers=2, readers=2, queries_per_reader=2,
+            sanitize=True,
         )
-        sanitizer_cells = [c for c in report.cells if c.scenario == "sanitizer"]
-        assert report.ok and not sanitizer_cells
+        assert report.ok, report.describe()
 
     def test_chaos_report_carries_sanitizer_findings(self, monkeypatch):
-        # Plant a violation inside the run to prove findings become cells.
-        from repro.resilience import chaos as chaos_module
+        # Plant a violation inside the run to prove findings fail it.
+        from repro.resilience import chaos_concurrent
 
-        original = chaos_module._run_all_cells
+        original = chaos_concurrent._base_preference
 
-        def sabotaged(report, db, scenarios, strategies, seed):
+        def sabotaged():
             current_sanitizer().lock_released(RWLock("planted"), "write")
-            original(report, db, scenarios, strategies, seed)
+            return original()
 
-        monkeypatch.setattr(chaos_module, "_run_all_cells", sabotaged)
-        report = chaos_module.run_chaos(
-            seed=7, scale=0.0005, scenarios=[], sanitize=True
+        monkeypatch.setattr(chaos_concurrent, "_base_preference", sabotaged)
+        report = chaos_concurrent.run_concurrent_chaos(
+            seed=7, scale=0.0005, writers=1, readers=1, queries_per_reader=1,
+            sanitize=True,
         )
         assert not report.ok
-        assert any(
-            cell.outcome == "sanitizer:SAN103" for cell in report.failures
-        )
+        assert any("SAN103" in error for error in report.errors)

@@ -108,6 +108,10 @@ class TestClamping:
         fn = ExprScore(Arithmetic("/", Literal(1.0), Attr("rating"))).compile(SCHEMA)
         assert fn((1, 0, 0, 0.0)) is None
 
+    def test_nan_becomes_bottom(self):
+        fn = ExprScore(Arithmetic("*", Attr("rating"), Literal(0.1))).compile(SCHEMA)
+        assert fn((1, 0, 0, float("nan"))) is None
+
 
 class TestCallableScore:
     def test_single_attribute(self):
@@ -127,6 +131,10 @@ class TestCallableScore:
 
     def test_none_result_is_bottom(self):
         score = CallableScore(lambda y: None, ["year"])
+        assert score.compile(SCHEMA)((1, 2005, 0, 0.0)) is None
+
+    def test_nan_result_is_bottom(self):
+        score = CallableScore(lambda y: float("nan"), ["year"])
         assert score.compile(SCHEMA)((1, 2005, 0, 0.0)) is None
 
     def test_attrs_required(self):

@@ -12,7 +12,9 @@ Four query sources, ≥50 generated queries total:
 * per-node aggregate overrides: a mixed-aggregate prefer chain and an
   override above a join;
 * one plan per prefer path of the row strategies, traced to check that the
-  compiled preference group scores every prefer node.
+  compiled preference group scores every prefer node;
+* a preference whose scoring function returns NaN: every strategy scores it
+  ⊥, so top-k still ranks the other preference's scores.
 
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
@@ -20,6 +22,7 @@ the assertion message carries its full per-operator trace.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -27,12 +30,19 @@ import pytest
 from repro import Tracer
 from repro.core.aggregates import F_MAX
 from repro.core.preference import Preference
-from repro.core.scoring import ConstantScore, around_score, rating_score, recency_score
+from repro.core.scoring import (
+    CallableScore,
+    ConstantScore,
+    around_score,
+    rating_score,
+    recency_score,
+)
 from repro.engine.expressions import TRUE, cmp, eq
 from repro.obs import render_trace
-from repro.pexec.engine import ExecutionEngine
+from repro.pexec.engine import STRATEGIES, ExecutionEngine
 from repro.plan.builder import natural_join_condition
 from repro.plan.nodes import Join, LeftJoin, Prefer, Relation, Select, TopK, Union
+from repro.query.session import Session
 from repro.workloads.prefgen import (
     equality_preference,
     preference_pool,
@@ -285,4 +295,28 @@ def test_every_prefer_is_scored_by_the_compiled_group(name, strategy):
         result,
         context=name,
         labels=("reference", strategy),
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_nan_scores_are_bottom_in_every_strategy(imdb_tiny, strategy):
+    session = Session(imdb_tiny)
+    session.register(
+        Preference(
+            "nan", "MOVIES", cmp("year", ">=", 1990),
+            CallableScore(lambda year: float("nan"), ["year"]), 0.8,
+        )
+    )
+    session.register(
+        Preference("recent", "MOVIES", cmp("year", ">=", 2000), recency_score("year", 2011), 0.9)
+    )
+    sql = "SELECT title FROM MOVIES PREFERRING nan, recent TOP 3 BY score"
+    result = session.execute(sql, strategy=strategy)
+    assert_identical(session.execute(sql, strategy="reference"), result, exact=False)
+    triples = list(result.presented().triples())
+    assert len(triples) == 3
+    assert not any(
+        value is not None and math.isnan(value)
+        for _, score, conf in triples
+        for value in (score, conf)
     )
