@@ -10,10 +10,9 @@ Three layers (see ``docs/STATIC_ANALYSIS.md``):
   each (before, after) pair the optimizer (row or columnar) produces; strict
   mode raises :class:`~repro.errors.RewriteViolation` on any failure.
 * :mod:`~repro.analysis_static.lint` — an AST-based checker over the source
-  tree (``python -m repro.lint src``) enforcing repo invariants: no raw
-  ``==`` on scores, no ⊥-pair literals outside ``scorepair.py``, exhaustive
-  plan-node dispatch, law-checked aggregate registration, known fault
-  sites, VFS-only I/O in durability modules.
+  tree (``python -m repro.lint src``): every file parses, every registered
+  aggregate obeys Definition 3's laws, and durability modules do their I/O
+  through the VFS.
 
 Plus the runtime side of the same catalog:
 :mod:`~repro.analysis_static.sanitizer` — opt-in concurrency instrumentation

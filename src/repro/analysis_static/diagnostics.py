@@ -8,8 +8,8 @@ documents each code with examples).  Codes are grouped by layer:
 * ``PV1xx`` — plan-verifier invariants (Properties 4.1–4.4 preconditions);
 * ``PV2xx`` — informational plan-quality notes emitted by optimizer rules;
 * ``RWxxx`` — rewrite-auditor invariant-preservation failures;
-* ``LNxxx`` — source-code lint findings (``LN3xx``: fault-site and durability
-  discipline, ``LN4xx``: serving-layer cache-coherence discipline);
+* ``LNxxx`` — source-code lint findings (``LN105``: aggregate laws,
+  ``LN305``: durability I/O through the VFS);
 * ``SANxxx`` — concurrency-sanitizer findings (lock order, COW discipline,
   WAL durability protocol) from :mod:`~repro.analysis_static.sanitizer`.
 """
@@ -57,14 +57,8 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "RW004": (Severity.ERROR, "rewrite changed the plan's base-relation multiset"),
     # -- code lint -----------------------------------------------------------
     "LN100": (Severity.ERROR, "source file does not parse"),
-    "LN101": (Severity.ERROR, "raw == / != on a score value; use the epsilon helper"),
-    "LN102": (Severity.ERROR, "bottom score-pair literal outside core/scorepair.py"),
-    "LN103": (Severity.ERROR, "strict plan-node dispatch is missing subclasses"),
-    "LN104": (Severity.ERROR, "aggregate registry mutated outside register_aggregate"),
     "LN105": (Severity.ERROR, "registered aggregate function violates the algebraic laws"),
-    "LN302": (Severity.ERROR, "unknown fault-injection site literal; a typo here silently never fires"),
     "LN305": (Severity.ERROR, "direct file I/O in a durability module bypasses the crash-torture VFS"),
-    "LN401": (Severity.ERROR, "serving-layer store/db mutation bypasses the single-writer commit feed; caches go stale"),
     # -- concurrency sanitizer -----------------------------------------------
     "SAN101": (Severity.ERROR, "lock-order cycle: inconsistent acquisition order can deadlock"),
     "SAN102": (Severity.ERROR, "re-entrant acquisition of a non-reentrant lock by the same thread"),

@@ -12,16 +12,16 @@ Three disciplines:
 
 * **Bounded LRU** — entries carry an approximate byte size (canonical-JSON
   length of the reply); inserting past ``max_bytes`` evicts from the cold
-  end until the budget holds again.
+  end until the budget holds again.  A reply larger than the whole budget
+  is returned but never stored, and evicts nothing.
 * **Single-flight** — concurrent ``get_or_compute`` calls for one key
   compute once: the first caller becomes the leader, the rest block on an
   event and reuse its value.  A leader that *fails* wakes the waiters to
   retry themselves (one becomes the next leader) — errors are per-request
   (deadlines, cancellations) and must not be broadcast.
-* **Targeted invalidation** — ``invalidate(user=...)`` / ``(table=...)`` /
-  ``(below_lsn=...)`` drop exactly the entries a committed mutation made
-  unreachable, using the metadata each entry carries (owning user, referenced
-  relations, snapshot LSN).
+* **Targeted invalidation** — ``invalidate(user=...)`` / ``(table=...)``
+  drop exactly the entries a committed mutation made unreachable, using the
+  metadata each entry carries (owning user, referenced relations).
 
 Every event emits a ``cache.hit`` / ``cache.miss`` / ``cache.evict`` /
 ``cache.invalidate`` span into the ambient :mod:`repro.obs` tracer (free
@@ -66,14 +66,13 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("value", "nbytes", "user", "relations", "lsn")
+    __slots__ = ("value", "nbytes", "user", "relations")
 
-    def __init__(self, value, nbytes: int, user, relations, lsn: int) -> None:
+    def __init__(self, value, nbytes: int, user, relations) -> None:
         self.value = value
         self.nbytes = nbytes
         self.user = user
         self.relations = frozenset(relations)
-        self.lsn = lsn
 
 
 class _InFlight:
@@ -126,12 +125,11 @@ class ResultCache:
         *,
         user=None,
         relations=(),
-        lsn: int = 0,
     ):
         """The cached value for *key*, computing (once) on a miss.
 
-        *user*, *relations* and *lsn* are invalidation metadata attached to
-        the entry.  Exceptions from *compute* propagate to the caller that
+        *user* and *relations* are invalidation metadata attached to the
+        entry.  Exceptions from *compute* propagate to the caller that
         ran it; blocked waiters then retry the computation themselves.
         """
         while True:
@@ -170,7 +168,7 @@ class ResultCache:
                     self._inflight.pop(key, None)
                 flight.event.set()
                 raise
-            self._insert(key, value, user=user, relations=relations, lsn=lsn)
+            self._insert(key, value, user=user, relations=relations)
             with self._lock:
                 flight.value = value
                 self._inflight.pop(key, None)
@@ -202,22 +200,21 @@ class ResultCache:
 
     # -- writes ------------------------------------------------------------------
 
-    def _insert(self, key: tuple, value, *, user, relations, lsn: int) -> None:
+    def _insert(self, key: tuple, value, *, user, relations) -> None:
         nbytes = self._sizeof(value)
+        if nbytes > self.max_bytes:
+            # Storing it would evict every other entry and then itself.
+            return
         evicted = 0
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old.nbytes
-            self._entries[key] = _Entry(value, nbytes, user, relations, lsn)
+            self._entries[key] = _Entry(value, nbytes, user, relations)
             self._bytes += nbytes
-            while self._bytes > self.max_bytes and self._entries:
-                cold_key, cold = self._entries.popitem(last=False)
+            while self._bytes > self.max_bytes:
+                _, cold = self._entries.popitem(last=False)
                 self._bytes -= cold.nbytes
-                if cold_key == key:
-                    # The new entry alone exceeds the budget: it is not
-                    # worth holding the whole cache hostage for — drop it.
-                    break
                 self.stats.evictions += 1
                 evicted += 1
         if evicted:
@@ -235,18 +232,16 @@ class ResultCache:
         *,
         user=None,
         table: str | None = None,
-        below_lsn: int | None = None,
         reason: str = "",
     ) -> int:
         """Drop entries matching any given criterion; returns how many.
 
         ``user=`` drops one user's entries (preference churn), ``table=``
-        drops every entry whose plan read that relation (row mutations),
-        ``below_lsn=`` drops entries built from snapshots older than the
-        given WAL LSN.  With no criteria the whole cache is cleared.
+        drops every entry whose plan read that relation (row mutations).
+        With no criteria the whole cache is cleared.
         """
         with self._lock:
-            if user is None and table is None and below_lsn is None:
+            if user is None and table is None:
                 doomed = list(self._entries)
             else:
                 doomed = [
@@ -254,7 +249,6 @@ class ResultCache:
                     for key, entry in self._entries.items()
                     if (user is not None and entry.user == user)
                     or (table is not None and table in entry.relations)
-                    or (below_lsn is not None and entry.lsn < below_lsn)
                 ]
             for key in doomed:
                 entry = self._entries.pop(key)

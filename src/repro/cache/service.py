@@ -182,7 +182,6 @@ class CachedQueryService:
             ),
             user=user,
             relations=relations,
-            lsn=snapshot.lsn,
         )
         if prepared is None:
             self._remember(memo_key, key, relations, user)

@@ -36,8 +36,7 @@ pair would break associativity of the weighted mean.
 
 Registration: every aggregate enters the name registry through
 :func:`register_aggregate`, which first law-checks the instance over a
-deterministic sample pool (lint rule LN104 flags direct registry mutation,
-LN105 re-checks the live registry).
+deterministic sample pool (lint rule LN105 re-checks the live registry).
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ class MinConfidence(AggregateFunction):
 
 
 #: Name → instance registry; populate it only through
-#: :func:`register_aggregate` (enforced by lint rule LN104).
+#: :func:`register_aggregate`.
 _REGISTRY: dict[str, AggregateFunction] = {}
 
 

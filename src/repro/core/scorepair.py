@@ -65,12 +65,7 @@ def pair(score: float | None, conf: float) -> ScorePair:
 
 
 def bottom(conf: float = 0.0) -> ScorePair:
-    """A ⟨⊥, conf⟩ pair: an unknown score carrying *conf* worth of evidence.
-
-    The only sanctioned way to build bottom pairs outside this module (the
-    lint rule LN102 flags literal ``ScorePair(None, ...)`` constructions so
-    the representation of ⊥ stays a single-module decision).
-    """
+    """A ⟨⊥, conf⟩ pair: an unknown score carrying *conf* worth of evidence."""
     if conf < 0:
         raise ValueError(f"confidence must be non-negative, got {conf}")
     return ScorePair(BOTTOM, float(conf))
@@ -79,8 +74,8 @@ def bottom(conf: float = 0.0) -> ScorePair:
 def scores_close(a: float | None, b: float | None, tolerance: float = 1e-9) -> bool:
     """Float-tolerant score equality, ⊥-aware.
 
-    Combined scores are weighted means: exact ``==`` on them is a latent bug
-    (lint rule LN101).  ⊥ equals only ⊥.
+    Combined scores are weighted means, so exact ``==`` on them is fragile.
+    ⊥ equals only ⊥.
     """
     if a is None or b is None:
         return a is None and b is None

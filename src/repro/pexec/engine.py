@@ -116,7 +116,6 @@ class ExecutionEngine:
         db: Database,
         aggregate: AggregateFunction = F_S,
         optimizer_config: OptimizerConfig | None = None,
-        tracer=None,
         *,
         strict: bool = False,
     ):
@@ -129,9 +128,6 @@ class ExecutionEngine:
         self.optimizer = PreferenceOptimizer(
             db.catalog, optimizer_config, strict=strict, default_aggregate=aggregate
         )
-        #: Default tracer for every :meth:`run`; ``None`` means "use the
-        #: ambient tracer" (a zero-cost no-op unless one is installed).
-        self.tracer = tracer
 
     def prepare(self, plan: PlanNode) -> PlanNode:
         """Widen the plan's projections (the parser step of §VI).
@@ -155,7 +151,7 @@ class ExecutionEngine:
     ) -> QueryResult:
         """Execute *plan* with *strategy*, returning result and statistics.
 
-        *tracer* (or the engine's default, or the ambient tracer) receives a
+        *tracer* (or, when ``None``, the ambient tracer) receives a
         ``query`` span with ``prepare`` / ``optimize`` / ``execute:<s>`` /
         ``conform`` phases; every operator below reports into it.  Costs are
         accumulated in a per-query :class:`CostModel` and merged back into
@@ -183,7 +179,7 @@ class ExecutionEngine:
                 f"unknown strategy {strategy!r}; choose one of {', '.join(STRATEGIES)}"
             )
         if tracer is None:
-            tracer = self.tracer if self.tracer is not None else current_tracer()
+            tracer = current_tracer()
         if guard is None:
             guard = current_guard()
         return self._run_once(plan, strategy, tracer, guard, columnar=bool(columnar))

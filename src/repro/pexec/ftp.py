@@ -157,7 +157,7 @@ class RegionEvaluator:
         if isinstance(plan, TopK):
             return topk_filter(self.evaluate(plan.child), plan.k, plan.by)
         # Relation/Materialized leaves are SPJ regions, caught above.
-        raise ExecutionError(f"FtP cannot execute node {plan!r}")  # noqa: LN103
+        raise ExecutionError(f"FtP cannot execute node {plan!r}")
 
 
 def _make_ftp_region(db: Database, aggregate: AggregateFunction) -> RegionFn:

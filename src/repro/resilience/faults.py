@@ -31,7 +31,10 @@ Instrumented sites:
 ======================  ======================================================
 
 Site patterns may end in ``*`` to match a prefix (``net.*``).  A connection
-without a plan is served under :data:`NULL_FAULTS`, a no-op.
+without a plan is served under :data:`NULL_FAULTS`, a no-op.  A misspelled
+site, in a plan or at a call site, never fires: the network chaos run
+records each plan's injections and fails a faulted cell that injected
+nothing.
 """
 
 from __future__ import annotations
@@ -43,20 +46,6 @@ from dataclasses import dataclass
 from ..errors import TransientFault
 
 KINDS = ("transient", "latency", "corrupt")
-
-#: Every fault site the source tree instruments, by exact name.  The static
-#: lint's LN302 rule validates fault-site string literals (constructor args,
-#: ``site=`` keywords, ``*_SITE`` constants) against this registry: a typo'd
-#: site name silently never fires, which is exactly the class of bug a
-#: passing chaos suite cannot distinguish from genuine robustness.  A
-#: ``prefix*`` pattern is valid when it matches at least one entry.
-KNOWN_SITES = (
-    "net.accept",
-    "net.read",
-    "net.write",
-    "net.close",
-)
-
 
 @dataclass(frozen=True)
 class FaultSpec:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 
 from ...core.preference import Preference
@@ -61,6 +62,10 @@ FAULT_KINDS = (
     "write-tear",
     "close-drop",
 )
+
+
+#: How long a faulted cell waits for its plan to fire before failing.
+_INJECTION_WAIT_S = 2.0
 
 
 def _fault_plan(kind: str, seed: int) -> "FaultPlan | None":
@@ -94,6 +99,8 @@ class NetworkCell:
     ok: bool
     retries: int = 0
     detail: str = ""
+    #: Faults the cell's plan injected (0 for a ``none`` cell).
+    injections: int = 0
 
 
 @dataclass
@@ -218,7 +225,8 @@ def _conformance_phase(report: NetworkChaosReport, cells: int) -> None:
         for index in range(cells):
             user = users[index % len(users)]
             fault = FAULT_KINDS[index % len(FAULT_KINDS)]
-            faults.arm(_fault_plan(fault, report.seed * 7919 + index))
+            plan = _fault_plan(fault, report.seed * 7919 + index)
+            faults.arm(plan)
             client = PreferenceClient(
                 "127.0.0.1",
                 handle.port,
@@ -226,56 +234,50 @@ def _conformance_phase(report: NetworkChaosReport, cells: int) -> None:
                 deadline_s=30.0,
                 retry=RetryPolicy(attempts=4, base_delay=0.002, jitter=0.5, seed=index),
             )
+            cell = NetworkCell(index, user, fault, outcome="exact", ok=True)
             try:
                 result = client.query(user, oracle=True)
+                if result.get("oracle_digest") != result.get("digest"):
+                    cell.outcome, cell.ok = "oracle-mismatch", False
+                    cell.detail = (
+                        f"served digest {result.get('digest', '')[:12]} != "
+                        f"oracle {result.get('oracle_digest', '')[:12]} "
+                        "on the same snapshot"
+                    )
             except (NetworkFault, ResilienceError) as err:
                 # Typed failure after retries: degraded but within contract.
-                report.cells.append(
-                    NetworkCell(
-                        index, user, fault,
-                        outcome=f"typed-{type(err).__name__}",
-                        ok=True,
-                        retries=client.retries,
-                        detail=str(err),
-                    )
-                )
-                continue
+                cell.outcome, cell.detail = f"typed-{type(err).__name__}", str(err)
             except Exception as err:  # noqa: BLE001 - untyped escape fails the run
-                report.cells.append(
-                    NetworkCell(
-                        index, user, fault,
-                        outcome="untyped-escape", ok=False,
-                        retries=client.retries, detail=repr(err),
-                    )
-                )
-                continue
+                cell.outcome, cell.ok, cell.detail = "untyped-escape", False, repr(err)
             finally:
+                cell.retries = client.retries
                 client.close()
                 faults.arm(None)
                 # Churn between cells so later snapshots genuinely differ.
                 _churn(server, rng, users, pool)
-            if result.get("oracle_digest") != result.get("digest"):
-                report.cells.append(
-                    NetworkCell(
-                        index, user, fault,
-                        outcome="oracle-mismatch", ok=False,
-                        retries=client.retries,
-                        detail=(
-                            f"served digest {result.get('digest', '')[:12]} != "
-                            f"oracle {result.get('oracle_digest', '')[:12]} "
-                            "on the same snapshot"
-                        ),
-                    )
-                )
-            else:
-                report.cells.append(
-                    NetworkCell(
-                        index, user, fault,
-                        outcome="exact", ok=True, retries=client.retries,
-                    )
-                )
+            cell.injections = _injections(plan)
+            if plan is not None and not cell.injections:
+                # A misspelled site, in the plan or at the call site,
+                # never fires: the cell would pass without its fault.
+                cell.detail = f"{plan!r} injected nothing (query: {cell.outcome})"
+                cell.outcome, cell.ok = "not-injected", False
+            report.cells.append(cell)
     finally:
         handle.stop()
+
+
+def _injections(plan: "FaultPlan | None") -> int:
+    """How many faults *plan* injected, waiting briefly for a pending one.
+
+    A ``net.close`` fault fires only after the client hangs up, so the
+    count may lag the client call by one event-loop turn.
+    """
+    if plan is None:
+        return 0
+    deadline = time.monotonic() + _INJECTION_WAIT_S
+    while not plan.injections and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return len(plan.injections)
 
 
 def _churn(server, rng: random.Random, users: list[str], pool: list[Preference]) -> None:

@@ -18,6 +18,9 @@ optimization (see ``tests/conformance.py``):
 * the same seeded interleavings go over the wire through a caching and a
   cache-off ``NetServer`` on one live server, so the event-loop hit path
   is held to it too;
+* writes that go around the ``PreferenceServer`` mutators (raw
+  ``server.store`` / ``server.db`` calls) skip the commit feed, so nothing
+  is invalidated — the digest keys alone must keep the next reply exact;
 * a concurrent stress pushes one hot key through a
   :class:`~repro.serve.executor.ServeExecutor` worker pool to show
   single-flight deduplication never changes an answer.
@@ -260,6 +263,32 @@ class TestSeededMemoInterleaving:
                         assert on["digest"] == on["oracle_digest"]
         stats = cached.stats_snapshot()
         assert stats["hits"] > 0 and stats["misses"] > 0
+
+
+class TestWritesAroundTheServer:
+    def test_a_write_bypassing_the_server_mutators_serves_no_stale_reply(self):
+        server = fresh_server()
+        server.add_preference("u1", PREF_POOL["likes_green"]())
+        cache = ResultCache()
+        cached = CachedQueryService(server, cache, default_sql=SQL)
+        oracle = CachedQueryService(server, None, default_sql=SQL)
+        for strategy in STRATEGIES:
+            cached.query("u1", strategy=strategy)  # warm the cache and the memo
+        warm = cached.query("u1")
+        # Each write skips the commit feed, so no entry is invalidated.
+        bypasses = (
+            lambda: server.store.add("u1", PREF_POOL["likes_heavy"]()),
+            lambda: server.db.insert("ITEMS", (5, "melon", "green", 300)),
+            lambda: server.store.remove("u1", "likes_green"),
+        )
+        for write in bypasses:
+            write()
+            for strategy in STRATEGIES:
+                on = cached.query("u1", strategy=strategy)
+                off = oracle.query("u1", strategy=strategy)
+                assert canonical_json(on) == canonical_json(off)
+        assert cache.stats_snapshot()["invalidations"] == 0
+        assert cached.query("u1")["digest"] != warm["digest"]
 
 
 class TestWireInterleaving:

@@ -118,9 +118,9 @@ class TestStaticAnalysisCommands:
 
     def test_lint_reports_findings(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("x = my_score == 0.5\n")
+        bad.write_text("def broken(:\n")
         assert main(["lint", str(bad)]) == 1
-        assert "LN101" in capsys.readouterr().out
+        assert "LN100" in capsys.readouterr().out
 
     def test_verify_plan_workload(self, capsys):
         assert main(["verify-plan", "--workload", "IMDB-2", "--strict"]) == 0

@@ -237,6 +237,22 @@ class TestResultCache:
         cache.get_or_compute(("k", 3), lambda: dict(payload))
         assert cache.stats_snapshot()["hits"] == before + 1
 
+    def test_an_oversized_reply_is_not_stored_and_evicts_nothing(self):
+        cache = ResultCache(max_bytes=200)
+        for index in range(5):
+            cache.get_or_compute(("small", index), lambda: {"r": 1})
+        big = {"filler": "x" * 500}
+        assert cache.get_or_compute(("big",), lambda: big) == big
+        stats = cache.stats_snapshot()
+        assert stats["evictions"] == 0
+        assert stats["entries"] == 5
+        assert ("big",) not in cache
+        calls = []
+        for index in range(5):
+            cache.get_or_compute(("small", index), lambda: calls.append(1) or {"r": 1})
+        assert calls == []  # every small entry still hits
+        assert cache.stats_snapshot()["hits"] == 5
+
     def test_invalidate_by_user_is_targeted(self):
         cache = ResultCache()
         cache.get_or_compute("a", lambda: {"r": 1}, user="u1", relations=("ITEMS",))
@@ -249,14 +265,13 @@ class TestResultCache:
         cache.get_or_compute("b", lambda: calls.append(1) or {"r": 2}, user="u2")
         assert calls == []  # u2's entry survived
 
-    def test_invalidate_by_table_and_lsn(self):
+    def test_invalidate_by_table_is_targeted(self):
         cache = ResultCache()
-        cache.get_or_compute("a", lambda: {"r": 1}, relations=("ITEMS",), lsn=1)
-        cache.get_or_compute("b", lambda: {"r": 2}, relations=("OTHER",), lsn=2)
+        cache.get_or_compute("a", lambda: {"r": 1}, relations=("ITEMS",))
+        cache.get_or_compute("b", lambda: {"r": 2}, relations=("OTHER",))
         cache.invalidate(table="ITEMS", reason="test")
         assert cache.stats_snapshot()["entries"] == 1
-        cache.invalidate(below_lsn=3, reason="test")
-        assert cache.stats_snapshot()["entries"] == 0
+        assert "b" in cache and "a" not in cache
 
     def test_single_flight_deduplicates_concurrent_misses(self):
         cache = ResultCache()

@@ -14,7 +14,10 @@ Four query sources, ≥50 generated queries total:
 * one plan per prefer path of the row strategies, traced to check that the
   compiled preference group scores every prefer node;
 * a preference whose scoring function returns NaN: every strategy scores it
-  ⊥, so top-k still ranks the other preference's scores.
+  ⊥, so top-k still ranks the other preference's scores;
+* one sample plan per concrete plan-node class, discovered live, run on
+  every strategy, the columnar executor and the plan verifier — a new
+  node class without a sample fails the census.
 
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
@@ -37,11 +40,25 @@ from repro.core.scoring import (
     rating_score,
     recency_score,
 )
+from repro.analysis_static import verify_plan
 from repro.engine.expressions import TRUE, cmp, eq
 from repro.obs import render_trace
 from repro.pexec.engine import STRATEGIES, ExecutionEngine
 from repro.plan.builder import natural_join_condition
-from repro.plan.nodes import Join, LeftJoin, Prefer, Relation, Select, TopK, Union
+from repro.plan.nodes import (
+    Difference,
+    Intersect,
+    Join,
+    LeftJoin,
+    Materialized,
+    PlanNode,
+    Prefer,
+    Project,
+    Relation,
+    Select,
+    TopK,
+    Union,
+)
 from repro.query.session import Session
 from repro.workloads.prefgen import (
     equality_preference,
@@ -320,3 +337,106 @@ def test_nan_scores_are_bottom_in_every_strategy(imdb_tiny, strategy):
         for _, score, conf in triples
         for value in (score, conf)
     )
+
+
+# ---------------------------------------------------------------------------
+# Every concrete plan-node class on every strategy
+# ---------------------------------------------------------------------------
+
+
+def concrete_plan_node_classes() -> set[str]:
+    """Names of the package's concrete PlanNode subclasses, found live.
+
+    Only classes defined in ``repro`` modules count, and a leading ``_``
+    marks an abstract base (``_SetOperation``) or a private helper.
+    """
+    found: set[str] = set()
+    pending = [PlanNode]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.split(".")[0] == "repro" and not sub.__name__.startswith("_"):
+                found.add(sub.__name__)
+    return found
+
+
+def _movies_rows():
+    table = MOVIE_DB.table("MOVIES")
+    return Materialized(table.schema, table.rows, "MOVIES")
+
+
+#: One plan per node class, each scored by a prefer so every strategy's
+#: preference-aware dispatch, not only the native engine, sees the node.
+NODE_SAMPLES = {
+    "Relation": Prefer(Relation("MOVIES"), RECENT),
+    "Materialized": Prefer(_movies_rows(), RECENT),
+    "Select": Select(
+        Prefer(Select(Relation("MOVIES"), cmp("MOVIES.duration", "<", 125)), RECENT),
+        cmp("conf", ">=", 0.2),
+    ),
+    "Project": Project(Prefer(Relation("MOVIES"), RECENT), ["MOVIES.title"]),
+    "Join": Prefer(_movies_genres(Prefer(Relation("MOVIES"), RECENT)), COMEDY),
+    "LeftJoin": Prefer(
+        LeftJoin(
+            Relation("MOVIES"),
+            Relation("GENRES"),
+            natural_join_condition(MOVIE_DB.catalog, Relation("MOVIES"), Relation("GENRES")),
+        ),
+        COMEDY,
+    ),
+    "Union": Prefer(_movies_union(), DIRECTOR),
+    "Intersect": Prefer(
+        Intersect(
+            Prefer(Select(Relation("MOVIES"), cmp("MOVIES.year", ">=", 2005)), RECENT),
+            Select(Relation("MOVIES"), cmp("MOVIES.duration", "<", 125)),
+        ),
+        DIRECTOR,
+    ),
+    "Difference": Prefer(
+        Difference(
+            Select(Relation("MOVIES"), cmp("MOVIES.year", ">=", 2000)),
+            Select(Relation("MOVIES"), eq("MOVIES.d_id", 1)),
+        ),
+        RECENT,
+    ),
+    "Prefer": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR),
+    "TopK": TopK(Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR), 3, "score"),
+}
+
+
+def test_node_samples_cover_every_concrete_plan_node_class():
+    assert set(NODE_SAMPLES) == concrete_plan_node_classes()
+    for name, plan in NODE_SAMPLES.items():
+        assert any(type(node).__name__ == name for node in plan.walk()), name
+
+
+
+def test_node_census_skips_foreign_and_private_subclasses():
+    # Plan-node subclasses defined outside the repro package (test doubles)
+    # and underscore-named helpers are not nodes every strategy must run.
+    class _TestOnlyNode(PlanNode):  # pragma: no cover - definition only
+        pass
+
+    class ForeignNode(PlanNode):  # pragma: no cover - definition only
+        pass
+
+    found = concrete_plan_node_classes()
+    assert "_TestOnlyNode" not in found
+    assert "ForeignNode" not in found
+    assert found == set(NODE_SAMPLES)
+
+@pytest.mark.parametrize("name", sorted(NODE_SAMPLES))
+def test_every_plan_node_kind_runs_on_every_strategy(name):
+    plan = NODE_SAMPLES[name]
+    assert verify_plan(plan, MOVIE_DB.catalog) == []
+    reference = MOVIE_ENGINE.run(plan, "reference")
+    for strategy in STRATEGIES:
+        for columnar in (False, True):
+            result = MOVIE_ENGINE.run(plan, strategy, columnar=columnar)
+            assert_identical(
+                reference,
+                result,
+                exact=False,
+                context=f"{name} (columnar={columnar})",
+                labels=("reference", strategy),
+            )
