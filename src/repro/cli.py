@@ -13,19 +13,14 @@ Commands:
 * ``chaos`` — run the seeded chaos scenarios (``--scenario``, repeatable;
   default: all).  ``concurrent`` (``repro.resilience.chaos_concurrent``):
   writer threads mutate preferences while reader threads must match the
-  oracle on their own snapshot, plus the crash-at-arbitrary-WAL-offset
-  recovery sweep.  ``crash``: a short crash-torture run.  ``network``: the
-  network front end under seeded wire faults.
-* ``serve-bench`` — closed-loop concurrent serving benchmark
-  (``repro.serve.bench``): N client threads through the admission-controlled
-  executor, reporting throughput and p50/p95/p99 tail latency.
+  oracle on their own snapshot.  ``network``: the network front end under
+  seeded wire faults.
+* ``crash-torture`` — crash the durable server at every injectable I/O
+  point plus SIGKILL rounds; recovery is digest- and LSN-verified.
 * ``serve`` — run the asyncio TCP front end (``repro.serve.net``): a
   length-prefixed JSON protocol over a durable or generated database, with
   multi-tenant admission, deadline propagation and graceful drain on
   SIGTERM.  ``chaos --scenario network`` is its fault-injection suite.
-* ``serve-load`` — zipfian multi-tenant load generator against the network
-  front end (``repro.serve.net.load``); prints p50/p95/p99 and shed-rate
-  (``--out FILE`` also writes the JSON report).
 """
 
 from __future__ import annotations
@@ -42,11 +37,7 @@ from .query.session import Session
 #: ``chaos --scenario`` choices, in run order, with their ``--list`` lines.
 CHAOS_SCENARIOS = {
     "concurrent": "writers mutate the live server while readers must match "
-    "the oracle on their snapshot; plus the crash-at-any-WAL-offset "
-    "recovery sweep",
-    "crash": "short crash-torture run: injected I/O faults and a SIGKILL "
-    "round, recovery digest-verified (full sweep: python -m repro "
-    "crash-torture)",
+    "the oracle on their snapshot",
     "network": "network front-end chaos: seeded connection drops / stalls / "
     "torn frames with server-side oracle digests, kill+recovery of acked "
     "writes, typed overload shedding",
@@ -162,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        help="run the seeded chaos scenarios (concurrent writers, crash "
-        "recovery, network faults)",
+        help="run the seeded chaos scenarios (concurrent writers, network "
+        "faults)",
     )
     chaos.add_argument("--seed", type=int, default=42, help="scenario RNG seed")
     chaos.add_argument(
@@ -200,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     torture = commands.add_parser(
         "crash-torture",
         help="crash the durable server at every injectable I/O point (plus "
-        "SIGKILL rounds) and digest-verify that recovery loses nothing "
-        "acknowledged",
+        "SIGKILL rounds) and digest- and LSN-verify that recovery loses "
+        "nothing acknowledged",
     )
     torture.add_argument("--seed", type=int, default=0, help="workload/fault RNG seed")
     torture.add_argument(
@@ -221,37 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     torture.add_argument(
         "--no-mutation-check", action="store_true",
         help="skip the self-check that a deliberately lossy replay is caught",
-    )
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="closed-loop concurrent serving benchmark: throughput and "
-        "p50/p95/p99 tail latency through the admission-controlled executor",
-    )
-    serve_bench.add_argument(
-        "--threads", type=int, default=4, help="client (and worker) threads"
-    )
-    serve_bench.add_argument(
-        "--duration", type=float, default=2.0, help="measurement window, seconds"
-    )
-    serve_bench.add_argument("--strategy", default="gbu")
-    serve_bench.add_argument("--scale", type=float, default=0.001)
-    serve_bench.add_argument("--seed", type=int, default=42)
-    serve_bench.add_argument(
-        "--queue-limit", type=int, help="admission waiting room (default 2×threads)"
-    )
-    serve_bench.add_argument(
-        "--session-limit", type=int, help="per-session in-flight cap (default none)"
-    )
-    serve_bench.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="append the serve.latency span to FILE as JSONL",
-    )
-    serve_bench.add_argument(
-        "--columnar",
-        action="store_true",
-        help="serve queries through the columnar engine",
     )
 
     serve = commands.add_parser(
@@ -288,33 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache memory budget in MiB (default 64)",
     )
 
-    serve_load = commands.add_parser(
-        "serve-load",
-        help="zipfian multi-tenant load against the network front end "
-        "(client-observed p50/p95/p99 + shed-rate)",
-    )
-    serve_load.add_argument("--users", type=int, default=1_000_000,
-                            help="simulated user universe (default 10^6)")
-    serve_load.add_argument("--tenants", type=int, default=4)
-    serve_load.add_argument("--requests", type=int, default=800)
-    serve_load.add_argument("--clients", type=int, default=8)
-    serve_load.add_argument("--churn", type=float, default=0.15,
-                            help="fraction of requests that mutate preferences")
-    serve_load.add_argument("--scale", type=float, default=0.001)
-    serve_load.add_argument("--seed", type=int, default=42)
-    serve_load.add_argument("--zipf-s", type=float, default=1.2)
-    serve_load.add_argument("--workers", type=int, default=4)
-    serve_load.add_argument("--queue-limit", type=int, default=16)
-    serve_load.add_argument("--tenant-quota", type=int, default=16)
-    serve_load.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the digest-keyed result cache for this run",
-    )
-    serve_load.add_argument(
-        "--out", metavar="FILE",
-        help="write the JSON report to FILE",
-    )
-
     return parser
 
 
@@ -337,12 +270,8 @@ def main(argv: list[str] | None = None) -> int:
             return _chaos(args)
         if args.command == "crash-torture":
             return _crash_torture(args)
-        if args.command == "serve-bench":
-            return _serve_bench(args)
         if args.command == "serve":
             return _serve(args)
-        if args.command == "serve-load":
-            return _serve_load(args)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -596,12 +525,6 @@ def _chaos(args) -> int:
     ok = True
     if "concurrent" in wanted:
         ok &= _concurrent_chaos(args)
-    if "crash" in wanted:
-        from .resilience.crashtest import run_crash_torture
-
-        report = run_crash_torture(seed=args.seed, rounds=3, ops=12)
-        print(report.describe())
-        ok &= report.ok
     if "network" in wanted:
         from .serve.net.chaos import run_network_chaos
 
@@ -612,10 +535,8 @@ def _chaos(args) -> int:
 
 
 def _concurrent_chaos(args) -> bool:
-    """Run the serving-layer chaos scenario + WAL recovery sweep; True when OK."""
-    import tempfile
-
-    from .resilience.chaos_concurrent import run_concurrent_chaos, wal_recovery_check
+    """Run the serving-layer chaos scenario; True when OK."""
+    from .resilience.chaos_concurrent import run_concurrent_chaos
 
     report = run_concurrent_chaos(
         seed=args.seed,
@@ -626,11 +547,7 @@ def _concurrent_chaos(args) -> bool:
         sanitize=args.sanitize or None,
     )
     print(report.describe())
-    print()
-    with tempfile.TemporaryDirectory(prefix="repro-wal-chaos-") as directory:
-        recovery = wal_recovery_check(directory, seed=args.seed)
-    print(recovery.describe())
-    return report.ok and recovery.ok
+    return report.ok
 
 
 def _crash_torture(args) -> int:
@@ -644,31 +561,6 @@ def _crash_torture(args) -> int:
         mutation_check=not args.no_mutation_check,
     )
     print(report.describe())
-    return 0 if report.ok else 1
-
-
-def _serve_bench(args) -> int:
-    from .serve.bench import serve_bench
-
-    sink = None
-    if args.trace_out:
-        from .obs import JsonlSink
-
-        sink = JsonlSink(args.trace_out)
-    report = serve_bench(
-        threads=args.threads,
-        duration=args.duration,
-        strategy=args.strategy,
-        scale=args.scale,
-        seed=args.seed,
-        queue_limit=args.queue_limit,
-        session_limit=args.session_limit,
-        trace_sink=sink,
-        columnar=args.columnar,
-    )
-    print(report.describe())
-    if sink is not None:
-        print(f"serving telemetry appended to {args.trace_out}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -730,30 +622,6 @@ def _serve(args) -> int:
     asyncio.run(main())
     print("drained and stopped", file=sys.stderr)
     return 0
-
-
-def _serve_load(args) -> int:
-    from .serve.net.load import describe, run_serve_load, write_report
-
-    report = run_serve_load(
-        users=args.users,
-        tenants=args.tenants,
-        requests=args.requests,
-        clients=args.clients,
-        churn=args.churn,
-        scale=args.scale,
-        seed=args.seed,
-        zipf_s=args.zipf_s,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        tenant_quota=args.tenant_quota,
-        cache=not args.no_cache,
-    )
-    print(describe(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}", file=sys.stderr)
-    return 0 if report["untyped_failed"] == 0 else 1
 
 
 def _print_result(session: Session, result, limit: int) -> None:

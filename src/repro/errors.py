@@ -129,9 +129,8 @@ class Overloaded(ResilienceError):
     """The serving layer shed this request instead of admitting it.
 
     ``reason`` says which admission check tripped: ``"queue-full"`` (the
-    bounded request queue is at capacity), ``"session-limit"`` (the session
-    already has its maximum number of in-flight queries),
-    ``"tenant-quota"`` (the tenant's in-flight allowance is spent) or
+    bounded request queue is at capacity), ``"tenant-quota"`` (the tenant's
+    in-flight allowance is spent; ``session`` names the tenant) or
     ``"shutting-down"`` (the server is draining and admits nothing new).
     ``limit`` carries the configured ceiling where one applies, and
     ``retry_after`` — when the shedder can estimate one — is the pause, in

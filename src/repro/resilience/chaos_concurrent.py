@@ -1,25 +1,21 @@
 """Concurrent chaos: writers mutate state while readers must stay exact.
 
-Two fixtures exercise the serving layer
-(``python -m repro chaos --scenario concurrent``):
+:func:`run_concurrent_chaos` (``python -m repro chaos --scenario
+concurrent``) exercises the serving layer: N writer threads stream
+preference mutations and row inserts through a live
+:class:`~repro.serve.server.PreferenceServer` while M reader tasks,
+admitted through a :class:`~repro.serve.executor.ServeExecutor`, each
+capture a snapshot and run a preferential IMDB query on the production
+path, block memo included.  The contract is snapshot isolation: every
+query must **exactly** match the reference oracle evaluated *on its own
+snapshot* — whatever preference set and row set the snapshot captured —
+or fail with a typed query-guard error.  A sampled
+digest-before/digest-after check proves no writer mutated a captured
+snapshot in place.
 
-* :func:`run_concurrent_chaos` — N writer threads stream preference
-  mutations and row inserts through a live
-  :class:`~repro.serve.server.PreferenceServer` while M reader tasks,
-  admitted through a :class:`~repro.serve.executor.ServeExecutor`, each
-  capture a snapshot and run a preferential IMDB query on the production
-  path, block memo included.  The contract is snapshot isolation: every
-  query must **exactly** match the reference oracle evaluated *on its own
-  snapshot* — whatever preference set and row set the snapshot captured —
-  or fail with a typed query-guard error.  A sampled
-  digest-before/digest-after check proves no writer mutated a captured
-  snapshot in place.
-* :func:`wal_recovery_check` — builds a durable server, records the state
-  digest at every LSN, then simulates a crash at a spread of byte offsets
-  in the WAL (record boundaries and mid-record).  Re-opening the truncated
-  directory must recover **exactly** the state whose digest was recorded
-  after the last record surviving below the cut — i.e. recovery equals
-  replaying the surviving prefix, verified by sha256.
+Crash recovery is not checked here: ``python -m repro crash-torture``
+(:mod:`repro.resilience.crashtest`) cuts the WAL at every write, fsync and
+rename of a seeded workload and digest-verifies every recovery.
 
 Verdicts are deterministic even though thread interleavings are not: each
 cell is judged against the snapshot it actually captured, so *every*
@@ -30,7 +26,6 @@ from __future__ import annotations
 
 import os
 import random
-import shutil
 import threading
 from dataclasses import dataclass, field
 
@@ -352,7 +347,7 @@ def run_concurrent_chaos(
     )
     try:
         futures = [
-            executor.submit(reader_cell, reader, index, session=f"reader-{reader}")
+            executor.submit(reader_cell, reader, index)
             for reader in range(readers)
             for index in range(queries_per_reader)
         ]
@@ -368,164 +363,4 @@ def run_concurrent_chaos(
         executor.shutdown()
     report.latency = executor.stats.snapshot()
     report.memo = server.db.blocks.stats()
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Crash-at-arbitrary-WAL-offset recovery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WalRecoveryReport:
-    """Outcome of the crash-at-offset sweep."""
-
-    seed: int
-    wal_bytes: int
-    offsets_checked: int = 0
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.offsets_checked > 0 and not self.mismatches
-
-    def describe(self) -> str:
-        lines = [
-            f"wal recovery sweep: seed={self.seed} wal={self.wal_bytes}B "
-            f"offsets={self.offsets_checked}"
-        ]
-        lines.extend(f"  FAIL {m}" for m in self.mismatches)
-        lines.append(
-            "wal recovery: "
-            + ("OK — every crash offset recovered the surviving prefix" if self.ok else "FAILED")
-        )
-        return "\n".join(lines)
-
-
-def _scripted_mutations(server, seed: int, count: int) -> None:
-    """A deterministic mutation stream mixing every WAL op kind."""
-    rng = random.Random(seed)
-    pool = preference_pool()
-    users = ["alice", "bob", "carol"]
-    for user in users:
-        server.add_preference(user, _base_preference())
-    next_id = 500_000
-    for index in range(count):
-        user = users[index % len(users)]
-        roll = rng.random()
-        try:
-            if roll < 0.5:
-                server.add_preference(user, rng.choice(pool))
-            elif roll < 0.7:
-                server.remove_preference(user, rng.choice(pool).name)
-            elif roll < 0.8:
-                server.clear_preferences(user)
-                server.add_preference(user, _base_preference())
-            else:
-                next_id += 1
-                server.insert("MOVIES", (next_id, f"wal movie {next_id}", 2001, 95, 1))
-        except ReproError:
-            pass  # duplicate add: no WAL record, no state change
-
-
-def wal_recovery_check(
-    directory: str,
-    seed: int = 42,
-    mutations: int = 40,
-    max_offsets: int = 24,
-) -> WalRecoveryReport:
-    """Crash the WAL at a spread of byte offsets; recovery must equal the prefix.
-
-    Builds a durable server under ``directory/origin`` while recording the
-    live state digest at every LSN.  Then, for a deterministic sample of
-    byte offsets (every record boundary plus seeded mid-record cuts, capped
-    at *max_offsets*), copies the directory, truncates the WAL copy at the
-    offset — the simulated crash — reopens it, and asserts the recovered
-    digest equals the digest recorded after the last record wholly below
-    the cut.  sha256 equality means recovery restored *exactly* the state
-    of replaying the surviving prefix: nothing lost, nothing invented.
-    """
-    from ..engine.database import Database
-    from ..engine.types import DataType
-    from ..serve.server import PreferenceServer
-    from ..serve.wal import WAL_FILE
-
-    origin = os.path.join(directory, "origin")
-    db = Database()
-    db.create_table(
-        "MOVIES",
-        [
-            ("m_id", DataType.INT),
-            ("title", DataType.TEXT),
-            ("year", DataType.INT),
-            ("duration", DataType.INT),
-            ("d_id", DataType.INT),
-        ],
-        primary_key=["m_id"],
-    )
-    db.insert_many("MOVIES", [(1, "seed one", 1999, 100, 1), (2, "seed two", 2004, 110, 2)])
-    server, _ = PreferenceServer.open(origin, initial=db, sync=False)
-    digests = {server.wal.lsn: server.state_digest()}
-    rng = random.Random(seed)
-
-    class _Recorder:
-        """Wrap the server so every applied mutation records its digest."""
-
-        def __getattr__(self, name):
-            method = getattr(server, name)
-
-            def recorded(*args, **kwargs):
-                outcome = method(*args, **kwargs)
-                digests[server.wal.lsn] = server.state_digest()
-                return outcome
-
-            return recorded
-
-    _scripted_mutations(_Recorder(), seed, mutations)
-    server.close()
-
-    wal_path = os.path.join(origin, WAL_FILE)
-    with open(wal_path, "rb") as handle:
-        raw = handle.read()
-    report = WalRecoveryReport(seed=seed, wal_bytes=len(raw))
-    if not raw:
-        report.mismatches.append("mutation script produced an empty WAL")
-        return report
-    boundaries = [i + 1 for i, byte in enumerate(raw) if byte == 0x0A]
-    candidates = {0, len(raw)}
-    candidates.update(boundaries)
-    for boundary in boundaries:
-        candidates.add(max(0, boundary - 3))  # mid-record: torn tail
-        candidates.add(min(len(raw), boundary + 2))  # cuts into the next record
-    candidates.update(rng.randrange(len(raw)) for _ in range(8))
-    offsets = sorted(candidates)
-    if len(offsets) > max_offsets:
-        step = len(offsets) / max_offsets
-        offsets = sorted({offsets[int(i * step)] for i in range(max_offsets)} | {0, len(raw)})
-
-    for offset in offsets:
-        surviving = sum(1 for boundary in boundaries if boundary <= offset)
-        expected = digests[surviving]
-        crashed = os.path.join(directory, f"crash-{offset}")
-        shutil.copytree(origin, crashed)
-        crash_wal = os.path.join(crashed, WAL_FILE)
-        with open(crash_wal, "rb+") as handle:
-            handle.truncate(offset)
-        recovered, replay = PreferenceServer.open(crashed, sync=False)
-        try:
-            actual = recovered.state_digest()
-            if actual != expected:
-                report.mismatches.append(
-                    f"offset {offset}: recovered digest {actual[:12]}… != "
-                    f"expected {expected[:12]}… (surviving records: {surviving})"
-                )
-            if replay.last_lsn != surviving:
-                report.mismatches.append(
-                    f"offset {offset}: replay reports lsn {replay.last_lsn}, "
-                    f"expected {surviving}"
-                )
-        finally:
-            recovered.close()
-            shutil.rmtree(crashed, ignore_errors=True)
-        report.offsets_checked += 1
     return report

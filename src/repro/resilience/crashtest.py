@@ -20,13 +20,16 @@ Two complementary harnesses, both digest-verified against the same oracle
   number of acks, drains the pipe (an ack written before death is never
   lost, so the count is exact), and reopens the directory.
 
-Both assert the two recovery invariants:
+Both assert the three recovery invariants:
 
 1. **Acknowledged ops survive** — the recovered state digest is at least
    the prefix of every op whose call returned (``acked``).
 2. **Recovery equals a prefix** — the digest equals *some* prefix of the
    issued sequence: at most the one op in flight at the crash may be
    included, and nothing out of order or invented.
+3. **The LSN counts that prefix** — the recovered WAL's LSN equals the
+   number of records the prefix appended, across checkpoint log resets,
+   so a restarted server never reissues an LSN it already acknowledged.
 
 Concretely: ``digest(recovered) ∈ {oracle[acked], …, oracle[issued]}``
 where ``oracle[i]`` is the state digest after the first ``i`` ops, applied
@@ -231,7 +234,7 @@ class TortureReport:
         lines.append(
             "crash-torture: "
             + (
-                "OK — every crash point recovered a digest-verified prefix"
+                "OK — every crash point recovered a digest- and LSN-verified prefix"
                 if self.ok
                 else "FAILED"
             )
@@ -275,13 +278,14 @@ def _run_workload(directory: str, ops: list[tuple], vfs) -> tuple[int, int]:
 
 def _verify_recovery(
     directory: str,
+    ops: list[tuple],
     digests: list[str],
     acked: int,
     issued: int,
     context: str,
     report: TortureReport,
 ) -> None:
-    """Reopen *directory* under the real VFS and check both invariants."""
+    """Reopen *directory* under the real VFS and check the three invariants."""
     from ..serve.server import PreferenceServer
 
     try:
@@ -293,10 +297,19 @@ def _verify_recovery(
         return
     try:
         digest = recovered.state_digest()
+        lsn = recovered.wal.lsn
     finally:
         recovered.close()
     issued = min(issued, len(digests) - 1)
-    if digest in digests[acked : issued + 1]:
+    prefixes = [p for p in range(acked, issued + 1) if digests[p] == digest]
+    if prefixes:
+        # Every op but ``checkpoint`` appends one WAL record.
+        expected = {sum(op[0] != "checkpoint" for op in ops[:p]) for p in prefixes}
+        if lsn not in expected:
+            report.failures.append(
+                f"{context}: recovered LSN {lsn}, but prefix {prefixes} "
+                f"appended {sorted(expected)} records"
+            )
         return
     try:
         prefix = digests.index(digest)
@@ -356,7 +369,7 @@ def inprocess_round(
             vfs.power_cut()
             report.crash_points += 1
             report.kind_counts[kind] = report.kind_counts.get(kind, 0) + 1
-            _verify_recovery(crash_dir, digests, acked, issued, context, report)
+            _verify_recovery(crash_dir, ops, digests, acked, issued, context, report)
         shutil.rmtree(crash_dir, ignore_errors=True)
 
 
@@ -448,7 +461,7 @@ def sigkill_round(
         shutil.rmtree(child_dir, ignore_errors=True)
         return
     issued = acked + 1 if killed else acked
-    _verify_recovery(child_dir, digests, acked, issued, context, report)
+    _verify_recovery(child_dir, ops, digests, acked, issued, context, report)
     shutil.rmtree(child_dir, ignore_errors=True)
 
 
@@ -497,7 +510,13 @@ def mutation_self_check(base_dir: str) -> bool:
             acked, issued = _run_workload(crash_dir, _MUTATION_OPS, vfs)
             vfs.power_cut()
             _verify_recovery(
-                crash_dir, digests, acked, issued, f"mutation step {step}", shadow
+                crash_dir,
+                _MUTATION_OPS,
+                digests,
+                acked,
+                issued,
+                f"mutation step {step}",
+                shadow,
             )
             shutil.rmtree(crash_dir, ignore_errors=True)
     finally:

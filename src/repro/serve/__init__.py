@@ -11,9 +11,9 @@ Three pillars (see ``docs/SERVING.md``):
   and replays it on open, truncating a torn tail and surfacing real
   corruption as typed :exc:`~repro.errors.DataCorruption`.
 * **Admission control** — :class:`~repro.serve.executor.ServeExecutor` is a
-  bounded worker pool with queue limits, per-session concurrency caps, load
-  shedding via typed :exc:`~repro.errors.Overloaded`, graceful drain and
-  p50/p95/p99 latency accounting.
+  bounded worker pool with a queue limit, load shedding via typed
+  :exc:`~repro.errors.Overloaded`, graceful drain and p50/p95/p99 latency
+  accounting.
 
 This package initializer is deliberately import-light: ``engine.database``
 imports :mod:`repro.serve.rwlock`, so everything touching the execution

@@ -1,15 +1,13 @@
 """Admission control: a bounded worker pool with load shedding.
 
 The serving layer admits work through a :class:`ServeExecutor` — a fixed
-pool of worker threads in front of a bounded queue.  Three admission checks
+pool of worker threads in front of a bounded queue.  Two admission checks
 run *before* a request is accepted, each shedding with a typed
 :exc:`~repro.errors.Overloaded` naming the tripped limit:
 
 * **queue-full** — the bounded request queue is at ``queue_limit``.  Under
   sustained overload the server answers "try later" in microseconds instead
   of building an unbounded backlog whose tail latency grows without bound.
-* **session-limit** — one session already has ``session_limit`` requests
-  queued or running; a single aggressive client cannot monopolize the pool.
 * **shutting-down** — :meth:`drain`/:meth:`shutdown` was called; nothing
   new is admitted while queued work finishes.
 
@@ -21,9 +19,10 @@ when it runs on a worker — the hazard the ``capture()/restore()`` helpers
 in :mod:`repro.resilience.guard` and :mod:`repro.obs.tracer` document.
 
 Every completed request feeds :class:`LatencyStats` (p50/p95/p99 over the
-admit→finish wall time, plus queue-wait percentiles), which renders to a
-trace :class:`~repro.obs.Span` so ``repro serve-bench`` and the bench
-harness can write serving telemetry through the ordinary obs sinks.
+admit→finish wall time, plus queue-wait percentiles); the network front
+end's ``stats`` op reports its snapshot, and its median service time sets
+the ``retry_after`` hint a shed carries.  The per-client cap on the served
+path is the front end's tenant quota.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from collections import deque
 from concurrent.futures import Future
 
 from ..errors import Overloaded
-from ..obs.tracer import Span
 
 _RUNNING = "running"
 _DRAINING = "draining"
@@ -149,18 +147,6 @@ class LatencyStats:
             "queue_p95_ms": round(percentile(queues, 0.95), 3),
         }
 
-    def to_span(self, label: str = "") -> Span:
-        """Render the accounting as a finished trace span for the obs sinks."""
-        span = Span("serve.latency", label=label)
-        snap = self.snapshot()
-        for counter in ("admitted", "completed", "failed", "shed"):
-            if snap[counter]:
-                span.add(counter, snap[counter])
-        for key in ("p50_ms", "p95_ms", "p99_ms", "queue_p95_ms"):
-            span.set(key, snap[key])
-        span.finish()
-        return span
-
     def describe(self) -> str:
         snap = self.snapshot()
         return (
@@ -172,9 +158,9 @@ class LatencyStats:
 
 
 class _Job:
-    __slots__ = ("future", "context", "fn", "args", "kwargs", "session", "enqueued")
+    __slots__ = ("future", "context", "fn", "args", "kwargs", "enqueued")
 
-    def __init__(self, fn, args, kwargs, session):
+    def __init__(self, fn, args, kwargs):
         self.future: Future = Future()
         # The admission boundary is where ambient ContextVars would silently
         # drop to their defaults; copying the submitter's context here is
@@ -183,7 +169,6 @@ class _Job:
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
-        self.session = session
         self.enqueued = time.perf_counter()
 
 
@@ -194,9 +179,6 @@ class ServeExecutor:
     :param queue_limit: requests allowed to *wait*; an arrival beyond it is
         shed with ``Overloaded("queue-full")``.  0 means no waiting room —
         a request is admitted only when a worker is free.
-    :param session_limit: per-session cap on queued+running requests
-        (``None``: uncapped).
-    :param stats: share a :class:`LatencyStats` across executors if desired.
     """
 
     def __init__(
@@ -204,25 +186,19 @@ class ServeExecutor:
         workers: int = 4,
         *,
         queue_limit: int = 32,
-        session_limit: int | None = None,
-        stats: LatencyStats | None = None,
         name: str = "serve",
     ) -> None:
         if workers < 1:
             raise ValueError("ServeExecutor needs at least one worker")
         if queue_limit < 0:
             raise ValueError("queue_limit must be >= 0")
-        if session_limit is not None and session_limit < 1:
-            raise ValueError("session_limit must be >= 1 (or None)")
         self.queue_limit = queue_limit
-        self.session_limit = session_limit
-        self.stats = stats if stats is not None else LatencyStats()
+        self.stats = LatencyStats()
         self.name = name
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._queue: deque[_Job] = deque()
-        self._in_flight: dict[str, int] = {}
         self._running = 0
         self._state = _RUNNING
         self._threads = [
@@ -236,13 +212,13 @@ class ServeExecutor:
 
     # -- admission ---------------------------------------------------------------
 
-    def submit(self, fn, /, *args, session: str | None = None, **kwargs) -> Future:
+    def submit(self, fn, /, *args, **kwargs) -> Future:
         """Admit one request, or shed it with :exc:`~repro.errors.Overloaded`.
 
         Returns a :class:`concurrent.futures.Future`; the callable runs on a
         worker thread inside a copy of the submitter's context.
         """
-        job = _Job(fn, args, kwargs, session)
+        job = _Job(fn, args, kwargs)
         with self._lock:
             if self._state != _RUNNING:
                 self.stats.count_shed()
@@ -259,27 +235,13 @@ class ServeExecutor:
                         len(self._queue) + self._running, len(self._threads)
                     ),
                 )
-            if session is not None and self.session_limit is not None:
-                if self._in_flight.get(session, 0) >= self.session_limit:
-                    self.stats.count_shed()
-                    raise Overloaded(
-                        "session-limit",
-                        limit=self.session_limit,
-                        session=session,
-                        # One of the session's own requests must finish first.
-                        retry_after=self.stats.retry_after_hint(
-                            self._in_flight.get(session, 0), len(self._threads)
-                        ),
-                    )
-            if session is not None:
-                self._in_flight[session] = self._in_flight.get(session, 0) + 1
             self._queue.append(job)
             self._has_work.notify()
         return job.future
 
-    def run(self, fn, /, *args, session: str | None = None, timeout=None, **kwargs):
+    def run(self, fn, /, *args, timeout=None, **kwargs):
         """Admit, wait, and return the result (or raise what the job raised)."""
-        return self.submit(fn, *args, session=session, **kwargs).result(timeout)
+        return self.submit(fn, *args, **kwargs).result(timeout)
 
     # -- the workers -------------------------------------------------------------
 
@@ -297,12 +259,6 @@ class ServeExecutor:
             finally:
                 with self._lock:
                     self._running -= 1
-                    if job.session is not None:
-                        remaining = self._in_flight.get(job.session, 1) - 1
-                        if remaining > 0:
-                            self._in_flight[job.session] = remaining
-                        else:
-                            self._in_flight.pop(job.session, None)
                     if not self._queue and self._running == 0:
                         self._idle.notify_all()
 
@@ -376,13 +332,6 @@ class ServeExecutor:
             self._has_work.notify_all()
         for job in dropped:
             job.future.cancel()
-            if job.session is not None:
-                with self._lock:
-                    remaining = self._in_flight.get(job.session, 1) - 1
-                    if remaining > 0:
-                        self._in_flight[job.session] = remaining
-                    else:
-                        self._in_flight.pop(job.session, None)
         for thread in self._threads:
             thread.join()
 
@@ -392,14 +341,6 @@ class ServeExecutor:
     def __exit__(self, *exc) -> bool:
         self.shutdown(wait=exc == (None, None, None))
         return False
-
-    # -- observability -----------------------------------------------------------
-
-    def report_to(self, sink, meta: dict | None = None) -> None:
-        """Write the latency accounting to an obs sink as a ``serve.latency`` span."""
-        record = {"executor": self.name, "workers": len(self._threads)}
-        record.update(meta or {})
-        sink.write(self.stats.to_span(label=self.name), meta=record)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,6 +1,6 @@
 """The network serving layer: an asyncio TCP front end over PreferenceServer.
 
-Four modules (see ``docs/SERVING.md``, "The network front end"):
+Three modules (see ``docs/SERVING.md``, "The network front end"):
 
 * :mod:`.protocol` — the length-prefixed JSON wire format (4-byte
   big-endian length + canonical JSON), request/response shapes, and the
@@ -18,8 +18,6 @@ Four modules (see ``docs/SERVING.md``, "The network front end"):
   :class:`~repro.resilience.RetryBudget`, server ``retry_after`` hints
   honored over blind backoff, client-side deadlines propagated per
   attempt, and end-to-end result-digest verification.
-* :mod:`.load` — the zipfian multi-tenant load generator behind
-  ``python -m repro serve-load``.
 
 The chaos suite for all of it is :mod:`repro.serve.net.chaos`
 (``python -m repro chaos --scenario network``).

@@ -7,7 +7,7 @@ wires the robustness machinery that makes it survivable:
   (default ``"public"``); user ids are namespaced per tenant
   (``tenant::user``), so one tenant's preferences are invisible to
   another, and each tenant has an in-flight quota on top of the
-  executor's queue/session limits.  Every shed is a typed
+  executor's queue limit.  Every shed is a typed
   :exc:`~repro.errors.Overloaded` carrying a ``retry_after`` hint derived
   from observed service times.
 * **Deadline propagation** — a request's ``deadline_ms`` (the client's
@@ -104,8 +104,8 @@ class NetServer:
     """Asyncio TCP front end: framing, admission, dispatch, drain.
 
     :param server: the owned :class:`~repro.serve.server.PreferenceServer`.
-    :param executor: the admission-controlled worker pool (one is built
-        from *workers*/*queue_limit*/*session_limit* when not given).
+    :param workers: worker threads of the admission-controlled pool.
+    :param queue_limit: requests allowed to wait for a worker.
     :param tenant_quota: default per-tenant in-flight cap (``None``: no
         tenant metering); *quotas* overrides it per tenant name.
     :param cache: result caching for the query path.  ``True`` (default)
@@ -132,10 +132,8 @@ class NetServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        executor: ServeExecutor | None = None,
         workers: int = 4,
         queue_limit: int = 32,
-        session_limit: int | None = None,
         tenant_quota: int | None = 8,
         quotas: dict[str, int] | None = None,
         default_strategy: str = "gbu",
@@ -149,11 +147,8 @@ class NetServer:
         self.server = server
         self.host = host
         self.port = port
-        self.executor = executor if executor is not None else ServeExecutor(
-            workers=workers,
-            queue_limit=queue_limit,
-            session_limit=session_limit,
-            name="serve-net",
+        self.executor = ServeExecutor(
+            workers=workers, queue_limit=queue_limit, name="serve-net"
         )
         self.tenant_quota = tenant_quota
         self.quotas = dict(quotas or {})
@@ -492,9 +487,9 @@ class NetServer:
             # worker thread exactly as an in-process caller's would.
             if guard is not None:
                 with use_guard(guard):
-                    future = self.executor.submit(fn, session=f"tenant:{tenant}")
+                    future = self.executor.submit(fn)
             else:
-                future = self.executor.submit(fn, session=f"tenant:{tenant}")
+                future = self.executor.submit(fn)
             return await asyncio.wrap_future(future)
         finally:
             with self._tenant_lock:

@@ -22,7 +22,8 @@ pillars together:
 * **Recovery** — :meth:`open` loads the newest checkpoint, replays the
   surviving WAL prefix (tolerantly: a record whose effect is already in
   the checkpoint is skipped, so replay is idempotent), and truncates any
-  torn tail.
+  torn tail.  LSNs resume after the newest of the last surviving record
+  and the checkpoint's own LSN, so a restart never reissues a number.
 
 :func:`state_digest` condenses the whole logical state — schemas, rows,
 preferences — to one sha256, which is how the crash-recovery fixtures
@@ -34,7 +35,7 @@ Directory layout (``server.directory``)::
     checkpoint-NNNNNNNN/
         schema.json     format-2 database checkpoint manifest
         *.jsonl         table data files
-        preferences.json  checksummed preference checkpoint
+        preferences.json  checksummed preference checkpoint + its LSN
     preferences.wal     mutations since the checkpoint
 
 Checkpoints are **versioned**: each :meth:`checkpoint` writes a brand-new
@@ -314,13 +315,18 @@ class PreferenceServer:
         if db.is_snapshot:
             raise ReproError("cannot serve from a snapshot database")
         store = PreferenceStore(db)
+        checkpoint_lsn = 0
         if checkpoint_dir is not None:
             prefs_path = os.path.join(checkpoint_dir, PREFS_FILE)
             if vfs.exists(prefs_path):
-                _load_preferences(prefs_path, store)
+                checkpoint_lsn = _load_preferences(prefs_path, store)
         wal, replay = PreferenceWAL.open(
             os.path.join(directory, WAL_FILE), sync=sync
         )
+        if checkpoint_lsn > wal.lsn:
+            # The log was reset after the checkpoint: numbering resumes
+            # after the last record the checkpoint reflects.
+            wal = PreferenceWAL(wal.path, sync=sync, start_lsn=checkpoint_lsn)
         server = cls(
             db,
             store,
@@ -548,7 +554,11 @@ class PreferenceServer:
         name = f"checkpoint-{epoch:08d}"
         target = os.path.join(self.directory, name)
         save_database(self.db, target)
-        _save_preferences(os.path.join(target, PREFS_FILE), self.store)
+        _save_preferences(
+            os.path.join(target, PREFS_FILE),
+            self.store,
+            self.wal.lsn if self.wal is not None else 0,
+        )
         # The commit point: recovery reads this checkpoint from now on.
         _atomic_write(os.path.join(self.directory, CURRENT_FILE), name + "\n")
         self._epoch = epoch
@@ -589,7 +599,7 @@ class PreferenceServer:
 # ---------------------------------------------------------------------------
 
 
-def _save_preferences(path: str, store: PreferenceStore) -> None:
+def _save_preferences(path: str, store: PreferenceStore, lsn: int) -> None:
     users = {
         user: [preference_to_dict(stored) for stored in store.preferences_of(user)]
         for user in store.users()
@@ -598,12 +608,14 @@ def _save_preferences(path: str, store: PreferenceStore) -> None:
     document = {
         "format": 1,
         "checksum": "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest(),
+        "lsn": lsn,
         "users": users,
     }
     _atomic_write(path, json.dumps(document, indent=2, sort_keys=True))
 
 
-def _load_preferences(path: str, store: PreferenceStore) -> None:
+def _load_preferences(path: str, store: PreferenceStore) -> int:
+    """Load a preference checkpoint into *store*; returns the LSN it reflects."""
     with current_vfs().open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
@@ -623,5 +635,11 @@ def _load_preferences(path: str, store: PreferenceStore) -> None:
             f"preference checkpoint checksum mismatch (expected {expected})",
             path=path,
         )
+    lsn = document.get("lsn", 0)
+    if not isinstance(lsn, int) or lsn < 0:
+        raise DataCorruption(
+            f"preference checkpoint has a malformed lsn {lsn!r}", path=path
+        )
     for user, stored_list in users.items():
         store.add_all(user, [preference_from_dict(data) for data in stored_list])
+    return lsn

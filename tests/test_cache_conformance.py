@@ -367,7 +367,7 @@ class TestConcurrentSingleFlight:
         executor = ServeExecutor(workers=8, queue_limit=64)
         try:
             futures = [
-                executor.submit(cached.query, "u1", session=f"s{i % 4}")
+                executor.submit(cached.query, "u1")
                 for i in range(32)
             ]
             replies = [f.result(10.0) for f in futures]
@@ -454,7 +454,7 @@ class TestConcurrentSingleFlight:
         try:
             for round_no in range(6):
                 futures = [
-                    executor.submit(cached.query, "u1", session=f"s{i}")
+                    executor.submit(cached.query, "u1")
                     for i in range(8)
                 ]
                 replies = [f.result(10.0) for f in futures]

@@ -1,8 +1,8 @@
-"""Concurrent chaos + crash-recovery fixtures, and their CLI entry points.
+"""Concurrent chaos and its CLI entry point.
 
-Small-scale versions of the acceptance scenarios: N writers and M readers
-against one server (every reader cell judged against the oracle computed on
-its own snapshot), and the crash-at-arbitrary-WAL-offset recovery sweep.
+A small-scale version of the acceptance scenario: N writers and M readers
+against one server, every reader cell judged against the oracle computed on
+its own snapshot.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from repro.resilience.chaos_concurrent import (
     _base_preference,
     preference_pool,
     run_concurrent_chaos,
-    wal_recovery_check,
 )
-from repro.serve.bench import serve_bench
 from repro.serve.server import PreferenceServer
 from repro.workloads.imdb import generate_imdb
 
@@ -53,22 +51,6 @@ def test_reader_snapshots_hit_the_live_block_memo_between_writes():
     assert server.db.blocks.stats()["hits"] == 1  # stored on the second run
 
 
-def test_wal_recovery_at_arbitrary_offsets(tmp_path):
-    report = wal_recovery_check(str(tmp_path), seed=5, mutations=12, max_offsets=6)
-    assert report.ok, report.describe()
-    assert report.offsets_checked > 0
-    assert report.mismatches == []
-
-
-def test_serve_bench_reports_latency_and_throughput():
-    report = serve_bench(threads=2, duration=0.4, scale=0.0005, seed=3)
-    assert report.ok, report.describe()
-    assert report.completed > 0
-    assert report.qps > 0
-    assert report.latency["p50_ms"] <= report.latency["p99_ms"]
-    assert "q/s" in report.describe()
-
-
 def test_cli_chaos_concurrent_scenario():
     code = main(
         [
@@ -88,33 +70,6 @@ def test_cli_chaos_concurrent_scenario():
         ]
     )
     assert code == 0
-
-
-def test_cli_serve_bench(tmp_path, capsys):
-    trace_out = str(tmp_path / "serve.jsonl")
-    code = main(
-        [
-            "serve-bench",
-            "--threads",
-            "2",
-            "--duration",
-            "0.3",
-            "--scale",
-            "0.0005",
-            "--trace-out",
-            trace_out,
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "q/s" in out
-    from repro.obs import read_jsonl
-
-    records = read_jsonl(trace_out)
-    assert records
-    meta, span = records[0]
-    assert span.name == "serve.latency"
-    assert meta["benchmark"] == "serve-bench"
 
 
 def test_cli_chaos_list_mentions_concurrent(capsys):

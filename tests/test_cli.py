@@ -89,7 +89,7 @@ class TestChaosCommand:
         assert main(["chaos", "--list"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            "concurrent", "crash", "network",
+            "concurrent", "network",
         ]
 
     def test_unknown_scenario_errors(self, capsys):
@@ -103,7 +103,7 @@ class TestChaosCommand:
                      "--writers", "1", "--readers", "1", "--queries", "2"]) == 0
         out = capsys.readouterr().out
         assert "concurrent chaos" in out and "OK" in out
-        assert "wal recovery" in out and "crash-torture" not in out
+        assert "crash-torture" not in out
 
 
 class TestStaticAnalysisCommands:

@@ -2,19 +2,24 @@
 
 The harness itself is exercised small here (one in-process round, one
 SIGKILL round); the CI crash-torture job runs the full sweep.  The targeted
-tests pin the two subtlest recovery orderings: replaying one WAL twice, and
-a crash inside checkpoint() between the state flush and the WAL reset.
+tests pin the subtlest recovery orderings: replaying one WAL twice, a crash
+inside checkpoint() between the state flush and the WAL reset, and the LSN
+of a log that a checkpoint emptied.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from repro.errors import DurabilityError, WALPoisoned
+from repro.errors import DataCorruption, DurabilityError, WALPoisoned
 from repro.resilience.crashtest import (
     _MUTATION_OPS,
+    TortureReport,
+    _run_workload,
+    _verify_recovery,
     apply_op,
     base_db,
     mutation_self_check,
@@ -22,7 +27,9 @@ from repro.resilience.crashtest import (
     run_crash_torture,
     scripted_ops,
 )
-from repro.serve.server import CURRENT_FILE, PreferenceServer
+from repro.resilience.vfs import FaultyVFS
+from repro.serve.server import CURRENT_FILE, PREFS_FILE, PreferenceServer
+from repro.serve.wal import PreferenceWAL
 
 
 class TestScriptedWorkload:
@@ -56,6 +63,56 @@ class TestTortureHarness:
     def test_mutation_self_check_catches_lossy_replay(self, tmp_path):
         assert any(op[0] == "row.insert" for op in _MUTATION_OPS)
         assert mutation_self_check(str(tmp_path)) is True
+
+
+class TestRecoveredLsn:
+    """Recovery restores the LSN of the prefix it recovered."""
+
+    #: Three records, each followed by a checkpoint that empties the log.
+    OPS = [
+        ("pref.add", "alice", "d1"),
+        ("row.insert", 900_001),
+        ("checkpoint",),
+        ("pref.add", "bob", "y2000"),
+        ("checkpoint",),
+    ]
+
+    def recovery_failures(self, directory: str) -> list[str]:
+        report = TortureReport(seed=0, rounds=1)
+        _verify_recovery(
+            directory, self.OPS, oracle_digests(self.OPS), len(self.OPS),
+            len(self.OPS), "clean run", report,
+        )
+        return report.failures
+
+    def test_lsn_survives_a_checkpoint_reset(self, tmp_path):
+        directory = str(tmp_path)
+        assert _run_workload(directory, self.OPS, FaultyVFS()) == (5, 5)
+        assert self.recovery_failures(directory) == []
+        server, _ = PreferenceServer.open(directory)
+        apply_op(server, ("pref.add", "carol", "d2"))
+        assert server.wal.lsn == 4  # numbering resumes; LSN 1 is never reissued
+        server.close()
+
+    def test_a_malformed_checkpoint_lsn_is_typed_corruption(self, tmp_path):
+        directory = str(tmp_path)
+        _run_workload(directory, self.OPS, FaultyVFS())
+        with open(os.path.join(directory, CURRENT_FILE), encoding="utf-8") as handle:
+            prefs_path = os.path.join(directory, handle.read().strip(), PREFS_FILE)
+        with open(prefs_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["lsn"] = "3"
+        with open(prefs_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with pytest.raises(DataCorruption, match="malformed lsn"):
+            PreferenceServer.open(directory)
+
+    def test_a_miscounted_lsn_fails_the_recovery_check(self, tmp_path, monkeypatch):
+        directory = str(tmp_path)
+        _run_workload(directory, self.OPS, FaultyVFS())
+        monkeypatch.setattr(PreferenceWAL, "lsn", property(lambda wal: wal._lsn + 1))
+        failures = self.recovery_failures(directory)
+        assert len(failures) == 1 and "recovered LSN 4" in failures[0]
 
 
 class TestReplayIdempotency:

@@ -1,6 +1,9 @@
-"""NetServer: dispatch, tenancy, deadlines, admission, observability."""
+"""NetServer: dispatch, tenancy, deadlines, admission, load, observability."""
 
 from __future__ import annotations
+
+import random
+import threading
 
 import pytest
 
@@ -8,9 +11,9 @@ from repro.core.preference import Preference
 from repro.engine.database import Database
 from repro.engine.expressions import eq
 from repro.engine.types import DataType
-from repro.errors import Overloaded, QueryTimeout, ReproError
+from repro.errors import Overloaded, QueryTimeout, ReproError, ResilienceError
 from repro.obs import InMemorySink
-from repro.resilience import RetryPolicy
+from repro.resilience import RetryBudget, RetryPolicy
 from repro.serve.net.client import PreferenceClient
 from repro.serve.net.protocol import triples_digest, wire_triples
 from repro.serve.net.server import NetServer, namespaced, serve_in_thread
@@ -200,6 +203,77 @@ def test_health_and_stats_reflect_served_traffic(served):
     health = client.health()
     assert health["status"] == "ok"
     assert health["draining"] is False
+
+
+# -- concurrent load -----------------------------------------------------------
+
+
+def test_multi_tenant_wire_load_passes_the_serving_gate():
+    # Four closed-loop clients on distinct tenants share one retry budget
+    # against a pool with less room (2 workers + 1 waiting) than clients.
+    # Queries repeat a few users per tenant while add/remove churn
+    # invalidates them.  The gate: no failure escapes untyped, at least
+    # half the requests complete, and at most half are shed.
+    clients, requests = 4, 40
+    server = PreferenceServer(small_db())
+    net = NetServer(server, workers=2, queue_limit=1, tenant_quota=2, default_sql=SQL)
+    handle = serve_in_thread(net)
+    budget = RetryBudget(capacity=20.0, refill=0.2)
+    lock = threading.Lock()
+    outcomes = {"completed": 0, "shed": 0, "typed": 0}
+    untyped: list[str] = []
+
+    def client_loop(worker: int) -> None:
+        rng = random.Random(worker)
+        active: dict[str, set[str]] = {f"u{i}": set() for i in range(3)}
+        client = PreferenceClient(
+            "127.0.0.1",
+            handle.port,
+            tenant=f"t{worker}",
+            deadline_s=15.0,
+            retry=RetryPolicy(attempts=4, base_delay=0.01, jitter=0.5, seed=worker),
+            budget=budget,
+        )
+        try:
+            for _ in range(requests):
+                user = rng.choice(sorted(active))
+                preference = rng.choice((green(), red()))
+                try:
+                    if rng.random() < 0.7:
+                        client.query(user)
+                    elif preference.name in active[user]:
+                        client.remove_preference(user, preference.name)
+                        active[user].discard(preference.name)
+                    else:
+                        client.add_preference(user, preference)
+                        active[user].add(preference.name)
+                    verdict = "completed"
+                except Overloaded:
+                    verdict = "shed"
+                except ResilienceError:
+                    verdict = "typed"
+                except Exception as err:  # noqa: BLE001 - the gate counts it
+                    with lock:
+                        untyped.append(repr(err))
+                    continue
+                with lock:
+                    outcomes[verdict] += 1
+        finally:
+            client.close()
+
+    threads = [threading.Thread(target=client_loop, args=(i,)) for i in range(clients)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        handle.stop()
+    total = clients * requests
+    assert untyped == []
+    assert sum(outcomes.values()) == total, outcomes  # no client died mid-run
+    assert outcomes["completed"] >= 0.5 * total, outcomes
+    assert outcomes["shed"] <= 0.5 * total, outcomes
 
 
 # -- observability -------------------------------------------------------------
