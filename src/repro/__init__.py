@@ -59,11 +59,10 @@ from .engine import (
     eq,
     lit,
 )
-from .errors import ReproError, RewriteViolation
+from .errors import ReproError
 from .analysis_static import (
     Diagnostic,
     PlanVerifier,
-    RewriteAuditor,
     Severity,
     verify_plan,
 )
@@ -169,7 +168,5 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "PlanVerifier",
-    "RewriteAuditor",
-    "RewriteViolation",
     "verify_plan",
 ]

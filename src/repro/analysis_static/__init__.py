@@ -1,14 +1,11 @@
 """Static analysis over extended query plans and over the code base itself.
 
-Three layers (see ``docs/STATIC_ANALYSIS.md``):
+Two layers (see ``docs/STATIC_ANALYSIS.md``):
 
 * :mod:`~repro.analysis_static.verifier` — a dataflow pass over plan trees
   that checks the algebraic preconditions of the paper's rewrite properties
   (4.1–4.4) *before* execution: score-filter placement, prefer pushdown
   targets, chain ordering, set-operation compatibility.
-* :mod:`~repro.analysis_static.auditor` — invariant-preservation checks on
-  each (before, after) pair the optimizer (row or columnar) produces; strict
-  mode raises :class:`~repro.errors.RewriteViolation` on any failure.
 * :mod:`~repro.analysis_static.lint` — an AST-based checker over the source
   tree (``python -m repro.lint src``): every file parses, every registered
   aggregate obeys Definition 3's laws, and durability modules do their I/O
@@ -33,7 +30,6 @@ _EXPORTS = {
     "make_diagnostic": "diagnostics",
     "PlanVerifier": "verifier",
     "verify_plan": "verifier",
-    "RewriteAuditor": "auditor",
     "LintFinding": "lint",
     "lint_paths": "lint",
     "run_lint": "lint",

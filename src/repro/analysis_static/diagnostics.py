@@ -1,4 +1,4 @@
-"""Diagnostic codes shared by the plan verifier, rewrite auditor and linter.
+"""Diagnostic codes shared by the plan verifier, linter and sanitizer.
 
 Every finding any static-analysis layer produces is a :class:`Diagnostic`
 with a stable code from :data:`CATALOG`; the catalog is the single source of
@@ -6,8 +6,6 @@ truth for severity and one-line summaries (``docs/STATIC_ANALYSIS.md``
 documents each code with examples).  Codes are grouped by layer:
 
 * ``PV1xx`` — plan-verifier invariants (Properties 4.1–4.4 preconditions);
-* ``PV2xx`` — informational plan-quality notes emitted by optimizer rules;
-* ``RWxxx`` — rewrite-auditor invariant-preservation failures;
 * ``LNxxx`` — source-code lint findings (``LN105``: aggregate laws,
   ``LN305``: durability I/O through the VFS);
 * ``SANxxx`` — concurrency-sanitizer findings (lock order, COW discipline,
@@ -23,7 +21,7 @@ from enum import Enum
 class Severity(Enum):
     """How bad a diagnostic is.
 
-    ``ERROR`` findings make a plan unsound (strict mode refuses them);
+    ``ERROR`` findings make a plan unsound (``verify-plan`` always fails on them);
     ``WARNING`` findings are legal but suspicious (wasted scores, unordered
     chains); ``INFO`` findings record facts a rewrite could not act on.
     """
@@ -48,13 +46,6 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "PV108": (Severity.ERROR, "prefer operators disagree on their aggregate function F"),
     "PV109": (Severity.WARNING, "prefer in the unpreserved input of a left outer join"),
     "PV110": (Severity.WARNING, "score/conf filter over an input that evaluates no preference"),
-    # -- optimizer rule notes ------------------------------------------------
-    "PV201": (Severity.INFO, "projection pushdown blocked: positional inputs"),
-    # -- rewrite auditor -----------------------------------------------------
-    "RW001": (Severity.ERROR, "rewrite introduced new verifier errors"),
-    "RW002": (Severity.ERROR, "rewrite changed the plan's output attributes"),
-    "RW003": (Severity.ERROR, "rewrite changed the plan's preference multiset"),
-    "RW004": (Severity.ERROR, "rewrite changed the plan's base-relation multiset"),
     # -- code lint -----------------------------------------------------------
     "LN100": (Severity.ERROR, "source file does not parse"),
     "LN105": (Severity.ERROR, "registered aggregate function violates the algebraic laws"),
@@ -76,7 +67,7 @@ class Diagnostic:
     """One static-analysis finding.
 
     ``where`` locates the finding: a plan-node label for verifier codes, a
-    ``file:line`` for lint codes, a rule name for auditor codes.
+    ``file:line`` for lint codes.
     """
 
     code: str

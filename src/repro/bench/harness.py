@@ -20,6 +20,7 @@ from ..engine.database import Database
 from ..obs import Tracer
 from ..plan.nodes import PlanNode
 from ..query.session import Session
+from ..resilience import QueryGuard
 from ..workloads.queries import WorkloadQuery
 from .reporting import format_table
 
@@ -152,18 +153,21 @@ def measure(
     the hook benchmarks use to time executor variants, e.g.
     ``measure(..., columnar=True)``.
     """
+
+    def execute(tracer=None):
+        guard = None if timeout is None else QueryGuard(timeout=timeout)
+        return session.execute(
+            query, strategy=strategy, tracer=tracer, guard=guard, **execute_kwargs
+        )
+
     session.db.forget_blocks()
-    session.execute(
-        query, strategy=strategy, timeout=timeout, **execute_kwargs
-    )  # warm-up
+    execute()  # warm-up
     times: list[float] = []
     last = None
     for _ in range(max(1, repeats)):
         session.db.forget_blocks()
         started = time.perf_counter()
-        last = session.execute(
-            query, strategy=strategy, timeout=timeout, **execute_kwargs
-        )
+        last = execute()
         times.append((time.perf_counter() - started) * 1e3)
     assert last is not None
     name = label or (query if isinstance(query, str) else "plan")
@@ -181,9 +185,7 @@ def measure(
         for _ in range(max(1, repeats)):
             session.db.forget_blocks()
             started = time.perf_counter()
-            traced_result = session.execute(
-                query, strategy=strategy, tracer=tracer, timeout=timeout, **execute_kwargs
-            )
+            traced_result = execute(tracer)
             traced_times.append((time.perf_counter() - started) * 1e3)
         measurement.trace = traced_result.stats.trace
         untraced = measurement.wall_ms

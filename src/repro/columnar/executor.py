@@ -58,21 +58,16 @@ def evaluate_columnar(
     aggregate: AggregateFunction = F_S,
     *,
     pushdown: bool = True,
-    strict: bool = False,
 ) -> PRelation:
     """Evaluate *plan* columnar-wise against *db*, returning a p-relation.
 
     Exact: the result's raw ``(row, score, conf)`` triples equal the
     reference evaluator's on every supported plan (the conformance suite
-    asserts this without rounding).  The pushdown rewrite goes through the
-    same audit discipline as the row optimizer's rules (see
-    :func:`audited_push_selections`); *strict* raises
-    :class:`~repro.errors.RewriteViolation` on an audit failure.
+    asserts this without rounding).  *pushdown* first applies the row
+    optimizer's selection pushdown (Heuristic 1).
     """
     if pushdown:
-        plan = audited_push_selections(
-            plan, db.catalog, strict=strict, aggregate=aggregate
-        )
+        plan = push_selections(plan, db.catalog)
     return _evaluate(plan, db, aggregate).to_prelation()
 
 
@@ -134,53 +129,3 @@ def _evaluate_prefer_chain(
     relation = _evaluate(chain[0].child, db, aggregate).to_prelation()
     relation = prefer_group(relation, [node.preference for node in chain], run_aggregate)
     return ColumnarRelation.from_rows(relation.schema, relation.rows, relation.pairs)
-
-
-# ---------------------------------------------------------------------------
-# Audited selection pushdown
-# ---------------------------------------------------------------------------
-
-
-def audited_push_selections(
-    plan: PlanNode, catalog, *, strict: bool = False, aggregate=None
-) -> PlanNode:
-    """The native selection pushdown under the row optimizer's audit discipline.
-
-    The rewrite is :func:`repro.engine.native_optimizer.push_selections` (the
-    row optimizer's Heuristic 1), audited under the rule name
-    ``columnar.push_selections``.  Mirrors ``PreferenceOptimizer.optimize``
-    exactly: without a collecting tracer and without *strict*, the rewrite
-    runs unaudited (zero overhead);
-    otherwise every fire gets an ``optimize.rule`` span, the (before, after)
-    pair goes through :class:`~repro.analysis_static.RewriteAuditor`, error
-    findings bump ``optimizer.rewrite_violation``, and *strict* raises
-    :class:`~repro.errors.RewriteViolation`.
-    """
-    from ..obs import current_tracer
-
-    tracer = current_tracer()
-    if not tracer.enabled and not strict:
-        return push_selections(plan, catalog)
-
-    from ..analysis_static.auditor import RewriteAuditor
-    from ..analysis_static.diagnostics import Severity
-    from ..errors import RewriteViolation
-
-    name = "columnar.push_selections"
-    with tracer.span("optimize.rule", label=name) as span:
-        pushed = push_selections(plan, catalog)
-        fired = pushed != plan
-        span.set("fired", fired)
-        if not fired:
-            return pushed
-        tracer.count("optimizer.rule_fired")
-        auditor = RewriteAuditor(catalog, default_aggregate=aggregate)
-        diagnostics = auditor.audit(name, plan, pushed)
-        if diagnostics:
-            span.set("diagnostics", [str(d) for d in diagnostics])
-            violations = [d for d in diagnostics if d.severity is Severity.ERROR]
-            if violations:
-                tracer.count("optimizer.rewrite_violation", len(violations))
-                if strict:
-                    raise RewriteViolation(name, violations)
-        return pushed

@@ -39,21 +39,6 @@ class OptimizerError(ReproError):
     """The optimizer was given a plan it cannot rewrite soundly."""
 
 
-class RewriteViolation(OptimizerError):
-    """A rule fire failed the rewrite auditor's invariant checks.
-
-    Raised only in the optimizer's strict mode; ``rule`` names the offending
-    rule and ``diagnostics`` carries the auditor's findings (see
-    :mod:`repro.analysis_static`).
-    """
-
-    def __init__(self, rule: str, diagnostics):
-        self.rule = rule
-        self.diagnostics = list(diagnostics)
-        details = "; ".join(str(d) for d in self.diagnostics)
-        super().__init__(f"rewrite rule {rule!r} violated plan invariants: {details}")
-
-
 class ExecutionError(ReproError):
     """A physical operator failed during plan execution."""
 

@@ -24,20 +24,27 @@ def match_native_join_order(plan: PlanNode, catalog: Catalog) -> PlanNode:
     return order_joins(plan, catalog)
 
 
-def left_deepen(plan: PlanNode) -> PlanNode:
+def left_deepen(plan: PlanNode, catalog: Catalog) -> PlanNode:
     """Swap commutative set operations so binary subtrees hang left.
 
     Joins are already left-deep after :func:`match_native_join_order`;
     Union/Intersect are commutative on p-relations (F is commutative), so a
-    binary-operator-bearing right child can be swapped to the left.
+    binary-operator-bearing right child can be swapped to the left.  A set
+    operation is positional and names its output after its left input, so
+    the swap happens only when both inputs carry the same attribute names.
     Difference is not commutative and is left as-is.
     """
     children = plan.children()
     if children:
-        plan = plan.with_children([left_deepen(child) for child in children])
+        plan = plan.with_children([left_deepen(child, catalog) for child in children])
     if isinstance(plan, (Union, Intersect)):
         left, right = plan.children()
-        if _has_binary(right) and not _has_binary(left):
+        if (
+            _has_binary(right)
+            and not _has_binary(left)
+            and left.schema(catalog).attribute_names
+            == right.schema(catalog).attribute_names
+        ):
             return plan.with_children([right, left])
     return plan
 

@@ -5,38 +5,20 @@ the plan left-deep, matching the join order the native optimizer would pick.
 Individual rules can be disabled through :class:`OptimizerConfig` — the
 heuristics-ablation benchmark uses this to measure each rule's contribution.
 
-Every rule fire can be audited by the static rewrite auditor
-(:mod:`repro.analysis_static.auditor`): the (before, after) pair is checked
-for invariant preservation — no new verifier errors, unchanged output
-attributes, unchanged preference and relation multisets.  In **strict** mode
-any error-severity finding raises :class:`~repro.errors.RewriteViolation`;
-otherwise findings are recorded on the rule's tracer span (``diagnostics``
-attribute) and counted under ``optimizer.rewrite_violation``.  Without a
-collecting tracer and without strict mode, no auditing runs at all — the
-fast path is unchanged.
+The rules run the same way with or without a tracer.  A collecting tracer
+only records, per rule, an ``optimize.rule`` span saying whether the rule
+fired; rewrite soundness is checked by the test suite, not at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.cardinality import estimate_cardinality
 from ..engine.catalog import Catalog
-from ..errors import RewriteViolation
 from ..obs import current_tracer
 from ..plan.nodes import PlanNode
 from .leftdeep import left_deepen, match_native_join_order
 from .rules import push_prefers, push_projections, push_selections, reorder_prefers
-
-
-def estimated_plan_cost(plan: PlanNode, catalog: Catalog) -> float:
-    """Crude plan cost: summed estimated cardinality of every node.
-
-    The paper argues (§VI-A) that intermediate-relation sizes drive query
-    cost; summing each operator's estimated output size is exactly that.
-    Used only for observability (per-rule cost deltas), never for planning.
-    """
-    return sum(estimate_cardinality(node, catalog) for node in plan.walk())
 
 
 @dataclass(frozen=True)
@@ -59,29 +41,17 @@ class OptimizerConfig:
 class PreferenceOptimizer:
     """Rewrites extended query plans into more efficient equivalents."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: OptimizerConfig | None = None,
-        *,
-        strict: bool = False,
-        default_aggregate=None,
-    ):
+    def __init__(self, catalog: Catalog, config: OptimizerConfig | None = None):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
-        self.strict = strict
-        self.default_aggregate = default_aggregate
 
     def optimize(self, plan: PlanNode, tracer=None) -> PlanNode:
         """Apply the enabled rules in order.
 
         Under a collecting tracer every rule gets an ``optimize.rule`` span
-        recording whether it fired (changed the plan), the estimated-cost
-        delta, and any audit diagnostics; fired rules also bump the global
-        ``optimizer.rule_fired`` counter.  Strict mode additionally raises
-        :class:`~repro.errors.RewriteViolation` on the first rule fire that
-        fails the rewrite auditor.  The no-tracer, non-strict path skips all
-        of that, including the tree comparisons.
+        recording whether it fired (changed the plan), and fired rules bump
+        the global ``optimizer.rule_fired`` counter.  Without one, no span
+        is opened and no plans are compared.
         """
         config = self.config
         rules = (
@@ -90,52 +60,24 @@ class PreferenceOptimizer:
             ("push_prefers", config.push_prefers, push_prefers),
             ("reorder_prefers", config.reorder_prefers, reorder_prefers),
             ("match_join_order", config.match_join_order, match_native_join_order),
-            ("left_deep", config.left_deep, lambda p, _catalog: left_deepen(p)),
+            ("left_deep", config.left_deep, left_deepen),
         )
         if tracer is None:
             tracer = current_tracer()
-        if not tracer.enabled and not self.strict:
+        if not tracer.enabled:
             for _name, enabled, rule in rules:
                 if enabled:
                     plan = rule(plan, self.catalog)
             return plan
-
-        from ..analysis_static.auditor import RewriteAuditor
-        from ..analysis_static.diagnostics import Severity
-
-        auditor = RewriteAuditor(
-            self.catalog, default_aggregate=self.default_aggregate
-        )
         for name, enabled, rule in rules:
             if not enabled:
                 continue
             with tracer.span("optimize.rule", label=name) as span:
-                if tracer.enabled:
-                    cost_before = estimated_plan_cost(plan, self.catalog)
-                diagnostics = []
-                if rule is push_projections:
-                    rewritten = push_projections(plan, self.catalog, diagnostics)
-                else:
-                    rewritten = rule(plan, self.catalog)
+                rewritten = rule(plan, self.catalog)
                 fired = rewritten != plan
                 span.set("fired", fired)
                 if fired:
                     tracer.count("optimizer.rule_fired")
-                    if tracer.enabled:
-                        cost_after = estimated_plan_cost(rewritten, self.catalog)
-                        span.set("cost_before", round(cost_before, 1))
-                        span.set("cost_after", round(cost_after, 1))
-                        span.set("cost_delta", round(cost_after - cost_before, 1))
-                    diagnostics.extend(auditor.audit(name, plan, rewritten))
-                if diagnostics:
-                    span.set("diagnostics", [str(d) for d in diagnostics])
-                    violations = [
-                        d for d in diagnostics if d.severity is Severity.ERROR
-                    ]
-                    if violations:
-                        tracer.count("optimizer.rewrite_violation", len(violations))
-                        if self.strict:
-                            raise RewriteViolation(name, violations)
                 plan = rewritten
         return plan
 

@@ -40,22 +40,18 @@ from .selectivity import preference_selectivity
 # ---------------------------------------------------------------------------
 
 
-def push_projections(
-    plan: PlanNode, catalog: Catalog, diagnostics: list | None = None
-) -> PlanNode:
+def push_projections(plan: PlanNode, catalog: Catalog) -> PlanNode:
     """Insert projections directly above base relations keeping only the
     attributes somebody upstream needs (Rule 2).
 
     "Needed" covers: the final output attributes, every selection and join
     condition, every prefer operator's conditional and scoring attributes,
     and the primary keys of all base relations (score relations are keyed by
-    them).  Projections are not pushed through set operations (their inputs
-    are positional); when that blocks an active pushdown, a PV201 diagnostic
-    is appended to *diagnostics* (if given) instead of dropping the fact
-    silently.
+    them).  Projections are not pushed through set operations: their inputs
+    are positional, so those subtrees stay at full width.
     """
     required = _all_required_attributes(plan, catalog)
-    return _prune(plan, required, catalog, diagnostics)
+    return _prune(plan, required, catalog)
 
 
 def _all_required_attributes(plan: PlanNode, catalog: Catalog) -> set[str]:
@@ -81,12 +77,7 @@ def _all_required_attributes(plan: PlanNode, catalog: Catalog) -> set[str]:
     return required
 
 
-def _prune(
-    plan: PlanNode,
-    required: set[str],
-    catalog: Catalog,
-    diagnostics: list | None = None,
-) -> PlanNode:
+def _prune(plan: PlanNode, required: set[str], catalog: Catalog) -> PlanNode:
     if "*" in required:
         return plan
     if isinstance(plan, Relation):
@@ -100,26 +91,11 @@ def _prune(
             return plan
         return Project(plan, kept)
     if isinstance(plan, (Union, Intersect, Difference)):
-        # Positional inputs: do not disturb.  Record what was blocked rather
-        # than silently leaving the subtree at full width.
-        if diagnostics is not None:
-            from ..analysis_static.diagnostics import make_diagnostic
-
-            diagnostics.append(
-                make_diagnostic(
-                    "PV201",
-                    f"projection pushdown blocked: {plan.kind} inputs are "
-                    "positional, its subtree stays at full width",
-                    where=plan.label(),
-                )
-            )
-        return plan
+        return plan  # positional inputs: do not disturb
     children = plan.children()
     if not children:
         return plan
-    return plan.with_children(
-        [_prune(child, required, catalog, diagnostics) for child in children]
-    )
+    return plan.with_children([_prune(child, required, catalog) for child in children])
 
 
 # ---------------------------------------------------------------------------

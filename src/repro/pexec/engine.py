@@ -116,18 +116,10 @@ class ExecutionEngine:
         db: Database,
         aggregate: AggregateFunction = F_S,
         optimizer_config: OptimizerConfig | None = None,
-        *,
-        strict: bool = False,
     ):
         self.db = db
         self.aggregate = aggregate
-        #: When *strict*, every optimizer rule fire is audited against the
-        #: static plan verifier and an invariant-breaking rewrite raises
-        #: :class:`~repro.errors.RewriteViolation` instead of executing.
-        self.strict = strict
-        self.optimizer = PreferenceOptimizer(
-            db.catalog, optimizer_config, strict=strict, default_aggregate=aggregate
-        )
+        self.optimizer = PreferenceOptimizer(db.catalog, optimizer_config)
 
     def prepare(self, plan: PlanNode) -> PlanNode:
         """Widen the plan's projections (the parser step of §VI).
@@ -251,9 +243,7 @@ class ExecutionEngine:
         """
         with tracer.span("engine.columnar") as span:
             try:
-                result = evaluate_columnar(
-                    widened, self.db, self.aggregate, strict=self.strict
-                )
+                result = evaluate_columnar(widened, self.db, self.aggregate)
             except ColumnarUnsupported as err:
                 span.set("fallback", "unsupported")
                 span.set("cause", str(err))

@@ -33,16 +33,10 @@ class Session:
         strategy: str = "gbu",
         aggregate: AggregateFunction = F_S,
         optimizer_config: OptimizerConfig | None = None,
-        *,
-        strict: bool = False,
     ):
         self.db = db
         self.strategy = strategy
-        #: Strict sessions audit every optimizer rewrite against the static
-        #: plan verifier (:mod:`repro.analysis_static`) and refuse to execute
-        #: a plan an invariant-breaking rule produced.
-        self.strict = strict
-        self.engine = ExecutionEngine(db, aggregate, optimizer_config, strict=strict)
+        self.engine = ExecutionEngine(db, aggregate, optimizer_config)
         self.preferences: dict[str, Preference | ContextualPreference] = {}
         self.context: dict = {}
         self.compiler = QueryCompiler(
@@ -94,8 +88,6 @@ class Session:
         strategy: str | None = None,
         tracer=None,
         *,
-        timeout: float | None = None,
-        max_rows: int | None = None,
         guard: QueryGuard | None = None,
         columnar: bool | None = None,
     ) -> QueryResult:
@@ -104,24 +96,16 @@ class Session:
         Pass a :class:`repro.obs.Tracer` as *tracer* to collect a
         per-operator execution trace (``result.stats.trace``).
 
-        *timeout* (seconds) and *max_rows* build a per-call
-        :class:`~repro.resilience.QueryGuard`; pass *guard* directly for
-        finer control (tuple budgets, cancellation tokens) — the two forms
-        are mutually exclusive.  Every failure propagates as its typed
-        :class:`~repro.errors.ReproError`; nothing is retried or re-answered
-        by another strategy.
+        *guard* is a per-call :class:`~repro.resilience.QueryGuard`
+        (deadline, row and tuple budgets, cancellation).  Every failure
+        propagates as its typed :class:`~repro.errors.ReproError`; nothing
+        is retried or re-answered by another strategy.
 
         *columnar* routes the query through the columnar executor (see
         :mod:`repro.columnar`); results are byte-identical to the row engine,
         with automatic fallback when the plan shape is unsupported.
         ``result.stats.mode`` says which executor answered.
         """
-        if guard is not None and (timeout is not None or max_rows is not None):
-            raise PreferenceError(
-                "pass either guard= or timeout=/max_rows=, not both"
-            )
-        if guard is None and (timeout is not None or max_rows is not None):
-            guard = QueryGuard(timeout=timeout, max_rows=max_rows)
         order_by = None
         aggregate_name = None
         if isinstance(query, str):
@@ -137,10 +121,7 @@ class Session:
             from ..core.aggregates import get_aggregate
 
             engine = ExecutionEngine(
-                self.db,
-                get_aggregate(aggregate_name),
-                self.engine.optimizer.config,
-                strict=self.strict,
+                self.db, get_aggregate(aggregate_name), self.engine.optimizer.config
             )
         result = engine.run(
             plan,
@@ -158,7 +139,6 @@ class Session:
         query: "str | PlanNode | PreferentialQuery",
         *,
         optimized: bool = False,
-        columnar: bool = False,
     ):
         """Statically verify a query's plan; returns a list of diagnostics.
 
@@ -170,10 +150,6 @@ class Session:
         additionally checks prefer-chain ordering (Property 4.3's
         cheapest-first heuristic) — user-written plans are exempt from that
         check because the paper lets users write chains in any order.
-
-        ``columnar=True`` additionally audits the selection pushdown the
-        columnar executor applies (RWxxx findings, exactly like optimizer
-        rules).
         """
         from ..analysis_static import verify_plan
 
@@ -183,25 +159,12 @@ class Session:
         prepared = self.engine.prepare(plan)
         if optimized:
             prepared = self.engine.optimizer.optimize(prepared)
-        findings = verify_plan(
+        return verify_plan(
             prepared,
             self.db.catalog,
             ordered_chains=optimized,
             default_aggregate=self.engine.aggregate,
         )
-        if columnar:
-            from ..analysis_static import RewriteAuditor
-            from ..engine.native_optimizer import push_selections
-
-            pushed = push_selections(prepared, self.db.catalog)
-            if pushed != prepared:
-                auditor = RewriteAuditor(
-                    self.db.catalog, default_aggregate=self.engine.aggregate
-                )
-                findings.extend(
-                    auditor.audit("columnar.push_selections", prepared, pushed)
-                )
-        return findings
 
     def explain(self, query: "str | PlanNode | PreferentialQuery", strategy: str | None = None) -> str:
         """EXPLAIN: the parsed extended plan and the plan the strategy runs.

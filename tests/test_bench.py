@@ -90,7 +90,8 @@ class TestMeasure:
         )
         assert m.trace.attrs["mode"] == "columnar"  # not a row trace
         assert len(calls) == 3  # warm-up, timed, traced
-        assert all(call["timeout"] == 60.0 and call["columnar"] for call in calls)
+        assert all(call["guard"].timeout == 60.0 and call["columnar"] for call in calls)
+        assert len({id(call["guard"]) for call in calls}) == 3  # a fresh deadline each
 
     @pytest.mark.parametrize("strategy", ["ftp", "gbu"])
     def test_every_run_starts_with_an_empty_block_memo(self, imdb_tiny, monkeypatch, strategy):

@@ -145,12 +145,6 @@ class TestStaticAnalysisCommands:
         out = capsys.readouterr().out
         assert "PV110" in out
 
-    def test_verify_plan_columnar(self, capsys):
-        assert main([
-            "verify-plan", "--workload", "IMDB-2", "--strict", "--columnar",
-        ]) == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_verify_plan_unknown_workload_errors(self, capsys):
         assert main(["verify-plan", "--workload", "IMDB-9"]) == 1
         assert "unknown workload" in capsys.readouterr().err

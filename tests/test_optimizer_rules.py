@@ -67,19 +67,7 @@ class TestRule2Projections:
         plan = scan("MOVIES").select(eq("year", 2008)).build()
         assert push_projections(plan, movie_db.catalog) == plan
 
-    def test_union_under_project_reports_blocked_pushdown(self, movie_db):
-        # Regression: the pushdown used to stop silently at set operations;
-        # it must leave the subtree intact AND say so (PV201, info).
-        plan = Project(
-            Union(Relation("MOVIES"), Relation("MOVIES")), ["title"]
-        )
-        diagnostics = []
-        pruned = push_projections(plan, movie_db.catalog, diagnostics)
-        assert pruned == plan  # positional inputs stay at full width
-        assert [d.code for d in diagnostics] == ["PV201"]
-        assert "positional" in diagnostics[0].message
-
-    def test_blocked_pushdown_is_silent_without_a_sink(self, movie_db):
+    def test_union_under_project_keeps_full_width(self, movie_db):
         plan = Project(
             Union(Relation("MOVIES"), Relation("MOVIES")), ["title"]
         )

@@ -3,10 +3,14 @@
 Every negative-path test hand-builds an illegal plan and asserts the exact
 diagnostic code(s); the acceptance half checks that all six workload queries
 verify clean — parsed and optimized — and that verifier-approved optimizer
-output agrees with the unoptimized reference executor.
+output agrees with the unoptimized reference executor.  The rewrite half
+checks every optimizer rule, one at a time, for the invariants a sound
+rewrite preserves.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -227,15 +231,14 @@ class TestWorkloadAcceptance:
         out = []
         for query in all_queries():
             db = imdb_tiny if query.dataset == "imdb" else dblp_tiny
-            out.append((query, query.session(db, strict=True), db))
+            out.append((query, query.session(db), db))
         return out
 
     def test_parsed_plans_verify_clean(self, sessions):
         for query, session, _db in sessions:
             assert session.verify(query.sql) == [], query.name
 
-    def test_optimized_plans_verify_clean_in_strict_session(self, sessions):
-        # strict=True: every optimizer rule fire is audited on the way.
+    def test_optimized_plans_verify_clean(self, sessions):
         for query, session, _db in sessions:
             assert session.verify(query.sql, optimized=True) == [], query.name
 
@@ -254,26 +257,149 @@ class TestWorkloadAcceptance:
             )
             assert baseline.same_contents(rewritten), query.name
 
-    def test_strict_execution_runs_without_violations(self, sessions):
+    def test_optimized_execution_runs(self, sessions):
         for query, session, _db in sessions:
             result = session.execute(query.sql)
             assert result.stats.rows == len(result.relation)
 
 
+def rewrite_violations(before, after, catalog) -> list[str]:
+    """The invariants any sound rewrite preserves; empty when all hold.
+
+    No new error-severity verifier code, the same root attribute-name set
+    (join reordering may permute columns, so order is not compared), the
+    same multiset of preferences and the same multiset of base relations.
+    """
+    errors_before = _error_codes(before, catalog)
+    new_errors = _error_codes(after, catalog) - errors_before
+    problems = []
+    if new_errors:
+        problems.append(f"new verifier errors {sorted(new_errors.elements())}")
+    elif not errors_before:
+        names_before = _attribute_names(before, catalog)
+        names_after = _attribute_names(after, catalog)
+        if names_before != names_after:
+            problems.append(f"output attributes {names_before} -> {names_after}")
+    if Counter(before.preferences()) != Counter(after.preferences()):
+        problems.append("preference multiset changed")
+    if _relation_leaves(before) != _relation_leaves(after):
+        problems.append("base-relation multiset changed")
+    return problems
+
+
+def _error_codes(plan, catalog) -> Counter:
+    return Counter(
+        d.code for d in verify_plan(plan, catalog) if d.severity is Severity.ERROR
+    )
+
+
+def _attribute_names(plan, catalog) -> set[str]:
+    return {name.lower() for name in plan.schema(catalog).attribute_names}
+
+
+def _relation_leaves(plan) -> Counter:
+    return Counter(
+        (node.name, node.alias) for node in plan.walk() if isinstance(node, Relation)
+    )
+
+
+class TestRewriteInvariants:
+    """The checker behind the per-rule property catches each broken rewrite."""
+
+    def test_introducing_a_verifier_error_is_caught(self, catalog):
+        # A "pushdown" landing the preference on the wrong join input.
+        before = Prefer(
+            Join(Relation("MOVIES"), Relation("DIRECTORS"), cmp("year", ">", 0)),
+            P_YEAR,
+        )
+        after = Join(
+            Relation("MOVIES"),
+            Prefer(Relation("DIRECTORS"), P_YEAR),
+            cmp("year", ">", 0),
+        )
+        assert rewrite_violations(before, after, catalog) == [
+            "new verifier errors ['PV103']"
+        ]
+
+    def test_changing_output_attributes_is_caught(self, catalog):
+        before = Relation("MOVIES")
+        after = Project(Relation("MOVIES"), ["title"])
+        [problem] = rewrite_violations(before, after, catalog)
+        assert problem.startswith("output attributes")
+
+    def test_column_permutation_is_allowed(self, catalog):
+        before = Join(Relation("MOVIES"), Relation("DIRECTORS"), cmp("year", ">", 0))
+        after = Join(Relation("DIRECTORS"), Relation("MOVIES"), cmp("year", ">", 0))
+        assert rewrite_violations(before, after, catalog) == []
+
+    def test_dropping_a_prefer_is_caught(self, catalog):
+        before = Prefer(Relation("MOVIES"), P_YEAR)
+        after = Relation("MOVIES")
+        assert rewrite_violations(before, after, catalog) == [
+            "preference multiset changed"
+        ]
+
+    def test_duplicating_a_prefer_is_caught(self, catalog):
+        before = Prefer(Relation("MOVIES"), P_YEAR)
+        after = Prefer(Prefer(Relation("MOVIES"), P_YEAR), P_YEAR)
+        assert rewrite_violations(before, after, catalog) == [
+            "preference multiset changed"
+        ]
+
+    def test_changing_relation_leaves_is_caught(self, catalog):
+        before = Relation("MOVIES")
+        after = Intersect(Relation("MOVIES"), Relation("MOVIES"))
+        assert rewrite_violations(before, after, catalog) == [
+            "base-relation multiset changed"
+        ]
+
+    def test_legal_pushdown_is_clean(self, catalog):
+        before = Prefer(Select(Relation("MOVIES"), cmp("year", ">", 2000)), P_YEAR)
+        after = Select(Prefer(Relation("MOVIES"), P_YEAR), cmp("year", ">", 2000))
+        assert rewrite_violations(before, after, catalog) == []
+
+
 class TestVerifiedRewritesProperty:
-    """Property: on random plans, the strictly-audited optimizer output is
+    """Property: on random plans, every optimizer rule applied on its own
+    preserves the rewrite invariants, and the whole pipeline's output is
     verifier-approved and agrees with the unoptimized reference executor."""
 
     def test_random_plans(self):
-        from hypothesis import HealthCheck, given, settings
+        from hypothesis import HealthCheck, example, given, settings
 
-        from repro.optimizer import PreferenceOptimizer
+        from repro.optimizer import (
+            PreferenceOptimizer,
+            left_deepen,
+            match_native_join_order,
+            push_prefers,
+            push_projections,
+            push_selections,
+            reorder_prefers,
+        )
         from repro.pexec.conform import conform
         from repro.pexec.reference import evaluate_reference
         from repro.plan.analysis import qualify_preferences
+        from repro.plan.builder import natural_join_condition
         from tests.test_strategy_fuzz import DB, plans
 
-        optimizer = PreferenceOptimizer(DB.catalog, strict=True)
+        rules = (
+            push_selections,
+            push_projections,
+            push_prefers,
+            reorder_prefers,
+            match_native_join_order,
+            left_deepen,
+        )
+        optimizer = PreferenceOptimizer(DB.catalog)
+        movies, ratings = Relation("MOVIES"), Relation("RATINGS")
+        # A positional union whose inputs carry different attribute names.
+        renaming_union = Union(
+            Project(Relation("DIRECTORS"), ["d_id"]),
+            Project(
+                Join(movies, ratings, natural_join_condition(DB.catalog, movies, ratings)),
+                ["MOVIES.m_id"],
+            ),
+        )
 
         @settings(
             max_examples=40,
@@ -281,9 +407,15 @@ class TestVerifiedRewritesProperty:
             suppress_health_check=[HealthCheck.too_slow],
         )
         @given(plans())
+        @example(renaming_union)
         def check(plan):
             qualified = qualify_preferences(plan, DB.catalog)
-            optimized = optimizer.optimize(qualified)  # audits every fire
+            for rule in rules:
+                problems = rewrite_violations(
+                    qualified, rule(qualified, DB.catalog), DB.catalog
+                )
+                assert problems == [], f"{rule.__name__}: {problems}"
+            optimized = optimizer.optimize(qualified)
             errors = [
                 d
                 for d in verify_plan(optimized, DB.catalog, ordered_chains=True)

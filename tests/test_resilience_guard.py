@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    PreferenceError,
     QueryCancelled,
     QueryTimeout,
     ResourceExhausted,
@@ -132,7 +131,7 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("strategy", ["gbu", "bu", "ftp", "plugin-rma", "plugin-shared", "reference"])
     def test_expired_deadline_raises_in_every_strategy(self, session, strategy):
         with pytest.raises(QueryTimeout):
-            session.execute(SQL, strategy=strategy, timeout=0.0)
+            session.execute(SQL, strategy=strategy, guard=QueryGuard(timeout=0.0))
 
     @pytest.mark.parametrize("expire_at", [3, 4])
     @pytest.mark.parametrize("strategy", ["gbu", "bu", "ftp", "plugin-rma", "plugin-shared", "reference"])
@@ -148,11 +147,13 @@ class TestSessionIntegration:
 
     def test_max_rows_enforced_on_result(self, session):
         with pytest.raises(ResourceExhausted) as excinfo:
-            session.execute("SELECT title FROM MOVIES PREFERRING p5", max_rows=2)
+            session.execute(
+                "SELECT title FROM MOVIES PREFERRING p5", guard=QueryGuard(max_rows=2)
+            )
         assert excinfo.value.kind == "rows"
 
     def test_max_rows_allows_small_results(self, session):
-        result = session.execute(SQL, max_rows=10)
+        result = session.execute(SQL, guard=QueryGuard(max_rows=10))
         assert 0 < result.stats.rows <= 10
 
     def test_tuple_budget_via_explicit_guard(self, session):
@@ -166,11 +167,7 @@ class TestSessionIntegration:
         with pytest.raises(QueryCancelled):
             session.execute(SQL, guard=QueryGuard(token=token))
 
-    def test_guard_and_shorthand_are_exclusive(self, session):
-        with pytest.raises(PreferenceError):
-            session.execute(SQL, guard=QueryGuard(), timeout=1.0)
-
     def test_untimed_query_unaffected(self, session):
         plain = session.execute(SQL)
-        guarded = session.execute(SQL, timeout=60.0, max_rows=1000)
+        guarded = session.execute(SQL, guard=QueryGuard(timeout=60.0, max_rows=1000))
         assert plain.relation.same_contents(guarded.relation)
