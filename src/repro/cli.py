@@ -12,11 +12,13 @@ Commands:
 * ``verify-plan`` — statically verify workload or ad-hoc query plans.
 * ``chaos`` — run the seeded chaos scenarios (``--scenario``, repeatable;
   default: all).  ``concurrent`` (``repro.resilience.chaos_concurrent``):
-  writer threads mutate preferences while reader threads must match the
-  oracle on their own snapshot.  ``network``: the network front end under
-  seeded wire faults.
+  writer threads apply the shared op model's writes while reader threads
+  must match the oracle on their own snapshot.  ``network``: the same ops
+  and reads under seeded wire faults, a kill, and overload.
 * ``crash-torture`` — crash the durable server at every injectable I/O
-  point plus SIGKILL rounds; recovery is digest- and LSN-verified.
+  point of the op model's workload plus SIGKILL rounds; recovery is
+  digest- and LSN-verified.  All three drive ``repro.resilience.opmodel``
+  and print its one report.
 * ``serve`` — run the asyncio TCP front end (``repro.serve.net``): a
   length-prefixed JSON protocol over a durable or generated database, with
   multi-tenant admission, deadline propagation and graceful drain on

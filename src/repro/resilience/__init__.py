@@ -15,10 +15,13 @@ Four pieces (see ``docs/RESILIENCE.md``):
   injects short writes, I/O errors, torn renames and power cuts for the
   crash-torture harness (``python -m repro crash-torture``).
 
-The concurrent chaos runner lives in :mod:`repro.resilience.chaos_concurrent`
-and the crash-torture harness in :mod:`repro.resilience.crashtest`; both are
-imported lazily by the CLI to keep this package free of execution-layer
-imports.
+The fault harnesses share one op model, :mod:`repro.resilience.opmodel`:
+one preference pool, one always-valid op stream, one read verdict, one
+recovery verdict and one report.  The concurrent chaos runner
+(:mod:`repro.resilience.chaos_concurrent`) and the crash-torture harness
+(:mod:`repro.resilience.crashtest`) drive it here, network chaos
+(:mod:`repro.serve.net.chaos`) over the wire; all three are imported
+lazily by the CLI to keep this package free of execution-layer imports.
 """
 
 from .faults import (

@@ -2,26 +2,29 @@
 
 ``python -m repro chaos --scenario network`` runs three phases against a
 real :class:`~repro.serve.net.server.NetServer` (real sockets, real event
-loop), all seeded and deterministic:
+loop), all seeded and deterministic.  The first two drive the shared op
+model (:mod:`repro.resilience.opmodel`):
 
 * **Conformance cells** (:func:`run_network_chaos`, phase 1) — each cell
   connects a fresh :class:`~repro.serve.net.client.PreferenceClient` whose
   *first* connection suffers one seeded network fault (connection dropped
   at accept, dropped or stalled or torn mid-read, response dropped or torn
-  mid-write, abrupt close) while the server's preference state churns
-  between cells.  The contract: a query that completes must digest-match
-  the **reference oracle evaluated server-side on the same snapshot**
-  (``oracle=True``) *and* survive the client-side digest recomputation; a
-  query that cannot complete must fail with a typed resilience error.
-  Silently wrong rows — a torn frame decoding into plausible JSON — are
-  the one forbidden outcome.
-* **Kill + recovery** (phase 2) — clients write preferences over the wire
-  to a durable server and record every acknowledged write; the server is
-  then killed with no drain, no flush, no close (the event-loop analogue
-  of SIGKILL) and recovered with
-  :meth:`~repro.serve.server.PreferenceServer.open`.  Every acknowledged
-  write must be present — the WAL append is the commit point, so an ack
-  that did not survive is data loss.
+  mid-write, abrupt close) while the model's ops churn the server's
+  preferences and rows between cells.  The model's read verdict judges
+  each cell: a query that completes must digest-match the **reference
+  oracle evaluated server-side on the same snapshot** (``oracle=True``)
+  *and* survive the client-side digest recomputation; a query that cannot
+  complete must fail with a typed resilience error.  Silently wrong rows —
+  a torn frame decoding into plausible JSON — are the one forbidden
+  outcome.
+* **Kill + recovery** (phase 2) — a client writes the model's ops over
+  the wire to a durable server; the server is then killed with no drain,
+  no flush, no close (the event-loop analogue of SIGKILL) and recovered
+  with :meth:`~repro.serve.server.PreferenceServer.open`.  The model's
+  recovery verdict must hold: the recovered state is the oracle state of
+  every acknowledged write, nothing lost, duplicated or invented, and the
+  WAL's LSN counts them.  The WAL append is the commit point, so an ack
+  the server sent before it is data loss.
 * **Overload shedding** (phase 3) — more concurrent slow requests than a
   tiny server can hold.  Some must complete, the rest must shed *quickly*
   with typed :exc:`~repro.errors.Overloaded` carrying a positive
@@ -37,18 +40,26 @@ own query actually served.
 from __future__ import annotations
 
 import os
-import random
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from itertools import islice
 
-from ...core.preference import Preference
-from ...engine.expressions import eq
-from ...errors import NetworkFault, Overloaded, ReproError, ResilienceError
+from ...errors import Overloaded, ReproError, ResilienceError
 from ...resilience.faults import FaultPlan, FaultSpec
+from ...resilience.opmodel import (
+    Cell,
+    Report,
+    advance,
+    apply_op,
+    judge_read,
+    op_stream,
+    oracle_digests,
+    verify_recovery,
+)
 from ...resilience.retry import RetryBudget, RetryPolicy
 from .client import PreferenceClient
-from .server import NetServer, serve_in_thread
+from .server import NetServer, namespaced, serve_in_thread
 
 #: The seeded fault rotation: every cell index maps to one wire failure
 #: mode on the cell's first connection (retries get clean connections).
@@ -62,7 +73,6 @@ FAULT_KINDS = (
     "write-tear",
     "close-drop",
 )
-
 
 #: How long a faulted cell waits for its plan to fire before failing.
 _INJECTION_WAIT_S = 2.0
@@ -86,83 +96,6 @@ def _fault_plan(kind: str, seed: int) -> "FaultPlan | None":
     if kind == "write-tear":
         return FaultPlan.corrupting("net.write", times=1, seed=seed)
     return FaultPlan.transient("net.close", times=1, seed=seed)
-
-
-@dataclass
-class NetworkCell:
-    """Outcome of one faulted query cell."""
-
-    index: int
-    user: str
-    fault: str
-    outcome: str  # 'exact' | 'typed-<Error>' | failure description
-    ok: bool
-    retries: int = 0
-    detail: str = ""
-    #: Faults the cell's plan injected (0 for a ``none`` cell).
-    injections: int = 0
-
-
-@dataclass
-class NetworkChaosReport:
-    """Everything the network chaos run observed, plus the verdict."""
-
-    seed: int
-    scale: float
-    cells: list[NetworkCell] = field(default_factory=list)
-    write_acks: int = 0
-    writes_recovered: int = 0
-    overload_served: int = 0
-    overload_shed: int = 0
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors and all(cell.ok for cell in self.cells)
-
-    @property
-    def failures(self) -> list[NetworkCell]:
-        return [cell for cell in self.cells if not cell.ok]
-
-    def describe(self) -> str:
-        lines = [f"network chaos: seed={self.seed} scale={self.scale}"]
-        by_outcome: dict[str, int] = {}
-        for cell in self.cells:
-            key = f"{cell.fault} → {cell.outcome}"
-            by_outcome[key] = by_outcome.get(key, 0) + 1
-        for key in sorted(by_outcome):
-            lines.append(f"  {key:<40} {by_outcome[key]}")
-        lines.append(
-            f"  kill+recovery: {self.writes_recovered}/{self.write_acks} "
-            "acknowledged writes survived"
-        )
-        lines.append(
-            f"  overload: {self.overload_served} served, "
-            f"{self.overload_shed} shed typed"
-        )
-        for cell in self.failures:
-            lines.append(
-                f"  FAIL cell#{cell.index} user={cell.user} fault={cell.fault}: "
-                f"{cell.outcome} — {cell.detail}"
-            )
-        for error in self.errors:
-            lines.append(f"  ERROR {error}")
-        good = sum(1 for c in self.cells if c.ok)
-        lines.append(
-            f"network chaos: {good}/{len(self.cells)} cells conformant — "
-            + ("OK" if self.ok else "FAILED")
-        )
-        return "\n".join(lines)
-
-
-def _pool() -> list[Preference]:
-    """WAL-loggable preferences the churn rotates through user buckets."""
-    return [
-        Preference(f"g_{genre.lower()}", "GENRES", eq("genre", genre), w, 0.9)
-        for genre, w in (
-            ("Comedy", 0.8), ("Drama", 0.7), ("Action", 0.9), ("Thriller", 0.6)
-        )
-    ]
 
 
 class _OneShotFaults:
@@ -193,11 +126,11 @@ def run_network_chaos(
     kill_writes: int = 16,
     overload_clients: int = 8,
     directory: str | None = None,
-) -> NetworkChaosReport:
+) -> Report:
     """Run all three network chaos phases; see the module docstring."""
-    report = NetworkChaosReport(seed=seed, scale=scale)
-    _conformance_phase(report, cells)
-    _kill_recovery_phase(report, kill_writes, directory)
+    report = Report("network chaos", f"seed={seed} scale={scale}")
+    _conformance_phase(report, seed, scale, cells)
+    _kill_recovery_phase(report, seed, scale, kill_writes, directory)
     _overload_phase(report, overload_clients)
     return report
 
@@ -207,25 +140,28 @@ def run_network_chaos(
 # ---------------------------------------------------------------------------
 
 
-def _conformance_phase(report: NetworkChaosReport, cells: int) -> None:
+def _conformance_phase(report: Report, seed: int, scale: float, cells: int) -> None:
     from ...workloads.imdb import generate_imdb
     from ..server import PreferenceServer
 
-    rng = random.Random(report.seed)
-    server = PreferenceServer(generate_imdb(scale=report.scale, seed=report.seed))
+    server = PreferenceServer(generate_imdb(scale=scale, seed=seed))
     users = [f"u{i}" for i in range(4)]
-    pool = _pool()
-    for user in users:
-        # Every user keeps one base preference so PREFERRING is never empty.
-        server.add_preference(f"public::{user}", pool[0])
+    keys = [namespaced("public", user) for user in users]
+    stream = op_stream(seed, keys)
     faults = _OneShotFaults()
     net = NetServer(server, fault_factory=faults, tenant_quota=None)
     handle = serve_in_thread(net)
     try:
         for index in range(cells):
+            try:
+                # Churn before each cell so the cells' snapshots differ.
+                advance(server, stream, keys)
+            except ReproError as err:
+                report.errors.append(f"churn write failed: {err!r}")
+                break
             user = users[index % len(users)]
             fault = FAULT_KINDS[index % len(FAULT_KINDS)]
-            plan = _fault_plan(fault, report.seed * 7919 + index)
+            plan = _fault_plan(fault, seed * 7919 + index)
             faults.arm(plan)
             client = PreferenceClient(
                 "127.0.0.1",
@@ -234,29 +170,22 @@ def _conformance_phase(report: NetworkChaosReport, cells: int) -> None:
                 deadline_s=30.0,
                 retry=RetryPolicy(attempts=4, base_delay=0.002, jitter=0.5, seed=index),
             )
-            cell = NetworkCell(index, user, fault, outcome="exact", ok=True)
+
+            def read():
+                reply = client.query(user, oracle=True)
+                return reply["digest"], reply["oracle_digest"]
+
+            cell = Cell(fault, user)
             try:
-                result = client.query(user, oracle=True)
-                if result.get("oracle_digest") != result.get("digest"):
-                    cell.outcome, cell.ok = "oracle-mismatch", False
-                    cell.detail = (
-                        f"served digest {result.get('digest', '')[:12]} != "
-                        f"oracle {result.get('oracle_digest', '')[:12]} "
-                        "on the same snapshot"
-                    )
-            except (NetworkFault, ResilienceError) as err:
-                # Typed failure after retries: degraded but within contract.
-                cell.outcome, cell.detail = f"typed-{type(err).__name__}", str(err)
-            except Exception as err:  # noqa: BLE001 - untyped escape fails the run
-                cell.outcome, cell.ok, cell.detail = "untyped-escape", False, repr(err)
+                # Typed failure after retries is degraded but within contract.
+                judge_read(cell, read, (ResilienceError,))
             finally:
-                cell.retries = client.retries
+                report.count("retries", client.retries)
                 client.close()
                 faults.arm(None)
-                # Churn between cells so later snapshots genuinely differ.
-                _churn(server, rng, users, pool)
-            cell.injections = _injections(plan)
-            if plan is not None and not cell.injections:
+            injections = _injections(plan)
+            report.count("injections", injections)
+            if plan is not None and not injections:
                 # A misspelled site, in the plan or at the call site,
                 # never fires: the cell would pass without its fault.
                 cell.detail = f"{plan!r} injected nothing (query: {cell.outcome})"
@@ -280,77 +209,50 @@ def _injections(plan: "FaultPlan | None") -> int:
     return len(plan.injections)
 
 
-def _churn(server, rng: random.Random, users: list[str], pool: list[Preference]) -> None:
-    user = f"public::{rng.choice(users)}"
-    pref = rng.choice(pool[1:])
-    try:
-        if rng.random() < 0.5:
-            server.add_preference(user, pref)
-        else:
-            server.remove_preference(user, pref.name)
-    except ReproError as err:
-        if "duplicate" not in str(err) and "already" not in str(err):
-            raise
-
-
 # ---------------------------------------------------------------------------
 # Phase 2: kill + recovery of acknowledged writes
 # ---------------------------------------------------------------------------
 
 
 def _kill_recovery_phase(
-    report: NetworkChaosReport, writes: int, directory: str | None
+    report: Report, seed: int, scale: float, writes: int, directory: str | None
 ) -> None:
-    import tempfile
-
     from ...workloads.imdb import generate_imdb
     from ..server import PreferenceServer
 
+    users = [f"w{i}" for i in range(4)]
+    ops = list(islice(op_stream(seed, users), writes))
+    # The same ops as the server stores them, each user in its tenant.
+    stored = list(islice(op_stream(seed, [namespaced("public", u) for u in users]), writes))
+    digests = oracle_digests(stored, generate_imdb(scale=scale, seed=seed))
     with tempfile.TemporaryDirectory(prefix="repro-net-kill-", dir=directory) as tmp:
         origin = os.path.join(tmp, "origin")
         server, _ = PreferenceServer.open(
-            origin,
-            initial=generate_imdb(scale=report.scale, seed=report.seed),
-            sync=True,
+            origin, initial=generate_imdb(scale=scale, seed=seed), sync=True
         )
-        net = NetServer(server, tenant_quota=None)
-        handle = serve_in_thread(net)
-        acked: list[tuple[str, str]] = []
+        handle = serve_in_thread(NetServer(server, tenant_quota=None))
+        acked = issued = 0
         try:
             client = PreferenceClient("127.0.0.1", handle.port, deadline_s=30.0)
-            genres = ("Comedy", "Drama", "Action", "Thriller")
-            for i in range(writes):
-                user = f"w{i % 4}"
-                name = f"net_{i}"
-                pref = Preference(name, "GENRES", eq("genre", genres[i % 4]), 0.8, 0.9)
-                outcome = client.add_preference(user, pref)
-                if outcome.get("added"):
+            try:
+                for op in ops:
+                    issued = acked + 1
+                    apply_op(client, op)
                     # The response frame arrived: this write is acknowledged
                     # and must survive any crash from this instant on.
-                    acked.append((user, name))
-            client.close()
+                    acked = issued
+            except ReproError as err:
+                report.errors.append(f"kill+recovery write {issued} failed: {err!r}")
+            finally:
+                client.close()
         finally:
             # The kill: no drain, no WAL close, no checkpoint — recovery
             # gets whatever the commit discipline made durable.
             handle.abort()
-        report.write_acks = len(acked)
-        recovered, _replay = PreferenceServer.open(origin)
-        try:
-            for user, name in acked:
-                names = {
-                    p.name for p in recovered.store.preferences_of(f"public::{user}")
-                }
-                if name in names:
-                    report.writes_recovered += 1
-                else:
-                    report.errors.append(
-                        f"kill+recovery lost acknowledged write {name!r} "
-                        f"for user {user!r}"
-                    )
-        finally:
-            recovered.close()
-        if not acked:
-            report.errors.append("kill+recovery phase acknowledged no writes")
+        report.counts["write_acks"] = acked
+        failure = verify_recovery(origin, stored, digests, acked, issued)
+        if failure:
+            report.errors.append(f"kill+recovery: {failure}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +260,12 @@ def _kill_recovery_phase(
 # ---------------------------------------------------------------------------
 
 
-def _overload_phase(report: NetworkChaosReport, clients: int) -> None:
-    from ...workloads.imdb import generate_imdb
+def _overload_phase(report: Report, clients: int) -> None:
     from ..server import PreferenceServer
 
-    server = PreferenceServer(generate_imdb(scale=report.scale, seed=report.seed))
+    # Only slow pings are sent: the server needs no data.
     net = NetServer(
-        server,
+        PreferenceServer(),
         workers=2,
         queue_limit=0,
         tenant_quota=None,
@@ -408,14 +309,14 @@ def _overload_phase(report: NetworkChaosReport, clients: int) -> None:
             thread.join(timeout=30.0)
             if thread.is_alive():
                 report.errors.append("overload client hung past its deadline")
-        report.overload_served = outcomes.count("served")
-        report.overload_shed = outcomes.count("shed")
+        served, shed = outcomes.count("served"), outcomes.count("shed")
+        report.counts.update(overload_served=served, overload_shed=shed)
         for verdict in outcomes:
             if verdict.startswith("untyped:") or verdict.startswith("shed-without-hint"):
                 report.errors.append(f"overload outcome: {verdict}")
-        if report.overload_served == 0:
+        if served == 0:
             report.errors.append("overload phase served nothing")
-        if report.overload_shed == 0:
+        if shed == 0:
             report.errors.append(
                 "overload phase shed nothing (not actually overloaded?)"
             )

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ReproError
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.opmodel import Report
 from repro.serve.net import chaos
-from repro.serve.net.chaos import (
-    FAULT_KINDS,
-    NetworkChaosReport,
-    _fault_plan,
-    run_network_chaos,
-)
+from repro.serve.net.chaos import FAULT_KINDS, _fault_plan, run_network_chaos
+from repro.serve.net.client import PreferenceClient
 from repro.serve.net.server import NetServer
+from repro.serve.server import PreferenceServer
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -20,23 +19,24 @@ def test_network_chaos_suite_passes(seed):
     report = run_network_chaos(
         seed=seed, scale=0.0005, cells=8, kill_writes=4, overload_clients=4
     )
-    assert report.ok, report.failures
+    assert report.ok, report.describe()
     assert report.errors == []
     assert len(report.cells) == 8
     # Faulted cells either match the server-side oracle exactly or fail
     # with a typed error; nothing escapes untyped.
     for cell in report.cells:
         assert cell.outcome == "exact" or cell.outcome.startswith("typed-"), cell
-        # Every faulted cell's plan fired exactly once; `none` has no plan.
-        assert cell.injections == (0 if cell.fault == "none" else 1), cell
+    # Every faulted cell's plan fired (a cell whose plan did not fails as
+    # not-injected) and fired once: `none` has no plan, the rest times=1.
+    assert report.counts["injections"] == sum(c.label != "none" for c in report.cells)
     # Some cells must have survived to an exact digest match despite faults.
     assert sum(1 for c in report.cells if c.outcome == "exact") >= 1
-    # Every acked write survived the kill and recovery.
-    assert report.write_acks == 4
-    assert report.writes_recovered == 4
+    # Every write was acknowledged and recovery verified them (an error
+    # otherwise).
+    assert report.counts["write_acks"] == 4
     # Overload: the server stayed up, shed typed, and served someone.
-    assert report.overload_served >= 1
-    assert report.overload_shed >= 1
+    assert report.counts["overload_served"] >= 1
+    assert report.counts["overload_shed"] >= 1
     assert "network chaos" in report.describe()
 
 
@@ -45,9 +45,36 @@ def test_chaos_covers_every_fault_kind():
         seed=3, scale=0.0005, cells=len(FAULT_KINDS), kill_writes=2,
         overload_clients=4,
     )
-    assert report.ok, report.failures
-    exercised = {cell.fault for cell in report.cells}
+    assert report.ok, report.describe()
+    exercised = {cell.label for cell in report.cells}
     assert exercised == set(FAULT_KINDS)
+
+
+def test_a_failing_write_fails_the_run(monkeypatch):
+    # The phase-1 churn writes to the server directly and phase 2 writes
+    # over the wire; neither may swallow a write error by its message.
+    def clash(self, table, values, **kw):
+        raise ReproError(f"duplicate primary key {tuple(values[:1])} in {table}")
+
+    report = Report("network chaos", "phases 1 and 2")
+    with monkeypatch.context() as patch:
+        patch.setattr(PreferenceServer, "insert", clash)
+        chaos._conformance_phase(report, seed=42, scale=0.0005, cells=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(PreferenceClient, "insert", clash)
+        chaos._kill_recovery_phase(report, seed=42, scale=0.0005, writes=8, directory=None)
+    assert not report.ok
+    assert any(e.startswith("churn write failed") for e in report.errors), report.errors
+    assert any(e.startswith("kill+recovery write") for e in report.errors), report.errors
+
+
+def test_recovery_that_drops_a_write_fails_the_kill_phase(monkeypatch):
+    # The shared recovery verdict sees lost state, not just missing names:
+    # a replay that drops every redone row fails phase 2.
+    monkeypatch.setattr(PreferenceServer, "_replay_row_insert", lambda self, payload: None)
+    report = Report("network chaos", "phase 2")
+    chaos._kill_recovery_phase(report, seed=42, scale=0.0005, writes=16, directory=None)
+    assert any("kill+recovery: recovered oracle prefix" in e for e in report.errors)
 
 
 def _assert_faulted_cell_injects_nothing(monkeypatch, plan_for) -> None:
@@ -62,11 +89,11 @@ def _assert_faulted_cell_injects_nothing(monkeypatch, plan_for) -> None:
         lambda kind, seed: None if kind == "none" else plan_for(seed),
     )
     monkeypatch.setattr(chaos, "_INJECTION_WAIT_S", 0.05)
-    report = NetworkChaosReport(seed=5, scale=0.0005)
-    chaos._conformance_phase(report, cells=2)
+    report = Report("network chaos", "phase 1")
+    chaos._conformance_phase(report, seed=5, scale=0.0005, cells=2)
     unfaulted, faulted = report.cells
-    assert unfaulted.ok and unfaulted.injections == 0
-    assert not faulted.ok and faulted.injections == 0
+    assert unfaulted.ok and report.counts["injections"] == 0
+    assert not faulted.ok
     assert faulted.outcome == "not-injected"
     assert "injected nothing" in faulted.detail
     assert not report.ok

@@ -17,16 +17,12 @@ import pytest
 from repro.errors import DataCorruption, DurabilityError, WALPoisoned
 from repro.resilience.crashtest import (
     _MUTATION_OPS,
-    TortureReport,
     _run_workload,
-    _verify_recovery,
-    apply_op,
-    base_db,
     mutation_self_check,
-    oracle_digests,
     run_crash_torture,
-    scripted_ops,
+    torture_ops,
 )
+from repro.resilience.opmodel import apply_op, base_db, oracle_digests, verify_recovery
 from repro.resilience.vfs import FaultyVFS
 from repro.serve.server import CURRENT_FILE, PREFS_FILE, PreferenceServer
 from repro.serve.wal import PreferenceWAL
@@ -34,14 +30,14 @@ from repro.serve.wal import PreferenceWAL
 
 class TestScriptedWorkload:
     def test_deterministic_per_seed(self):
-        assert scripted_ops(7, 20) == scripted_ops(7, 20)
-        assert scripted_ops(7, 20) != scripted_ops(8, 20)
+        assert torture_ops(7, 20) == torture_ops(7, 20)
+        assert torture_ops(7, 20) != torture_ops(8, 20)
 
     def test_every_op_changes_the_oracle_state(self):
         # The generator promises no logical no-ops (a remove may *revisit* an
         # earlier state, so only consecutive digests must differ).
-        ops = [op for op in scripted_ops(3, 30) if op[0] != "checkpoint"]
-        digests = oracle_digests(ops)
+        ops = [op for op in torture_ops(3, 30) if op[0] != "checkpoint"]
+        digests = oracle_digests(ops, base_db())
         assert len(digests) == len(ops) + 1
         assert all(a != b for a, b in zip(digests, digests[1:]))
 
@@ -56,13 +52,30 @@ class TestTortureHarness:
             mutation_check=False,
             directory=str(tmp_path),
         )
-        assert report.failures == []
-        assert report.crash_points > 0
-        assert report.sigkill_kills == report.sigkill_rounds == 1
+        assert report.errors == [], report.describe()
+        assert report.counts["crash_points"] > 0
+        assert report.counts["sigkill_kills"] == report.counts["sigkill_rounds"] == 1
 
     def test_mutation_self_check_catches_lossy_replay(self, tmp_path):
         assert any(op[0] == "row.insert" for op in _MUTATION_OPS)
         assert mutation_self_check(str(tmp_path)) is True
+
+    def test_a_missed_mutation_and_an_unexercised_kind_are_errors(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience import crashtest
+
+        monkeypatch.setattr(crashtest, "mutation_self_check", lambda base_dir: False)
+        # Renames then only ever lose power: torn-rename is never exercised.
+        monkeypatch.setitem(crashtest.KINDS_BY_OP, "replace", ("power-cut",))
+        report = run_crash_torture(
+            seed=11, rounds=1, ops=4, sigkill_rounds=0, directory=str(tmp_path)
+        )
+        assert not report.ok
+        assert report.errors == [
+            "mutation self-check (lossy replay) MISSED",
+            "fault kind torn-rename never exercised",
+        ]
 
 
 class TestRecoveredLsn:
@@ -70,27 +83,25 @@ class TestRecoveredLsn:
 
     #: Three records, each followed by a checkpoint that empties the log.
     OPS = [
-        ("pref.add", "alice", "d1"),
-        ("row.insert", 900_001),
+        ("pref.add", "alice", "d_1"),
+        ("row.insert", "MOVIES", (901, "movie 901", 2008, 95, 1)),
         ("checkpoint",),
-        ("pref.add", "bob", "y2000"),
+        ("pref.add", "bob", "y_2000"),
         ("checkpoint",),
     ]
 
-    def recovery_failures(self, directory: str) -> list[str]:
-        report = TortureReport(seed=0, rounds=1)
-        _verify_recovery(
-            directory, self.OPS, oracle_digests(self.OPS), len(self.OPS),
-            len(self.OPS), "clean run", report,
+    def recovery_failure(self, directory: str) -> "str | None":
+        return verify_recovery(
+            directory, self.OPS, oracle_digests(self.OPS, base_db()), len(self.OPS),
+            len(self.OPS), initial=base_db(),
         )
-        return report.failures
 
     def test_lsn_survives_a_checkpoint_reset(self, tmp_path):
         directory = str(tmp_path)
         assert _run_workload(directory, self.OPS, FaultyVFS()) == (5, 5)
-        assert self.recovery_failures(directory) == []
+        assert self.recovery_failure(directory) is None
         server, _ = PreferenceServer.open(directory)
-        apply_op(server, ("pref.add", "carol", "d2"))
+        apply_op(server, ("pref.add", "carol", "d_2"))
         assert server.wal.lsn == 4  # numbering resumes; LSN 1 is never reissued
         server.close()
 
@@ -111,15 +122,14 @@ class TestRecoveredLsn:
         directory = str(tmp_path)
         _run_workload(directory, self.OPS, FaultyVFS())
         monkeypatch.setattr(PreferenceWAL, "lsn", property(lambda wal: wal._lsn + 1))
-        failures = self.recovery_failures(directory)
-        assert len(failures) == 1 and "recovered LSN 4" in failures[0]
+        assert "recovered LSN 4" in self.recovery_failure(directory)
 
 
 class TestReplayIdempotency:
     """Satellite: one WAL replayed twice must land on the same digest."""
 
     def workload(self, server) -> None:
-        for op in scripted_ops(5, 8):
+        for op in torture_ops(5, 8):
             if op[0] != "checkpoint":  # keep every record in the WAL
                 apply_op(server, op)
 
@@ -150,7 +160,7 @@ class TestCheckpointCrashWindows:
     def test_crash_after_flush_before_wal_reset(self, tmp_path, monkeypatch):
         directory = str(tmp_path)
         server, _ = PreferenceServer.open(directory, initial=base_db())
-        self_ops = scripted_ops(9, 6)
+        self_ops = torture_ops(9, 6)
         for op in self_ops:
             if op[0] != "checkpoint":
                 apply_op(server, op)
@@ -177,7 +187,7 @@ class TestCheckpointCrashWindows:
     ):
         directory = str(tmp_path)
         server, _ = PreferenceServer.open(directory, initial=base_db())
-        for op in scripted_ops(13, 6):
+        for op in torture_ops(13, 6):
             if op[0] != "checkpoint":
                 apply_op(server, op)
         live = server.state_digest()

@@ -261,13 +261,13 @@ class TestChaosIntegration:
         # Plant a violation inside the run to prove findings fail it.
         from repro.resilience import chaos_concurrent
 
-        original = chaos_concurrent._base_preference
+        original = chaos_concurrent.read_sql
 
-        def sabotaged():
+        def sabotaged(snapshot, user):
             current_sanitizer().lock_released(RWLock("planted"), "write")
-            return original()
+            return original(snapshot, user)
 
-        monkeypatch.setattr(chaos_concurrent, "_base_preference", sabotaged)
+        monkeypatch.setattr(chaos_concurrent, "read_sql", sabotaged)
         report = chaos_concurrent.run_concurrent_chaos(
             seed=7, scale=0.0005, writers=1, readers=1, queries_per_reader=1,
             sanitize=True,

@@ -9,8 +9,9 @@ Four query sources, ≥50 generated queries total:
   seed corpus so CI failures reproduce bit-for-bit);
 * prefgen-manufactured preferences of controlled selectivity over the
   synthetic IMDB set;
-* per-node aggregate overrides: a mixed-aggregate prefer chain and an
-  override above a join;
+* per-node aggregate overrides: a mixed-aggregate prefer chain, an
+  override above a join and overrides below a project, a join and a left
+  join, plus a left join on a non-equality condition;
 * one plan per prefer path of the row strategies, traced to check that the
   compiled preference group scores every prefer node;
 * a preference whose scoring function returns NaN: every strategy scores it
@@ -41,7 +42,7 @@ from repro.core.scoring import (
     recency_score,
 )
 from repro.analysis_static import verify_plan
-from repro.engine.expressions import TRUE, cmp, eq
+from repro.engine.expressions import TRUE, Attr, Comparison, cmp, eq
 from repro.obs import render_trace
 from repro.pexec.engine import STRATEGIES, ExecutionEngine
 from repro.plan.builder import natural_join_condition
@@ -250,6 +251,23 @@ OVERRIDE_PLANS = {
     "mixed-chain": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR, F_MAX),
     "override-above-join": Prefer(
         _movies_genres(Prefer(Relation("MOVIES"), RECENT)), COMEDY, F_MAX
+    ),
+    # An override below a project, join or left join is no SPJ region for
+    # FtP, which then evaluates that operator itself.
+    "override-under-project": Project(
+        Prefer(Relation("MOVIES"), RECENT, F_MAX), ["MOVIES.title", "MOVIES.year"]
+    ),
+    "override-under-join": _movies_genres(Prefer(Relation("MOVIES"), RECENT, F_MAX)),
+    "override-under-left-join": LeftJoin(
+        Prefer(Relation("MOVIES"), RECENT, F_MAX),
+        Relation("GENRES"),
+        natural_join_condition(MOVIE_DB.catalog, Relation("MOVIES"), Relation("GENRES")),
+    ),
+    # No equality to hash on: the oracle's left join takes its theta path.
+    "theta-left-join": LeftJoin(
+        Prefer(Relation("MOVIES"), RECENT),
+        Relation("DIRECTORS"),
+        Comparison("<", Attr("MOVIES.d_id"), Attr("DIRECTORS.d_id")),
     ),
 }
 
