@@ -141,7 +141,8 @@ def measure(
     if given) together with the traced-vs-untraced overhead.  Every run,
     warm-up included, starts from an empty block memo
     (:meth:`~repro.engine.database.Database.forget_blocks`), so FtP and GBU
-    time their delegated native blocks cold, as §VII does.
+    time their delegated native blocks, and the optimizer its rewrites,
+    cold, as §VII does.
 
     *timeout* arms a fresh per-run :class:`~repro.resilience.QueryGuard`
     deadline on every execution (warm-up included), so a hung strategy

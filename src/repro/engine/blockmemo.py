@@ -1,4 +1,4 @@
-"""Preference-free blocks reused across queries at one data version.
+"""Preference-free blocks and plans reused across queries at one data version.
 
 GBU delegates each contiguous block of standard operators to the native
 engine as one query, and FtP its whole Q_NP.  Such a block carries no
@@ -28,6 +28,18 @@ the same bound is an exact hit; a narrower bound is a *subsumed* hit that
 keeps the stored rows passing its own bound test and bills the stored run
 it read; a wider bound runs cold and replaces the entry.  Admission stays
 per key: a family is stored on its second cold run, whatever the bounds.
+
+The memo keeps **plans** too (:meth:`BlockMemo.plan`):
+:meth:`repro.pexec.engine.ExecutionEngine.prepare` and
+:meth:`repro.optimizer.PreferenceOptimizer.optimize` store their output
+under the input plan's value (plus the frozen ``OptimizerConfig`` for the
+optimizer), so a query asked again at one version is neither re-widened
+nor re-optimized.  A compiled plan holds its resolved preferences, which
+compare by value, so a profile or context change is a different key on its
+own.  Every catalog change the optimizer can see moves ``db.version``, and
+``analyze`` gives the database a fresh memo.  Plans are stored on their
+first run and capped at :data:`PLAN_CAP`, least recently used out first.
+``docs/PERFORMANCE.md`` ("Reused plans") gives the measurements.
 """
 
 from __future__ import annotations
@@ -69,6 +81,13 @@ _TESTS = {">=": le, ">": lt, "<=": ge, "<": gt}
 
 #: The literal a family key holds in place of the bound.
 _BOUND = Literal(object())
+
+#: Most prepared and optimized plans one memo keeps, beyond which the least
+#: recently used is dropped: a version that never moves (a served workload
+#: without row writes) would otherwise keep every plan it was ever asked.
+#: Two entries per query text (prepare, optimize); every plan kept is also
+#: traversed by each full garbage collection, so the cap stays small.
+PLAN_CAP = 32
 
 
 class RangeFamily:
@@ -191,8 +210,8 @@ class Tally:
 
 
 class BlockMemo:
-    """The blocks answered at one data version, shared by a database and
-    the snapshots it takes.
+    """The blocks answered and the plans prepared and optimized at one data
+    version, shared by a database and the snapshots it takes.
 
     Bookkeeping runs under the memo's lock, which is never held while a
     block executes.  A lookup at a newer version than the memo's drops
@@ -206,6 +225,8 @@ class BlockMemo:
         #: stored yet; least recently used first.
         self._entries: OrderedDict[tuple, Block | None] = OrderedDict()
         self._pending = 0
+        #: Prepared and optimized plans, least recently used first.
+        self._plans: OrderedDict[tuple, PlanNode] = OrderedDict()
         self.version = -1
         #: Most rows the entries may hold (a pending key counts as one):
         #: a quarter of the stored rows.
@@ -216,6 +237,50 @@ class BlockMemo:
         self.evictions = 0
         #: Hits answered from a family entry stored at a wider bound.
         self.subsumed = 0
+        self.plan_hits = 0
+        self.plan_misses = 0
+        self.plan_evictions = 0
+
+    def _at(self, version: int, catalog) -> bool:
+        """Move the memo to *version* (under the lock): a newer version
+        drops every entry; False for an older one, which must neither read
+        nor write the memo."""
+        if version != self.version:
+            if version < self.version:
+                return False
+            self._entries.clear()
+            self._pending = 0
+            self._plans.clear()
+            self.rows = 0
+            self.version = version
+            self.budget = sum(len(table) for table in catalog.tables()) // 4
+        return True
+
+    def plan(self, key: tuple, version: int, catalog) -> PlanNode | None:
+        """The plan stored under *key* at *version*, or None."""
+        with self._lock:
+            if not self._at(version, catalog):
+                return None
+            # Popped and put back as most recent: one comparison of the
+            # plans, which costs about as much as hashing them.
+            plan = self._plans.pop(key, None)
+            if plan is None:
+                self.plan_misses += 1
+                return None
+            self._plans[key] = plan
+            self.plan_hits += 1
+            return plan
+
+    def put_plan(self, key: tuple, version: int, plan: PlanNode) -> None:
+        """Store *plan* under *key* while the memo is at *version*; the
+        least recently used of more than :data:`PLAN_CAP` plans goes."""
+        with self._lock:
+            if version != self.version:
+                return
+            self._plans[key] = plan
+            if len(self._plans) > PLAN_CAP:
+                self._plans.popitem(last=False)
+                self.plan_evictions += 1
 
     def get(
         self, key: tuple, version: int, catalog, family: RangeFamily | None = None
@@ -227,14 +292,8 @@ class BlockMemo:
         raises TypeError before anything is counted.
         """
         with self._lock:
-            if version != self.version:
-                if version < self.version:
-                    return None
-                self._entries.clear()
-                self._pending = 0
-                self.rows = 0
-                self.version = version
-                self.budget = sum(len(table) for table in catalog.tables()) // 4
+            if not self._at(version, catalog):
+                return None
             block = self._entries.get(key)
             if block is not None and family is not None and not family.within(block.bound):
                 block = None  # a wider bound: runs cold, then replaces it
@@ -303,14 +362,20 @@ class BlockMemo:
         return len(self._entries) - self._pending
 
     def stats(self) -> dict[str, int]:
-        """``hits`` / ``misses`` / ``evictions`` and the ``rows`` held;
-        subsumed hits count as hits (:attr:`subsumed` tells them apart)."""
+        """Blocks: ``hits`` / ``misses`` / ``evictions`` and the ``rows``
+        held; subsumed hits count as hits (:attr:`subsumed` tells them
+        apart).  Plans: ``plan_hits`` / ``plan_misses`` /
+        ``plan_evictions`` and the ``plan_entries`` held."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "rows": self.rows,
+                "plan_hits": self.plan_hits,
+                "plan_misses": self.plan_misses,
+                "plan_evictions": self.plan_evictions,
+                "plan_entries": len(self._plans),
             }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..analysis_static.sanitizer import current_sanitizer
 from ..obs import current_tracer
@@ -305,6 +305,31 @@ class Database:
         if self.version == version:  # no write landed while it ran
             memo.put(key, version, schema, rows, run_cost, tally.tuples, family, values)
         return schema, rows
+
+    def memo_plan(
+        self, stage: Hashable, plan: PlanNode, build: Callable[[PlanNode], PlanNode]
+    ) -> tuple[PlanNode, bool]:
+        """``build(plan)``, memoized in :attr:`blocks` for this data version
+        under ``(stage, plan)``; with True when the memo answered.
+
+        *stage* names what *build* does with its settings (``"prepare"``,
+        or an optimizer's ``OptimizerConfig``).  Plans with a
+        :class:`Materialized` leaf (identity equality) bypass the memo, as
+        for :meth:`execute`, and a plan built while a write landed is not
+        stored.
+        """
+        if any(type(node) is Materialized for node in plan.walk()):
+            return build(plan), False
+        version = self.version
+        memo = self.blocks
+        key = (stage, plan)
+        built = memo.plan(key, version, self.catalog)
+        if built is not None:
+            return built, True
+        built = build(plan)
+        if self.version == version:  # no write landed while it ran
+            memo.put_plan(key, version, built)
+        return built, False
 
     def _run_native(
         self, plan: PlanNode, optimize: bool, cost: CostModel

@@ -13,12 +13,16 @@ fired; rewrite soundness is checked by the test suite, not at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..engine.catalog import Catalog
 from ..obs import current_tracer
 from ..plan.nodes import PlanNode
 from .leftdeep import left_deepen, match_native_join_order
 from .rules import push_prefers, push_projections, push_selections, reorder_prefers
+
+if TYPE_CHECKING:  # hints only
+    from ..engine.database import Database
 
 
 @dataclass(frozen=True)
@@ -39,20 +43,46 @@ class OptimizerConfig:
 
 
 class PreferenceOptimizer:
-    """Rewrites extended query plans into more efficient equivalents."""
+    """Rewrites extended query plans into more efficient equivalents.
 
-    def __init__(self, catalog: Catalog, config: OptimizerConfig | None = None):
+    Given the :class:`~repro.engine.database.Database` that owns *catalog*
+    as *db*, :meth:`optimize` memoizes its output in ``db.blocks`` for the
+    data version (see :mod:`repro.engine.blockmemo`); without one it
+    rewrites every plan it is handed.
+    """
+
+    def __init__(
+        self, catalog: Catalog, config: OptimizerConfig | None = None,
+        *, db: Database | None = None,
+    ):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
+        self.db = db
 
     def optimize(self, plan: PlanNode, tracer=None) -> PlanNode:
-        """Apply the enabled rules in order.
+        """Apply the enabled rules in order, or return the plan they gave
+        for this *plan* and configuration at this data version.
 
-        Under a collecting tracer every rule gets an ``optimize.rule`` span
-        recording whether it fired (changed the plan), and fired rules bump
-        the global ``optimizer.rule_fired`` counter.  Without one, no span
-        is opened and no plans are compared.
+        Under a collecting tracer the enclosing span gets ``memo``: ``hit``
+        or ``miss`` (``miss`` also without a *db*).  On a miss every rule
+        gets an ``optimize.rule`` span recording whether it fired (changed
+        the plan), and fired rules bump the global ``optimizer.rule_fired``
+        counter.  Without a collecting tracer, no span is opened and no
+        plans are compared.
         """
+        if tracer is None:
+            tracer = current_tracer()
+        hit = False
+        if self.db is None:
+            plan = self._rewrite(plan, tracer)
+        else:
+            plan, hit = self.db.memo_plan(
+                self.config, plan, lambda node: self._rewrite(node, tracer)
+            )
+        tracer.current().set("memo", "hit" if hit else "miss")
+        return plan
+
+    def _rewrite(self, plan: PlanNode, tracer) -> PlanNode:
         config = self.config
         rules = (
             ("push_selections", config.push_selections, push_selections),
@@ -62,8 +92,6 @@ class PreferenceOptimizer:
             ("match_join_order", config.match_join_order, match_native_join_order),
             ("left_deep", config.left_deep, left_deepen),
         )
-        if tracer is None:
-            tracer = current_tracer()
         if not tracer.enabled:
             for _name, enabled, rule in rules:
                 if enabled:

@@ -34,11 +34,7 @@ from ..errors import ColumnarUnsupported, ExecutionError
 from ..obs import current_tracer, use_tracer
 from ..optimizer import OptimizerConfig, PreferenceOptimizer
 from ..resilience import current_guard, use_guard
-from ..plan.analysis import (
-    qualify_preferences,
-    required_carry_attributes,
-    widen_projections,
-)
+from ..plan.analysis import prepare_plan
 from ..plan.nodes import PlanNode
 from .bottom_up import execute_bu
 from .conform import conform
@@ -119,7 +115,7 @@ class ExecutionEngine:
     ):
         self.db = db
         self.aggregate = aggregate
-        self.optimizer = PreferenceOptimizer(db.catalog, optimizer_config)
+        self.optimizer = PreferenceOptimizer(db.catalog, optimizer_config, db=db)
 
     def prepare(self, plan: PlanNode) -> PlanNode:
         """Widen the plan's projections (the parser step of §VI).
@@ -127,10 +123,18 @@ class ExecutionEngine:
         Every attribute a prefer operator uses, every join attribute and
         every base-relation primary key is carried through projections so
         score relations stay keyable.
+
+        The widened plan (:func:`~repro.plan.analysis.prepare_plan`) is
+        memoized in ``db.blocks`` for this data version under *plan*'s
+        value (:meth:`Database.memo_plan`).  Under a
+        collecting tracer the enclosing span gets ``memo``: ``hit`` or
+        ``miss``.
         """
-        plan = qualify_preferences(plan, self.db.catalog)
-        carry = required_carry_attributes(plan, self.db.catalog)
-        return widen_projections(plan, carry, self.db.catalog)
+        prepared, hit = self.db.memo_plan(
+            "prepare", plan, lambda node: prepare_plan(node, self.db.catalog)
+        )
+        current_tracer().current().set("memo", "hit" if hit else "miss")
+        return prepared
 
     def run(
         self,

@@ -125,6 +125,14 @@ def widen_projections(plan: PlanNode, extra: set[str], catalog: Catalog) -> Plan
     return Project(plan.child, kept)
 
 
+def prepare_plan(plan: PlanNode, catalog: Catalog) -> PlanNode:
+    """The parser step of §VI: qualify the preferences, then widen every
+    projection by :func:`required_carry_attributes` so score relations
+    stay keyable.  Keeps no memo (``ExecutionEngine.prepare`` does)."""
+    plan = qualify_preferences(plan, catalog)
+    return widen_projections(plan, required_carry_attributes(plan, catalog), catalog)
+
+
 def selection_conditions(plan: PlanNode) -> list:
     """All selection conditions in the plan (pre-order) — used in tests."""
     return [node.condition for node in plan.walk() if isinstance(node, Select)]

@@ -73,8 +73,13 @@ class PlanNode:
             and self.children() == other.children()
         )
 
+    #: The node's hash once computed: plans are immutable values.
+    _hash: int | None = None
+
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key(), self.children()))
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self._key(), self.children()))
+        return self._hash
 
     def _key(self) -> tuple:
         return ()

@@ -15,10 +15,13 @@ query-guard error.  A sampled digest-before/digest-after check proves no
 writer mutated a captured snapshot in place.
 
 Row inserts move the data version, which empties the block memo, so
-writers hold each one back until one read per strategy has finished since
-the last; preference writes run unpaced.  Several reads then share each
-data version, as they do on a served workload whose profiles change far
-more often than its data.
+writers hold each one back until one read per strategy has run wholly at
+the current version (its snapshot taken after the last insert);
+preference writes run unpaced.  Several reads then share each data
+version, as they do on a served workload whose profiles change far more
+often than its data.  The reads that share FtP's preference-free block
+take turns running their strategy, so the block memo hits however the
+threads interleave (see :data:`_SHARED_BLOCK`).
 
 Crash recovery is checked by :mod:`repro.resilience.crashtest`, not here.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
+from contextlib import nullcontext
 
 from ..errors import QueryCancelled, QueryTimeout, ReproError, ResourceExhausted
 from .guard import QueryGuard
@@ -53,8 +57,10 @@ _GUARD_ERRORS = (QueryTimeout, QueryCancelled, ResourceExhausted)
 USERS_PER_WRITER = 3
 
 #: Strategies that send FtP's preference-free block to the block memo.
-#: Reads rotate through them first, so the wrap-around of even the
-#: smallest run probes that block a fourth time at one data version.
+#: Reads rotate through them first and take turns running them.  No insert
+#: lands during the first rotation (the third read starts once one read
+#: has finished), so its three probes of that block run in turn at one
+#: data version: the second stores the block and the third hits.
 _SHARED_BLOCK = ("ftp", "plugin-rma", "plugin-shared")
 
 
@@ -114,13 +120,19 @@ def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader
         return report
     stop_writers = threading.Event()
     lock = threading.Lock()
+    turn = threading.Lock()  # held by a _SHARED_BLOCK strategy run
+    inserts = 0
     reads_since_insert = 0
 
-    def insert_allowed() -> bool:
-        nonlocal reads_since_insert
+    def paced_insert(op) -> bool:
+        """Apply row insert *op* once a strategy rotation of reads ran at
+        the current version; False while it must wait."""
+        nonlocal inserts, reads_since_insert
         with lock:
             if reads_since_insert < len(strategies):
                 return False
+            apply_op(server, op)
+            inserts += 1
             reads_since_insert = 0
             return True
 
@@ -136,8 +148,8 @@ def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader
                 else:
                     apply_op(server, op)
                     applied += 1
-                if held and insert_allowed():
-                    apply_op(server, held.popleft())
+                if held and paced_insert(held[0]):
+                    held.popleft()
                     applied += 1
         except Exception as err:  # noqa: BLE001 - every write must succeed
             with lock:
@@ -147,7 +159,9 @@ def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader
 
     def reader_cell(index: int) -> Cell:
         nonlocal reads_since_insert
-        snapshot = server.snapshot()
+        with lock:
+            snapshot = server.snapshot()
+            epoch = inserts
         # A user who prefers something, while any does.
         holders = [user for user in users if snapshot.store.preferences_of(user)]
         user = random.Random(seed * 31 + index).choice(holders or users)
@@ -158,7 +172,8 @@ def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader
 
         def digest(strategy: str, guard=None) -> str:
             session = snapshot.session_for(user)
-            return answer_digest(session.execute(sql, strategy=strategy, guard=guard))
+            with turn if strategy in _SHARED_BLOCK else nullcontext():
+                return answer_digest(session.execute(sql, strategy=strategy, guard=guard))
 
         if sql is None:
             # Every bucket is empty: nothing to prefer, but still sampled
@@ -186,7 +201,8 @@ def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader
                 cell.outcome, cell.ok = "torn-snapshot", False
                 cell.detail = "snapshot digest changed while the query ran"
         with lock:
-            reads_since_insert += 1
+            if epoch == inserts:  # no insert landed since its snapshot
+                reads_since_insert += 1
         return cell
 
     writer_threads = [

@@ -166,7 +166,10 @@ def test_analyze_and_forget_blocks_give_a_fresh_memo(forget):
     shared = db.blocks
     getattr(db, forget)()
     assert db.blocks is not shared and len(db.blocks) == 0
-    assert db.blocks.stats() == {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
+    assert db.blocks.stats() == {
+        "hits": 0, "misses": 0, "evictions": 0, "rows": 0,
+        "plan_hits": 0, "plan_misses": 0, "plan_evictions": 0, "plan_entries": 0,
+    }
     _warm(db, _block())
     assert db.blocks.misses == 2 and db.blocks.hits == 0
     assert snap.blocks is shared  # an earlier snapshot keeps its memo
@@ -230,7 +233,10 @@ def test_the_stats_op_reports_the_block_memo():
     finally:
         handle.stop()
         handle.thread.join(10.0)
-    assert set(after) == {"hits", "misses", "evictions", "rows"}
+    assert set(after) == {
+        "hits", "misses", "evictions", "rows",
+        "plan_hits", "plan_misses", "plan_evictions", "plan_entries",
+    }
     assert after["misses"] > before["misses"]
     assert after["hits"] > before["hits"]
     assert 0 < after["rows"] <= server.db.blocks.budget

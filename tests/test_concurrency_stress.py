@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro import Preference, eq
 from repro.errors import PreferenceError
 from repro.obs import NullTracer, Tracer, capture_tracer, current_tracer, restore_tracer, use_tracer
+from repro.optimizer import optimize
+from repro.plan.analysis import prepare_plan
 from repro.query.session import Session
 from repro.query.store import PreferenceStore
 from repro.resilience import QueryGuard, capture_guard, current_guard, restore_guard, use_guard
@@ -152,7 +154,8 @@ def test_snapshot_readers_share_the_block_memo_with_a_writer():
     gbu / ftp answer equals ``reference`` on the same snapshot, whether its
     blocks came from the shared memo (exact or subsumed by a wider cut-off
     of the same range family) or a cold run, and the memo never holds more
-    rows than its budget."""
+    rows than its budget.  Every executed plan, memoized or not, equals the
+    memo-less prepare (and, for gbu, optimize) on that snapshot."""
     db = generate_imdb(scale=0.0005, seed=5)
     sql = (
         "SELECT title, genre FROM MOVIES NATURAL JOIN GENRES WHERE year >= {} "
@@ -166,6 +169,7 @@ def test_snapshot_readers_share_the_block_memo_with_a_writer():
     readers_done = threading.Event()
     failures: list = []
     hits: list[int] = []
+    plan_hits: list[int] = []
 
     def within_budget(memo) -> bool:
         # Rows first: the budget only grows while the writer only inserts.
@@ -186,13 +190,20 @@ def test_snapshot_readers_share_the_block_memo_with_a_writer():
                 }
                 strategy = "gbu" if (worker + i) % 2 == 0 else "ftp"
                 memo, before = snap.blocks, snap.blocks.hits
+                plans_before = memo.plan_hits
                 for cutoff in cutoffs:
                     answer = session.execute(sql.format(cutoff), strategy=strategy)
                     if canonical_multiset(answer) != oracles[cutoff]:
                         failures.append(
                             f"{strategy} diverged at version {snap.version}, year >= {cutoff}"
                         )
+                    cold = prepare_plan(answer.plan, snap.catalog)
+                    if strategy == "gbu":
+                        cold = optimize(cold, snap.catalog)
+                    if answer.executed_plan != cold:
+                        failures.append(f"{strategy} ran a stale plan at version {snap.version}")
                 hits.append(memo.hits - before)
+                plan_hits.append(memo.plan_hits - plans_before)
                 if not within_budget(memo):
                     failures.append("memo over budget")
         except Exception as err:  # surfaced to the assert below
@@ -227,6 +238,7 @@ def test_snapshot_readers_share_the_block_memo_with_a_writer():
     assert not any(t.is_alive() for t in readers + [writing])
     assert failures == []
     assert any(hits)  # the readers did replay shared blocks
+    assert any(plan_hits)  # ... and memoized plans
     assert within_budget(db.blocks)
 
 

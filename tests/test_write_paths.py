@@ -8,7 +8,9 @@ in between, and checks every structure against a rebuild from rows.
 
 The same write paths, with ``analyze`` and drop + re-create mixed in, must
 never let the block memo (:mod:`repro.engine.blockmemo`) answer from a
-stale version: every gbu / ftp answer equals ``reference`` and a cold run.
+stale version: every gbu / ftp answer equals ``reference`` and a cold run,
+and every prepared and optimized plan the memo hands out equals a cold
+twin's (a stale join order would still answer right).
 Range queries on ``MOVIES.year`` drive its range families the same way:
 narrower, wider and repeated bounds answered from one stored block.
 """
@@ -167,13 +169,30 @@ def _cold_twin(db: Database) -> Database:
 def _answers_like_reference_and_cold(db: Database, cold: Database, strategy: str, sql: str):
     """Ask *db* three times (the second run stores a block that fits, the
     third reads it) and compare every answer with ``reference`` and with
-    *cold*'s."""
+    *cold*'s, and every executed plan with *cold*'s."""
     expected = Session(cold).execute(sql, strategy=strategy)
     oracle = Session(db).execute(sql, strategy="reference")
     for _ in range(3):
         answer = Session(db).execute(sql, strategy=strategy)
         assert_identical(expected, answer)
         assert_identical(oracle, answer, exact=False)
+        assert answer.executed_plan == expected.executed_plan
+
+
+def _plans(db: Database, sql: str):
+    """The prepared and the optimized plan the engine gives *sql* on *db*."""
+    session = Session(db)
+    prepared = session.engine.prepare(session.compile(sql).plan)
+    return prepared, session.engine.optimizer.optimize(prepared)
+
+
+def _plans_like_cold(db: Database) -> None:
+    """Ask *db* for each query's plans twice (the second from the memo)
+    and compare them with a cold twin's."""
+    for sql in QUERIES:
+        expected = _plans(_cold_twin(db), sql)
+        for _ in range(2):
+            assert _plans(db, sql) == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -202,6 +221,8 @@ def test_interleaved_writes_and_queries_match_reference_and_cold_runs(ops):
                     _apply(db, op, arg, "")
             except ReproError:
                 pass
+        if op != "query":
+            _plans_like_cold(db)
     # Older snapshots answer from their own version, never from the memo
     # the newest version holds, and never leave their blocks in it.
     for sql in QUERIES:
@@ -211,6 +232,7 @@ def test_interleaved_writes_and_queries_match_reference_and_cold_runs(ops):
             _answers_like_reference_and_cold(snap, cold, "gbu", sql)
     for sql in QUERIES:
         _answers_like_reference_and_cold(db, _cold_twin(db), "gbu", sql)
+    assert db.blocks.stats()["plan_hits"] > 0
 
 
 # -- range families under interleaved writes ------------------------------------
