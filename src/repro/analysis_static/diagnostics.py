@@ -1,4 +1,4 @@
-"""Diagnostic codes shared by the plan verifier, linter and sanitizer.
+"""Diagnostic codes shared by the plan verifier and the linter.
 
 Every finding any static-analysis layer produces is a :class:`Diagnostic`
 with a stable code from :data:`CATALOG`; the catalog is the single source of
@@ -7,9 +7,7 @@ documents each code with examples).  Codes are grouped by layer:
 
 * ``PV1xx`` — plan-verifier invariants (Properties 4.1–4.4 preconditions);
 * ``LNxxx`` — source-code lint findings (``LN105``: aggregate laws,
-  ``LN305``: durability I/O through the VFS);
-* ``SANxxx`` — concurrency-sanitizer findings (lock order, COW discipline,
-  WAL durability protocol) from :mod:`~repro.analysis_static.sanitizer`.
+  ``LN305``: durability I/O through the VFS).
 """
 
 from __future__ import annotations
@@ -50,15 +48,6 @@ CATALOG: dict[str, tuple[Severity, str]] = {
     "LN100": (Severity.ERROR, "source file does not parse"),
     "LN105": (Severity.ERROR, "registered aggregate function violates the algebraic laws"),
     "LN305": (Severity.ERROR, "direct file I/O in a durability module bypasses the crash-torture VFS"),
-    # -- concurrency sanitizer -----------------------------------------------
-    "SAN101": (Severity.ERROR, "lock-order cycle: inconsistent acquisition order can deadlock"),
-    "SAN102": (Severity.ERROR, "re-entrant acquisition of a non-reentrant lock by the same thread"),
-    "SAN103": (Severity.ERROR, "lock released by a thread that does not hold it"),
-    "SAN201": (Severity.ERROR, "write to a snapshot-captured table without a copy-on-write fork"),
-    "SAN202": (Severity.ERROR, "in-place mutation of a snapshot-shared index"),
-    "SAN301": (Severity.ERROR, "WAL LSN discontinuity: records would not replay contiguously"),
-    "SAN302": (Severity.ERROR, "WAL append acknowledged without the promised flush/fsync"),
-    "SAN303": (Severity.ERROR, "concurrent WAL appends without mutual exclusion"),
 }
 
 

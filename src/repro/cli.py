@@ -178,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=int, default=8,
         help="queries per reader for --scenario concurrent (default 8)",
     )
-    chaos.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run under the concurrency sanitizer; any SANxxx finding fails "
-        "the run (also enabled by REPRO_SANITIZE=1)",
-    )
 
     torture = commands.add_parser(
         "crash-torture",
@@ -536,7 +530,6 @@ def _concurrent_chaos(args) -> bool:
         writers=args.writers,
         readers=args.readers,
         queries_per_reader=args.queries,
-        sanitize=args.sanitize or None,
     )
     print(report.describe())
     return report.ok

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..analysis_static.sanitizer import current_sanitizer
 from ..errors import CatalogError
 from .index import Index, build_index
 from .schema import TableSchema
@@ -122,12 +121,7 @@ class Catalog:
 
     def rebuild_indexes(self, table_name: str) -> None:
         """Refresh index contents after bulk loads."""
-        sanitizer = current_sanitizer()
         for index in self._indexes.get(self._key(table_name), []):
-            if sanitizer.enabled:
-                # An in-place rebuild of an index a snapshot still shares
-                # would rewrite the snapshot's access path under it.
-                sanitizer.index_mutated(index)
             index._build()
 
     def index_row(self, table_name: str, row) -> None:

@@ -6,7 +6,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
-from ..analysis_static.sanitizer import current_sanitizer
 from ..obs import current_tracer
 from ..plan.nodes import Materialized, PlanNode
 from ..resilience import current_guard
@@ -126,17 +125,6 @@ class Database:
                 table.freeze()
                 shared.add(table.name.lower())
             self._cow = shared
-            sanitizer = current_sanitizer()
-            if sanitizer.enabled:
-                # Register the exact objects the snapshot will share: any
-                # later in-place write to one of them is a COW violation.
-                tables = list(self.catalog.tables())
-                indexes = [
-                    index
-                    for table in tables
-                    for index in self.catalog.indexes_on(table.name)
-                ]
-                sanitizer.snapshot_captured(tables, indexes)
             snap = Database()
             snap.catalog = self.catalog.fork()
             snap.version = self.version

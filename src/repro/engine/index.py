@@ -12,7 +12,6 @@ import bisect
 from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
-from ..analysis_static.sanitizer import current_sanitizer
 from ..errors import CatalogError
 from .table import Row, Table
 
@@ -81,9 +80,6 @@ class HashIndex(Index):
         return self.buckets.get(key, [])
 
     def add(self, row: Row) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.index_mutated(self)
         key = self.key_of(row)
         if key is None:
             self.null_rows.append(row)
@@ -128,9 +124,6 @@ class OrderedIndex(Index):
         return self._rows[lo:hi]
 
     def add(self, row: Row) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.index_mutated(self)
         key = self.key_of(row)
         if not self._key_is_indexable(key):
             return  # NULL keys are not stored (see class docstring)

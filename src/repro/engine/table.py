@@ -5,7 +5,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..analysis_static.sanitizer import current_sanitizer
 from ..errors import CatalogError, SchemaError, TypeError_
 from .schema import TableSchema
 
@@ -100,11 +99,6 @@ class Table:
                 f"table {self.name} is frozen (captured by a snapshot); "
                 "write through Database for copy-on-write semantics"
             )
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            # Past the freeze gate: if a snapshot captured this exact object
-            # the write corrupts it even though _frozen was (buggily) clear.
-            sanitizer.table_written(self)
         rows = []
         added: dict[Any, Row] = {}
         key_of, pk_map = self._pk_of, self._pk_map

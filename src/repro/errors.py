@@ -43,6 +43,11 @@ class ExecutionError(ReproError):
     """A physical operator failed during plan execution."""
 
 
+class LockNestingError(ReproError):
+    """A thread asked for a :class:`~repro.serve.rwlock.RWLock` while holding
+    one (or released one it does not hold); nesting these locks can deadlock."""
+
+
 class ColumnarUnsupported(ExecutionError):
     """The columnar executor cannot evaluate this plan shape.
 

@@ -36,7 +36,7 @@ class PreferenceStore:
     def __init__(self, db: Database):
         self.db = db
         self._by_user: dict[str, dict[str, object]] = {}
-        self._lock = RWLock()
+        self._lock = RWLock("store.rwlock")
         #: Monotonic mutation counter, copied into snapshots.
         self.version = 0
         self._frozen = False

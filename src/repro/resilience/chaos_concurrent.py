@@ -70,30 +70,10 @@ def run_concurrent_chaos(
     writers: int = 4,
     readers: int = 4,
     queries_per_reader: int = 8,
-    sanitize: bool | None = None,
 ) -> Report:
     """N writers mutate the live server while M readers must stay exact
     (see the module docstring); readers run *queries_per_reader* reads each.
-
-    *sanitize* (default: the ``REPRO_SANITIZE`` environment switch) runs
-    the whole scenario under a fresh concurrency sanitizer — this is the
-    run where lock-order and COW findings would actually appear, since all
-    threads hammer one server; any SANxxx finding lands in
-    ``report.errors`` and fails the run.
     """
-    from ..analysis_static.sanitizer import env_sanitize_enabled, use_sanitizer
-
-    if sanitize is None:
-        sanitize = env_sanitize_enabled()
-    if not sanitize:
-        return _run(seed, scale, writers, readers, queries_per_reader)
-    with use_sanitizer() as sanitizer:
-        report = _run(seed, scale, writers, readers, queries_per_reader)
-    report.errors.extend(f"sanitizer: {finding}" for finding in sanitizer.findings)
-    return report
-
-
-def _run(seed: int, scale: float, writers: int, readers: int, queries_per_reader: int) -> Report:
     from ..pexec.engine import STRATEGIES
     from ..serve.executor import ServeExecutor
     from ..serve.server import PreferenceServer

@@ -3,8 +3,8 @@
 Every byte the durability layers put on disk — checkpoint files written by
 :mod:`repro.engine.persist`, WAL appends in :mod:`repro.serve.wal`, the
 preference checkpoint in :mod:`repro.serve.server` — flows through the
-ambient VFS installed here.  Like the guard, fault-plan and sanitizer
-ambients, the default is a zero-overhead pass-through (:class:`RealVFS`,
+ambient VFS installed here.  Like the guard and fault-plan ambients, the
+default is a zero-overhead pass-through (:class:`RealVFS`,
 one ContextVar read per durability call); tests install a seeded
 :class:`FaultyVFS` with :func:`use_vfs` to make adversarial storage
 testable (lint rule LN305 flags durability code that bypasses the VFS).

@@ -5,25 +5,35 @@ creation take the exclusive side.  Writer preference keeps a steady stream
 of readers from starving preference updates under load: once a writer is
 waiting, new readers queue behind it.
 
-The lock is deliberately *not* reentrant — the code it guards is structured
-so that a locked public method only ever calls unlocked internals
-(re-acquiring from the same thread would deadlock, which the stress suite
-would catch immediately — and which the concurrency sanitizer reports as
-SAN102 *before* the hang).  This module depends only on
-:mod:`repro.analysis_static.sanitizer` (itself dependency-free) so
-:mod:`repro.engine` and :mod:`repro.query` can import it without cycles.
-
-Every acquire/release feeds the ambient sanitizer when one is installed
-(``REPRO_SANITIZE=1``); the default is a no-op behind one attribute check,
-mirroring the tracer's zero-overhead discipline.
+A thread holds at most one ``RWLock`` at a time.  Asking for a second one,
+or for the same one again, raises :exc:`~repro.errors.LockNestingError` at
+once instead of blocking: with writer preference a re-entrant read waits
+behind a queued writer that waits on it, and two locks taken in opposite
+orders can deadlock.  The code these locks guard never nests them — a
+locked public method only calls unlocked internals — so the rule turns a
+possible hang into a typed error on every run.  This module depends only
+on :mod:`repro.errors`, so :mod:`repro.engine` and :mod:`repro.query` can
+import it without cycles.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from threading import Condition
 
-from ..analysis_static.sanitizer import current_sanitizer
+from ..errors import LockNestingError
+
+#: ``_HELD.lock`` is the ``RWLock`` this thread holds, if any.
+_HELD = threading.local()
+
+
+def _nested(lock: "RWLock", held: "RWLock", mode: str) -> LockNestingError:
+    what = "again" if held is lock else f"while holding {held.name}"
+    return LockNestingError(f"thread asks for {lock.name} ({mode}) {what}")
+
+
+def _stray(lock: "RWLock", mode: str) -> LockNestingError:
+    return LockNestingError(f"thread releases {lock.name} ({mode}) it does not hold")
 
 
 class RWLock:
@@ -35,35 +45,38 @@ class RWLock:
             ...  # any number of concurrent readers
         with lock.write_locked():
             ...  # exactly one writer, no readers
+
+    Every acquire raises :exc:`~repro.errors.LockNestingError` before it
+    can block when this thread already holds an ``RWLock``; every release
+    raises it when this thread does not hold this one.
     """
 
     __slots__ = ("_cond", "_readers", "_writer", "_writers_waiting", "name")
 
     def __init__(self, name: str = "rwlock") -> None:
-        self._cond = Condition()
+        self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-        #: Role label used by sanitizer diagnostics ("db.rwlock", ...).
+        #: Role label for error messages ("db.rwlock", ...).
         self.name = name
 
     # -- shared side -----------------------------------------------------------
 
     def acquire_read(self) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.lock_acquiring(self, "read", self.name)
+        held = getattr(_HELD, "lock", None)
+        if held is not None:
+            raise _nested(self, held, "read")
         with self._cond:
             while self._writer or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
-        if sanitizer.enabled:
-            sanitizer.lock_acquired(self, "read")
+        _HELD.lock = self
 
     def release_read(self) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.lock_released(self, "read")
+        if getattr(_HELD, "lock", None) is not self:
+            raise _stray(self, "read")
+        _HELD.lock = None
         with self._cond:
             self._readers -= 1
             if self._readers == 0:
@@ -72,9 +85,9 @@ class RWLock:
     # -- exclusive side ----------------------------------------------------------
 
     def acquire_write(self) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.lock_acquiring(self, "write", self.name)
+        held = getattr(_HELD, "lock", None)
+        if held is not None:
+            raise _nested(self, held, "write")
         with self._cond:
             self._writers_waiting += 1
             try:
@@ -83,13 +96,12 @@ class RWLock:
             finally:
                 self._writers_waiting -= 1
             self._writer = True
-        if sanitizer.enabled:
-            sanitizer.lock_acquired(self, "write")
+        _HELD.lock = self
 
     def release_write(self) -> None:
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.lock_released(self, "write")
+        if getattr(_HELD, "lock", None) is not self:
+            raise _stray(self, "write")
+        _HELD.lock = None
         with self._cond:
             self._writer = False
             self._cond.notify_all()

@@ -48,7 +48,6 @@ import os
 from dataclasses import dataclass, field
 from threading import Lock
 
-from ..analysis_static.sanitizer import current_sanitizer
 from ..errors import DataCorruption, DurabilityError, PowerCut, WALPoisoned
 from ..resilience.vfs import current_vfs
 from .codec import canonical_json
@@ -175,8 +174,12 @@ def scan_wal(path: str) -> WalReplay:
 class PreferenceWAL:
     """The append side of the log: thread-safe, fsync'd, checksummed.
 
-    ``sync=False`` trades the per-record fsync for speed (tests, benchmarks
-    measuring everything else); production durability wants the default.
+    Appends are serialized by one lock, so concurrent callers get
+    contiguous LSNs and whole record lines.  Every append is flushed to the
+    OS before it returns; ``sync=True`` (the default, and what every server,
+    harness and benchmark passes) also fsyncs it.  ``sync=False`` skips
+    only the fsync; only tests pass it, to exercise the record format and
+    the :meth:`sync_to_disk` drain.
     """
 
     def __init__(self, path: str, *, sync: bool = True, start_lsn: int = 0):
@@ -240,15 +243,10 @@ class PreferenceWAL:
             if self._poisoned is not None:
                 raise WALPoisoned(self.path, self._poisoned)
             record = WalRecord(self._lsn + 1, op, dict(payload))
-            sanitizer = current_sanitizer()
-            if sanitizer.enabled:
-                sanitizer.wal_append_begin(self, record.lsn)
             try:
                 handle = self._ensure_handle()
                 handle.write(record.encode())
                 handle.flush()
-                if sanitizer.enabled:
-                    sanitizer.wal_flushed(self)
                 if self.sync:
                     self._fsync(handle)
             except PowerCut:
@@ -260,8 +258,6 @@ class PreferenceWAL:
                 self._poison(str(err))
                 raise DurabilityError("append", self.path, str(err)) from err
             self._lsn = record.lsn
-            if sanitizer.enabled:
-                sanitizer.wal_append_end(self, record.lsn, self.sync)
             return record
 
     def sync_to_disk(self) -> None:
@@ -298,11 +294,8 @@ class PreferenceWAL:
             self._vfs = None
 
     def _fsync(self, handle) -> None:
-        """The durability point of one sync-mode append (sanitizer-visible)."""
+        """The durability point of one sync-mode append."""
         (self._vfs or current_vfs()).fsync(handle)
-        sanitizer = current_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.wal_synced(self)
 
     def _ensure_handle(self):
         if self._handle is None:
@@ -348,9 +341,6 @@ class PreferenceWAL:
                     pass
                 self._poison(str(err))
                 raise DurabilityError("reset", self.path, str(err)) from err
-            sanitizer = current_sanitizer()
-            if sanitizer.enabled:
-                sanitizer.wal_reset(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreferenceWAL({self.path!r}, lsn={self._lsn}, sync={self.sync})"

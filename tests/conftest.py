@@ -185,26 +185,3 @@ def imdb_tiny() -> Database:
 def dblp_tiny() -> Database:
     return generate_dblp(scale=0.0005, seed=13)
 
-
-@pytest.fixture(autouse=True)
-def sanitizer_clean():
-    """Fail any test that leaves new concurrency-sanitizer findings behind.
-
-    A no-op unless ``REPRO_SANITIZE=1`` installed a process-global sanitizer
-    at import time (the CI sanitize job runs the stress and chaos suites
-    this way).  Tests that deliberately provoke findings install their own
-    scoped sanitizer via ``use_sanitizer()``, which shelves the global one,
-    so they stay unaffected.
-    """
-    from repro.analysis_static.sanitizer import current_sanitizer
-
-    sanitizer = current_sanitizer()
-    if not sanitizer.enabled:
-        yield
-        return
-    before = len(sanitizer.findings)
-    yield
-    fresh = sanitizer.findings[before:]
-    assert not fresh, "concurrency sanitizer findings: " + "; ".join(
-        str(diagnostic) for diagnostic in fresh
-    )

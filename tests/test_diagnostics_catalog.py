@@ -20,7 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 DOCS = ROOT / "docs" / "STATIC_ANALYSIS.md"
 
-CODE = re.compile(r"\b(?:PV|RW|LN|SAN)\d{3}\b")
+CODE = re.compile(r"\b(?:PV|RW|LN)\d{3}\b")
 
 
 def _codes_by_file() -> dict[str, set[str]]:
@@ -71,9 +71,9 @@ def test_make_diagnostic_rejects_unknown_codes():
 
 def test_family_severity_conventions():
     # PV2xx notes record facts a rewrite could not act on (INFO, not a
-    # bug); every SAN and LN3xx code is a definite invariant violation.
+    # bug); every LN3xx code is a definite invariant violation.
     for code, (severity, _) in CATALOG.items():
         if code.startswith("PV2"):
             assert severity is Severity.INFO, code
-        if code.startswith("SAN") or code.startswith("LN3"):
+        if code.startswith("LN3"):
             assert severity is Severity.ERROR, code

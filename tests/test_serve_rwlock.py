@@ -5,6 +5,9 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
+from repro.errors import LockNestingError, ReproError
 from repro.serve.rwlock import RWLock
 
 
@@ -99,3 +102,80 @@ def test_read_lock_released_on_exception():
         pass
     lock.acquire_write()  # would deadlock if the read side leaked
     lock.release_write()
+
+
+def _in_thread(body, timeout: float = 5.0):
+    """Run *body* on a fresh thread; fail rather than hang if it blocks."""
+    outcome = []
+
+    def run():
+        try:
+            body()
+        except BaseException as err:  # noqa: BLE001 - reported to the test
+            outcome.append(err)
+        else:
+            outcome.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "nested acquisition blocked instead of raising"
+    return outcome[0]
+
+
+@pytest.mark.parametrize(
+    "outer_mode, inner_mode, same_lock",
+    [
+        ("write", "write", True),
+        ("write", "read", True),
+        ("read", "read", True),
+        ("read", "write", True),
+        ("read", "read", False),
+        ("write", "write", False),
+        ("read", "write", False),
+    ],
+    ids=[
+        "write-then-write",
+        "write-then-read",
+        "read-then-read",
+        "read-then-write",
+        "second-lock-read",
+        "second-lock-write",
+        "second-lock-mixed",
+    ],
+)
+def test_nested_acquisition_raises_at_once(outer_mode, inner_mode, same_lock):
+    """A thread holding any RWLock that asks for one more gets a typed error
+    before blocking, and both locks stay usable afterwards."""
+    outer = RWLock("outer")
+    inner = outer if same_lock else RWLock("inner")
+
+    def nest():
+        with getattr(outer, f"{outer_mode}_locked")():
+            with pytest.raises(LockNestingError) as excinfo:
+                getattr(inner, f"acquire_{inner_mode}")()
+            assert isinstance(excinfo.value, ReproError)
+            assert ("again" in str(excinfo.value)) == same_lock
+
+    assert _in_thread(nest) is None
+
+    def reuse():
+        for lock in (outer, inner):
+            with lock.write_locked():
+                pass
+            with lock.read_locked():
+                pass
+
+    assert _in_thread(reuse) is None  # another thread: nothing leaked
+    reuse()  # this thread too, taking the locks one after the other
+
+
+def test_release_without_hold_raises():
+    lock = RWLock()
+    with pytest.raises(LockNestingError):
+        lock.release_read()
+    with pytest.raises(LockNestingError):
+        lock.release_write()
+    with lock.write_locked():  # the refused releases changed nothing
+        pass
+

@@ -97,6 +97,22 @@ def test_snapshot_is_read_only():
         snap.store.add("alice", comedy())
 
 
+def test_captured_table_refuses_a_direct_write():
+    """The copy-on-write freeze gate: a write that skips the Database's
+    fork, straight to a table object a snapshot shares, raises instead of
+    changing the snapshot under its readers."""
+    server = PreferenceServer(build_movie_db())
+    snap = server.snapshot()
+    captured = server.db.catalog.table("MOVIES")
+    assert snap.db.catalog.table("MOVIES") is captured
+    before = list(captured.rows)
+    with pytest.raises(CatalogError, match="frozen"):
+        captured.insert(NEW_MOVIE)
+    assert captured.rows == before
+    server.insert("MOVIES", NEW_MOVIE)  # the Database path forks and succeeds
+    assert snap.db.catalog.table("MOVIES").rows == before
+
+
 def test_snapshot_sessions_answer_from_the_snapshot():
     server = PreferenceServer(build_movie_db())
     server.add_preference("alice", comedy())

@@ -8,6 +8,7 @@ typed DataCorruption naming the file.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -135,6 +136,52 @@ def test_reset_empties_log_but_lsn_continues(tmp_path):
     assert scan_wal(path).records == []
     record = wal.append("pref.clear", {"user": "u"})
     assert record.lsn == 3  # LSNs never reuse, even across a checkpoint reset
+    wal.close()
+
+
+def test_concurrent_sync_appends_get_contiguous_lsns(tmp_path):
+    """Eight threads appending to one log at once: the append lock keeps
+    LSN assignment and the record lines from interleaving.  ``sync=True``
+    matters: the fsync widens the window in which an unlocked append
+    would be overtaken."""
+    path = wal_path(tmp_path)
+    wal = PreferenceWAL(path, sync=True)
+    threads, per_thread = 8, 50
+    start = threading.Barrier(threads, timeout=10)
+    failures = []
+
+    def appender(worker: int) -> None:
+        try:
+            start.wait()
+            for i in range(per_thread):
+                wal.append("pref.add", {"user": f"u{worker}", "n": i})
+        except BaseException as err:  # noqa: BLE001 - reported below
+            failures.append(err)
+
+    workers = [threading.Thread(target=appender, args=(w,)) for w in range(threads)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=60)
+    wal.close()
+    assert failures == []
+    replay = scan_wal(path)
+    assert replay.clean
+    total = threads * per_thread
+    assert [r.lsn for r in replay.records] == list(range(1, total + 1))
+    assert wal.lsn == total
+
+
+def test_unsynced_append_is_visible_to_another_reader_on_return(tmp_path):
+    """``sync=False`` skips the fsync, never the flush: once append returns,
+    the record has left the process buffer and any other handle reads it,
+    before any close, reset or drain."""
+    path = wal_path(tmp_path)
+    wal = PreferenceWAL(path, sync=False)
+    first = wal.append("pref.add", {"user": "u"})
+    assert scan_wal(path).records == [first]
+    second = wal.append("pref.remove", {"user": "u", "name": "p"})
+    assert scan_wal(path).records == [first, second]
     wal.close()
 
 
