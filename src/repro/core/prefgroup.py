@@ -13,24 +13,28 @@ chosen at compile time:
   ``genre IN (…)``) joins that column's table ``value → [(index, ⟨S,C⟩)]``.
   Equality/IN probes with constant scores pre-fill it at compile time; the
   other members are evaluated lazily, once per *distinct value* of the
-  column instead of once per row.  A table whose values prove near-unique
-  stops caching under the memo's bailout rule (``MEMO_BAILOUT_*``).
+  column, and the table keeps every value it has seen.
 * **Preference dispatch index** — a multi-column condition with an
   equality conjunct (``genre = 'Drama' AND year >= 2000``, or
   ``attr IN (v1..vk)``) is bucketed into a per-attribute hash map
   ``value → [preferences]``; a row probes the map and checks only the
   remaining conjuncts.
-* **Residual list** — every other condition is checked per computed row,
+* **Residual list** — every other condition is checked per computed key,
   so the tables are a pure optimization, never a semantic restriction.
 
-The per-row match lists then go through three cooperating steps:
+A pass does Python work per distinct *match key*, not per row:
 
-* **Memoized distinct-value matching** — condition and scoring outcomes
-  depend only on the *preference-relevant* attributes, and workload rows
-  share few distinct values on preferred attributes.  The compiled group
-  caches the full match list per projection of those attributes, so a
-  repeated value combination costs one dict lookup.  Memo and column tables
-  key on Python value equality.  Caches live on the compiled group —
+* **Match keys** — a row's matches depend only on its column tables' match
+  lists (shared list objects, so every value a table answers alike — above
+  all, every value matching nothing — maps to one list) and on its values
+  of the dispatch and residual preferences' attributes.  A row's key is the
+  identity of each column list plus that projection; both are built with
+  ``map``/``zip`` over the rows at C speed, so an id-like column under a
+  range preference costs one evaluation per distinct value and no per-row
+  Python.  When the column tables serve every preference, a row they all
+  miss matches nothing, so only the rows some table answers are keyed.
+  Each distinct key's match list is computed once and mapped back to its
+  rows.  Keys, column tables and lists live on the compiled group —
   created per evaluation, on the Intermediate/PRelation side — never on
   shared tables, so snapshot isolation is preserved.
 * **Fused combining** — all matching ⟨S, C⟩ pairs of a row are folded
@@ -41,11 +45,11 @@ The per-row match lists then go through three cooperating steps:
   per-row fused fold order equivalent to the per-preference sequential
   order.  Where float identity matters (duplicate score-relation keys) the
   fold replays the sequential ``(preference, row)`` order bit-for-bit.
-* **One fold per distinct match list** — rows sharing a projection share
-  one match list, and a pass folds each list once.  The cached fold is used
-  only where it is exact: in :meth:`CompiledGroup.score_pairs` when the
-  row's input pair is the same object, in :meth:`CompiledGroup.score_rows`
-  when the key is alone in its bucket and absent from ``base``.
+* **One fold per distinct input** — :meth:`CompiledGroup.score_pairs` folds
+  each distinct (match list, input pair object) once;
+  :meth:`CompiledGroup.score_rows` folds each distinct match list once for
+  the score-relation keys one row owns and *base* lacks, and replays the
+  exact order only for keys several rows share or *base* already holds.
 
 Chomicki's semantic-optimization line of work (see PAPERS.md) prunes and
 reuses preference evaluation by exploiting the structure of the preference
@@ -54,7 +58,9 @@ formula; this module is the same idea applied at the physical layer.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from collections import Counter
+from itertools import compress, repeat
+from operator import itemgetter, not_
 from typing import Callable, Sequence
 
 from ..engine.expressions import (
@@ -74,19 +80,6 @@ from .aggregates import AggregateFunction, failed_laws
 from .preference import Preference
 from .scorepair import IDENTITY, ScorePair
 from .scoring import ConstantScore
-
-#: Memoization is skipped when a group reads more than this many distinct
-#: attributes: building a wide projection tuple per row would cost more than
-#: the dispatch probes it saves.
-MEMO_MAX_ATTRS = 8
-
-#: Adaptive memo bailout: after this many distinct projections, a pass whose
-#: hit rate is below one hit per ``MEMO_BAILOUT_RATIO`` misses abandons the
-#: memo — the projections are evidently near-unique (e.g. keyed on an id
-#: column), so every lookup is a wasted key build.  Column tables obey the
-#: same rule per column.
-MEMO_BAILOUT_MISSES = 512
-MEMO_BAILOUT_RATIO = 4
 
 #: Aggregate instances whose Definition 3 laws have been verified for fused
 #: folding (value keeps the instance alive so ids stay unambiguous).
@@ -115,29 +108,31 @@ def ensure_fold_safe(aggregate: AggregateFunction) -> None:
 class GroupStats:
     """Counters of one fused evaluation pass (reported as ``prefer.batch``).
 
-    ``probes`` counts table lookups (column tables and dispatch index),
-    ``dispatch_hits`` the preference matches those lookups returned,
-    ``residual_checks`` the conditions actually evaluated, ``fused_combines``
-    the F applications actually performed, and ``matches`` the matches of
-    the sequential fold (one per combiner application it would make).
+    ``keys`` counts the distinct match keys whose match lists were computed,
+    ``probes`` the table lookups those computations made (column tables and
+    dispatch index), ``dispatch_hits`` the preference matches the lookups
+    returned, ``residual_checks`` the conditions actually evaluated,
+    ``fused_combines`` the F applications actually performed, and
+    ``matches`` the matches of the sequential fold (one per combiner
+    application it would make).
     """
 
     __slots__ = (
         "rows_in",
+        "keys",
         "probes",
         "dispatch_hits",
         "residual_checks",
-        "memo_hits",
         "fused_combines",
         "matches",
     )
 
     def __init__(self) -> None:
         self.rows_in = 0
+        self.keys = 0
         self.probes = 0
         self.dispatch_hits = 0
         self.residual_checks = 0
-        self.memo_hits = 0
         self.fused_combines = 0
         self.matches = 0
 
@@ -176,45 +171,34 @@ class _ColumnTable:
     ``fixed`` holds the pure equality/IN probes with constant scores, filled
     at compile time; ``lazy`` the members whose condition and scoring must
     run.  With no lazy member ``table`` *is* ``fixed`` and complete;
-    otherwise it caches each distinct value's match list on first sight,
-    until the values prove near-unique and ``table`` becomes ``None``.
+    otherwise it holds each distinct value's match list once seen.
     """
 
-    __slots__ = ("position", "fixed", "lazy", "table", "hits", "misses")
+    __slots__ = ("position", "value_of", "fixed", "lazy", "table")
 
     def __init__(self, position: int):
         self.position = position
+        self.value_of = itemgetter(position)
         self.fixed: dict = {}
         self.lazy: list[_Entry] = []
-        self.table: "dict | None" = None
-        self.hits = 0
-        self.misses = 0
+        self.table: dict = {}
 
     def seal(self) -> None:
         """Finish compilation: a table without lazy members is complete."""
-        self.table = {} if self.lazy else self.fixed
-
-    def lookup(self, row: Row, stats: GroupStats) -> "list[tuple[int, ScorePair]]":
-        """The column's matches for *row*, in group order (a shared list)."""
-        value = row[self.position]
-        table = self.table
-        if table is not None:
-            found = table.get(value)
-            if found is not None:
-                self.hits += 1
-                return found
         if not self.lazy:
-            return _NO_MATCHES
-        found = self._evaluate(value, row, stats)
-        if table is not None:
-            table[value] = found
-            self.misses += 1
-            if (
-                self.misses == MEMO_BAILOUT_MISSES
-                and self.hits * MEMO_BAILOUT_RATIO < self.misses
-            ):
-                self.table = None  # near-unique values: stop caching
-        return found
+            self.table = self.fixed
+
+    def lists(self, rows: Sequence[Row], stats: GroupStats) -> list:
+        """Each row's match list for this column, in group order (shared lists)."""
+        values = list(map(self.value_of, rows))
+        table = self.table
+        if not self.lazy:
+            return list(map(table.get, values, repeat(_NO_MATCHES)))
+        # One row per distinct value evaluates the lazy members for it.
+        for value, row in dict(zip(values, rows)).items():
+            if value not in table:
+                table[value] = self._evaluate(value, row, stats)
+        return list(map(table.__getitem__, values))
 
     def _evaluate(self, value, row: Row, stats: GroupStats) -> list:
         fixed = self.fixed.get(value)
@@ -306,9 +290,7 @@ class CompiledGroup:
         "_columns",
         "_dispatch",
         "_residual",
-        "_memo",
-        "_memo_positions",
-        "_memo_key",
+        "_project",
         "_column_count",
         "_indexed_count",
     )
@@ -323,10 +305,10 @@ class CompiledGroup:
         self._residual: list[_Entry] = []
         self._column_count = 0
         self._indexed_count = 0
-        relevant: set[str] = set()
+        #: Attributes of the preferences no column table serves.
+        unserved: set[str] = set()
         for index, preference in enumerate(group.preferences):
             attributes = preference.attributes()
-            relevant |= attributes
             scoring = preference.scoring.compile(schema)
             confidence = preference.confidence
             pair = (
@@ -350,6 +332,7 @@ class CompiledGroup:
                     )
                 self._column_count += 1
                 continue
+            unserved |= attributes
             probe_position = None if probe is None else _position(schema, probe[0])
             if probe_position is not None:
                 _, values, residual_expr = probe
@@ -371,22 +354,20 @@ class CompiledGroup:
         #: Column tables, then the dispatch index, each in row-position order.
         self._columns: list[_ColumnTable] = [columns[p] for p in sorted(columns)]
         self._dispatch: list[tuple[int, dict]] = sorted(dispatch_tables.items())
-        self._memo: dict[tuple, list] = {}
-        positions = {_position(schema, a) for a in relevant}
-        if None not in positions and len(positions) <= MEMO_MAX_ATTRS:
-            ordered = sorted(positions)
-            self._memo_positions: tuple[int, ...] | None = tuple(ordered)
-            # itemgetter builds the projection key at C speed; with one
-            # position it yields a bare value, which is an equally good (and
-            # cheaper) dict key than a 1-tuple.
-            self._memo_key: "Callable[[Row], object] | None" = (
-                itemgetter(*ordered) if ordered else _EMPTY_KEY
-            )
-        else:
-            # Wide or unresolvable projections: memoization would cost more
-            # than it saves (or would be unsound); the tables still apply.
-            self._memo_positions = None
-            self._memo_key = None
+        #: A row's projection onto the attributes the dispatch index and the
+        #: residual list read (the whole row if one does not resolve), or
+        #: ``None`` when the column tables serve every preference.
+        self._project: "Callable[[Row], object] | None" = None
+        if self._dispatch or self._residual:
+            positions = {_position(schema, a) for a in unserved}
+            if None in positions:
+                self._project = _whole_row
+            elif positions:
+                # With one position itemgetter yields a bare value, an
+                # equally good (and cheaper) key part than a 1-tuple.
+                self._project = itemgetter(*sorted(positions))
+            else:
+                self._project = _EMPTY_KEY
 
     # -- introspection (unit tests / docs) -----------------------------------
 
@@ -405,39 +386,55 @@ class CompiledGroup:
         """How many preferences fall back to the always-check list."""
         return len(self._residual)
 
-    @property
-    def memo_enabled(self) -> bool:
-        return self._memo_positions is not None
-
-    # -- per-row match computation -------------------------------------------
-
     def matches(self, row: Row) -> "list[tuple[int, ScorePair]]":
         """The row's matching ``(preference index, ⟨S,C⟩)`` list, in group order."""
-        stats = self.stats
-        stats.rows_in += 1
-        memo_key = self._memo_key
-        if memo_key is not None:
-            key = memo_key(row)
-            cached = self._memo.get(key)
-            if cached is not None:
-                stats.memo_hits += 1
-                stats.matches += len(cached)
-                return cached
-            result = self._compute_matches(row)
-            self._memo[key] = result
-            stats.matches += len(result)
-            return result
-        result = self._compute_matches(row)
-        stats.matches += len(result)
-        return result
+        _, keys, lists = self._match_lists((row,))
+        found = lists[keys[0]] if keys else _NO_MATCHES
+        self.stats.matches += len(found)
+        return found
 
-    def _compute_matches(self, row: Row) -> "list[tuple[int, ScorePair]]":
+    # -- per-key match computation -------------------------------------------
+
+    def _match_lists(self, rows: Sequence[Row]) -> "tuple[Sequence[int], list, dict]":
+        """The rows that can match, their match keys, and each key's match list.
+
+        Returns ``(where, keys, lists)``: the positions in *rows* that can
+        match some preference, each one's match key (aligned with
+        ``where``) and each distinct key's match list.  When the column
+        tables serve every preference, a row they all miss matches nothing
+        and is left out.  Rows with one key have one match list (see the
+        module docstring), so it is computed once, from one of them.
+        """
+        stats = self.stats
+        stats.rows_in += len(rows)
+        per_column = [column.lists(rows, stats) for column in self._columns]
+        where: Sequence[int] = range(len(rows))
+        if self._project is None:
+            # A match list is a list, empty exactly when nothing matched.
+            where = sorted(set().union(*(compress(where, found) for found in per_column)))
+            per_column = [list(map(found.__getitem__, where)) for found in per_column]
+            rows = list(map(rows.__getitem__, where))
+        parts = [map(id, found) for found in per_column]
+        if self._project is not None:
+            parts.append(map(self._project, rows))
+        keys = list(parts[0] if len(parts) == 1 else zip(*parts))
+        match_list = self._match_list
+        lists = {
+            key: match_list([found[index] for found in per_column], rows[index])
+            for key, index in dict(zip(keys, range(len(keys)))).items()
+        }
+        stats.keys += len(lists)
+        return where, keys, lists
+
+    def _match_list(
+        self, column_lists: list, row: Row
+    ) -> "list[tuple[int, ScorePair]]":
+        """Merge a key's column lists with its dispatch and residual matches."""
         stats = self.stats
         found: "list[tuple[int, ScorePair]] | None" = None
         merged = False
         dispatch_hits = 0
-        for column in self._columns:
-            matched = column.lookup(row, stats)
+        for matched in column_lists:
             if not matched:
                 continue
             dispatch_hits += len(matched)
@@ -481,18 +478,6 @@ class CompiledGroup:
             found.sort(key=_match_index)
         return found
 
-    def _bail_out_of_memo(self) -> None:
-        """Drop the memo for this group: projections proved near-unique.
-
-        Called from the bulk loops once ``MEMO_BAILOUT_MISSES`` distinct
-        projections accumulated with a sub-``1/MEMO_BAILOUT_RATIO`` hit rate;
-        returns ``None`` so callers can rebind their local ``memo_key``.
-        """
-        self._memo_key = None
-        self._memo_positions = None
-        self._memo.clear()
-        return None
-
     # -- fused evaluation ----------------------------------------------------
 
     def score_pairs(self, rows: Sequence[Row], pairs: Sequence[ScorePair]) -> list[ScorePair]:
@@ -500,58 +485,36 @@ class CompiledGroup:
 
         Bit-identical to folding each preference over the arrays in group
         order: rows are independent here, so the per-row fused fold *is* the
-        sequential order.  A match list's fold is reused for every row whose
-        input pair is the very object the fold started from.
+        sequential order.  A row's result depends only on its match list and
+        its input pair, so each distinct (match key, input pair object) is
+        folded once — and each distinct (list, pair object) at most once.
         """
+        where, keys, lists = self._match_lists(rows)
+        starts = list(map(pairs.__getitem__, where))
+        inputs = list(zip(keys, map(id, starts)))
+        # (key, id(pair)) → the input pair, then its folded result; holding
+        # the pairs keeps their ids from being reused within the pass.
+        results = dict(zip(inputs, starts))
+        folds: dict[tuple, ScorePair] = {}
         fold = self.fold
-        memo = self._memo
-        memo_key = self._memo_key
-        compute = self._compute_matches
-        memo_hits = 0
-        misses = 0
-        match_count = 0
         combines = 0
-        # id(match list) → (list, input pair, folded pair); holding the list
-        # keeps its id from being reused within the pass.
-        folds: dict[int, tuple] = {}
-        out: list[ScorePair] = []
-        append = out.append
-        for row, current in zip(rows, pairs):
-            if memo_key is not None:
-                key = memo_key(row)
-                matched = memo.get(key)
-                if matched is None:
-                    matched = compute(row)
-                    memo[key] = matched
-                    misses += 1
-                    if (
-                        misses == MEMO_BAILOUT_MISSES
-                        and memo_hits * MEMO_BAILOUT_RATIO < misses
-                    ):
-                        memo_key = self._bail_out_of_memo()
-                else:
-                    memo_hits += 1
-            else:
-                matched = compute(row)
-            if matched:
-                match_count += len(matched)
-                cached = folds.get(id(matched))
-                if cached is not None and cached[1] is current:
-                    current = cached[2]
-                else:
-                    start = current
-                    current, count = fold(start, map(_match_pair, matched))
-                    if current is None:
-                        current = IDENTITY
-                    combines += count
-                    folds[id(matched)] = (matched, start, current)
-            append(current)
+        for entry, start in results.items():
+            matched = lists[entry[0]]
+            if not matched:
+                continue
+            done = (id(matched), entry[1])
+            current = folds.get(done)
+            if current is None:
+                current, count = fold(start, map(_match_pair, matched))
+                combines += count
+                folds[done] = current = IDENTITY if current is None else current
+            results[entry] = current
         stats = self.stats
-        stats.rows_in += len(out)
-        stats.memo_hits += memo_hits
-        stats.matches += match_count
+        stats.matches += sum(map(len, map(lists.__getitem__, keys)))
         stats.fused_combines += combines
-        return out
+        # Rows left out of ``where`` match nothing and keep their pair.
+        folded = dict(zip(where, map(results.__getitem__, inputs)))
+        return list(map(folded.get, range(len(pairs)), pairs))
 
     def score_rows(
         self,
@@ -564,89 +527,72 @@ class CompiledGroup:
         Replays the per-preference score-relation fold exactly (§VI prefer
         UDF: a qualifying key's fresh pair is inserted, or combined into the
         pair it already has), including the removal of keys whose pair
-        collapses to the default:
-        matches are folded per key in ``(preference, row)`` order — the order
-        |λ| separate passes would have produced — so results stay
-        bit-identical even when several rows share a score-relation key.  A
-        key alone in its bucket and absent from *base* folds from nothing,
-        so its result depends on its match list alone and is folded once
-        per distinct list.
+        collapses to the default, and inserts keys in the order the
+        sequential fold first meets them.  A score-relation key one matching
+        row owns and *base* lacks folds from nothing, so its result depends
+        on its match list alone and is folded once per distinct list.  The
+        other keys — shared by several matching rows or already in *base* —
+        fold their matches in ``(preference, row)`` order, the order |λ|
+        separate passes would have produced, so results stay bit-identical.
         """
-        stats = self.stats
-        fold = self.fold
-        memo = self._memo
-        memo_key = self._memo_key
-        compute = self._compute_matches
-        memo_hits = 0
-        misses = 0
-        match_count = 0
-        rows_in = 0
         scores: dict[tuple, ScorePair] = dict(base) if base else {}
-        buckets: dict[tuple, list] = {}
-        for sequence, row in enumerate(rows):
-            rows_in += 1
-            if memo_key is not None:
-                mkey = memo_key(row)
-                matched = memo.get(mkey)
-                if matched is None:
-                    matched = compute(row)
-                    memo[mkey] = matched
-                    misses += 1
-                    if (
-                        misses == MEMO_BAILOUT_MISSES
-                        and memo_hits * MEMO_BAILOUT_RATIO < misses
-                    ):
-                        memo_key = self._bail_out_of_memo()
-                else:
-                    memo_hits += 1
-            else:
-                matched = compute(row)
-            if not matched:
-                continue
-            match_count += len(matched)
-            key = key_fn(row)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [(sequence, matched)]
-            else:
-                bucket.append((sequence, matched))
-        stats.rows_in += rows_in
-        stats.memo_hits += memo_hits
-        stats.matches += match_count
+        where, keys, lists = self._match_lists(rows)
+        found = list(map(lists.__getitem__, keys))
+        stats = self.stats
+        stats.matches += sum(map(len, found))
+        # Only the rows matching some preference reach the score relation.
+        hit_keys = list(compress(keys, found))
+        if not hit_keys:
+            return scores
+        owners = list(map(key_fn, compress(map(rows.__getitem__, where), found)))
+        counts = Counter(owners)
+        replayed = set(compress(counts, map((1).__lt__, counts.values())))
+        if base:
+            replayed.update(counts.keys() & base.keys())
+        fold = self.fold
         combines = 0
-        # id(match list) → its fold from no pair; ``buckets`` holds every
-        # list until the loop ends, so no id is reused within it.
-        folds: dict[int, "ScorePair | None"] = {}
-        for key, per_row in buckets.items():
-            if len(per_row) == 1:
-                matched = per_row[0][1]
-                if key not in scores:
-                    previous = folds.get(id(matched), _UNFOLDED)
-                    if previous is _UNFOLDED:
-                        previous, count = fold(None, map(_match_pair, matched))
-                        combines += count
-                        folds[id(matched)] = previous
-                    if previous is not None:
-                        scores[key] = previous
-                    continue
-                flat = map(_match_pair, matched)
-            else:
+        if replayed:
+            shared = list(map(replayed.__contains__, owners))
+            alone = compress(hit_keys, map(not_, shared))
+        else:
+            alone = hit_keys
+        # id(match list) → its fold from no pair; ``lists`` holds every list.
+        by_list: dict[int, "ScorePair | None"] = {}
+        folded: dict = {}
+        for key in dict.fromkeys(alone):
+            matched = lists[key]
+            previous = by_list.get(id(matched), _UNFOLDED)
+            if previous is _UNFOLDED:
+                previous, count = fold(None, map(_match_pair, matched))
+                combines += count
+                by_list[id(matched)] = previous
+            folded[key] = previous
+        # Inserts every owner where the sequential fold would first insert
+        # it; a replayed owner's value is overwritten (in place) below.
+        scores.update(zip(owners, map(folded.get, hit_keys)))
+        if replayed:
+            per_owner: dict[tuple, list] = {}
+            for owner, key in compress(zip(owners, hit_keys), shared):
+                per_owner.setdefault(owner, []).append(lists[key])
+            for owner, per_row in per_owner.items():
                 # Re-serialize to the sequential fold order: preference-major,
                 # then row order — what per-preference passes would have done.
                 triples = [
                     (index, sequence, fresh)
-                    for sequence, matched in per_row
+                    for sequence, matched in enumerate(per_row)
                     for index, fresh in matched
                 ]
                 triples.sort(key=_triple_order)
-                flat = [fresh for _, _, fresh in triples]
-            previous, count = fold(scores.get(key), flat)
-            combines += count
-            if previous is None:
-                scores.pop(key, None)
-            else:
-                scores[key] = previous
+                scores[owner], count = fold(
+                    base.get(owner) if base else None,
+                    [fresh for _, _, fresh in triples],
+                )
+                combines += count
         stats.fused_combines += combines
+        if None in scores.values():
+            # Pairs that folded to the default leave the relation.
+            for owner in [owner for owner, pair in scores.items() if pair is None]:
+                del scores[owner]
         return scores
 
 
@@ -659,8 +605,13 @@ _UNFOLDED = object()
 
 
 def _EMPTY_KEY(row: Row) -> tuple:
-    """Memo key for attribute-free groups: every row projects to ``()``."""
+    """Projection of attribute-free preferences: every row projects to ``()``."""
     return ()
+
+
+def _whole_row(row: Row) -> Row:
+    """Projection when an attribute does not resolve: the row itself."""
+    return row
 
 
 #: Sort key restoring group order after merging per-source match lists.

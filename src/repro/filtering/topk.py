@@ -18,7 +18,9 @@ rank, and only the rows at or above it build the all-columns tie-break key.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from functools import partial
+from itertools import compress, repeat
+from operator import contains, is_not, itemgetter, le
 from typing import Sequence
 
 from ..core.prelation import PRelation
@@ -65,9 +67,11 @@ def topk(relation: PRelation, k: int, by: str = "score") -> PRelation:
     each row with a known value gets one quantized float (rounded once per
     distinct value), the k-th smallest of those is the cut, and only the
     rows ranked at or above it — the strictly better ones plus the boundary
-    group tied with the k-th — pay for the all-columns tie-break.  ⊥ ranks
-    after every known value, so ⊥ rows reach the cut only when fewer than k
-    values are known; then every row is in the boundary group.
+    group tied with the k-th — pay for the all-columns tie-break, taken by a
+    k-smallest selection, not a sort.  Without a NULL in the cut, a row's
+    values in canonical order compare exactly as its :func:`row_sort_key`.
+    ⊥ ranks after every known value, so ⊥ rows reach the cut only when
+    fewer than k values are known; then every row is in the boundary group.
     """
     if by not in ("score", "conf"):
         raise ExecutionError(f"top-k orders by 'score' or 'conf', got {by!r}")
@@ -75,18 +79,26 @@ def topk(relation: PRelation, k: int, by: str = "score") -> PRelation:
         raise ExecutionError(f"top-k requires k >= 1, got {k}")
     rows, pairs = relation.rows, relation.pairs
     order = canonical_column_order(relation.schema)
-    values = list(map(itemgetter(0 if by == "score" else 1), pairs))
-    known = [i for i, value in enumerate(values) if value is not None]
+    value_of = itemgetter(0 if by == "score" else 1)
+    known = list(compress(range(len(pairs)), map(is_not, map(value_of, pairs), repeat(None))))
     if len(known) < k:
         chosen = sorted(range(len(rows)), key=lambda i: rank_key(rows[i], pairs[i], by, order))
     else:
-        known_values = [values[i] for i in known]
+        known_values = list(map(value_of, map(pairs.__getitem__, known)))
         rank_of = {value: -round(value, _RANK_DECIMALS) for value in set(known_values)}
         ranks = list(map(rank_of.__getitem__, known_values))
         kth = heapq.nsmallest(k, ranks)[-1]
-        cut = [(rank, i) for i, rank in zip(known, ranks) if rank <= kth]
-        # Known values only: (rank, row) orders the cut exactly as rank_key.
-        cut.sort(key=lambda entry: (entry[0], row_sort_key(rows[entry[1]], order)))
-        chosen = [i for _, i in cut]
+        inside = list(map(le, ranks, repeat(kth)))
+        cut = list(compress(known, inside))
+        cut_rows = list(map(rows.__getitem__, cut))
+        if any(map(contains, cut_rows, repeat(None))):
+            row_key = partial(row_sort_key, order=order)
+        else:
+            row_key = itemgetter(*order)
+        # Known values only: (rank, row) orders the cut exactly as rank_key,
+        # and the row index keeps equal rows in input order, as a stable
+        # sort would.
+        ranked = zip(compress(ranks, inside), map(row_key, cut_rows), cut)
+        chosen = [i for _, _, i in heapq.nsmallest(k, ranked)]
     del chosen[k:]
     return PRelation(relation.schema, [rows[i] for i in chosen], [pairs[i] for i in chosen])

@@ -3,9 +3,9 @@
 The execution strategies evaluate *runs* of prefer operators: FtP folds the
 whole region's preference list over one delegated result, BU/GBU walk chains
 of adjacent ``Prefer`` nodes.  This module applies such a run as **one**
-fused pass (column tables + dispatch index + distinct-value memoization +
-fused combining, see :mod:`repro.core.prefgroup`) instead of |λ| separate
-passes.
+fused pass (column tables + dispatch index + one computation per distinct
+match key + fused combining, see :mod:`repro.core.prefgroup`) instead of |λ|
+separate passes.
 
 It is the only way a physical strategy turns rows into score pairs, for a
 run of one prefer as for a longer one; the ``reference`` strategy's
@@ -14,9 +14,9 @@ checked against.
 
 Every fused application reports a ``prefer.batch`` span with the group's
 shape (``columns``, ``indexed``, ``residual``: preferences per structure)
-and the pass's counters (``probes``, ``dispatch_hits``, ``memo_hits``, ``fused_combines``,
-``residual_checks``, ``rows_in``, ``matches``) so EXPLAIN ANALYZE shows
-where the pass saved work.
+and the pass's counters (``rows_in``, ``keys``, ``probes``, ``dispatch_hits``,
+``residual_checks``, ``fused_combines``, ``matches``) so EXPLAIN ANALYZE
+shows where the pass saved work.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def _report_batch(compiled: CompiledGroup, label: str) -> None:
         span.set("columns", compiled.column_count)
         span.set("indexed", compiled.indexed_count)
         span.set("residual", compiled.residual_count)
-        span.set("memo", compiled.memo_enabled)
         for name, value in compiled.stats.as_dict().items():
             span.add(name, value)
         # A match is exactly one combiner application of the per-preference

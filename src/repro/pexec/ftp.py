@@ -181,7 +181,7 @@ def _make_ftp_region(db: Database, aggregate: AggregateFunction) -> RegionFn:
         for _ in preferences:
             db.cost.count_operator("prefer")
         # Fused group evaluation: one pass over the delegated result,
-        # dispatch index + memoized distinct-value scoring underneath.
+        # column tables + dispatch index, one computation per match key.
         db.cost.scan(len(rows))
         with tracer.span("ftp.prefer", label=f"batch |λ|={len(preferences)}") as span:
             result = prefer_group(result, preferences, aggregate)

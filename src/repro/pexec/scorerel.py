@@ -12,7 +12,7 @@ the compiled preference group (:mod:`repro.pexec.batchscore`).
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -212,24 +212,31 @@ def _fold_lookups(
     """Per row, fold the pairs of several score relations through ``F``.
 
     *lookups* lists ``(key positions, score relation)`` in combination
-    order; rows none of them covers are skipped, non-default results are
-    keyed by ``key(row)``.  Returns the scores, each row's pair (aligned
-    with *rows*) and how many pairs went through ``F``.
+    order; non-default results are keyed by ``key(row)``.  Only the rows
+    some relation covers are visited, in row order, and a row one relation
+    covers takes that pair as is: a score relation holds only non-default
+    pairs, and ``F`` folds a lone non-default pair to itself.  Returns the
+    scores, each row's pair (aligned with *rows*) and how many pairs went
+    through ``F``.
     """
     columns = [_pairs_of_rows(rows, positions, table) for positions, table in lookups if table]
+    everywhere = range(len(rows))
+    # A pair is a 2-tuple, never falsy: compress keeps exactly the hits.
+    covered = sorted(set().union(*(compress(everywhere, column) for column in columns)))
     fold = aggregate.fold
-    uncovered = (None,) * len(columns)
     scores: dict[tuple, ScorePair] = {}
     pairs = [IDENTITY] * len(rows)
     combined = 0
-    for index, found in enumerate(zip(*columns)):
-        if found == uncovered:
-            continue
-        # filter(None, ...) drops the misses: a pair is a 2-tuple, never falsy.
-        pair, count = fold(None, filter(None, found))
-        combined += count
-        if pair is not None:
-            scores[key(rows[index])] = pairs[index] = pair
+    for index in covered:
+        found = [hit for column in columns if (hit := column[index]) is not None]
+        if len(found) == 1:
+            pair = found[0]
+        else:
+            pair, count = fold(None, found)
+            combined += count
+            if pair is None:
+                continue
+        scores[key(rows[index])] = pairs[index] = pair
     return scores, pairs, combined
 
 

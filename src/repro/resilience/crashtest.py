@@ -266,7 +266,11 @@ def run_crash_torture(
     (fault kinds rotate so all of :data:`FAULT_KINDS` are exercised);
     *sigkill_rounds* defaults to ``max(1, rounds // 5)``.
     """
-    report = Report("crash-torture", f"seed={seed} rounds={rounds}")
+    report = Report(
+        "crash-torture",
+        f"seed={seed} rounds={rounds}",
+        checked=("crash_points", "sigkill_rounds"),
+    )
     if sigkill_rounds is None:
         sigkill_rounds = max(1, rounds // 5)
     own_dir = directory is None

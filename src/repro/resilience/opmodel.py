@@ -271,13 +271,19 @@ def judge_read(cell: Cell, read, typed: tuple) -> None:
 
 @dataclass
 class Report:
-    """What one harness run observed: judged cells, errors and counts."""
+    """What one harness run observed: judged cells, errors and counts.
+
+    ``checked`` names the counts the summary line reports beside the cells:
+    a harness that checks something other than cells (crash points, kill
+    rounds) says there how much it checked.
+    """
 
     name: str
     setup: str
     cells: list[Cell] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
+    checked: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -301,8 +307,9 @@ class Report:
         if len(self.errors) > 20:
             lines.append(f"  ... and {len(self.errors) - 20} more")
         good = sum(cell.ok for cell in self.cells)
+        checked = "".join(f"{self.counts.get(key, 0)} {key}, " for key in self.checked)
         lines.append(
-            f"{self.name}: {good}/{len(self.cells)} cells ok, "
+            f"{self.name}: {good}/{len(self.cells)} cells ok, {checked}"
             f"{len(self.errors)} errors — " + ("OK" if self.ok else "FAILED")
         )
         return "\n".join(lines)

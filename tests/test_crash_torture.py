@@ -53,8 +53,14 @@ class TestTortureHarness:
             directory=str(tmp_path),
         )
         assert report.errors == [], report.describe()
-        assert report.counts["crash_points"] > 0
+        points = report.counts["crash_points"]
+        assert points > 0
         assert report.counts["sigkill_kills"] == report.counts["sigkill_rounds"] == 1
+        # Crash points are not cells: the summary line counts them itself.
+        assert report.describe().splitlines()[-1] == (
+            f"crash-torture: 0/0 cells ok, {points} crash_points, 1 sigkill_rounds, "
+            "0 errors — OK"
+        )
 
     def test_mutation_self_check_catches_lossy_replay(self, tmp_path):
         assert any(op[0] == "row.insert" for op in _MUTATION_OPS)

@@ -22,6 +22,7 @@ from repro.filtering import (
     topk,
 )
 from repro.filtering.topk import canonical_column_order, rank_key
+from tests.conftest import examples
 
 SCHEMA = make_schema(
     "R",
@@ -114,7 +115,7 @@ def _spec_topk(relation, k, by):
 
 
 class TestTopKMatchesSpec:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @given(
         entries=_ENTRIES,
         k=st.integers(1, 45),

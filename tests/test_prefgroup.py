@@ -5,8 +5,6 @@ import pytest
 from repro.core.aggregates import F_MAX, F_S
 from repro.core.preference import Preference
 from repro.core.prefgroup import (
-    MEMO_BAILOUT_MISSES,
-    MEMO_MAX_ATTRS,
     CompiledGroup,
     PreferenceGroup,
     dispatch_probe,
@@ -107,8 +105,9 @@ class TestCompiledGroup:
         comedy = (2, "Comedy")
         assert [i for i, _ in compiled.matches(drama)] == [0]
         assert compiled.matches(comedy) == []
-        # One probe per row, but only the Drama row produced a hit.
-        assert compiled.stats.probes == 2
+        # The column table serves the whole group, so the Comedy row, which
+        # it misses, is never keyed or probed; the Drama row's key is.
+        assert compiled.stats.probes == 1
         assert compiled.stats.dispatch_hits == 1
 
     def test_null_row_value_never_matches_equality(self, movie_db):
@@ -143,41 +142,46 @@ class TestCompiledGroup:
         compiled = PreferenceGroup(
             [pref("a", eq("GENRES.genre", "Drama"))], F_S
         ).compile(schema)
-        assert compiled.memo_enabled
         rows = [(1, "Drama"), (2, "Drama"), (3, "Comedy"), (4, "Drama")]
-        for row in rows:
-            compiled.matches(row)
-        # m_id is not preference-relevant, so rows 2 and 4 hit row 1's entry.
-        assert compiled.stats.memo_hits == 2
+        compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        # m_id is not preference-relevant, so rows 2 and 4 share row 1's key;
+        # the Comedy row matches no table and is never keyed.
+        assert compiled.stats.keys == 1
+        assert compiled.stats.probes == 1
 
-    def test_memo_disabled_for_wide_projections(self):
+    def test_wide_groups_key_on_column_lists(self):
         from repro.engine.schema import Column, TableSchema
         from repro.engine.types import DataType
 
-        width = MEMO_MAX_ATTRS + 1
+        width = 9
         schema = TableSchema(
             "W", [Column(f"a{i}", DataType.INT, "W") for i in range(width)]
         )
         preferences = [
-            Preference(f"p{i}", "W", cmp(f"W.a{i}", ">=", 0), ConstantScore(0.5), 0.5)
+            Preference(f"p{i}", "W", cmp(f"W.a{i}", ">=", 1), ConstantScore(0.5), 0.5)
             for i in range(width)
         ]
         compiled = PreferenceGroup(preferences, F_S).compile(schema)
-        assert not compiled.memo_enabled
-        # The dispatch/residual machinery still answers correctly.
-        row = tuple(range(width))
-        assert len(compiled.matches(row)) == width
+        assert compiled.column_count == width
+        rows = [tuple(range(width)), tuple(range(1, width + 1)), tuple(range(width))]
+        pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        assert pairs == sequential_pairs(schema, rows, preferences)
+        # A key is one list identity per column: the third row repeats the
+        # first, and every column evaluates each distinct value once.
+        assert compiled.stats.keys == 2
+        assert compiled.stats.residual_checks == 2 * width
+        assert len(compiled.matches(tuple(range(1, width + 1)))) == width
 
     def test_attribute_free_group_memoizes_trivially(self, movie_db):
         schema = genres_schema(movie_db)
         compiled = PreferenceGroup([pref("a", TRUE), pref("b", TRUE)], F_S).compile(
             schema
         )
-        assert compiled.memo_enabled
-        compiled.matches((1, "Drama"))
-        compiled.matches((2, "Comedy"))
-        # Every row projects to the empty tuple: one compute, then cache.
-        assert compiled.stats.memo_hits == 1
+        rows = [(1, "Drama"), (2, "Comedy")]
+        compiled.score_pairs(rows, [IDENTITY] * len(rows))
+        # Every row projects to the empty tuple: one key, computed once.
+        assert compiled.stats.keys == 1
+        assert compiled.stats.residual_checks == 2
 
     def test_empty_group_rejected(self):
         with pytest.raises(PreferenceError):
@@ -265,9 +269,10 @@ class TestColumnTables:
         rows = [(m, g) for m in (1, 2) for g in ("Drama", "Comedy")] * 3
         pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
         assert pairs == sequential_pairs(schema, rows, preferences)
-        # Four distinct (m_id, genre) projections miss the memo, but each
-        # column has two distinct values: 2 + 2 evaluations, not 4 × 2.
-        assert compiled.stats.memo_hits == 8
+        # Three (m_id, genre) combinations match something and give three
+        # keys, but each column has two distinct values: 2 + 2 evaluations,
+        # not 4 × 2.
+        assert compiled.stats.keys == 3
         assert compiled.stats.residual_checks == 4
 
     def test_null_cell_in_a_table_served_column(self, movie_db):
@@ -295,18 +300,20 @@ class TestColumnTables:
         pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
         assert pairs == sequential_pairs(schema, rows, preferences)
 
-    def test_near_unique_column_stops_caching(self, movie_db):
+    def test_near_unique_column_evaluates_each_value_once(self, movie_db):
         schema = genres_schema(movie_db)
         compiled = PreferenceGroup(
             [pref("ids", cmp("GENRES.m_id", ">=", 0))], F_S
         ).compile(schema)
-        rows = [(m_id, "Drama") for m_id in range(MEMO_BAILOUT_MISSES)] + [(0, "Drama")]
+        distinct = 600
+        rows = [(m_id, "Drama") for m_id in range(distinct)] + [(0, "Drama"), (7, "Comedy")]
         pairs = compiled.score_pairs(rows, [IDENTITY] * len(rows))
         assert pairs == [ScorePair(0.5, 0.8)] * len(rows)
-        assert not compiled.memo_enabled
-        # Both the memo and the m_id table gave up after the unique values,
-        # so the repeated m_id = 0 is evaluated again.
-        assert compiled.stats.residual_checks == MEMO_BAILOUT_MISSES + 1
+        assert pairs == sequential_pairs(schema, rows, compiled.group.preferences)
+        # Near-unique values stay cached: the repeated ids are not evaluated
+        # again, and each id's match list is its own key.
+        assert compiled.stats.residual_checks == distinct
+        assert compiled.stats.keys == distinct
 
     def test_group_order_when_sources_interleave(self, movie_db):
         schema = genres_schema(movie_db)
@@ -354,10 +361,10 @@ class TestFoldCache:
         inputs = [IDENTITY, IDENTITY, other, IDENTITY]
         pairs = compiled.score_pairs(rows, inputs)
         assert pairs == sequential_pairs(schema, rows, preferences, F_S, inputs)
-        # One match list; folded for IDENTITY, for `other`, then for IDENTITY
-        # again (the cache holds one input per list).
+        # One match list, folded once per distinct input pair object:
+        # IDENTITY and `other`.
         assert compiled.stats.matches == 8
-        assert compiled.stats.fused_combines == 6
+        assert compiled.stats.fused_combines == 4
 
     def test_score_rows_folds_once_for_unique_keys_only(self, movie_db):
         schema = genres_schema(movie_db)

@@ -1,15 +1,20 @@
 """Unit tests for the physical score-relation machinery (Intermediate)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregates import F_S
+from repro.core.aggregates import F_MAX, F_S, AggregateFunction
 from repro.core.preference import Preference
-from repro.core.scorepair import IDENTITY, ScorePair
+from repro.core.scorepair import IDENTITY, ScorePair, bottom
 from repro.engine.expressions import TRUE, cmp, eq
+from repro.engine.schema import Column, TableSchema
+from repro.engine.types import DataType
 from repro.errors import ExecutionError
 from repro.pexec import scorerel
 from repro.pexec.batchscore import apply_prefer_group, group_scores_from_rows
 from repro.pexec.scorerel import Intermediate
+from tests.conftest import examples
 
 
 @pytest.fixture
@@ -192,3 +197,112 @@ class TestMergeEmbedded:
         out = scorerel.merge_embedded(schema, list(movie_db.table("MOVIES").rows), [], ["MOVIES.m_id"])
         assert out.scores == {}
         assert out.key_attrs == ("MOVIES.m_id",)
+
+
+# ---------------------------------------------------------------------------
+# Property: the block merge equals a per-row fold of every lookup's pair
+# ---------------------------------------------------------------------------
+
+
+class ModularBottom(AggregateFunction):
+    """F_S, except that ⊥ confidences add modulo 3: ⟨⊥,1⟩ and ⟨⊥,2⟩ fold
+    to the default ⟨⊥,0⟩, so covered rows can end with no pair at all."""
+
+    name = "F_mod3"
+
+    def combine(self, a: ScorePair, b: ScorePair) -> ScorePair:
+        if a.is_bottom and b.is_bottom:
+            return bottom((a.conf + b.conf) % 3.0)
+        return F_S.combine(a, b)
+
+
+CELLS = st.integers(0, 3)
+#: Non-default pairs only, as a score relation holds: known scores (some
+#: with zero confidence), and ⊥ pairs that fold to ⟨⊥,0⟩ under F_mod3.
+MERGE_PAIRS = st.one_of(
+    st.builds(
+        ScorePair,
+        st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]),
+        st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    ),
+    st.sampled_from([bottom(1.0), bottom(2.0)]),
+)
+MERGE_AGGREGATES = st.sampled_from([F_S, F_MAX, ModularBottom()])
+
+
+def block_schema(name: str, width: int) -> TableSchema:
+    return TableSchema(name, [Column(f"c{i}", DataType.INT, name) for i in range(width)])
+
+
+@st.composite
+def score_relation(draw, schema: TableSchema):
+    """Key attributes of *schema* and a score relation keyed on them
+    (possibly empty; small domains so relations overlap and share keys)."""
+    width = len(schema.columns)
+    positions = sorted(
+        draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2, unique=True))
+    )
+    keys = st.tuples(*[CELLS] * len(positions))
+    scores = draw(st.dictionaries(keys, MERGE_PAIRS, max_size=8))
+    return [schema.columns[p].qualified_name for p in positions], scores
+
+
+def naive_fold(rows, lookups, key_positions, aggregate):
+    """The oracle: per row, fold the pair of every lookup covering it."""
+    scores, pairs = {}, []
+    for row in rows:
+        found = []
+        for positions, table in lookups:
+            probe = tuple(row[p] for p in positions)
+            if probe in table:
+                found.append(table[probe])
+        pair, _ = aggregate.fold(None, found)
+        pairs.append(IDENTITY if pair is None else pair)
+        if pair is not None:
+            scores[tuple(row[p] for p in key_positions)] = pair
+    return scores, pairs
+
+
+def assert_same_merge(out, rows, expected_scores, expected_pairs):
+    # Contents and insertion order of the score relation, and aligned pairs.
+    assert list(out.scores.items()) == list(expected_scores.items())
+    assert (out.pairs or [IDENTITY] * len(rows)) == expected_pairs
+    assert out.to_prelation().pairs == expected_pairs
+
+
+class TestBlockMergeProperty:
+    @given(data=st.data(), aggregate=MERGE_AGGREGATES)
+    @settings(max_examples=examples(200), deadline=None)
+    def test_merge_embedded_equals_per_row_fold(self, data, aggregate):
+        schema = block_schema("B", 4)
+        rows = data.draw(st.lists(st.tuples(*[CELLS] * 4), max_size=30))
+        relations = data.draw(st.lists(score_relation(schema), min_size=1, max_size=3))
+        extra = data.draw(st.sampled_from([[], ["B.c0"], ["B.c3", "B.c1"]]))
+        embedded = [Intermediate(schema, [], attrs, scores) for attrs, scores in relations]
+        out = scorerel.merge_embedded(schema, rows, embedded, extra, aggregate)
+        key_positions = list(
+            dict.fromkeys(
+                schema.index_of(a) for a in extra + [a for attrs, _ in relations for a in attrs]
+            )
+        )
+        lookups = [
+            ([schema.index_of(a) for a in attrs], scores) for attrs, scores in relations
+        ]
+        assert_same_merge(out, rows, *naive_fold(rows, lookups, key_positions, aggregate))
+
+    @given(data=st.data(), aggregate=MERGE_AGGREGATES)
+    @settings(max_examples=examples(200), deadline=None)
+    def test_combine_join_equals_per_row_fold(self, data, aggregate):
+        left_schema, right_schema = block_schema("L", 2), block_schema("R", 3)
+        schema = left_schema.join(right_schema)
+        left_attrs, left_scores = data.draw(score_relation(left_schema))
+        right_attrs, right_scores = data.draw(score_relation(right_schema))
+        rows = data.draw(st.lists(st.tuples(*[CELLS] * 5), max_size=30))
+        left = Intermediate(left_schema, [], left_attrs, left_scores)
+        right = Intermediate(right_schema, [], right_attrs, right_scores)
+        out = scorerel.combine_join(left, right, schema, rows, aggregate)
+        left_positions = list(left.key_positions())
+        right_positions = [2 + p for p in right.key_positions()]
+        lookups = [(left_positions, left_scores), (right_positions, right_scores)]
+        expected = naive_fold(rows, lookups, left_positions + right_positions, aggregate)
+        assert_same_merge(out, rows, *expected)
