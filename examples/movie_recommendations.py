@@ -79,21 +79,6 @@ def main() -> None:
     print(f"  ({len(rows)} safe suggestions in total)")
     print()
 
-    # --- Provenance: why was the top suggestion made? -----------------------------
-    result = session.execute(
-        """
-        SELECT title, director FROM MOVIES
-          NATURAL JOIN GENRES
-          NATURAL JOIN DIRECTORS
-        WHERE year >= 2005
-        PREFERRING p1, p2
-        TOP 3 BY score
-        """
-    )
-    print("Why the top suggestion?")
-    print(session.why(result, index=0).describe())
-    print()
-
     # --- Example 11: blending Alice's and Bob's preferences ----------------------
     print("Q3 — Alice's picks blended with Bob's (Example 11):")
     rows = session.rows(

@@ -68,14 +68,12 @@ from .analysis_static import (
 )
 from .core.context import ContextualPreference, active_preferences
 from .filtering import (
-    PreferenceRelation,
     conf_at_least,
     ranked,
     score_at_least,
     skyline,
     skyline_pairs,
     topk,
-    winnow,
 )
 from .obs import Tracer, current_tracer, use_tracer
 from .optimizer import OptimizerConfig, PreferenceOptimizer, optimize
@@ -147,8 +145,6 @@ __all__ = [
     "conf_at_least",
     "skyline",
     "skyline_pairs",
-    "winnow",
-    "PreferenceRelation",
     # sessions and context
     "Session",
     "ContextualPreference",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from ..engine.database import Database
 from ..obs import Tracer
+from ..pexec.engine import DEFAULT_STRATEGY
 from ..plan.nodes import PlanNode
 from ..query.session import Session
 from ..resilience import QueryGuard
@@ -214,7 +215,7 @@ def measure(
 def tracer_overhead(
     session: Session,
     query: "str | PlanNode",
-    strategy: str = "gbu",
+    strategy: str = DEFAULT_STRATEGY,
     repeats: int = 5,
 ) -> dict:
     """Measure the collecting tracer's overhead on one query.

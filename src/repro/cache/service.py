@@ -54,6 +54,7 @@ import hashlib
 import threading
 
 from ..errors import PreferenceError
+from ..pexec.engine import DEFAULT_STRATEGY
 from ..plan.fingerprint import UncacheablePlan, plan_fingerprint
 from ..serve.codec import canonical_json
 from ..serve.server import table_digest
@@ -91,7 +92,7 @@ class CachedQueryService:
         cache=None,
         *,
         default_sql: str = DEFAULT_SQL,
-        default_strategy: str = "gbu",
+        default_strategy: str = DEFAULT_STRATEGY,
     ) -> None:
         self.server = server
         self.cache = cache

@@ -33,6 +33,7 @@ import sys
 
 from .engine.persist import load_database, save_database
 from .errors import ReproError
+from .pexec.engine import DEFAULT_STRATEGY
 from .query.session import Session
 
 
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--db", required=True, help="database directory")
     query.add_argument(
         "--strategy",
-        default="gbu",
+        default=DEFAULT_STRATEGY,
         help="execution strategy; a comma-separated list runs each in turn "
         "(e.g. --strategy ftp,bu,gbu)",
     )
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     repl = commands.add_parser("repl", help="interactive SQL loop")
     repl.add_argument("--db", help="database directory (default: tiny IMDB)")
-    repl.add_argument("--strategy", default="gbu")
+    repl.add_argument("--strategy", default=DEFAULT_STRATEGY)
 
     lint = commands.add_parser(
         "lint", help="run the algebraic-safety linter over Python sources"

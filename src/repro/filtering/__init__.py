@@ -16,12 +16,9 @@ from .threshold import (
     score_at_least,
 )
 from .topk import topk
-from .winnow import PreferenceRelation, winnow
 
 __all__ = [
     "topk",
-    "winnow",
-    "PreferenceRelation",
     "ranked",
     "skyline",
     "skyline_pairs",

@@ -1,4 +1,4 @@
-"""Not-dominated (skyline) filtering — the winnow-style flavour ([7] in the paper).
+"""Not-dominated (skyline) filtering ([7] in the paper).
 
 The paper lists "not-dominated" tuples as one possible filtering phase after
 preference evaluation.  Two variants:

@@ -49,6 +49,9 @@ _OPTIMIZED_STRATEGIES = frozenset({"bu", "gbu"})
 
 STRATEGIES = ("gbu", "bu", "ftp", "plugin-rma", "plugin-shared", "reference")
 
+#: The strategy every entry point runs when the caller names none.
+DEFAULT_STRATEGY = "gbu"
+
 
 @dataclass
 class ExecutionStats:
@@ -139,7 +142,7 @@ class ExecutionEngine:
     def run(
         self,
         plan: PlanNode,
-        strategy: str = "gbu",
+        strategy: str = DEFAULT_STRATEGY,
         tracer=None,
         *,
         guard=None,
@@ -255,20 +258,6 @@ class ExecutionEngine:
             span.set("mode", "columnar")
             span.add("rows_out", len(result))
             return result
-
-    def explain_result(self, result: QueryResult, index: int = 0):
-        """Provenance for one result tuple: each preference's contribution.
-
-        Works on the widened relation the engine returns, so every attribute
-        a preference reads is present; see :mod:`repro.pexec.provenance`.
-        """
-        from .provenance import explain_tuple
-
-        preferences = [
-            p.qualify(self.db.catalog) for p in result.plan.preferences()
-        ]
-        row = result.relation.rows[index]
-        return explain_tuple(result.relation.schema, row, preferences, self.aggregate)
 
     def _dispatch(self, plan: PlanNode, strategy: str) -> PRelation:
         if strategy == "gbu":

@@ -9,7 +9,8 @@ and, through :meth:`~repro.engine.database.Database.execute`, reuses its
 answer while the data version stands still.
 Intermediates produced by prefer operators re-enter blocks as materialized
 leaves, so the only materializations are the unavoidable ones at prefer
-boundaries.
+boundaries — and at a set operation over scored input, whose pairs are
+combined per full row (see :meth:`_Evaluator._setop`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from ..plan.nodes import (
 )
 from . import batchscore, scorerel
 from .scorerel import Intermediate
+
+_SET_OPERATIONS = (Union, Intersect, Difference)
 
 
 def execute_gbu(
@@ -99,9 +102,10 @@ class _Evaluator:
             return self._defer_unary(plan)
 
         if isinstance(plan, (Join, LeftJoin, Union, Intersect, Difference)):
-            left = self._as_deferred(self.evaluate(plan.children()[0]))
-            right = self._as_deferred(self.evaluate(plan.children()[1]))
-            return plan.with_children([left, right])
+            left, right = map(self.evaluate, plan.children())
+            if isinstance(plan, _SET_OPERATIONS) and any(map(self._is_scored, (left, right))):
+                return self._setop(plan, left, right)
+            return plan.with_children([self._as_deferred(left), self._as_deferred(right)])
 
         if isinstance(plan, Prefer):
             return self._prefer(plan)
@@ -177,10 +181,34 @@ class _Evaluator:
             return Intermediate(schema, None, key_attrs, scores, source=block)
         return Intermediate(result_schema, rows, key_attrs, scores, source=block)
 
+    def _setop(self, plan: PlanNode, left, right) -> Intermediate:
+        """A set operation over scored input: force both inputs, combine per row.
+
+        The block merge looks pairs up by key, but the rows carry the left
+        input's names, so a right-input key resolves to no column or to
+        another one, and one input's key value can belong to a row of the
+        other.  As in BU and the reference algebra, rows are the keys.
+        """
+        left, right = self.force(left), self.force(right)
+        _, rows = self.db.execute(
+            plan.with_children(
+                [Materialized(left.schema, left.rows), Materialized(right.schema, right.rows)]
+            )
+        )
+        self.db.cost.materialize(len(rows))
+        return scorerel.combine_setop(plan.kind, left, right, rows, self.aggregate)
+
     def _block_key_attrs(self, block: PlanNode, schema) -> list[str]:
-        """Qualified primary keys of the block's base relations (its R_P key)."""
+        """Qualified primary keys of the block's base relations (its R_P key).
+
+        A block with a set operation is keyed by the full row, as
+        :meth:`_setop` keys its result.
+        """
         key_attrs: list[str] = []
         for node in block.walk():
+            if isinstance(node, _SET_OPERATIONS):
+                key_attrs = []
+                break
             if isinstance(node, Relation):
                 relation_schema = node.schema(self.db.catalog)
                 for attr in relation_schema.primary_key:
@@ -193,6 +221,9 @@ class _Evaluator:
 
     def _has_embedded(self, block: PlanNode) -> bool:
         return any(id(node) in self.embedded for node in block.walk())
+
+    def _is_scored(self, value: "PlanNode | Intermediate") -> bool:
+        return isinstance(value, Intermediate) or self._has_embedded(value)
 
     def _defer_unary(self, plan: PlanNode) -> PlanNode:
         child = self._as_deferred(self.evaluate(plan.children()[0]))
@@ -232,21 +263,14 @@ class _Evaluator:
         return result
 
     def _force_block(self, block: PlanNode) -> Intermediate:
-        embedded: list[Intermediate] = []
-        extra_keys: list[str] = []
-        for node in block.walk():
-            if id(node) in self.embedded:
-                # Consume the entry (Alg. 2 removes executed operators from
-                # G).  Crucial for correctness, not just hygiene: once the
-                # forced tree is garbage-collected a future node could reuse
-                # the same id() and collide with a stale entry.
-                embedded.append(self.embedded.pop(id(node)))
-            elif isinstance(node, Relation):
-                schema = node.schema(self.db.catalog)
-                for attr in schema.primary_key:
-                    extra_keys.append(schema.column(attr).qualified_name)
+        # Consume the entries (Alg. 2 removes executed operators from G):
+        # once the forced tree is garbage-collected a future node could
+        # reuse an id() and collide with a stale entry.
+        embedded = [
+            self.embedded.pop(id(node)) for node in block.walk() if id(node) in self.embedded
+        ]
         schema, rows = self.db.execute(block)
         self.db.cost.materialize(len(rows))
         return scorerel.merge_embedded(
-            schema, rows, embedded, extra_keys, self.aggregate
+            schema, rows, embedded, self._block_key_attrs(block, schema), self.aggregate
         )

@@ -18,7 +18,7 @@ from ..engine.database import Database
 from ..errors import PreferenceError
 from ..filtering import ranked
 from ..optimizer import OptimizerConfig
-from ..pexec.engine import ExecutionEngine, QueryResult
+from ..pexec.engine import DEFAULT_STRATEGY, ExecutionEngine, QueryResult
 from ..plan.nodes import PlanNode
 from ..resilience import QueryGuard
 from .model import PreferentialQuery, QueryCompiler
@@ -30,7 +30,7 @@ class Session:
     def __init__(
         self,
         db: Database,
-        strategy: str = "gbu",
+        strategy: str = DEFAULT_STRATEGY,
         aggregate: AggregateFunction = F_S,
         optimizer_config: OptimizerConfig | None = None,
     ):
@@ -212,15 +212,6 @@ class Session:
             + "\n\n"
             + result.stats.summary()
         )
-
-    def why(self, result: QueryResult, index: int = 0):
-        """Explain one tuple of a result: which preferences contributed.
-
-        Returns a :class:`repro.pexec.provenance.TupleExplanation`;
-        ``.describe()`` renders it for end users ("because you love
-        comedies...").
-        """
-        return self.engine.explain_result(result, index)
 
     def rows(self, query, strategy: str | None = None) -> list[tuple]:
         """Convenience: execute and return presented rows with (score, conf).

@@ -17,6 +17,7 @@ from ..core.context import ContextualPreference
 from ..core.preference import Preference
 from ..engine.database import Database
 from ..errors import PreferenceError
+from ..pexec.engine import DEFAULT_STRATEGY
 from ..serve.rwlock import RWLock
 from .session import Session
 
@@ -202,7 +203,7 @@ class PreferenceStore:
     def session_for(
         self,
         user: str,
-        strategy: str = "gbu",
+        strategy: str = DEFAULT_STRATEGY,
         aggregate: AggregateFunction = F_S,
         context: Mapping | None = None,
     ) -> Session:
@@ -216,7 +217,7 @@ class PreferenceStore:
     def blended_session(
         self,
         users: Iterable[str],
-        strategy: str = "gbu",
+        strategy: str = DEFAULT_STRATEGY,
         aggregate: AggregateFunction = F_S,
     ) -> Session:
         """A session carrying several users' preferences at once (Example 11).

@@ -53,6 +53,7 @@ from ...cache.result_cache import ResultCache
 from ...cache.service import DEFAULT_SQL, CachedQueryService
 from ...errors import NetworkFault, Overloaded, QueryTimeout, ReproError, TransientFault
 from ...obs.tracer import Span
+from ...pexec.engine import DEFAULT_STRATEGY
 from ...resilience.faults import NULL_FAULTS
 from ...resilience.guard import QueryGuard, use_guard
 from ..executor import ServeExecutor
@@ -136,7 +137,7 @@ class NetServer:
         queue_limit: int = 32,
         tenant_quota: int | None = 8,
         quotas: dict[str, int] | None = None,
-        default_strategy: str = "gbu",
+        default_strategy: str = DEFAULT_STRATEGY,
         default_sql: str = DEFAULT_SQL,
         cache: "ResultCache | bool | None" = True,
         cache_bytes: int = 64 * 1024 * 1024,

@@ -74,6 +74,7 @@ from ..errors import (
     ResilienceError,
     WALPoisoned,
 )
+from ..pexec.engine import DEFAULT_STRATEGY
 from ..query.store import PreferenceStore
 from ..resilience.vfs import current_vfs
 from .codec import canonical_json, preference_from_dict, preference_to_dict
@@ -138,7 +139,7 @@ class ServerSnapshot:
     store_version: int
     lsn: int
 
-    def session_for(self, user: str, strategy: str = "gbu", **kwargs):
+    def session_for(self, user: str, strategy: str = DEFAULT_STRATEGY, **kwargs):
         """A session over the snapshot with *user*'s preferences registered."""
         return self.store.session_for(user, strategy=strategy, **kwargs)
 

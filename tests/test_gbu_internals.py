@@ -122,3 +122,17 @@ class TestBlockKeyAttrs:
         evaluator = _Evaluator(movie_db, F_S)
         key_attrs = evaluator._block_key_attrs(block, block.schema(movie_db.catalog))
         assert key_attrs == ["MOVIES.title"]
+
+    def test_set_operation_keys_by_full_row(self, movie_db):
+        # MOVIES.m_id resolves in the output by name, but the right side's
+        # rows hold their year there: the block is keyed by its full row,
+        # as BU keys a set operation's result.
+        block = (
+            scan("MOVIES")
+            .project(["year", "m_id"])
+            .union(scan("MOVIES").project(["m_id", "year"]))
+            .build()
+        )
+        evaluator = _Evaluator(movie_db, F_S)
+        key_attrs = evaluator._block_key_attrs(block, block.schema(movie_db.catalog))
+        assert key_attrs == ["MOVIES.year", "MOVIES.m_id"]

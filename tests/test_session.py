@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.preference import Preference
 from repro.engine.expressions import eq
-from repro.errors import PreferenceError
+from repro.errors import PreferenceError, SchemaError
 from repro.query.session import Session
 
 
@@ -83,6 +83,15 @@ class TestExecution:
         titles = {r[0] for r in rows}
         # Comedies (p1, conf .9) and Eastwood movies (p2, conf .8).
         assert titles == {"Match Point", "Scoop", "Gran Torino", "Million Dollar Baby"}
+
+    def test_natural_join_keeps_both_copies_of_the_common_column(self, session):
+        # A dialect rule, unlike SQL's NATURAL JOIN and the paper's ⋈: each
+        # side keeps its d_id, so * returns both and a bare d_id is ambiguous.
+        result = session.execute("SELECT * FROM MOVIES NATURAL JOIN DIRECTORS")
+        names = [c.qualified_name for c in result.presented().schema.columns]
+        assert names.count("MOVIES.d_id") == names.count("DIRECTORS.d_id") == 1
+        with pytest.raises(SchemaError, match="ambiguous attribute 'd_id'"):
+            session.execute("SELECT d_id FROM MOVIES NATURAL JOIN DIRECTORS")
 
     def test_blending_example11_shape(self, session):
         """Q3-style union of personal and social suggestions."""

@@ -287,6 +287,60 @@ def test_per_node_aggregate_override_conforms(name):
 
 
 # ---------------------------------------------------------------------------
+# Set operations between blocks over different base relations
+# ---------------------------------------------------------------------------
+
+#: Operand pairs of a set operation.  The widened sides carry their own
+#: relation's key (``m_id`` or ``d_id``, whose values overlap), while the
+#: result carries the left side's names; "permuted" reads one relation's
+#: columns in two orders, so a key that resolves by name sits elsewhere in
+#: the right side's rows.  Preferences read keys only: a preference on any
+#: other column widens its side out of union compatibility.
+SETOP_OPERANDS = {
+    "plain": ("SELECT title FROM MOVIES", "SELECT director FROM DIRECTORS"),
+    "scored-left": (
+        "SELECT title FROM MOVIES PREFERRING (m_id <= 3) SCORE 0.7 ON MOVIES",
+        "SELECT director FROM DIRECTORS",
+    ),
+    "scored-right": (
+        "SELECT title FROM MOVIES",
+        "SELECT director FROM DIRECTORS PREFERRING (d_id <= 2) SCORE 0.5 ON DIRECTORS",
+    ),
+    "scored-both": (
+        "SELECT m_id FROM RATINGS PREFERRING (m_id <= 3) SCORE 0.6 ON RATINGS",
+        "SELECT m_id FROM MOVIES PREFERRING (m_id >= 2) SCORE 0.8 CONFIDENCE 0.5 ON MOVIES",
+    ),
+    "permuted": (
+        "SELECT year, m_id FROM MOVIES PREFERRING (m_id <= 3) SCORE 0.7 ON MOVIES",
+        "SELECT m_id, year FROM MOVIES PREFERRING (m_id >= 2) SCORE 0.4 ON MOVIES",
+    ),
+}
+
+SETOP_QUERIES = {
+    f"{op.lower()}-{shape}": f"{left} {op} {right}"
+    for op in ("UNION", "INTERSECT", "EXCEPT")
+    for shape, (left, right) in SETOP_OPERANDS.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETOP_QUERIES))
+def test_set_operations_across_relations_conform(name):
+    # GBU once merged a set operation's inputs by key inside one block:
+    # the right side's key raised SchemaError against the left-named
+    # output, and a permuted side's key silently read another column.
+    session = Session(MOVIE_DB)
+    sql = SETOP_QUERIES[name]
+    reference = session.execute(sql, strategy="reference")
+    for strategy in STRATEGIES:
+        assert_identical(
+            reference,
+            session.execute(sql, strategy=strategy),
+            context=name,
+            labels=("reference", strategy),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Every prefer node is scored by the compiled group
 # ---------------------------------------------------------------------------
 
