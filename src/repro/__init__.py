@@ -60,12 +60,6 @@ from .engine import (
     lit,
 )
 from .errors import ReproError
-from .analysis_static import (
-    Diagnostic,
-    PlanVerifier,
-    Severity,
-    verify_plan,
-)
 from .core.context import ContextualPreference, active_preferences
 from .filtering import (
     conf_at_least,
@@ -160,9 +154,4 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
-    # static analysis
-    "Diagnostic",
-    "Severity",
-    "PlanVerifier",
-    "verify_plan",
 ]

@@ -9,7 +9,6 @@ Commands:
 * ``query`` — run one preferential SQL statement against a saved database.
 * ``repl`` — interactive SQL loop against a saved or generated database.
 * ``lint`` — run the algebraic-safety source linter (``repro.analysis_static``).
-* ``verify-plan`` — statically verify workload or ad-hoc query plans.
 * ``chaos`` — run the seeded chaos scenarios (``--scenario``, repeatable;
   default: all).  ``concurrent`` (``repro.resilience.chaos_concurrent``):
   writer threads apply the shared op model's writes while reader threads
@@ -126,29 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the repro package)",
     )
 
-    verify = commands.add_parser(
-        "verify-plan", help="statically verify query plans (parsed and optimized)"
-    )
-    verify.add_argument("--db", help="database directory (default: generated)")
-    verify.add_argument(
-        "--workload",
-        help="verify a named workload query (IMDB-1..3, DBLP-1..3) or 'all'",
-    )
-    verify.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings too, not only on errors",
-    )
-    verify.add_argument(
-        "--scale",
-        type=float,
-        default=0.0005,
-        help="scale of the generated database when --db is not given",
-    )
-    verify.add_argument(
-        "sql", nargs="?", help="ad-hoc preferential SQL to verify instead"
-    )
-
     chaos = commands.add_parser(
         "chaos",
         help="run the seeded chaos scenarios (concurrent writers, network "
@@ -256,8 +232,6 @@ def main(argv: list[str] | None = None) -> int:
             return _repl(args)
         if args.command == "lint":
             return _lint(args)
-        if args.command == "verify-plan":
-            return _verify_plan(args)
         if args.command == "chaos":
             return _chaos(args)
         if args.command == "crash-torture":
@@ -435,72 +409,6 @@ def _lint(args) -> int:
     from .analysis_static.lint import run_lint
 
     return run_lint(args.paths or None)
-
-
-def _verify_plan(args) -> int:
-    """Statically verify parsed and optimized plans; non-zero on findings.
-
-    Error-severity diagnostics always fail the command; under ``--strict``
-    any diagnostic at all does.
-    """
-    from .analysis_static.diagnostics import Severity
-    from .workloads import all_queries
-
-    if not args.workload and not args.sql:
-        raise ReproError("verify-plan needs --workload NAME|all or an SQL argument")
-
-    queries = []
-    if args.workload:
-        catalog = {q.name.lower(): q for q in all_queries()}
-        if args.workload.lower() == "all":
-            queries = list(catalog.values())
-        elif args.workload.lower() in catalog:
-            queries = [catalog[args.workload.lower()]]
-        else:
-            names = ", ".join(sorted(q.name for q in all_queries()))
-            raise ReproError(f"unknown workload {args.workload!r}; choose {names} or all")
-
-    databases: dict[str, object] = {}
-
-    def database_for(dataset: str):
-        if dataset not in databases:
-            if args.db:
-                databases[dataset] = load_database(args.db)
-            else:
-                from .workloads import generate_dblp, generate_imdb
-
-                generator = generate_imdb if dataset == "imdb" else generate_dblp
-                databases[dataset] = generator(scale=args.scale, seed=42)
-        return databases[dataset]
-
-    failures = 0
-    findings = 0
-
-    def report(name: str, stage: str, diagnostics) -> None:
-        nonlocal failures, findings
-        for diagnostic in diagnostics:
-            findings += 1
-            print(f"{name} [{stage}] {diagnostic}")
-            if diagnostic.severity is Severity.ERROR or args.strict:
-                failures += 1
-
-    def check(name: str, session: Session, sql: str) -> None:
-        report(name, "parsed", session.verify(sql))
-        report(name, "optimized", session.verify(sql, optimized=True))
-
-    if queries:
-        for query in queries:
-            check(query.name, query.session(database_for(query.dataset)), query.sql)
-    if args.sql:
-        check("adhoc", Session(database_for("imdb")), args.sql)
-
-    checked = len(queries) + (1 if args.sql else 0)
-    if failures:
-        print(f"verify-plan: {failures} failing finding(s) over {checked} plan(s)")
-        return 1
-    suffix = f", {findings} informational finding(s)" if findings else ""
-    print(f"verify-plan: {checked} plan(s) clean{suffix}")
-    return 0
 
 
 def _chaos(args) -> int:

@@ -15,9 +15,7 @@ from .tracer import (
     NullTracer,
     Span,
     Tracer,
-    capture_tracer,
     current_tracer,
-    restore_tracer,
     traced_rows,
     use_tracer,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "NULL_TRACER",
     "NULL_SPAN",
     "current_tracer",
-    "capture_tracer",
-    "restore_tracer",
     "use_tracer",
     "traced_rows",
     "InMemorySink",

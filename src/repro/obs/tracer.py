@@ -282,38 +282,22 @@ _CURRENT: ContextVar["Tracer | NullTracer"] = ContextVar(
 
 
 def current_tracer() -> "Tracer | NullTracer":
-    """The tracer installed for the current context (no-op by default)."""
-    return _CURRENT.get()
-
-
-def capture() -> "Tracer | NullTracer":
-    """Capture the ambient tracer for explicit hand-off to a worker thread.
+    """The tracer installed for the current context (no-op by default).
 
     ``ContextVar`` values do not cross thread boundaries: a worker thread
     that merely calls :func:`current_tracer` gets :data:`NULL_TRACER` and
-    traces nothing.  Capture on the submitting thread and :func:`restore`
-    inside the worker (the serving layer does this automatically through
-    ``contextvars.copy_context``).  Note a :class:`Tracer` is not itself
-    thread-safe — hand one captured tracer to one worker at a time.
+    traces nothing.  Read the tracer on the submitting thread and install
+    it with :func:`use_tracer` inside the worker.  A :class:`Tracer` is not
+    itself thread-safe — hand one tracer to one worker at a time.
     """
     return _CURRENT.get()
 
 
-def restore(tracer: "Tracer | NullTracer | None"):
-    """Install a captured tracer in this thread; returns a context manager."""
-    return use_tracer(tracer if tracer is not None else NULL_TRACER)
-
-
-#: Package-level aliases (``repro.obs.capture_tracer``) so call sites can
-#: import guard and tracer capture helpers side by side without clashing.
-capture_tracer = capture
-restore_tracer = restore
-
-
 @contextmanager
-def use_tracer(tracer: "Tracer | NullTracer"):
-    """Install *tracer* as the ambient tracer for the enclosed block."""
-    token = _CURRENT.set(tracer)
+def use_tracer(tracer: "Tracer | NullTracer | None"):
+    """Install *tracer* (``None``: :data:`NULL_TRACER`) as the ambient
+    tracer for the enclosed block."""
+    token = _CURRENT.set(tracer if tracer is not None else NULL_TRACER)
     try:
         yield tracer
     finally:

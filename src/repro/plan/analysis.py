@@ -1,14 +1,16 @@
 """Static analysis helpers over extended query plans.
 
 Used by the query parser (which must project every attribute any prefer
-operator will need, plus all join attributes — §VI "System Architecture")
-and by the Filter-then-Prefer strategy (which strips prefer operators to
-obtain the non-preference query part ``Q_NP``).
+operator will need, plus all join attributes — §VI "System Architecture"),
+by the Filter-then-Prefer strategy (which strips prefer operators to
+obtain the non-preference query part ``Q_NP``), and by the prepare step
+every strategy runs, which resolves condition names once for all of them.
 """
 
 from __future__ import annotations
 
 from ..engine.catalog import Catalog
+from ..engine.schema import RESERVED_ATTRS
 from .nodes import Join, LeftJoin, PlanNode, Prefer, Project, Relation, Select
 
 
@@ -125,12 +127,41 @@ def widen_projections(plan: PlanNode, extra: set[str], catalog: Catalog) -> Plan
     return Project(plan.child, kept)
 
 
+def resolve_condition_names(plan: PlanNode, catalog: Catalog) -> None:
+    """Resolve every selection and join condition attribute in its input.
+
+    Raises :class:`~repro.errors.SchemaError` on the first unknown or
+    ambiguous name, so such a plan fails the same way under every strategy
+    before any of them executes — a strategy that pushes a selection below
+    a join would otherwise resolve a bare name the join makes ambiguous.
+    Selections may also filter on ``score``/``conf``; joins may not.
+    """
+    for node in plan.walk():
+        if isinstance(node, Select):
+            schema = node.child.schema(catalog)
+            attrs = [
+                attr
+                for attr in node.condition.attributes()
+                if attr.rsplit(".", 1)[-1] not in RESERVED_ATTRS
+            ]
+        elif isinstance(node, (Join, LeftJoin)):
+            schema = node.schema(catalog)
+            attrs = node.condition.attributes()
+        else:
+            continue
+        for attr in sorted(attrs):
+            schema.index_of(attr)
+
+
 def prepare_plan(plan: PlanNode, catalog: Catalog) -> PlanNode:
-    """The parser step of §VI: qualify the preferences, then widen every
+    """The parser step of §VI: qualify the preferences, widen every
     projection by :func:`required_carry_attributes` so score relations
-    stay keyable.  Keeps no memo (``ExecutionEngine.prepare`` does)."""
+    stay keyable, then :func:`resolve_condition_names` on the result.
+    Keeps no memo (``ExecutionEngine.prepare`` does)."""
     plan = qualify_preferences(plan, catalog)
-    return widen_projections(plan, required_carry_attributes(plan, catalog), catalog)
+    plan = widen_projections(plan, required_carry_attributes(plan, catalog), catalog)
+    resolve_condition_names(plan, catalog)
+    return plan
 
 
 def selection_conditions(plan: PlanNode) -> list:

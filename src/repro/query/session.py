@@ -18,7 +18,12 @@ from ..engine.database import Database
 from ..errors import PreferenceError
 from ..filtering import ranked
 from ..optimizer import OptimizerConfig
-from ..pexec.engine import DEFAULT_STRATEGY, ExecutionEngine, QueryResult
+from ..pexec.engine import (
+    _OPTIMIZED_STRATEGIES,
+    DEFAULT_STRATEGY,
+    ExecutionEngine,
+    QueryResult,
+)
 from ..plan.nodes import PlanNode
 from ..resilience import QueryGuard
 from .model import PreferentialQuery, QueryCompiler
@@ -134,44 +139,13 @@ class Session:
             result.relation = ranked(result.relation, order_by)
         return result
 
-    def verify(
-        self,
-        query: "str | PlanNode | PreferentialQuery",
-        *,
-        optimized: bool = False,
-    ):
-        """Statically verify a query's plan; returns a list of diagnostics.
-
-        The plan is compiled and prepared (preference qualification +
-        projection widening) exactly as :meth:`execute` would, then run
-        through the static plan verifier
-        (:func:`repro.analysis_static.verify_plan`).  With ``optimized=True``
-        the preference-aware optimizer runs first and the verifier
-        additionally checks prefer-chain ordering (Property 4.3's
-        cheapest-first heuristic) — user-written plans are exempt from that
-        check because the paper lets users write chains in any order.
-        """
-        from ..analysis_static import verify_plan
-
-        if isinstance(query, str):
-            query = self.compile(query)
-        plan = query.plan if isinstance(query, PreferentialQuery) else query
-        prepared = self.engine.prepare(plan)
-        if optimized:
-            prepared = self.engine.optimizer.optimize(prepared)
-        return verify_plan(
-            prepared,
-            self.db.catalog,
-            ordered_chains=optimized,
-            default_aggregate=self.engine.aggregate,
-        )
-
     def explain(self, query: "str | PlanNode | PreferentialQuery", strategy: str | None = None) -> str:
         """EXPLAIN: the parsed extended plan and the plan the strategy runs.
 
-        For the optimizer-driven strategies (``gbu``/``bu``) the second tree
-        is the output of the preference-aware optimizer; for the others it
-        is the widened parser output they organize themselves.
+        For the strategies that run the preference-aware optimizer
+        (``_OPTIMIZED_STRATEGIES`` in :mod:`repro.pexec.engine`) the second
+        tree is its output; for the others it is the widened parser output
+        they organize themselves.
         """
         from ..plan.printer import explain as render
 
@@ -180,7 +154,7 @@ class Session:
         plan = query.plan if isinstance(query, PreferentialQuery) else query
         strategy = strategy or self.strategy
         prepared = self.engine.prepare(plan)
-        if strategy in ("gbu", "bu"):
+        if strategy in _OPTIMIZED_STRATEGIES:
             executed = self.engine.optimizer.optimize(prepared)
             label = f"optimized plan ({strategy})"
         else:

@@ -34,9 +34,7 @@ from .guard import (
     NULL_GUARD,
     CancellationToken,
     QueryGuard,
-    capture_guard,
     current_guard,
-    restore_guard,
     use_guard,
 )
 from .retry import RetryBudget, RetryPolicy
@@ -55,8 +53,6 @@ __all__ = [
     "CancellationToken",
     "NULL_GUARD",
     "current_guard",
-    "capture_guard",
-    "restore_guard",
     "use_guard",
     "FaultPlan",
     "FaultSpec",

@@ -174,41 +174,16 @@ _CURRENT: ContextVar["QueryGuard | _NullGuard"] = ContextVar(
 
 
 def current_guard() -> "QueryGuard | _NullGuard":
-    """The guard installed for the current context (no-op by default)."""
-    return _CURRENT.get()
-
-
-def capture() -> "QueryGuard | _NullGuard":
-    """Capture the ambient guard for explicit hand-off to a worker thread.
+    """The guard installed for the current context (no-op by default).
 
     ``ContextVar`` values do **not** cross thread boundaries: a worker
-    thread that merely calls :func:`current_guard` silently gets
-    :data:`NULL_GUARD` and runs unguarded.  Capture on the submitting
-    thread, then :func:`restore` (or :func:`use_guard`) inside the worker::
-
-        guard = capture()
-        pool.submit(lambda: restore(guard).__enter__() and work())
-
-    (The serving layer's :class:`~repro.serve.executor.ServeExecutor` does
-    this automatically via ``contextvars.copy_context``.)
+    thread that merely calls :func:`current_guard` gets :data:`NULL_GUARD`
+    and runs unguarded.  Read the guard on the submitting thread and
+    install it with :func:`use_guard` inside the worker (the serving
+    layer's :class:`~repro.serve.executor.ServeExecutor` does this
+    automatically via ``contextvars.copy_context``).
     """
     return _CURRENT.get()
-
-
-def restore(guard: "QueryGuard | _NullGuard | None"):
-    """Install a guard captured with :func:`capture` in this thread.
-
-    Returns the same context manager as :func:`use_guard`; use it in a
-    ``with`` block so the worker's ambient state is cleaned up even when
-    the query raises.
-    """
-    return use_guard(guard)
-
-
-#: Package-level aliases (``repro.resilience.capture_guard``) mirroring
-#: ``repro.obs.capture_tracer``.
-capture_guard = capture
-restore_guard = restore
 
 
 @contextmanager

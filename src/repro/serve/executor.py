@@ -15,8 +15,8 @@ Ambient context (the resilience :class:`~repro.resilience.QueryGuard`, the
 :class:`~repro.obs.Tracer`) is captured with
 ``contextvars.copy_context()`` at submission and restored inside the worker
 thread, so a guard armed by the submitting thread still cancels the query
-when it runs on a worker — the hazard the ``capture()/restore()`` helpers
-in :mod:`repro.resilience.guard` and :mod:`repro.obs.tracer` document.
+when it runs on a worker (``ContextVar`` values do not cross threads on
+their own; see :func:`repro.resilience.current_guard`).
 
 Every completed request feeds :class:`LatencyStats` (p50/p95/p99 over the
 admit→finish wall time, plus queue-wait percentiles); the network front

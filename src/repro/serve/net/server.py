@@ -107,8 +107,8 @@ class NetServer:
     :param server: the owned :class:`~repro.serve.server.PreferenceServer`.
     :param workers: worker threads of the admission-controlled pool.
     :param queue_limit: requests allowed to wait for a worker.
-    :param tenant_quota: default per-tenant in-flight cap (``None``: no
-        tenant metering); *quotas* overrides it per tenant name.
+    :param tenant_quota: per-tenant in-flight cap (``None``: no tenant
+        metering).
     :param cache: result caching for the query path.  ``True`` (default)
         builds a :class:`~repro.cache.result_cache.ResultCache` bounded by
         *cache_bytes*; ``False``/``None`` serves every query uncached; an
@@ -136,7 +136,6 @@ class NetServer:
         workers: int = 4,
         queue_limit: int = 32,
         tenant_quota: int | None = 8,
-        quotas: dict[str, int] | None = None,
         default_strategy: str = DEFAULT_STRATEGY,
         default_sql: str = DEFAULT_SQL,
         cache: "ResultCache | bool | None" = True,
@@ -152,7 +151,6 @@ class NetServer:
             workers=workers, queue_limit=queue_limit, name="serve-net"
         )
         self.tenant_quota = tenant_quota
-        self.quotas = dict(quotas or {})
         self.default_strategy = default_strategy
         self.default_sql = default_sql
         if cache is True:
@@ -463,14 +461,13 @@ class NetServer:
         *probe* answers a cache hit on the event loop (None: not a hit);
         only what it cannot answer takes a worker.
         """
-        quota = self.quotas.get(tenant, self.tenant_quota)
         with self._tenant_lock:
             inflight = self._tenant_inflight.get(tenant, 0)
-            if quota is not None and inflight >= quota:
+            if self.tenant_quota is not None and inflight >= self.tenant_quota:
                 self.executor.stats.count_shed()
                 raise Overloaded(
                     "tenant-quota",
-                    limit=quota,
+                    limit=self.tenant_quota,
                     session=tenant,
                     retry_after=self.executor.stats.retry_after_hint(
                         inflight, self.executor.workers

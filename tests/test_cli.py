@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.pexec.engine import _OPTIMIZED_STRATEGIES, STRATEGIES
 
 
 class TestInProcess:
@@ -122,37 +123,6 @@ class TestStaticAnalysisCommands:
         assert main(["lint", str(bad)]) == 1
         assert "LN100" in capsys.readouterr().out
 
-    def test_verify_plan_workload(self, capsys):
-        assert main(["verify-plan", "--workload", "IMDB-2", "--strict"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_verify_plan_adhoc_sql(self, tmp_path, capsys):
-        main(["generate", "--scale", "0.0005", "--out", str(tmp_path)])
-        capsys.readouterr()
-        sql = (
-            "SELECT title FROM MOVIES "
-            "PREFERRING (year > 2008) SCORE 0.9 ON MOVIES TOP 3 BY score"
-        )
-        assert main(["verify-plan", "--db", str(tmp_path), sql]) == 0
-        assert "1 plan(s) clean" in capsys.readouterr().out
-
-    def test_verify_plan_flags_bad_query(self, tmp_path, capsys):
-        main(["generate", "--scale", "0.0005", "--out", str(tmp_path)])
-        capsys.readouterr()
-        # Top-k over an input with no preference at all: PV110.
-        assert main(["verify-plan", "--db", str(tmp_path), "--strict",
-                     "SELECT title FROM MOVIES TOP 3 BY score"]) == 1
-        out = capsys.readouterr().out
-        assert "PV110" in out
-
-    def test_verify_plan_unknown_workload_errors(self, capsys):
-        assert main(["verify-plan", "--workload", "IMDB-9"]) == 1
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_verify_plan_needs_an_input(self, capsys):
-        assert main(["verify-plan"]) == 1
-        assert "needs" in capsys.readouterr().err
-
 
 class TestSubprocess:
     def test_module_entry_point(self):
@@ -202,3 +172,17 @@ class TestSessionExplain:
         session = Session(movie_db)
         text = session.explain("SELECT title FROM MOVIES", strategy="ftp")
         assert "prepared plan (ftp)" in text
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_explain_shows_the_plan_the_strategy_executes(self, movie_db, strategy):
+        # The second tree is the optimizer's output exactly for the
+        # strategies the engine optimizes for.
+        from repro.plan.printer import explain as render
+        from repro.query.session import Session
+
+        session = Session(movie_db)
+        sql = "SELECT title FROM MOVIES NATURAL JOIN GENRES WHERE year > 2000"
+        text = session.explain(sql, strategy=strategy)
+        executed = session.execute(sql, strategy=strategy).executed_plan
+        stage = "optimized" if strategy in _OPTIMIZED_STRATEGIES else "prepared"
+        assert f"{stage} plan ({strategy}):\n{render(executed)}" in text

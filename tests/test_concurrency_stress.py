@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro import Preference, eq
 from repro.errors import PreferenceError
-from repro.obs import NullTracer, Tracer, capture_tracer, current_tracer, restore_tracer, use_tracer
+from repro.obs import NullTracer, Tracer, current_tracer, use_tracer
 from repro.optimizer import optimize
 from repro.plan.analysis import prepare_plan
 from repro.query.session import Session
 from repro.query.store import PreferenceStore
-from repro.resilience import QueryGuard, capture_guard, current_guard, restore_guard, use_guard
+from repro.resilience import QueryGuard, current_guard, use_guard
 
 from repro.workloads.imdb import generate_imdb
 
@@ -296,10 +296,10 @@ def test_capture_restore_carries_context_into_worker():
     seen = {}
 
     with use_guard(guard), use_tracer(tracer):
-        handoff = (capture_guard(), capture_tracer())
+        handoff = (current_guard(), current_tracer())
 
     def worker() -> None:
-        with restore_guard(handoff[0]), restore_tracer(handoff[1]):
+        with use_guard(handoff[0]), use_tracer(handoff[1]):
             seen["guard"] = current_guard()
             seen["tracer"] = current_tracer()
         seen["after"] = current_guard()

@@ -1,14 +1,16 @@
 """Docs and exports name only things that exist.
 
-A module, function or class deleted from the package must leave the
-documents and the ``__all__`` lists with it: every backticked
+A module, function, class or CLI command deleted from the package must
+leave the documents and the ``__all__`` lists with it: every backticked
 ``repro.<dotted>`` name in README.md, DESIGN.md and ``docs/*.md`` must
-import or resolve as an attribute, and every name a ``repro`` package
-exports in ``__all__`` must resolve.
+import or resolve as an attribute, every name a ``repro`` package exports
+in ``__all__`` must resolve, and every ``python -m repro <command>`` in
+those documents must name a subcommand of the CLI's parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import pathlib
 import pkgutil
@@ -21,6 +23,10 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = [ROOT / "README.md", ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
 DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
+#: ``python -m repro query`` or a ``demo|generate|...`` list, which may
+#: continue on a ``#`` comment line (DESIGN.md's source tree).
+COMMANDS = re.compile(r"python -m repro\s+((?:[\w-]+\|\s*#?\s*)*[\w-]+)")
+SEPARATOR = re.compile(r"\|\s*#?\s*")
 
 
 def resolve(dotted: str) -> object:
@@ -73,3 +79,40 @@ def test_package_exports_resolve(package):
     module = importlib.import_module(package)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def cli_commands() -> set[str]:
+    from repro.cli import build_parser
+
+    [subparsers] = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(subparsers.choices)
+
+
+def documented_command_lists(path: pathlib.Path) -> list[list[str]]:
+    """Each ``python -m repro ...`` mention in *path* as its command names."""
+    return [
+        SEPARATOR.split(match.group(1))
+        for match in COMMANDS.finditer(path.read_text(encoding="utf-8"))
+    ]
+
+
+def test_documented_commands_exist():
+    unknown = {
+        (path.name, name)
+        for path in DOCUMENTS
+        for names in documented_command_lists(path)
+        for name in names
+        if name not in cli_commands()
+    }
+    assert unknown == set()
+
+
+def test_design_lists_every_command():
+    lists = [names for names in documented_command_lists(ROOT / "DESIGN.md") if len(names) > 1]
+    assert lists, "DESIGN.md no longer lists the CLI commands"
+    for names in lists:
+        assert set(names) == cli_commands()

@@ -8,7 +8,10 @@ is exactly what the CI lint job enforces.
 from __future__ import annotations
 
 import os
+import pathlib
+import re
 
+from repro.analysis_static import lint
 from repro.analysis_static.lint import lint_paths, lint_source, run_lint
 
 
@@ -133,3 +136,14 @@ class TestLN305DurabilityIO:
             "os.remove(path)  # noqa: LN305 - GC of a superseded file\n",
         )
         assert found == []
+
+
+class TestDocumentation:
+    DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "STATIC_ANALYSIS.md"
+    CODE = re.compile(r"\bLN\d{3}\b")
+
+    def test_emitted_codes_are_exactly_the_documented_ones(self):
+        emitted = set(self.CODE.findall(pathlib.Path(lint.__file__).read_text(encoding="utf-8")))
+        documented = set(self.CODE.findall(self.DOC.read_text(encoding="utf-8")))
+        assert emitted, "the scan found no LN code in lint.py"
+        assert emitted == documented

@@ -183,7 +183,7 @@ def test_tenant_quota_zero_still_sheds_a_cached_query():
     server = PreferenceServer(small_db())
     acme = namespaced("acme", "u1")
     server.add_preference(acme, green())
-    rig = Rig(server, quotas={"acme": 0})
+    rig = Rig(server, tenant_quota=0)
     try:
         # Warm the entry in process: the quota refuses every wire query.
         rig.net.service.query(acme)

@@ -1,9 +1,19 @@
-"""Unit tests for the preference optimizer's heuristic rules 1–5 (§VI-A)."""
+"""Unit tests for the preference optimizer's heuristic rules 1–5 (§VI-A).
+
+Beyond the per-rule cases: :func:`rewrite_violations` states what any sound
+rewrite preserves (output attributes, the reference answer, preferences and
+base relations), a Hypothesis property checks every rule against it on
+random plans, and the six Table II queries' optimized plans are checked
+against the reference executor and rule 5.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.core.preference import Preference
 from repro.engine.expressions import TRUE, And, cmp, eq
+from repro.errors import ReproError
 from repro.optimizer.rules import (
     push_prefers,
     push_projections,
@@ -11,6 +21,7 @@ from repro.optimizer.rules import (
     reorder_prefers,
 )
 from repro.optimizer.selectivity import preference_selectivity
+from repro.pexec.conform import conform
 from repro.pexec.reference import evaluate_reference
 from repro.plan.analysis import qualify_preferences
 from repro.plan.builder import natural_join_condition, scan
@@ -214,3 +225,206 @@ class TestRule5Reordering:
         assert evaluate_reference(plan, movie_db.catalog).same_contents(
             evaluate_reference(ordered, movie_db.catalog)
         )
+
+
+P_YEAR = Preference("p_year", "MOVIES", cmp("year", ">=", 2005), 0.8, 0.9)
+
+
+def rewrite_violations(before, after, catalog) -> list[str]:
+    """The invariants any sound rewrite preserves; empty when all hold.
+
+    The same root attribute-name set (join reordering may permute columns,
+    so order is not compared), the same answer under the reference
+    executor once conformed to *before*'s column order, the same multiset
+    of preferences and the same multiset of base relations.  A typed error
+    evaluating *after* is reported as a violation.
+    """
+    problems = []
+    try:
+        names_before = _attribute_names(before, catalog)
+        names_after = _attribute_names(after, catalog)
+        if names_before != names_after:
+            problems.append(f"output attributes {names_before} -> {names_after}")
+        else:
+            expected = evaluate_reference(before, catalog)
+            answer = conform(evaluate_reference(after, catalog), before.schema(catalog))
+            if not expected.same_contents(answer):
+                problems.append("reference answer changed")
+    except ReproError as err:
+        problems.append(f"{type(err).__name__}: {err}")
+    if Counter(before.preferences()) != Counter(after.preferences()):
+        problems.append("preference multiset changed")
+    if _relation_leaves(before) != _relation_leaves(after):
+        problems.append("base-relation multiset changed")
+    return problems
+
+
+def _attribute_names(plan, catalog) -> set[str]:
+    return {name.lower() for name in plan.schema(catalog).attribute_names}
+
+
+def _relation_leaves(plan) -> Counter:
+    return Counter(
+        (node.name, node.alias) for node in plan.walk() if isinstance(node, Relation)
+    )
+
+
+class TestRewriteInvariants:
+    """The checker behind the per-rule property catches each broken rewrite."""
+
+    def test_prefer_pushed_to_the_wrong_join_input_is_caught(self, movie_db):
+        # A "pushdown" landing the preference on the input lacking its
+        # attribute: the reference executor refuses the rewritten plan.
+        before = Prefer(
+            Join(Relation("MOVIES"), Relation("DIRECTORS"), cmp("year", ">", 0)),
+            P_YEAR,
+        )
+        after = Join(
+            Relation("MOVIES"),
+            Prefer(Relation("DIRECTORS"), P_YEAR),
+            cmp("year", ">", 0),
+        )
+        [problem] = rewrite_violations(before, after, movie_db.catalog)
+        assert problem.startswith("SchemaError: unknown attribute 'year'")
+
+    def test_changing_the_answer_is_caught(self, movie_db):
+        before = Prefer(Relation("MOVIES"), P_YEAR)
+        after = Select(Prefer(Relation("MOVIES"), P_YEAR), eq("m_id", 1))
+        assert rewrite_violations(before, after, movie_db.catalog) == [
+            "reference answer changed"
+        ]
+
+    def test_changing_output_attributes_is_caught(self, movie_db):
+        before = Relation("MOVIES")
+        after = Project(Relation("MOVIES"), ["title"])
+        [problem] = rewrite_violations(before, after, movie_db.catalog)
+        assert problem.startswith("output attributes")
+
+    def test_column_permutation_is_allowed(self, movie_db):
+        before = Join(Relation("MOVIES"), Relation("DIRECTORS"), cmp("year", ">", 0))
+        after = Join(Relation("DIRECTORS"), Relation("MOVIES"), cmp("year", ">", 0))
+        assert rewrite_violations(before, after, movie_db.catalog) == []
+
+    def test_dropping_a_prefer_is_caught(self, movie_db):
+        before = Prefer(Relation("MOVIES"), P_YEAR)
+        after = Relation("MOVIES")
+        assert rewrite_violations(before, after, movie_db.catalog) == [
+            "reference answer changed",
+            "preference multiset changed",
+        ]
+
+    def test_duplicating_a_prefer_is_caught(self, movie_db):
+        before = Prefer(Relation("MOVIES"), P_YEAR)
+        after = Prefer(Prefer(Relation("MOVIES"), P_YEAR), P_YEAR)
+        assert rewrite_violations(before, after, movie_db.catalog) == [
+            "reference answer changed",
+            "preference multiset changed",
+        ]
+
+    def test_changing_relation_leaves_is_caught(self, movie_db):
+        before = Relation("MOVIES")
+        after = Intersect(Relation("MOVIES"), Relation("MOVIES"))
+        assert rewrite_violations(before, after, movie_db.catalog) == [
+            "base-relation multiset changed"
+        ]
+
+    def test_legal_pushdown_is_clean(self, movie_db):
+        before = Prefer(Select(Relation("MOVIES"), cmp("year", ">", 2000)), P_YEAR)
+        after = Select(Prefer(Relation("MOVIES"), P_YEAR), cmp("year", ">", 2000))
+        assert rewrite_violations(before, after, movie_db.catalog) == []
+
+
+class TestVerifiedRewritesProperty:
+    """Property: on random plans, every optimizer rule applied on its own
+    preserves the rewrite invariants, and the whole pipeline's output
+    agrees with the unoptimized reference executor."""
+
+    def test_random_plans(self):
+        from hypothesis import HealthCheck, example, given, settings
+
+        from repro.optimizer import (
+            PreferenceOptimizer,
+            left_deepen,
+            match_native_join_order,
+        )
+        from tests.test_strategy_fuzz import DB, plans
+
+        rules = (
+            push_selections,
+            push_projections,
+            push_prefers,
+            reorder_prefers,
+            match_native_join_order,
+            left_deepen,
+        )
+        optimizer = PreferenceOptimizer(DB.catalog)
+        movies, ratings = Relation("MOVIES"), Relation("RATINGS")
+        # A positional union whose inputs carry different attribute names.
+        renaming_union = Union(
+            Project(Relation("DIRECTORS"), ["d_id"]),
+            Project(
+                Join(movies, ratings, natural_join_condition(DB.catalog, movies, ratings)),
+                ["MOVIES.m_id"],
+            ),
+        )
+
+        @settings(
+            max_examples=40,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(plans())
+        @example(renaming_union)
+        def check(plan):
+            plan = qualify_preferences(plan, DB.catalog)
+            for rule in rules:
+                problems = rewrite_violations(plan, rule(plan, DB.catalog), DB.catalog)
+                assert problems == [], f"{rule.__name__}: {problems}"
+            optimized = optimizer.optimize(plan)
+            before = evaluate_reference(plan, DB.catalog)
+            after = conform(
+                evaluate_reference(optimized, DB.catalog), plan.schema(DB.catalog)
+            )
+            assert before.same_contents(after)
+
+        check()
+
+
+class TestWorkloadAcceptance:
+    """The six Table II queries: optimized plans agree with the reference
+    executor, are already in rule 5's order, and execute."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self, imdb_tiny, dblp_tiny):
+        from repro.workloads import all_queries
+
+        out = []
+        for query in all_queries():
+            db = imdb_tiny if query.dataset == "imdb" else dblp_tiny
+            out.append((query, query.session(db), db))
+        return out
+
+    def test_optimizer_output_matches_reference(self, sessions):
+        for query, session, db in sessions:
+            compiled = session.compile(query.sql)
+            prepared = session.engine.prepare(compiled.plan)
+            optimized = session.engine.optimizer.optimize(prepared)
+            baseline = evaluate_reference(prepared, db.catalog)
+            rewritten = conform(
+                evaluate_reference(optimized, db.catalog),
+                prepared.schema(db.catalog),
+            )
+            assert baseline.same_contents(rewritten), query.name
+
+    def test_optimized_plans_are_fixed_points_of_rule5(self, sessions):
+        # The optimizer's last word on prefer chains: reordering its output
+        # again by ascending selectivity (Property 4.3) changes nothing.
+        for query, session, db in sessions:
+            prepared = session.engine.prepare(session.compile(query.sql).plan)
+            optimized = session.engine.optimizer.optimize(prepared)
+            assert reorder_prefers(optimized, db.catalog) == optimized, query.name
+
+    def test_optimized_execution_runs(self, sessions):
+        for query, session, _db in sessions:
+            result = session.execute(query.sql)
+            assert result.stats.rows == len(result.relation)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.preference import Preference
 from repro.engine.expressions import eq
 from repro.errors import PreferenceError, SchemaError
+from repro.pexec.engine import STRATEGIES
 from repro.query.session import Session
 
 
@@ -92,6 +93,14 @@ class TestExecution:
         assert names.count("MOVIES.d_id") == names.count("DIRECTORS.d_id") == 1
         with pytest.raises(SchemaError, match="ambiguous attribute 'd_id'"):
             session.execute("SELECT d_id FROM MOVIES NATURAL JOIN DIRECTORS")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bare_common_column_in_where_is_ambiguous_everywhere(self, session, strategy):
+        # Resolved before any strategy runs: an optimizer that pushes the
+        # selection to one join input must not make the name unambiguous.
+        sql = "SELECT title FROM MOVIES NATURAL JOIN DIRECTORS WHERE d_id = 1"
+        with pytest.raises(SchemaError, match="ambiguous attribute 'd_id'"):
+            session.execute(sql, strategy=strategy)
 
     def test_blending_example11_shape(self, session):
         """Q3-style union of personal and social suggestions."""

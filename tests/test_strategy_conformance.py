@@ -17,8 +17,11 @@ Four query sources, ≥50 generated queries total:
 * a preference whose scoring function returns NaN: every strategy scores it
   ⊥, so top-k still ranks the other preference's scores;
 * one sample plan per concrete plan-node class, discovered live, run on
-  every strategy, the columnar executor and the plan verifier — a new
-  node class without a sample fails the census.
+  every strategy and the columnar executor — a new node class without a
+  sample fails the census;
+* malformed plans (unresolvable names, filters below a prefer, a prefer on
+  the wrong input, incompatible set operations, disagreeing aggregates):
+  every strategy answers like the reference or raises the same typed error.
 
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
@@ -28,11 +31,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro import Tracer
-from repro.core.aggregates import F_MAX
+from repro.core.aggregates import F_MAX, F_MIN
 from repro.core.preference import Preference
 from repro.core.scoring import (
     CallableScore,
@@ -41,8 +45,8 @@ from repro.core.scoring import (
     rating_score,
     recency_score,
 )
-from repro.analysis_static import verify_plan
 from repro.engine.expressions import TRUE, Attr, Comparison, cmp, eq
+from repro.errors import ReproError
 from repro.obs import render_trace
 from repro.pexec.engine import STRATEGIES, ExecutionEngine
 from repro.plan.builder import natural_join_condition
@@ -497,10 +501,10 @@ def test_node_census_skips_foreign_and_private_subclasses():
     assert "ForeignNode" not in found
     assert found == set(NODE_SAMPLES)
 
+
 @pytest.mark.parametrize("name", sorted(NODE_SAMPLES))
 def test_every_plan_node_kind_runs_on_every_strategy(name):
     plan = NODE_SAMPLES[name]
-    assert verify_plan(plan, MOVIE_DB.catalog) == []
     reference = MOVIE_ENGINE.run(plan, "reference")
     for strategy in STRATEGIES:
         for columnar in (False, True):
@@ -512,3 +516,65 @@ def test_every_plan_node_kind_runs_on_every_strategy(name):
                 context=f"{name} (columnar={columnar})",
                 labels=("reference", strategy),
             )
+
+
+# ---------------------------------------------------------------------------
+# Malformed plans: one answer or one typed error across strategies
+# ---------------------------------------------------------------------------
+
+P_YEAR = Preference("p_year", "MOVIES", cmp("year", ">=", 2005), 0.8, 0.9)
+P_MID = Preference("p_mid", "MOVIES", eq("m_id", 1), 1.0, 1.0)
+
+#: Plans breaking a precondition of the paper's rewrite properties or of
+#: name resolution.  Some are legal and have one answer, the rest must fail
+#: the same typed way everywhere, whichever step of a strategy notices.
+MALFORMED_PLANS = {
+    "unknown-relation": Relation("NO_SUCH_TABLE"),
+    "unknown-relation-under-select": Project(
+        Select(Relation("NO_SUCH_TABLE"), cmp("year", ">", 2000)), ["title"]
+    ),
+    "project-unknown-attribute": Project(Relation("MOVIES"), ["title", "no_such_attr"]),
+    "join-on-score": Join(Relation("MOVIES"), Relation("GENRES"), cmp("score", ">=", 0.5)),
+    # The natural join keeps both d_id copies: a bare d_id is ambiguous,
+    # even where an optimizer would push the selection to one side.
+    "bare-common-column-over-join": Select(
+        Join(
+            Relation("MOVIES"),
+            Relation("DIRECTORS"),
+            natural_join_condition(MOVIE_DB.catalog, Relation("MOVIES"), Relation("DIRECTORS")),
+        ),
+        eq("d_id", 1),
+    ),
+    "score-select-below-prefer": Prefer(
+        Select(Prefer(Relation("MOVIES"), P_YEAR), cmp("score", ">=", 0.5)), P_MID
+    ),
+    "topk-below-prefer": Prefer(TopK(Prefer(Relation("MOVIES"), P_YEAR), 3), P_MID),
+    "prefer-on-wrong-input": Prefer(Relation("DIRECTORS"), P_YEAR),
+    "incompatible-union": Union(Relation("MOVIES"), Relation("DIRECTORS")),
+    "conflicting-overrides": Prefer(Prefer(Relation("MOVIES"), P_YEAR, F_MAX), P_MID, F_MIN),
+    "override-against-query-default": Prefer(Relation("MOVIES"), P_YEAR, F_MAX),
+}
+
+
+def _outcome(plan, strategy, columnar):
+    try:
+        return canonical_multiset(MOVIE_ENGINE.run(plan, strategy, columnar=columnar))
+    except ReproError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PLANS))
+def test_malformed_plans_answer_or_fail_alike(name):
+    plan = MALFORMED_PLANS[name]
+    expected = _outcome(plan, "reference", False)
+    for strategy in STRATEGIES:
+        for columnar in (False, True):
+            outcome = _outcome(plan, strategy, columnar)
+            if isinstance(expected, Counter) and isinstance(outcome, Counter):
+                if outcome != expected:
+                    raise AssertionError(
+                        f"{strategy} (columnar={columnar}) diverged on {name}\n"
+                        + diff_report(expected, outcome, ("reference", strategy))
+                    )
+            else:
+                assert outcome == expected, f"{strategy} (columnar={columnar}) on {name}"

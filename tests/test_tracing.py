@@ -152,6 +152,13 @@ def test_use_tracer_restores_previous_tracer():
     assert current_tracer() is NULL_TRACER
 
 
+def test_use_tracer_none_installs_the_noop_tracer():
+    # Like use_guard(None): a worker handed "no tracer" traces nothing.
+    with use_tracer(Tracer()):
+        with use_tracer(None):
+            assert current_tracer() is NULL_TRACER
+
+
 # ---------------------------------------------------------------------------
 # Engine integration: per-strategy traces and counter accuracy
 # ---------------------------------------------------------------------------
