@@ -34,9 +34,11 @@ A pass does Python work per distinct *match key*, not per row:
   Python.  When the column tables serve every preference, a row they all
   miss matches nothing, so only the rows some table answers are keyed.
   Each distinct key's match list is computed once and mapped back to its
-  rows.  Keys, column tables and lists live on the compiled group —
-  created per evaluation, on the Intermediate/PRelation side — never on
-  shared tables, so snapshot isolation is preserved.
+  rows; rows that all hold one value (σ_φ's answer to an equality) are
+  seen in one pass and share one key.  Keys, column tables and lists live
+  on the compiled group — created per evaluation, on the
+  Intermediate/PRelation side — never on shared tables, so snapshot
+  isolation is preserved.
 * **Fused combining** — all matching ⟨S, C⟩ pairs of a row are folded
   through F in one call to :meth:`AggregateFunction.fold` (F_S folds on
   bare floats there).  Fold safety rests on Definition 3: F is
@@ -49,7 +51,8 @@ A pass does Python work per distinct *match key*, not per row:
   each distinct (match list, input pair object) once;
   :meth:`CompiledGroup.score_rows` folds each distinct match list once for
   the score-relation keys one row owns and *base* lacks, and replays the
-  exact order only for keys several rows share or *base* already holds.
+  exact order only for keys several rows share or *base* already holds
+  (counting owners only when the result shows some repeat).
 
 Chomicki's semantic-optimization line of work (see PAPERS.md) prunes and
 reuses preference evaluation by exploiting the structure of the preference
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress, repeat
-from operator import itemgetter, not_
+from operator import eq, itemgetter, not_
 from typing import Callable, Sequence
 
 from ..engine.expressions import (
@@ -188,12 +191,22 @@ class _ColumnTable:
         if not self.lazy:
             self.table = self.fixed
 
+    def fresh(self) -> "_ColumnTable":
+        """This table with no lazy member evaluated (itself when it has none:
+        a complete table is only read)."""
+        if not self.lazy:
+            return self
+        copy = _ColumnTable(self.position)
+        copy.fixed = self.fixed
+        copy.lazy = self.lazy
+        return copy
+
     def lists(self, rows: Sequence[Row], stats: GroupStats) -> list:
         """Each row's match list for this column, in group order (shared lists)."""
-        values = list(map(self.value_of, rows))
         table = self.table
         if not self.lazy:
-            return list(map(table.get, values, repeat(_NO_MATCHES)))
+            return list(map(table.get, map(self.value_of, rows), repeat(_NO_MATCHES)))
+        values = list(map(self.value_of, rows))
         # One row per distinct value evaluates the lazy members for it.
         for value, row in dict(zip(values, rows)).items():
             if value not in table:
@@ -369,6 +382,22 @@ class CompiledGroup:
             else:
                 self._project = _EMPTY_KEY
 
+    def fresh(self) -> "CompiledGroup":
+        """A copy for one more evaluation: it shares the compiled structures
+        and starts with its own counters and unfilled lazy column tables."""
+        copy = object.__new__(CompiledGroup)
+        copy.group = self.group
+        copy.schema = self.schema
+        copy.fold = self.fold
+        copy.stats = GroupStats()
+        copy._columns = [column.fresh() for column in self._columns]
+        copy._dispatch = self._dispatch
+        copy._residual = self._residual
+        copy._project = self._project
+        copy._column_count = self._column_count
+        copy._indexed_count = self._indexed_count
+        return copy
+
     # -- introspection (unit tests / docs) -----------------------------------
 
     @property
@@ -407,13 +436,30 @@ class CompiledGroup:
         """
         stats = self.stats
         stats.rows_in += len(rows)
-        per_column = [column.lists(rows, stats) for column in self._columns]
         where: Sequence[int] = range(len(rows))
+        if self._project is None and len(self._columns) == 1 and rows:
+            (column,) = self._columns
+            first = column.value_of(rows[0])
+            if all(map(eq, map(column.value_of, rows), repeat(first))):
+                # One value in every row (the σ_φ rows of an equality):
+                # one match list, one key.
+                (matched,) = column.lists(rows[:1], stats)
+                if not matched:
+                    return [], [], {}
+                keys = [id(matched)] * len(rows)
+                stats.keys += 1
+                return where, keys, {keys[0]: self._match_list([matched], rows[0])}
+        per_column = [column.lists(rows, stats) for column in self._columns]
         if self._project is None:
             # A match list is a list, empty exactly when nothing matched.
-            where = sorted(set().union(*(compress(where, found) for found in per_column)))
-            per_column = [list(map(found.__getitem__, where)) for found in per_column]
-            rows = list(map(rows.__getitem__, where))
+            if len(per_column) == 1:
+                if not all(per_column[0]):
+                    where = list(compress(where, per_column[0]))
+            else:
+                where = sorted(set().union(*(compress(where, found) for found in per_column)))
+            if len(where) < len(rows):
+                per_column = [list(map(found.__getitem__, where)) for found in per_column]
+                rows = list(map(rows.__getitem__, where))
         parts = [map(id, found) for found in per_column]
         if self._project is not None:
             parts.append(map(self._project, rows))
@@ -519,10 +565,13 @@ class CompiledGroup:
     def score_rows(
         self,
         rows: Sequence[Row],
-        key_fn: Callable[[Row], tuple],
+        key_fn: "Callable[[Row], tuple] | None",
         base: "dict[tuple, ScorePair] | None" = None,
     ) -> "dict[tuple, ScorePair]":
         """Fused prefer fold into a sparse score relation (Intermediate form).
+
+        *key_fn* maps a row to its score-relation key; None when the key is
+        the whole row in order, so a row is its own key and none is built.
 
         Replays the per-preference score-relation fold exactly (§VI prefer
         UDF: a qualifying key's fresh pair is inserted, or combined into the
@@ -537,36 +586,50 @@ class CompiledGroup:
         """
         scores: dict[tuple, ScorePair] = dict(base) if base else {}
         where, keys, lists = self._match_lists(rows)
-        found = list(map(lists.__getitem__, keys))
         stats = self.stats
-        stats.matches += sum(map(len, found))
         # Only the rows matching some preference reach the score relation.
-        hit_keys = list(compress(keys, found))
-        if not hit_keys:
-            return scores
-        owners = list(map(key_fn, compress(map(rows.__getitem__, where), found)))
+        if len(lists) == 1:
+            (matched,) = lists.values()
+            stats.matches += len(matched) * len(keys)
+            found = None if matched else ()
+        else:
+            found = list(map(lists.__getitem__, keys))
+            stats.matches += sum(map(len, found))
+            if all(found):
+                found = None
+        if found is None:
+            hit_keys = keys
+            hit_rows = rows if len(where) == len(rows) else list(map(rows.__getitem__, where))
+        else:
+            hit_keys = list(compress(keys, found))
+            if not hit_keys:
+                return scores
+            hit_rows = list(compress(map(rows.__getitem__, where), found))
+        if not base:
+            # Owners are usually distinct (one key per row): fold each
+            # distinct list once and keep the result when no owner repeats.
+            folded, combines = self._fold_lists(lists, compress(lists, lists.values()))
+            owners = hit_rows if key_fn is None else map(key_fn, hit_rows)
+            if len(folded) == 1:
+                fresh = dict.fromkeys(owners, *folded.values())
+            else:
+                fresh = dict(zip(owners, map(folded.__getitem__, hit_keys)))
+            if len(fresh) == len(hit_keys):
+                stats.fused_combines += combines
+                if None in folded.values():
+                    return {owner: pair for owner, pair in fresh.items() if pair is not None}
+                return fresh
+        owners = list(hit_rows if key_fn is None else map(key_fn, hit_rows))
         counts = Counter(owners)
         replayed = set(compress(counts, map((1).__lt__, counts.values())))
         if base:
             replayed.update(counts.keys() & base.keys())
-        fold = self.fold
-        combines = 0
         if replayed:
             shared = list(map(replayed.__contains__, owners))
             alone = compress(hit_keys, map(not_, shared))
         else:
             alone = hit_keys
-        # id(match list) → its fold from no pair; ``lists`` holds every list.
-        by_list: dict[int, "ScorePair | None"] = {}
-        folded: dict = {}
-        for key in dict.fromkeys(alone):
-            matched = lists[key]
-            previous = by_list.get(id(matched), _UNFOLDED)
-            if previous is _UNFOLDED:
-                previous, count = fold(None, map(_match_pair, matched))
-                combines += count
-                by_list[id(matched)] = previous
-            folded[key] = previous
+        folded, combines = self._fold_lists(lists, dict.fromkeys(alone))
         # Inserts every owner where the sequential fold would first insert
         # it; a replayed owner's value is overwritten (in place) below.
         scores.update(zip(owners, map(folded.get, hit_keys)))
@@ -583,7 +646,7 @@ class CompiledGroup:
                     for index, fresh in matched
                 ]
                 triples.sort(key=_triple_order)
-                scores[owner], count = fold(
+                scores[owner], count = self.fold(
                     base.get(owner) if base else None,
                     [fresh for _, _, fresh in triples],
                 )
@@ -594,6 +657,25 @@ class CompiledGroup:
             for owner in [owner for owner, pair in scores.items() if pair is None]:
                 del scores[owner]
         return scores
+
+    def _fold_lists(self, lists: dict, keys) -> "tuple[dict, int]":
+        """Each of *keys*' fold of its match list from no pair (None when it
+        folds to the default), each distinct list folded once; and how many
+        pairs went through F."""
+        fold = self.fold
+        combines = 0
+        # id(match list) → its fold; ``lists`` holds every list.
+        by_list: dict[int, "ScorePair | None"] = {}
+        folded: dict = {}
+        for key in keys:
+            matched = lists[key]
+            previous = by_list.get(id(matched), _UNFOLDED)
+            if previous is _UNFOLDED:
+                previous, count = fold(None, map(_match_pair, matched))
+                combines += count
+                by_list[id(matched)] = previous
+            folded[key] = previous
+        return folded, combines
 
 
 #: Shared result for rows matching no preference — by far the common case

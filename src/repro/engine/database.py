@@ -11,7 +11,7 @@ from ..plan.nodes import Materialized, PlanNode
 from ..resilience import current_guard
 from ..serve.rwlock import RWLock
 from ..errors import CatalogError
-from .blockmemo import Block, BlockMemo, RangeFamily, Tally, range_family
+from .blockmemo import Block, BlockMemo, Probe, RangeFamily, Tally, range_family
 from .catalog import Catalog
 from .iosim import CostModel
 from .native_optimizer import optimize_native
@@ -260,9 +260,17 @@ class Database:
         bills the stored run; a bound of another type than the stored
         one's falls back to the block's own key.
         """
+        schema, rows, _ = self.execute_probed(plan, optimize)
+        return schema, rows
+
+    def execute_probed(
+        self, plan: PlanNode, optimize: bool = True
+    ) -> tuple[TableSchema, list[Row], Probe | None]:
+        """:meth:`execute`, plus a :class:`Probe` that finds the returned
+        rows by key value when the memo answered (None on a cold run)."""
         cost = self.cost
         if any(type(node) is Materialized for node in plan.walk()):
-            return self._run_native(plan, optimize, cost)
+            return self._run_native(plan, optimize, cost) + (None,)
         version = self.version
         memo = self.blocks
         family = range_family(plan, optimize)
@@ -292,7 +300,7 @@ class Database:
             cost.merge(run_cost)
         if self.version == version:  # no write landed while it ran
             memo.put(key, version, schema, rows, run_cost, tally.tuples, family, values)
-        return schema, rows
+        return schema, rows, None
 
     def memo_plan(
         self, stage: Hashable, plan: PlanNode, build: Callable[[PlanNode], PlanNode]
@@ -329,11 +337,14 @@ class Database:
     @staticmethod
     def _replay(
         plan: PlanNode, block: Block, cost: CostModel, family: RangeFamily | None
-    ) -> tuple[TableSchema, list[Row]]:
+    ) -> tuple[TableSchema, list[Row], Probe]:
         guard = current_guard()
         if guard.enabled:
             guard.check()
-        rows = list(block.rows) if family is None else family.rows(block)
+        if family is None:
+            rows, probe = list(block.rows), Probe(block)
+        else:
+            rows, probe = family.rows(block)
         tracer = current_tracer()
         if tracer.enabled:
             with tracer.span("native.memo", label=plan.label()) as span:
@@ -344,7 +355,7 @@ class Database:
         cost.merge(block.cost)
         if cost.guard is not None:
             cost.guard.note_tuples(block.tuples)
-        return block.schema, rows
+        return block.schema, rows, probe
 
     def explain_native(self, plan: PlanNode) -> PlanNode:
         """The plan the native optimizer would execute (PostgreSQL's EXPLAIN)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from functools import partial
 from itertools import compress, repeat
-from operator import contains, is_not, itemgetter, le
+from operator import contains, countOf, gt, is_not, itemgetter, le
 from typing import Sequence
 
 from ..core.prelation import PRelation
@@ -58,6 +58,19 @@ def rank_key(row: Row, pair: ScorePair, by: str, order: Sequence[int]) -> tuple:
         -round(value if value is not None else 0.0, _RANK_DECIMALS),
         row_sort_key(row, order),
     )
+
+
+def above_default(pairs: Sequence[ScorePair], k: int, by: str) -> bool:
+    """True when at least *k* of *pairs* rank strictly above ⟨⊥, 0⟩.
+
+    By score that is a known score (⊥ ranks last); by conf a confidence
+    above 0 at the ranking's rounding — one that rounds to 0 ties the
+    default pair's, and the row tie-break decides between them.
+    """
+    if by == "score":
+        return len(pairs) - countOf(map(itemgetter(0), pairs), None) >= k
+    confs = map(round, map(itemgetter(1), pairs), repeat(_RANK_DECIMALS))
+    return sum(map(gt, confs, repeat(0.0))) >= k
 
 
 def topk(relation: PRelation, k: int, by: str = "score") -> PRelation:

@@ -105,7 +105,7 @@ class _Evaluator:
                 self.db.cost,
             )
             child.scores = batchscore.group_scores_from_rows(
-                schema, qualifying, child.key_attrs, preferences, aggregate
+                schema, qualifying, child.key_attrs, preferences, aggregate, head=plan
             )
             self.db.cost.materialize(len(child.scores))
             return child

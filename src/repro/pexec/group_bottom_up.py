@@ -155,31 +155,33 @@ class _Evaluator:
             self.db.cost.materialize(len(result.scores))
             return result
 
-        schema = block.schema(self.db.catalog)
-        key_attrs = self._block_key_attrs(block, schema)
         if len(chain) == 1:
             # σ_φ carries one user's condition: run natively, never memoized.
+            # Over a base relation it already is the native optimizer's plan.
             conditional = Select(block, preferences[0].condition)
-            result_schema, rows = execute_native(
-                self.db.explain_native(conditional), self.db.catalog, self.db.cost
-            )
+            if not isinstance(block, Relation):
+                conditional = self.db.explain_native(conditional)
+            schema, rows = execute_native(conditional, self.db.catalog, self.db.cost)
         elif isinstance(block, Relation):
             # Base-relation run (the common shape after prefer pushdown):
             # read the table directly, no per-query native machinery needed.
-            result_schema = schema
+            schema = block.schema(self.db.catalog)
             rows = list(self.db.table(block.name).rows)
             self.db.cost.scan(len(rows))
             self.db.cost.materialize(len(rows))
         else:
-            result_schema, rows = self.db.execute(block)
+            schema, rows = self.db.execute(block)
             self.db.cost.materialize(len(rows))
+        # Keys resolve by name: σ_φ's columns are the block's, perhaps
+        # in another order.
+        key_attrs = self._block_key_attrs(block, schema)
         scores = batchscore.group_scores_from_rows(
-            result_schema, rows, key_attrs, preferences, aggregate, base_scores
+            schema, rows, key_attrs, preferences, aggregate, base_scores, head=plan
         )
         self.db.cost.materialize(len(scores))
-        if len(chain) == 1:
-            return Intermediate(schema, None, key_attrs, scores, source=block)
-        return Intermediate(result_schema, rows, key_attrs, scores, source=block)
+        return Intermediate(
+            schema, None if len(chain) == 1 else rows, key_attrs, scores, source=block
+        )
 
     def _setop(self, plan: PlanNode, left, right) -> Intermediate:
         """A set operation over scored input: force both inputs, combine per row.
@@ -269,8 +271,8 @@ class _Evaluator:
         embedded = [
             self.embedded.pop(id(node)) for node in block.walk() if id(node) in self.embedded
         ]
-        schema, rows = self.db.execute(block)
+        schema, rows, probe = self.db.execute_probed(block)
         self.db.cost.materialize(len(rows))
         return scorerel.merge_embedded(
-            schema, rows, embedded, self._block_key_attrs(block, schema), self.aggregate
+            schema, rows, embedded, self._block_key_attrs(block, schema), self.aggregate, probe
         )

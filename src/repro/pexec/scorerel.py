@@ -19,6 +19,7 @@ from typing import Sequence
 from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
 from ..core.scorepair import IDENTITY, ScorePair
+from ..engine.blockmemo import Probe
 from ..engine.schema import TableSchema
 from ..engine.table import Row, Table, row_getter
 from ..errors import ExecutionError
@@ -35,7 +36,7 @@ class Intermediate:
     ``schema`` — the execution engine widens projections to guarantee it.
     """
 
-    __slots__ = ("schema", "rows", "key_attrs", "scores", "source", "pairs")
+    __slots__ = ("schema", "rows", "key_attrs", "scores", "source", "pairs", "covered")
 
     def __init__(
         self,
@@ -45,6 +46,7 @@ class Intermediate:
         scores: dict[tuple, ScorePair] | None = None,
         source: object | None = None,
         pairs: list[ScorePair] | None = None,
+        covered: list[int] | None = None,
     ):
         self.schema = schema
         #: ``None`` marks a *lazy* intermediate: the rows are exactly what
@@ -71,6 +73,10 @@ class Intermediate:
         #: them row by row anyway (joins, forced blocks): ``to_prelation``
         #: then skips the per-row key probe.  ``None`` otherwise.
         self.pairs = pairs
+        #: With ``pairs``: the positions of the rows holding a non-default
+        #: pair, ascending (every other row holds ⟨⊥, 0⟩).  ``None`` when
+        #: the producer did not record them.
+        self.covered = covered
 
     # -- construction -----------------------------------------------------------
 
@@ -178,7 +184,7 @@ def combine_join(
     ]
     if not (left.scores or right.scores):
         return Intermediate(schema, rows, key_attrs)
-    scores, pairs, combined = _fold_lookups(
+    scores, pairs, covered, combined = _fold_lookups(
         rows,
         [(left_positions, left.scores), (right_positions, right.scores)],
         row_getter(left_positions + right_positions),
@@ -187,7 +193,7 @@ def combine_join(
     tracer = current_tracer()
     if tracer.enabled:
         tracer.count("aggregate.combine", combined)
-    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs)
+    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs, covered=covered)
 
 
 def _pairs_of_rows(
@@ -206,38 +212,65 @@ def _pairs_of_rows(
     return list(map(scores.get, map(itemgetter(*positions), rows), repeat(default)))
 
 
+#: A lookup probes a memoized block's index (:class:`Probe`) when the block
+#: has at least this many rows per score-relation entry, and scans the rows
+#: otherwise (``docs/PERFORMANCE.md``, "Scored rows only").
+PROBE_ROWS_PER_ENTRY = 4
+
+
+def _hits(
+    rows: list[Row], positions: Sequence[int], table: dict, probe: Probe | None
+) -> dict[int, ScorePair]:
+    """Row position → the pair *table* holds for that row's key at
+    *positions*, for the rows it covers: found through *probe*'s index when
+    *table* is small next to *rows*, else by mapping every row."""
+    if probe is not None and len(table) * PROBE_ROWS_PER_ENTRY <= len(rows):
+        return probe.locate(tuple(positions), table)
+    column = _pairs_of_rows(rows, positions, table)
+    # A pair is a 2-tuple, never falsy: both keep exactly the hits.
+    return dict(zip(compress(range(len(rows)), column), filter(None, column)))
+
+
 def _fold_lookups(
-    rows: list[Row], lookups, key, aggregate: AggregateFunction
-) -> tuple[dict[tuple, ScorePair], list[ScorePair], int]:
+    rows: list[Row], lookups, key, aggregate: AggregateFunction, probe: Probe | None = None
+) -> tuple[dict[tuple, ScorePair], list[ScorePair], list[int], int]:
     """Per row, fold the pairs of several score relations through ``F``.
 
     *lookups* lists ``(key positions, score relation)`` in combination
     order; non-default results are keyed by ``key(row)``.  Only the rows
-    some relation covers are visited, in row order, and a row one relation
-    covers takes that pair as is: a score relation holds only non-default
-    pairs, and ``F`` folds a lone non-default pair to itself.  Returns the
-    scores, each row's pair (aligned with *rows*) and how many pairs went
-    through ``F``.
+    some relation covers are visited, and a row one relation covers takes
+    that pair as is: a score relation holds only non-default pairs, and
+    ``F`` folds a lone non-default pair to itself.  *probe* (a memo hit's)
+    lets a small relation find its rows without a pass over all of them.
+    Returns the scores (in row order), each row's pair (aligned with
+    *rows*), the positions of the rows holding a non-default pair
+    (ascending) and how many pairs went through ``F``.
     """
-    columns = [_pairs_of_rows(rows, positions, table) for positions, table in lookups if table]
-    everywhere = range(len(rows))
-    # A pair is a 2-tuple, never falsy: compress keeps exactly the hits.
-    covered = sorted(set().union(*(compress(everywhere, column) for column in columns)))
-    fold = aggregate.fold
-    scores: dict[tuple, ScorePair] = {}
-    pairs = [IDENTITY] * len(rows)
+    hits = [_hits(rows, positions, table, probe) for positions, table in lookups if table]
+    merged: dict[int, ScorePair] = {}
+    for found in hits:
+        merged.update(found)
     combined = 0
-    for index in covered:
-        found = [hit for column in columns if (hit := column[index]) is not None]
-        if len(found) == 1:
-            pair = found[0]
-        else:
-            pair, count = fold(None, found)
+    if len(hits) > 1:
+        shared: set[int] = set()
+        for number, found in enumerate(hits):
+            for other in hits[number + 1 :]:
+                shared |= found.keys() & other.keys()
+        fold = aggregate.fold
+        for index in shared:
+            pair, count = fold(None, [found[index] for found in hits if index in found])
             combined += count
             if pair is None:
-                continue
-        scores[key(rows[index])] = pairs[index] = pair
-    return scores, pairs, combined
+                del merged[index]
+            else:
+                merged[index] = pair
+    covered = sorted(merged)
+    found_pairs = list(map(merged.__getitem__, covered))
+    scores = dict(zip(map(key, map(rows.__getitem__, covered)), found_pairs))
+    pairs = [IDENTITY] * len(rows)
+    for index, pair in zip(covered, found_pairs):
+        pairs[index] = pair
+    return scores, pairs, covered, combined
 
 
 def combine_setop(
@@ -308,10 +341,24 @@ def apply_score_select(inter: Intermediate, condition) -> Intermediate:
 
 
 def apply_topk(inter: Intermediate, k: int, by: str) -> Intermediate:
-    """Top-k over an intermediate, via the shared deterministic ordering."""
-    from ..filtering import topk as topk_filter
+    """Top-k over an intermediate, via the shared deterministic ordering.
 
-    result = topk_filter(inter.to_prelation(), k, by)
+    With its covered rows recorded, only those are ranked when at least k
+    of them rank strictly above the default pair ⟨⊥, 0⟩ every other row
+    holds: then no other row reaches the cut, and the covered rows keep
+    their relative order, so the cut and its order are the full relation's.
+    """
+    from ..filtering.topk import above_default, topk as topk_filter
+
+    relation = None
+    covered = inter.covered
+    if covered is not None:
+        pairs = list(map(inter.pairs.__getitem__, covered))
+        if above_default(pairs, k, by):
+            relation = PRelation(inter.schema, list(map(inter.rows.__getitem__, covered)), pairs)
+    if relation is None:
+        relation = inter.to_prelation()
+    result = topk_filter(relation, k, by)
     return filter_rows(inter, list(result.rows))
 
 
@@ -321,6 +368,7 @@ def merge_embedded(
     embedded: Sequence[Intermediate],
     extra_key_attrs: Sequence[str],
     aggregate: AggregateFunction = F_S,
+    probe: Probe | None = None,
 ) -> Intermediate:
     """Score relation of a natively-executed block with embedded intermediates.
 
@@ -328,6 +376,7 @@ def merge_embedded(
     intermediate's key attributes are resolved against the block's output
     schema and its pairs are combined per result row.  ``extra_key_attrs``
     are the primary keys contributed by base-relation leaves of the block.
+    *probe* finds rows by key when the block memo answered the block.
     """
     key_attrs: list[str] = []
     seen_positions: set[int] = set()
@@ -345,5 +394,5 @@ def merge_embedded(
         ([schema.index_of(a) for a in inter.key_attrs], inter.scores) for inter in embedded
     ]
     key = row_getter([schema.index_of(a) for a in key_attrs])
-    scores, pairs, _ = _fold_lookups(rows, lookups, key, aggregate)
-    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs)
+    scores, pairs, covered, _ = _fold_lookups(rows, lookups, key, aggregate, probe)
+    return Intermediate(schema, rows, key_attrs, scores, pairs=pairs, covered=covered)

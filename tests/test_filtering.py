@@ -1,5 +1,7 @@
 """Unit tests for filtering preferred tuples (Section V flavours)."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.filtering import (
     topk,
 )
 from repro.filtering.topk import canonical_column_order, rank_key
+from repro.pexec.scorerel import Intermediate, apply_topk
 from tests.conftest import examples
 
 SCHEMA = make_schema(
@@ -140,6 +143,74 @@ class TestTopKMatchesSpec:
         entries = [((i, 0, 0), 0.5, 0.5) for i in (5, 3, 4)] + [((9, 0, 0), 0.9, 0.5)]
         out = topk(rel(entries), 2)
         assert [row[0] for row in out.rows] == [9, 3]
+
+
+#: A covered row's pair: never the default ⟨⊥, 0⟩, but ⟨s, 0⟩, ⟨⊥, c⟩
+#: and confidences that round to 0 at the ranking quantum.
+_COVERED = st.one_of(
+    st.builds(
+        ScorePair,
+        st.sampled_from([0.2, 0.5, 0.5 + 1e-12, 0.7, 1.9]),
+        st.sampled_from([0.0, 1e-12, 0.3, 0.9]),
+    ),
+    st.builds(ScorePair, st.none(), st.sampled_from([1e-12, 0.3, 0.9])),
+)
+
+
+def _sparse(rows, pairs):
+    """An intermediate keyed by the whole row that records its covered rows."""
+    scores = {row: pair for row, pair in zip(rows, pairs) if pair != IDENTITY}
+    covered = [i for i, pair in enumerate(pairs) if pair != IDENTITY]
+    key_attrs = [column.qualified_name for column in SCHEMA.columns]
+    return Intermediate(SCHEMA, rows, key_attrs, scores, pairs=pairs, covered=covered)
+
+
+class TestSparseTopK:
+    """``apply_topk`` ranks only the covered rows when k of them rank above
+    ⟨⊥, 0⟩; it must cut exactly what ``topk`` cuts from every row."""
+
+    @settings(max_examples=examples(400), deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS), unique=True, max_size=40),
+        data=st.data(),
+        k=st.integers(1, 45),
+        by=st.sampled_from(["score", "conf"]),
+    )
+    def test_sparse_cut_equals_full_cut(self, rows, data, k, by):
+        pairs = [data.draw(st.one_of(st.just(IDENTITY), _COVERED)) for _ in rows]
+        out = apply_topk(_sparse(rows, pairs), k, by)
+        expected = topk(PRelation(SCHEMA, rows, pairs), k, by)
+        assert out.rows == expected.rows
+        assert out.to_prelation().pairs == expected.pairs
+
+    def _ranked_sizes(self, monkeypatch):
+        sizes = []
+        module = importlib.import_module("repro.filtering.topk")
+
+        def spy(relation, k, by="score"):
+            sizes.append(len(relation))
+            return topk(relation, k, by)
+
+        monkeypatch.setattr(module, "topk", spy)
+        return sizes
+
+    def test_k_known_scores_rank_only_the_covered_rows(self, monkeypatch):
+        sizes = self._ranked_sizes(monkeypatch)
+        rows = [(i, 0, 0) for i in range(6)]
+        pairs = [IDENTITY, ScorePair(0.5, 0.0), IDENTITY, ScorePair(0.7, 0.2), IDENTITY, IDENTITY]
+        out = apply_topk(_sparse(rows, pairs), 2, "score")
+        assert [row[0] for row in out.rows] == [3, 1]
+        assert sizes == [2]
+
+    def test_a_zero_confidence_tie_ranks_every_row(self, monkeypatch):
+        # By conf an uncovered row's 0.0 ties a covered ⟨s, 0⟩ row, and the
+        # row tie-break puts (0, 0, 0) first: ranking only covered rows
+        # would cut (1, 0, 0).
+        sizes = self._ranked_sizes(monkeypatch)
+        rows = [(0, 0, 0), (1, 0, 0)]
+        out = apply_topk(_sparse(rows, [IDENTITY, ScorePair(0.9, 0.0)]), 1, "conf")
+        assert out.rows == [(0, 0, 0)]
+        assert sizes == [2]
 
 
 class TestRanked:

@@ -1,5 +1,7 @@
 """Unit tests for the physical score-relation machinery (Intermediate)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from repro.core.aggregates import F_MAX, F_S, AggregateFunction
 from repro.core.preference import Preference
 from repro.core.scorepair import IDENTITY, ScorePair, bottom
+from repro.engine.blockmemo import Block, Probe, RangeFamily
 from repro.engine.expressions import TRUE, cmp, eq
+from repro.engine.iosim import CostModel
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import DataType
 from repro.errors import ExecutionError
@@ -235,14 +239,14 @@ def block_schema(name: str, width: int) -> TableSchema:
 
 
 @st.composite
-def score_relation(draw, schema: TableSchema):
+def score_relation(draw, schema: TableSchema, cells=CELLS):
     """Key attributes of *schema* and a score relation keyed on them
     (possibly empty; small domains so relations overlap and share keys)."""
     width = len(schema.columns)
     positions = sorted(
         draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2, unique=True))
     )
-    keys = st.tuples(*[CELLS] * len(positions))
+    keys = st.tuples(*[cells] * len(positions))
     scores = draw(st.dictionaries(keys, MERGE_PAIRS, max_size=8))
     return [schema.columns[p].qualified_name for p in positions], scores
 
@@ -306,3 +310,58 @@ class TestBlockMergeProperty:
         lookups = [(left_positions, left_scores), (right_positions, right_scores)]
         expected = naive_fold(rows, lookups, left_positions + right_positions, aggregate)
         assert_same_merge(out, rows, *expected)
+
+    @given(
+        data=st.data(),
+        aggregate=MERGE_AGGREGATES,
+        bound=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    @settings(max_examples=examples(200), deadline=None)
+    def test_a_probed_merge_equals_a_scanned_one(self, data, aggregate, bound):
+        # A memo hit's rows: the stored ones (an exact hit, bound None) or
+        # those whose bounded value passes ``>= bound`` (a subsumed family
+        # hit; the entry is stored at bound 0).  NULL key cells included.
+        schema = block_schema("B", 4)
+        cells = st.one_of(st.none(), CELLS)
+        stored = tuple(data.draw(st.lists(st.tuples(*[cells] * 4), max_size=30)))
+        values = tuple(data.draw(st.lists(CELLS, min_size=len(stored), max_size=len(stored))))
+        block = Block(schema, stored, CostModel(), 0, 0, values)
+        if bound is None:
+            rows, probe = list(stored), Probe(block)
+        else:
+            rows, probe = RangeFamily(None, ">=", bound, "B.c0", None).rows(block)
+        relations = data.draw(
+            st.lists(score_relation(schema, cells), min_size=1, max_size=3)
+        )
+        extra = data.draw(st.sampled_from([[], ["B.c0"], ["B.c3", "B.c1"]]))
+        embedded = [Intermediate(schema, [], attrs, scores) for attrs, scores in relations]
+        scanned = scorerel.merge_embedded(schema, rows, embedded, extra, aggregate)
+        with mock.patch.object(scorerel, "PROBE_ROWS_PER_ENTRY", 0):  # probe every lookup
+            probed = scorerel.merge_embedded(schema, rows, embedded, extra, aggregate, probe)
+        assert list(probed.scores.items()) == list(scanned.scores.items())
+        assert probed.pairs == scanned.pairs
+        assert probed.covered == scanned.covered
+        assert probed.covered == [i for i, pair in enumerate(probed.pairs) if pair != IDENTITY]
+        key_positions = list(
+            dict.fromkeys(
+                schema.index_of(a) for a in extra + [a for attrs, _ in relations for a in attrs]
+            )
+        )
+        lookups = [
+            ([schema.index_of(a) for a in attrs], scores) for attrs, scores in relations
+        ]
+        assert_same_merge(probed, rows, *naive_fold(rows, lookups, key_positions, aggregate))
+
+    def test_a_small_relation_probes_and_a_large_one_scans(self):
+        # The probe/scan rule: an index is built only for the lookups that
+        # probe, at the key positions they use.
+        schema = block_schema("B", 2)
+        stored = tuple((i, i % 5) for i in range(40))
+        block = Block(schema, stored, CostModel(), 0)
+        small = Intermediate(schema, [], ["B.c1"], {(3,): ScorePair(0.5, 1.0)})
+        large = Intermediate(
+            schema, [], ["B.c0"], {(i,): ScorePair(0.4, 1.0) for i in range(0, 40, 3)}
+        )
+        out = scorerel.merge_embedded(schema, list(stored), [small, large], [], F_S, Probe(block))
+        assert list(block.indexes) == [(1,)]
+        assert out.covered == sorted({i for i in range(40) if i % 5 == 3 or i % 3 == 0})
