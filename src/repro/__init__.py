@@ -37,7 +37,6 @@ from .core import (
     PRelation,
     Preference,
     ScorePair,
-    ScoreRelation,
     around_score,
     get_aggregate,
     prefer,
@@ -105,7 +104,6 @@ __all__ = [
     # core model
     "Preference",
     "PRelation",
-    "ScoreRelation",
     "ScorePair",
     "prefer",
     "AggregateFunction",

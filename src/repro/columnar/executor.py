@@ -3,8 +3,7 @@
 ``evaluate_columnar`` mirrors :func:`repro.pexec.reference.evaluate_reference`
 node by node — same recursion, same guard checks at operator boundaries —
 but executes Select/Project/Join/LeftJoin/TopK through the columnar
-operators (:mod:`.ops`) and chains of adjacent ``Prefer`` nodes as one
-fused pass through
+operators (:mod:`.ops`) and each prefer run as one fused pass through
 :func:`repro.pexec.batchscore.prefer_group` (bit-identical to the sequential
 fold; falls back to the per-preference fold when batch scoring is ambiently
 disabled).  Set operations are rare and not on the hot path: they delegate
@@ -33,6 +32,7 @@ from ..core.aggregates import F_S, AggregateFunction
 from ..core.prelation import PRelation
 from ..engine.native_optimizer import push_selections
 from ..errors import ColumnarUnsupported
+from ..pexec.batchscore import prefer_group
 from ..plan.nodes import (
     Difference,
     Intersect,
@@ -99,7 +99,9 @@ def _evaluate(plan: PlanNode, db, aggregate: AggregateFunction) -> ColumnarRelat
             aggregate,
         )
     if isinstance(plan, Prefer):
-        return _evaluate_prefer_chain(plan, db, aggregate)
+        relation = _evaluate(plan.child, db, aggregate).to_prelation()
+        relation = prefer_group(relation, plan.run, plan.aggregate or aggregate)
+        return ColumnarRelation.from_rows(relation.schema, relation.rows, relation.pairs)
     if isinstance(plan, TopK):
         return ops.topk(_evaluate(plan.child, db, aggregate), plan.k, plan.by)
     if isinstance(plan, (Union, Intersect, Difference)):
@@ -113,19 +115,3 @@ def _evaluate(plan: PlanNode, db, aggregate: AggregateFunction) -> ColumnarRelat
         result = apply(left, right, aggregate)
         return ColumnarRelation.from_rows(result.schema, result.rows, result.pairs)
     raise ColumnarUnsupported(f"columnar executor: unknown node {plan!r}")
-
-
-def _evaluate_prefer_chain(
-    plan: Prefer, db, aggregate: AggregateFunction
-) -> ColumnarRelation:
-    """Fold a run of Prefer nodes sharing one effective aggregate as a
-    single :func:`prefer_group` pass, innermost-first (the written
-    preference order); a change of aggregate below is evaluated first as
-    the run's child.
-    """
-    from ..pexec.batchscore import prefer_group, prefer_run
-
-    chain, run_aggregate = prefer_run(plan, aggregate)
-    relation = _evaluate(chain[0].child, db, aggregate).to_prelation()
-    relation = prefer_group(relation, [node.preference for node in chain], run_aggregate)
-    return ColumnarRelation.from_rows(relation.schema, relation.rows, relation.pairs)

@@ -1,8 +1,7 @@
 """The paper's core contribution: preference model, p-relations, algebra.
 
 * :class:`Preference` — the ``(σ_φ, S, C)`` triple of Definition 1.
-* :class:`PRelation` / :class:`ScoreRelation` — Definition 2 and its §VI
-  physical realization.
+* :class:`PRelation` — Definition 2.
 * :mod:`~repro.core.aggregates` — aggregate functions ``F`` (Definition 3).
 * :mod:`~repro.core.algebra` — the extended relational operators.
 * :func:`prefer` — the ``λ_{p,F}`` operator.
@@ -22,7 +21,7 @@ from .aggregates import (
 from .preference import Preference  # noqa: I001  (must precede .context: import cycle)
 from .context import ContextualPreference, active_preferences
 from .prefer import prefer
-from .prelation import PRelation, ScoreRelation
+from .prelation import PRelation
 from .scorepair import BOTTOM, IDENTITY, ScorePair, pair
 from .scoring import (
     CallableScore,
@@ -40,7 +39,6 @@ __all__ = [
     "ContextualPreference",
     "active_preferences",
     "PRelation",
-    "ScoreRelation",
     "ScorePair",
     "pair",
     "BOTTOM",

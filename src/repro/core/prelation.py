@@ -1,23 +1,19 @@
-"""p-relations (Definition 2) and score relations (§VI implementation).
+"""p-relations (Definition 2).
 
-Two representations of the same concept live here:
-
-* :class:`PRelation` — the *value-level* view: every row carries its
-  ``⟨score, conf⟩`` pair explicitly (parallel arrays beside the row list).
-  This is the representation of Definition 2 and what the reference
-  evaluator and the extended algebra operate on.
-* :class:`ScoreRelation` — the *physical* view used by the execution
-  strategies, mirroring the paper's prototype: a side table
-  ``R_P(pk, score, conf)`` holding **only** tuples with non-default pairs,
-  keyed by the (possibly composite) primary key of the base relation.
+:class:`PRelation` is the *value-level* view: every row carries its
+``⟨score, conf⟩`` pair explicitly (parallel arrays beside the row list).
+This is the representation of Definition 2 and what the reference
+evaluator and the extended algebra operate on.  The execution strategies'
+physical view, the paper's sparse side table ``R_P(pk, score, conf)``, is
+:class:`repro.pexec.scorerel.Intermediate`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..engine.schema import TableSchema
-from ..engine.table import Row, Table, row_getter
+from ..engine.table import Row, Table
 from ..errors import ExecutionError
 from .scorepair import IDENTITY, ScorePair
 
@@ -117,46 +113,3 @@ class PRelation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = self.schema.name or "<derived>"
         return f"PRelation({name}, {len(self.rows)} rows)"
-
-
-class ScoreRelation:
-    """The paper's ``R_P(pk, score, conf)``: sparse pairs keyed by primary key.
-
-    Only non-default pairs are stored, so ``|R_P| ≤ |R|``.  For join and set
-    operation results the key is the concatenation of the input keys.
-    """
-
-    __slots__ = ("key_attrs", "entries")
-
-    def __init__(self, key_attrs: Sequence[str], entries: dict[tuple, ScorePair] | None = None):
-        if not key_attrs:
-            raise ExecutionError("a score relation requires a key")
-        self.key_attrs: tuple[str, ...] = tuple(key_attrs)
-        self.entries: dict[tuple, ScorePair] = dict(entries or {})
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, key: tuple) -> ScorePair:
-        """The pair for *key*; the default ⟨⊥, 0⟩ when absent."""
-        return self.entries.get(key, IDENTITY)
-
-    def put(self, key: tuple, pair: ScorePair) -> None:
-        """Store *pair*; default pairs are kept out of the table."""
-        if pair.is_default:
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = pair
-
-    def items(self) -> Iterator[tuple[tuple, ScorePair]]:
-        return iter(self.entries.items())
-
-    def copy(self) -> "ScoreRelation":
-        return ScoreRelation(self.key_attrs, dict(self.entries))
-
-    def key_extractor(self, schema: TableSchema) -> Callable[[Row], tuple]:
-        """Compile a function extracting this relation's key from rows of *schema*."""
-        return row_getter([schema.index_of(a) for a in self.key_attrs])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScoreRelation(key={self.key_attrs}, {len(self.entries)} entries)"

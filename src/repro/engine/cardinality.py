@@ -1,7 +1,7 @@
 """Cardinality estimation for logical plans.
 
 Shared by the native optimizer (join ordering) and the preference-aware
-optimizer (Heuristic 5 orders prefer chains by the selectivity of their
+optimizer (Heuristic 5 orders prefer runs by the selectivity of their
 conditional parts; the left-deep step matches the native join order).
 """
 

@@ -69,7 +69,8 @@ def _push(plan: PlanNode, pending: list[Expr], catalog: Catalog) -> PlanNode:
         through = [c for c in pending if not c.references_score()]
         blocked = [c for c in pending if c.references_score()]
         child = _push(plan.child, through, catalog)
-        return _wrap(Prefer(child, plan.preference, plan.aggregate), blocked)
+        # A selection that sat between two runs is gone: they become one.
+        return _wrap(Prefer.over(child, plan.run, plan.aggregate), blocked)
 
     if isinstance(plan, TopK):
         # σ(top-k(R)) ≠ top-k(σ(R)): nothing passes a filtering operator.

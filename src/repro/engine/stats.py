@@ -1,7 +1,7 @@
 """Table and column statistics plus selectivity estimation.
 
 Both the native optimizer (join ordering, access-path choice) and the
-preference-aware optimizer (Heuristic 5: order prefer chains by ascending
+preference-aware optimizer (Heuristic 5: order prefer runs by ascending
 conditional selectivity) need cardinality estimates.  We keep the classic
 toolkit: row counts, per-column distinct counts, min/max, an equi-width
 histogram for numeric columns and a most-common-values list for skewed ones.

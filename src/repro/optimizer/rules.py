@@ -62,7 +62,8 @@ def _all_required_attributes(plan: PlanNode, catalog: Catalog) -> set[str]:
         elif isinstance(node, (Join, LeftJoin)):
             required |= node.condition.attributes()
         elif isinstance(node, Prefer):
-            required |= node.preference.attributes()
+            for preference in node.run:
+                required |= preference.attributes()
         elif isinstance(node, Project):
             required |= {a.lower() for a in node.attrs}
         elif isinstance(node, Relation):
@@ -104,148 +105,106 @@ def _prune(plan: PlanNode, required: set[str], catalog: Catalog) -> PlanNode:
 
 
 def push_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
-    """Sink every prefer operator as deep as Properties 4.1/4.4 allow.
+    """Sink every preference of every prefer run as deep as Properties
+    4.1/4.4 allow.
 
-    A prefer passes through joins to the side owning all of its attributes
-    (Rule 4 / Property 4.4); for intersections and differences it is pushed
-    to the left input, which every result tuple comes from.  It stops just
-    on top of a select, project or leaf (Rule 3), and never crosses a TopK
-    or a score-referencing selection (their output depends on scores).
-    Chains of prefers sink through each other (Property 4.3).  A prefer with
-    its own aggregate is a barrier: it neither moves nor lets another
-    prefer sink through it.
+    A preference passes through joins to the side owning all of its
+    attributes (Rule 4 / Property 4.4); for intersections and differences it
+    is pushed to the left input, which every result tuple comes from.  It
+    stops just on top of a select, project or leaf (Rule 3), and never
+    crosses a TopK or a score-referencing selection (their output depends on
+    scores).  A run splits by owning side in one pass; preferences landing
+    on one input form one run there, after those already on it, in the
+    order written (Property 4.3).  A run with its own aggregate is a
+    barrier: it neither moves nor lets another run sink through it.
     """
     children = plan.children()
     if children:
         plan = plan.with_children([push_prefers(child, catalog) for child in children])
-    if isinstance(plan, Prefer):
-        return _sink(plan, catalog)
+    if isinstance(plan, Prefer) and plan.aggregate is None:
+        return _sink(plan.child, plan.run, catalog)
     return plan
 
 
-def _sink(node: Prefer, catalog: Catalog) -> PlanNode:
-    child = node.child
-    preference = node.preference
-    if node.aggregate is not None:
-        # Properties 4.3/4.4 move a prefer across pairs combined with the
-        # query's one F; an aggregate override stays where it was written.
-        return node
-
+def _sink(child: PlanNode, run: tuple[Preference, ...], catalog: Catalog) -> PlanNode:
+    """*child* under the query-default run *run*, each preference sunk."""
     if isinstance(child, Prefer) and child.aggregate is None:
-        # Sink through the sibling prefer (4.3), then retry at this level.
-        lowered = _sink(Prefer(child.child, preference, node.aggregate), catalog)
-        return Prefer(lowered, child.preference, child.aggregate)
+        # Property 4.3: the run below already sank; sink both as one run.
+        return _sink(child.child, child.run + run, catalog)
+    if not isinstance(child, (Join, LeftJoin, Intersect, Difference)):
+        # Select / Project: Rule 3 says stop "just on top" of them.  Union: a
+        # tuple may exist only in the non-pushed input, so pushing is unsound
+        # without knowing λ_p leaves that input unchanged.  Leaves / TopK / a
+        # run with its own aggregate: stop.
+        return Prefer(child, run)
+    inputs = child.children()
+    schemas = [node.schema(catalog) for node in inputs]
+    parts: tuple[list[Preference], list[Preference]] = ([], [])
+    here: list[Preference] = []
+    for preference in run:
+        side = _target_input(preference, child, schemas)
+        (here if side is None else parts[side]).append(preference)
+    if parts[0] or parts[1]:
+        child = child.with_children(
+            [
+                _sink(node, tuple(part), catalog) if part else node
+                for node, part in zip(inputs, parts)
+            ]
+        )
+    return Prefer(child, here) if here else child
 
+
+def _target_input(
+    preference: Preference, child: PlanNode, schemas: list[TableSchema]
+) -> int | None:
+    """The input of the binary *child* (0 left, 1 right) that *preference*
+    sinks into, or ``None`` when it stays above."""
+    attrs = preference.attributes()
+    left, right = schemas
+    on_left = all(left.has(a) for a in attrs)
     if isinstance(child, Join):
-        side = _owning_side(preference, child.left, child.right, catalog)
-        if side == "left":
-            return Join(
-                _sink(Prefer(child.left, preference, node.aggregate), catalog),
-                child.right,
-                child.condition,
-            )
-        if side == "right":
-            return Join(
-                child.left,
-                _sink(Prefer(child.right, preference, node.aggregate), catalog),
-                child.condition,
-            )
-        return node
-
+        if not attrs:
+            return None  # membership preference over the product: stay put
+        if on_left and not _any_resolves(attrs, right):
+            return 0
+        if all(right.has(a) for a in attrs) and not _any_resolves(attrs, left):
+            return 1
+        return None
     if isinstance(child, LeftJoin):
         # Only the preserved (left) side is safe: a prefer pushed right would
         # miss NULL-padded rows whose non-null-rejecting conditions (e.g.
         # NOT x = 1) hold after the join.
-        if (
-            _resolves(preference, child.left, catalog)
-            and not _any_resolves(
-                preference.attributes(), child.right.schema(catalog)
-            )
-            and preference.attributes()
-        ):
-            return LeftJoin(
-                _sink(Prefer(child.left, preference, node.aggregate), catalog),
-                child.right,
-                child.condition,
-            )
-        return node
-
-    if isinstance(child, (Intersect, Difference)):
-        # Every result tuple of ∩ / − exists in the left input with the same
-        # attribute values, so evaluating p there is equivalent (see §IV-C).
-        if _resolves(preference, child.children()[0], catalog):
-            lowered = _sink(
-                Prefer(child.children()[0], preference, node.aggregate), catalog
-            )
-            return child.with_children([lowered, child.children()[1]])
-        return node
-
-    # Select / Project: Rule 3 says stop "just on top" of them.  Union: a
-    # tuple may exist only in the non-pushed input, so pushing is unsound
-    # without knowing λ_p leaves that input unchanged.  Leaves / TopK: stop.
-    return node
-
-
-def _owning_side(
-    preference: Preference, left: PlanNode, right: PlanNode, catalog: Catalog
-) -> str | None:
-    attrs = preference.attributes()
-    if not attrs:
-        return None  # membership preference over the product: stay put
-    left_schema = left.schema(catalog)
-    right_schema = right.schema(catalog)
-    on_left = all(left_schema.has(a) for a in attrs)
-    on_right = all(right_schema.has(a) for a in attrs)
-    if on_left and not _any_resolves(attrs, right_schema):
-        return "left"
-    if on_right and not _any_resolves(attrs, left_schema):
-        return "right"
-    return None
+        return 0 if attrs and on_left and not _any_resolves(attrs, right) else None
+    # Every result tuple of ∩ / − exists in the left input with the same
+    # attribute values, so evaluating p there is equivalent (see §IV-C).
+    return 0 if on_left else None
 
 
 def _any_resolves(attrs: set[str], schema: TableSchema) -> bool:
     return any(schema.has(a) for a in attrs)
 
 
-def _resolves(preference: Preference, plan: PlanNode, catalog: Catalog) -> bool:
-    schema = plan.schema(catalog)
-    return all(schema.has(a) for a in preference.attributes())
-
-
 # ---------------------------------------------------------------------------
-# Rule 5 — order prefer chains by ascending selectivity
+# Rule 5 — order prefer runs by ascending selectivity
 # ---------------------------------------------------------------------------
 
 
 def reorder_prefers(plan: PlanNode, catalog: Catalog) -> PlanNode:
-    """Sort every maximal chain of prefer operators by ascending selectivity.
+    """Sort every prefer run by ascending selectivity, stably.
 
-    Property 4.3 makes any order equivalent under one aggregate, so a chain
-    is sorted per run of prefers sharing one; evaluating the most selective
-    conditional parts first materializes fewer score-relation entries early
-    (the paper's "from less to more expensive").
+    Property 4.3 makes any order equivalent under one aggregate; evaluating
+    the most selective conditional parts first materializes fewer
+    score-relation entries early (the paper's "from less to more
+    expensive").  Equally selective preferences keep their order, so the
+    rule's output is its own fixed point.
     """
-    if isinstance(plan, Prefer):
-        # Consume the whole maximal chain here rather than re-sorting every
-        # suffix on the way up — that cost O(|λ|²) selectivity estimates per
-        # chain, which dominated planning time for wide preference pools.
-        chain: list[Prefer] = []
-        node: PlanNode = plan
-        while isinstance(node, Prefer) and node.aggregate is plan.aggregate:
-            chain.append(node)
-            node = node.child
-        base = reorder_prefers(node, catalog)
-        if len(chain) == 1:
-            return plan if base is node else Prefer(base, plan.preference, plan.aggregate)
-        ranked = sorted(
-            chain, key=lambda p: preference_selectivity(p.preference, base, catalog)
-        )
-        rebuilt = base
-        # The most selective preference must be evaluated first, i.e. sit lowest.
-        for prefer_node in ranked:
-            rebuilt = Prefer(rebuilt, prefer_node.preference, prefer_node.aggregate)
-        return rebuilt
     children = plan.children()
     if children:
         plan = plan.with_children([reorder_prefers(child, catalog) for child in children])
+    if isinstance(plan, Prefer) and len(plan.run) > 1:
+        # The most selective preference is evaluated first: it leads the run.
+        ranked = sorted(
+            plan.run, key=lambda p: preference_selectivity(p, plan.child, catalog)
+        )
+        return Prefer(plan.child, ranked, plan.aggregate)
     return plan

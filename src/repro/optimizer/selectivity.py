@@ -14,7 +14,7 @@ def preference_selectivity(
     """Estimated fraction of the input's tuples affected by *preference*.
 
     This is the selectivity of the preference's conditional part ``σ_φ`` over
-    the output of *input_plan*; Heuristic 5 sorts prefer chains by it in
+    the output of *input_plan*; Heuristic 5 sorts prefer runs by it in
     ascending order so cheaper (more selective) preferences materialize fewer
     score-relation entries first.
     """

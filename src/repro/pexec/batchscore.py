@@ -1,14 +1,14 @@
 """Fused batch preference scoring — the physical layer over ``core.prefgroup``.
 
-The execution strategies evaluate *runs* of prefer operators: FtP folds the
-whole region's preference list over one delegated result, BU/GBU walk chains
-of adjacent ``Prefer`` nodes.  This module applies such a run as **one**
-fused pass (column tables + dispatch index + one computation per distinct
-match key + fused combining, see :mod:`repro.core.prefgroup`) instead of |λ|
-separate passes.
+The execution strategies evaluate *runs* of preferences: BU and GBU one
+``Prefer`` node's run (its preferences in fold order), FtP the whole
+region's preference list over one delegated result.  This module applies
+such a run as **one** fused pass (column tables + dispatch index + one
+computation per distinct match key + fused combining, see
+:mod:`repro.core.prefgroup`) instead of |λ| separate passes.
 
 It is the only way a physical strategy turns rows into score pairs, for a
-run of one prefer as for a longer one; the ``reference`` strategy's
+run of one preference as for a longer one; the ``reference`` strategy's
 per-preference fold (:func:`repro.core.prefer.prefer`) is the oracle it is
 checked against.
 
@@ -31,27 +31,7 @@ from ..core.scorepair import ScorePair
 from ..engine.schema import TableSchema
 from ..engine.table import Row, row_getter
 from ..obs import current_tracer
-from ..plan.nodes import Prefer
 from .scorerel import Intermediate
-
-
-def prefer_run(
-    plan: Prefer, default: AggregateFunction
-) -> "tuple[list[Prefer], AggregateFunction]":
-    """The longest run of adjacent Prefer nodes sharing *plan*'s aggregate.
-
-    Returned innermost-first, matching the order a per-node postorder
-    traversal would apply them in, with that effective aggregate (a node's
-    own, else the query's *default*).
-    """
-    aggregate = plan.aggregate or default
-    chain = [plan]
-    node = plan.child
-    while isinstance(node, Prefer) and (node.aggregate or default) is aggregate:
-        chain.append(node)
-        node = node.child
-    chain.reverse()
-    return chain, aggregate
 
 
 def _report_batch(compiled: CompiledGroup, label: str) -> None:
@@ -109,50 +89,25 @@ def prefer_group(
     return PRelation(relation.schema, list(relation.rows), pairs)
 
 
-def _compiled(
-    preferences: Sequence[Preference],
-    aggregate: AggregateFunction,
-    schema: TableSchema,
-    head: "Prefer | None",
-) -> CompiledGroup:
-    """The run compiled against *schema*, kept on *head* (when given) for
-    later runs against the same schema.  A kept compilation is only ever
-    copied."""
-    if head is None:
-        return PreferenceGroup(preferences, aggregate).compile(schema)
-    key = (aggregate, tuple(preferences), schema)
-    kept = head.compiled
-    if kept is None or kept[0] != key:
-        # Stored without a lock: two threads compiling one run compile alike.
-        kept = head.compiled = (key, PreferenceGroup(preferences, aggregate).compile(schema))
-    return kept[1].fresh()
-
-
 def group_scores_from_rows(
     schema: TableSchema,
     rows: Sequence[Row],
     key_attrs: Sequence[str],
-    preferences: Sequence[Preference],
-    aggregate: AggregateFunction,
+    compiled: CompiledGroup,
     base: "dict[tuple, ScorePair] | None" = None,
-    head: "Prefer | None" = None,
 ) -> "dict[tuple, ScorePair]":
     """Score-relation entries for rows a native query delivered (GBU, BU).
 
-    *schema* is the rows' schema as delivered (possibly permuted); keys are
-    resolved by name.  The rows may be pre-qualified by ``σ_φ`` or the whole
-    block: every row is matched against the group either way.  Returns a
-    fresh dict merging into *base* without mutating it.
-
-    *head*, the run's outermost prefer node, keeps the compiled group: a
-    memoized plan hands the same node to every query at one data version,
-    and compiling costs more than scoring the few rows a σ_φ answer holds.
-    Each evaluation scores on its own :meth:`CompiledGroup.fresh` copy.
+    *schema* is the rows' schema as delivered (possibly permuted), the one
+    *compiled* was compiled against (:meth:`Prefer.compiled
+    <repro.plan.nodes.Prefer.compiled>`); keys are resolved by name.  The
+    rows may be pre-qualified by ``σ_φ`` or the whole block: every row is
+    matched against the group either way.  Returns a fresh dict merging
+    into *base* without mutating it.
     """
-    compiled = _compiled(preferences, aggregate, schema, head)
     positions = [schema.index_of(a) for a in key_attrs]
     # A key that is the whole row in order: each row is its own key.
     key_fn = None if positions == list(range(len(schema.columns))) else row_getter(positions)
     scores = compiled.score_rows(rows, key_fn, base)
-    _report_batch(compiled, f"|λ|={len(preferences)}")
+    _report_batch(compiled, f"|λ|={len(compiled.group)}")
     return scores

@@ -89,30 +89,26 @@ class _Evaluator:
         raise ExecutionError(f"BU cannot execute node {plan!r}")
 
     def _prefer(self, plan: Prefer) -> Intermediate:
-        chain, aggregate = batchscore.prefer_run(plan, self.aggregate)
-        for _ in chain:
+        run, aggregate = plan.run, plan.aggregate or self.aggregate
+        for _ in run:
             self.db.cost.count_operator("prefer")
-        innermost = chain[0]
-        preferences = [node.preference for node in chain]
-        if len(chain) == 1 and isinstance(innermost.child, Relation):
+        if len(run) == 1 and isinstance(plan.child, Relation):
             # Base-relation prefer: run the conditional part natively so
             # index access paths apply (Heuristic 4's rationale), then score
             # only the qualifying rows.
-            child = self._evaluate(innermost.child)
+            child = self._evaluate(plan.child)
             schema, qualifying = execute_native(
-                Select(innermost.child, innermost.preference.condition),
-                self.db.catalog,
-                self.db.cost,
+                Select(plan.child, run[0].condition), self.db.catalog, self.db.cost
             )
             child.scores = batchscore.group_scores_from_rows(
-                schema, qualifying, child.key_attrs, preferences, aggregate, head=plan
+                schema, qualifying, child.key_attrs, plan.compiled(aggregate, schema)
             )
             self.db.cost.materialize(len(child.scores))
             return child
-        child = self.evaluate(innermost.child)
+        child = self.evaluate(plan.child)
         # One fused pass over the materialized child for the whole run.
         self.db.cost.scan(len(child.rows))
-        result = batchscore.apply_prefer_group(child, preferences, aggregate)
+        result = batchscore.apply_prefer_group(child, run, aggregate)
         self.db.cost.materialize(len(result.scores))
         return result
 

@@ -28,7 +28,7 @@ from ..filtering import topk as topk_filter
 from ..obs import current_tracer
 from ..resilience import current_guard
 from ..plan.analysis import strip_prefers
-from .batchscore import prefer_group, prefer_run
+from .batchscore import prefer_group
 from .conform import conform
 from ..plan.nodes import (
     Difference,
@@ -166,11 +166,8 @@ class RegionEvaluator:
                 self._set_input(plan.left), self._set_input(plan.right), self.aggregate
             )
         if isinstance(plan, Prefer):
-            chain, aggregate = prefer_run(plan, self.aggregate)
             return prefer_group(
-                self.evaluate(chain[0].child),
-                [node.preference for node in chain],
-                aggregate,
+                self.evaluate(plan.child), plan.run, plan.aggregate or self.aggregate
             )
         if isinstance(plan, TopK):
             return topk_filter(self.evaluate(plan.child), plan.k, plan.by)
@@ -189,11 +186,10 @@ def _make_ftp_region(db: Database, aggregate: AggregateFunction) -> RegionFn:
         result = conform(
             PRelation(schema, rows), non_preference.schema(db.catalog)
         )
-        # preferences() is pre-order (outermost first); fold innermost-first
-        # so the aggregate combines pairs in the same order as the written
-        # plan — Property 4.3 makes the orders algebraically equivalent, but
-        # the floating-point folds differ by ULPs and filtering cuts exactly.
-        preferences = list(reversed(plan.preferences()))
+        # Fold in preferences() order, each run as written: Property 4.3
+        # makes every order algebraically equivalent, but floating-point
+        # folds differ by ULPs and filtering cuts exactly.
+        preferences = plan.preferences()
         if not preferences:
             return result
         for _ in preferences:

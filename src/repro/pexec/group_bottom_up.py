@@ -117,7 +117,7 @@ class _Evaluator:
         raise ExecutionError(f"GBU cannot execute node {plan!r}")
 
     def _prefer(self, plan: Prefer) -> Intermediate:
-        """Evaluate a run of adjacent prefer operators without copying its input.
+        """Evaluate a prefer run without copying its input.
 
         When the run's input is a *pure* block (standard operators over base
         relations, no embedded intermediates) — the common shape after the
@@ -132,17 +132,16 @@ class _Evaluator:
         Either way the rows are scored in one pass through the compiled
         preference group (:mod:`repro.core.prefgroup`).
         """
-        chain, aggregate = batchscore.prefer_run(plan, self.aggregate)
-        for _ in chain:
+        run, aggregate = plan.run, plan.aggregate or self.aggregate
+        for _ in run:
             self.db.cost.count_operator("prefer")
-        preferences = [node.preference for node in chain]
-        child = self.evaluate(chain[0].child)
+        child = self.evaluate(plan.child)
 
         block: PlanNode | None = None
         base_scores: dict = {}
         if isinstance(child, Intermediate):
             if child.rows is None:
-                block = child.source  # lazy: a prefer chain over one block
+                block = child.source  # lazy: a prefer run over one block
                 base_scores = child.scores
         elif not self._has_embedded(child):
             block = child
@@ -151,14 +150,14 @@ class _Evaluator:
             # Impure input (filters/set-ops below): force and scan.
             forced = self.force(child)
             self.db.cost.scan(len(forced.rows))
-            result = batchscore.apply_prefer_group(forced, preferences, aggregate)
+            result = batchscore.apply_prefer_group(forced, run, aggregate)
             self.db.cost.materialize(len(result.scores))
             return result
 
-        if len(chain) == 1:
+        if len(run) == 1:
             # σ_φ carries one user's condition: run natively, never memoized.
             # Over a base relation it already is the native optimizer's plan.
-            conditional = Select(block, preferences[0].condition)
+            conditional = Select(block, run[0].condition)
             if not isinstance(block, Relation):
                 conditional = self.db.explain_native(conditional)
             schema, rows = execute_native(conditional, self.db.catalog, self.db.cost)
@@ -176,11 +175,11 @@ class _Evaluator:
         # in another order.
         key_attrs = self._block_key_attrs(block, schema)
         scores = batchscore.group_scores_from_rows(
-            schema, rows, key_attrs, preferences, aggregate, base_scores, head=plan
+            schema, rows, key_attrs, plan.compiled(aggregate, schema), base_scores
         )
         self.db.cost.materialize(len(scores))
         return Intermediate(
-            schema, None if len(chain) == 1 else rows, key_attrs, scores, source=block
+            schema, None if len(run) == 1 else rows, key_attrs, scores, source=block
         )
 
     def _setop(self, plan: PlanNode, left, right) -> Intermediate:

@@ -93,11 +93,10 @@ def evaluate_reference(
             aggregate,
         )
     if isinstance(plan, Prefer):
-        return prefer(
-            evaluate_reference(plan.child, catalog, aggregate),
-            plan.preference,
-            plan.aggregate or aggregate,
-        )
+        relation = evaluate_reference(plan.child, catalog, aggregate)
+        for preference in plan.run:
+            relation = prefer(relation, preference, plan.aggregate or aggregate)
+        return relation
     if isinstance(plan, TopK):
         return topk(evaluate_reference(plan.child, catalog, aggregate), plan.k, plan.by)
     raise ExecutionError(f"reference evaluator: unknown node {plan!r}")

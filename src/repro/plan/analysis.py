@@ -31,7 +31,8 @@ def preference_attributes(plan: PlanNode) -> set[str]:
     out: set[str] = set()
     for node in plan.walk():
         if isinstance(node, Prefer):
-            out |= node.preference.attributes()
+            for preference in node.run:
+                out |= preference.attributes()
     return out
 
 
@@ -49,7 +50,8 @@ def preferred_relations(plan: PlanNode) -> set[str]:
     out: set[str] = set()
     for node in plan.walk():
         if isinstance(node, Prefer):
-            out |= set(node.preference.relations)
+            for preference in node.run:
+                out |= set(preference.relations)
     return out
 
 
@@ -79,7 +81,7 @@ def qualify_preferences(plan: PlanNode, catalog: Catalog) -> PlanNode:
     """
     if isinstance(plan, Prefer):
         child = qualify_preferences(plan.child, catalog)
-        return Prefer(child, plan.preference.qualify(catalog), plan.aggregate)
+        return Prefer(child, [p.qualify(catalog) for p in plan.run], plan.aggregate)
     children = plan.children()
     if not children:
         return plan

@@ -90,15 +90,15 @@ class PlanBuilder:
     def prefer(
         self, preference: Preference, aggregate: AggregateFunction | None = None
     ) -> "PlanBuilder":
-        """``λ_preference`` over the current plan."""
-        return PlanBuilder(Prefer(self.node, preference, aggregate))
+        """``λ_preference`` over the current plan, extending the run on top
+        when it has the same aggregate."""
+        return PlanBuilder(Prefer.over(self.node, [preference], aggregate))
 
     def prefer_all(self, preferences: Sequence[Preference]) -> "PlanBuilder":
-        """Chain one prefer operator per preference, in order."""
-        builder = self
-        for preference in preferences:
-            builder = builder.prefer(preference)
-        return builder
+        """The *preferences*, in order, as one run over the current plan."""
+        if not preferences:
+            return self
+        return PlanBuilder(Prefer.over(self.node, preferences))
 
     def top(self, k: int, by: str = "score") -> "PlanBuilder":
         """``top(k, score|conf)`` filtering over the current plan."""

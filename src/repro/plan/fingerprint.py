@@ -38,7 +38,7 @@ from .nodes import (
 
 #: Bump when the payload layout changes, so stale persisted fingerprints
 #: (should any ever be stored) can never collide with current ones.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
 class UncacheablePlan(PlanError):
@@ -53,6 +53,15 @@ def fingerprint_payload(plan: PlanNode) -> dict:
     ``plan`` must stay importable without the serving layer).
     """
     from ..serve.codec import expr_to_dict, preference_to_dict
+
+    def serialized(preference) -> dict:
+        try:
+            return preference_to_dict(preference)
+        except PreferenceError as err:
+            raise UncacheablePlan(
+                f"preference {preference.name!r} has no canonical "
+                f"serialization: {err}"
+            ) from err
 
     def node(current: PlanNode) -> dict:
         if isinstance(current, Materialized):
@@ -75,16 +84,9 @@ def fingerprint_payload(plan: PlanNode) -> dict:
         elif isinstance(current, (Union, Intersect, Difference)):
             data = {"kind": current.kind}
         elif isinstance(current, Prefer):
-            try:
-                serialized = preference_to_dict(current.preference)
-            except PreferenceError as err:
-                raise UncacheablePlan(
-                    f"preference {current.preference.name!r} has no canonical "
-                    f"serialization: {err}"
-                ) from err
             data = {
                 "kind": current.kind,
-                "preference": serialized,
+                "preferences": [serialized(p) for p in current.run],
                 "aggregate": getattr(current.aggregate, "name", None),
             }
         elif isinstance(current, TopK):

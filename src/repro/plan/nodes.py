@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # break the core ↔ plan import cycle: hints only
     from ..core.aggregates import AggregateFunction
     from ..core.preference import Preference
+    from ..core.prefgroup import CompiledGroup
 
 from ..engine.catalog import Catalog
 from ..engine.expressions import Expr
@@ -57,8 +58,11 @@ class PlanNode:
         return {node.name for node in self.walk() if isinstance(node, Relation)}
 
     def preferences(self) -> list[Preference]:
-        """All preferences attached to the subtree, in pre-order."""
-        return [node.preference for node in self.walk() if isinstance(node, Prefer)]
+        """All preferences of the subtree in one fold order: the prefer runs
+        in reverse pre-order (a run before the runs above it), each run's
+        preferences in its own fold order."""
+        runs = [node.run for node in self.walk() if isinstance(node, Prefer)]
+        return [preference for run in reversed(runs) for preference in run]
 
     def label(self) -> str:
         """One-line description used by the plan printer."""
@@ -309,46 +313,80 @@ class Difference(_SetOperation):
 
 
 class Prefer(PlanNode):
-    """``λ_{p,F}(child)`` — evaluate one preference on the child p-relation.
+    """``λ_{p1,F} … λ_{pn,F}(child)`` — a run of preferences over the child.
 
-    ``aggregate`` of ``None`` means "use the query-level default F"; the
-    paper assumes the same F across all operators of a query (required for
-    Properties 4.3/4.4), so a per-node override is only honoured when it
-    matches the query default.
+    By Property 4.3 a run of prefer operators under one F is one operator:
+    ``run`` holds its preferences in fold order, innermost (first written)
+    first, and a single preference is a run of one.  ``aggregate`` of
+    ``None`` means the query's default F.  Any other aggregate is honoured
+    for this run; the optimizer neither moves such a run nor sinks another
+    run through it.  :meth:`over` builds runs in normal form, where no run
+    sits directly on a run with the same aggregate.
     """
 
     kind = "prefer"
 
-    #: The run this node heads, compiled for one row schema, as ``(key,
-    #: compiled group)``: derived from the node's value like ``_hash`` and
-    #: only ever copied (:func:`repro.pexec.batchscore.group_scores_from_rows`).
-    compiled: tuple | None = None
+    #: The run compiled for one row schema, as ``(key, compiled group)``:
+    #: derived from the node's value like ``_hash`` (see :meth:`compiled`).
+    _compiled: tuple | None = None
 
     def __init__(
         self,
         child: PlanNode,
-        preference: Preference,
+        preferences: Sequence[Preference],
         aggregate: AggregateFunction | None = None,
     ):
         self.child = child
-        self.preference = preference
+        self.run: tuple[Preference, ...] = tuple(preferences)
+        if not self.run:
+            raise PlanError("a prefer run needs at least one preference")
         self.aggregate = aggregate
+
+    @classmethod
+    def over(
+        cls,
+        child: PlanNode,
+        preferences: Sequence[Preference],
+        aggregate: AggregateFunction | None = None,
+    ) -> "Prefer":
+        """*preferences* folded after *child*'s, as one run when *child* is a
+        run with the same aggregate."""
+        if isinstance(child, Prefer) and child.aggregate == aggregate:
+            return cls(child.child, child.run + tuple(preferences), aggregate)
+        return cls(child, preferences, aggregate)
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
     def with_children(self, children: Sequence[PlanNode]) -> "Prefer":
         (child,) = children
-        return Prefer(child, self.preference, self.aggregate)
+        return Prefer(child, self.run, self.aggregate)
 
     def schema(self, catalog: Catalog) -> TableSchema:
         return self.child.schema(catalog)
 
+    def compiled(self, aggregate: AggregateFunction, schema: TableSchema) -> CompiledGroup:
+        """The run compiled against *schema* under *aggregate* (the node's
+        own, or the query default it stands for), on a fresh copy.
+
+        A memoized plan hands one node to every query at a data version, and
+        compiling costs more than scoring the few rows a σ_φ answer holds:
+        the compilation is kept from the first call and only ever copied
+        (stored without a lock: two threads compiling one run compile alike).
+        """
+        from ..core.prefgroup import PreferenceGroup  # the core ↔ plan cycle
+
+        key = (aggregate, schema)
+        kept = self._compiled
+        if kept is None or kept[0] != key:
+            kept = self._compiled = (key, PreferenceGroup(self.run, aggregate).compile(schema))
+        return kept[1].fresh()
+
     def label(self) -> str:
-        return f"λ[{self.preference.name}]"
+        return f"λ[{', '.join(p.name for p in self.run)}]"
 
     def _key(self) -> tuple:
-        return (self.preference, self.aggregate)
+        return (self.run, self.aggregate)
 
 
 class TopK(PlanNode):

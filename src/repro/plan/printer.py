@@ -6,7 +6,8 @@ from .nodes import PlanNode
 
 
 def explain(plan: PlanNode) -> str:
-    """Render *plan* as an indented operator tree, root first.
+    """Render *plan* as an indented operator tree, root first.  A prefer
+    run prints as one ``λ[p1, p2, …]`` line, its preferences in fold order.
 
     Example::
 

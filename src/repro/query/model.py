@@ -95,8 +95,9 @@ class QueryCompiler:
         pre, post = self._split_where(block.where)
         if pre is not None:
             plan = Select(plan, pre)
-        for preference in self._preferences(block):
-            plan = Prefer(plan, preference)
+        preferences = self._preferences(block)
+        if preferences:
+            plan = Prefer(plan, preferences)
         if block.attrs:
             plan = Project(plan, block.attrs)
         if post is not None:

@@ -26,6 +26,45 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.prelation import PRelation
+from repro.plan.nodes import Prefer
+
+
+def prefer_runs_normal(plan) -> bool:
+    """True when no prefer run sits directly on a run with the same
+    aggregate: the normal form SQL compile, the plan builder and every
+    optimizer rule keep (Property 4.3 makes such a pair one run)."""
+    return not any(
+        isinstance(node, Prefer)
+        and isinstance(node.child, Prefer)
+        and node.child.aggregate == node.aggregate
+        for node in plan.walk()
+    )
+
+
+def optimize_keeping_runs_normal(plan, catalog):
+    """*plan* through each optimizer rule in pipeline order, asserting that
+    it and every rule's output keep prefer runs in normal form."""
+    from repro.optimizer import left_deepen, match_native_join_order
+    from repro.optimizer.rules import (
+        push_prefers,
+        push_projections,
+        push_selections,
+        reorder_prefers,
+    )
+
+    assert prefer_runs_normal(plan)
+    rules = (
+        push_selections,
+        push_projections,
+        push_prefers,
+        reorder_prefers,
+        match_native_join_order,
+        left_deepen,
+    )
+    for rule in rules:
+        plan = rule(plan, catalog)
+        assert prefer_runs_normal(plan), rule.__name__
+    return plan
 
 
 def result_relation(obj) -> PRelation:

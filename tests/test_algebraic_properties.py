@@ -56,10 +56,10 @@ class TestProperty41:
     def test_select_prefer_commute(self, p, year, op):
         condition = cmp("year", op, year)
         left = evaluate_reference(
-            Select(Prefer(Relation("MOVIES"), p), condition), DB.catalog
+            Select(Prefer(Relation("MOVIES"), [p]), condition), DB.catalog
         )
         right = evaluate_reference(
-            Prefer(Select(Relation("MOVIES"), condition), p), DB.catalog
+            Prefer(Select(Relation("MOVIES"), condition), [p]), DB.catalog
         )
         assert left.same_contents(right)
 
@@ -75,10 +75,10 @@ class TestProperty42:
             p.name, p.relations, p.condition & outer, p.scoring, p.confidence
         )
         left = evaluate_reference(
-            Select(Prefer(Relation("MOVIES"), p), outer), DB.catalog
+            Select(Prefer(Relation("MOVIES"), [p]), outer), DB.catalog
         )
         right = evaluate_reference(
-            Select(Prefer(Relation("MOVIES"), narrowed), outer), DB.catalog
+            Select(Prefer(Relation("MOVIES"), [narrowed]), outer), DB.catalog
         )
         assert left.same_contents(right)
 
@@ -90,8 +90,8 @@ class TestProperty43:
     @given(preferences(), duration_preferences())
     def test_prefer_commutes(self, p1, p2):
         base = Relation("MOVIES")
-        left = evaluate_reference(Prefer(Prefer(base, p1), p2), DB.catalog)
-        right = evaluate_reference(Prefer(Prefer(base, p2), p1), DB.catalog)
+        left = evaluate_reference(Prefer(base, [p1, p2]), DB.catalog)
+        right = evaluate_reference(Prefer(base, [p2, p1]), DB.catalog)
         assert left.same_contents(right)
 
     @settings(max_examples=30, deadline=None)
@@ -105,10 +105,7 @@ class TestProperty43:
         ]
         results = []
         for order in orders:
-            plan = base
-            for p in order:
-                plan = Prefer(plan, p)
-            results.append(evaluate_reference(plan, DB.catalog))
+            results.append(evaluate_reference(Prefer(base, order), DB.catalog))
         assert results[0].same_contents(results[1])
         assert results[0].same_contents(results[2])
 
@@ -122,9 +119,9 @@ class TestProperty44:
     @given(preferences())
     def test_push_through_join_left(self, p):
         join = Join(Relation("MOVIES"), Relation("DIRECTORS"), self.JOIN)
-        above = evaluate_reference(Prefer(join, p), DB.catalog)
+        above = evaluate_reference(Prefer(join, [p]), DB.catalog)
         pushed = evaluate_reference(
-            Join(Prefer(Relation("MOVIES"), p), Relation("DIRECTORS"), self.JOIN),
+            Join(Prefer(Relation("MOVIES"), [p]), Relation("DIRECTORS"), self.JOIN),
             DB.catalog,
         )
         assert above.same_contents(pushed)
@@ -134,9 +131,9 @@ class TestProperty44:
     def test_push_through_join_right(self, score, conf):
         p = Preference("d", "DIRECTORS", eq("DIRECTORS.d_id", 1), score, conf)
         join = Join(Relation("MOVIES"), Relation("DIRECTORS"), self.JOIN)
-        above = evaluate_reference(Prefer(join, p), DB.catalog)
+        above = evaluate_reference(Prefer(join, [p]), DB.catalog)
         pushed = evaluate_reference(
-            Join(Relation("MOVIES"), Prefer(Relation("DIRECTORS"), p), self.JOIN),
+            Join(Relation("MOVIES"), Prefer(Relation("DIRECTORS"), [p]), self.JOIN),
             DB.catalog,
         )
         assert above.same_contents(pushed)
@@ -148,8 +145,8 @@ class TestProperty44:
 
         recent = Select(Relation("MOVIES"), cmp("year", ">=", 2005))
         other = Select(Relation("MOVIES"), cmp("duration", "<=", 130))
-        above = evaluate_reference(Prefer(Intersect(recent, other), p), DB.catalog)
-        pushed = evaluate_reference(Intersect(Prefer(recent, p), other), DB.catalog)
+        above = evaluate_reference(Prefer(Intersect(recent, other), [p]), DB.catalog)
+        pushed = evaluate_reference(Intersect(Prefer(recent, [p]), other), DB.catalog)
         assert above.same_contents(pushed)
 
     @settings(max_examples=30, deadline=None)
@@ -159,6 +156,6 @@ class TestProperty44:
 
         recent = Select(Relation("MOVIES"), cmp("year", ">=", 2005))
         other = Select(Relation("MOVIES"), cmp("duration", ">", 130))
-        above = evaluate_reference(Prefer(Difference(recent, other), p), DB.catalog)
-        pushed = evaluate_reference(Difference(Prefer(recent, p), other), DB.catalog)
+        above = evaluate_reference(Prefer(Difference(recent, other), [p]), DB.catalog)
+        pushed = evaluate_reference(Difference(Prefer(recent, [p]), other), DB.catalog)
         assert above.same_contents(pushed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.aggregates import F_MAX
 from repro.engine.expressions import cmp, eq
 from repro.errors import SchemaError
 from repro.plan.analysis import (
@@ -71,8 +72,8 @@ class TestStripPrefers:
 
     def test_stacked_prefers(self, example_preferences):
         plan = Prefer(
-            Prefer(Relation("GENRES"), example_preferences["p1"]),
-            example_preferences["p2"],
+            Prefer(Relation("GENRES"), [example_preferences["p1"]], F_MAX),
+            [example_preferences["p2"]],
         )
         assert strip_prefers(plan) == Relation("GENRES")
 

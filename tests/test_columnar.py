@@ -278,7 +278,7 @@ def test_pushdown_keeps_score_filters_in_place():
     from repro.core.preference import Preference
 
     pref = Preference("pp", "GENRES", eq("genre", "Comedy"), 0.8, 0.9)
-    plan = Select(Prefer(Relation("GENRES"), pref), cmp("conf", ">=", 0.5))
+    plan = Select(Prefer(Relation("GENRES"), [pref]), cmp("conf", ">=", 0.5))
     pushed = push_selections(
         MOVIE_ENGINE.prepare(plan), MOVIE_DB.catalog
     )
@@ -291,7 +291,7 @@ def test_pushdown_sinks_below_prefer():
 
     pref = Preference("pq", "GENRES", eq("genre", "Comedy"), 0.8, 0.9)
     plan = Select(
-        Prefer(Relation("GENRES"), pref), eq("GENRES.genre", "Drama")
+        Prefer(Relation("GENRES"), [pref]), eq("GENRES.genre", "Drama")
     )
     pushed = push_selections(MOVIE_ENGINE.prepare(plan), MOVIE_DB.catalog)
     assert isinstance(pushed, Prefer), "plain select should sink below Prefer"
@@ -396,7 +396,7 @@ def test_columnar_trace_span_present():
 TOPK_PLAN = TopK(
     Prefer(
         Relation("GENRES"),
-        Preference("pf", "GENRES", eq("genre", "Comedy"), 0.8, 0.9),
+        [Preference("pf", "GENRES", eq("genre", "Comedy"), 0.8, 0.9)],
     ),
     3,
     "score",

@@ -71,7 +71,7 @@ class TestReferenceEvaluator:
             Project(
                 Prefer(
                     Select(Relation("GENRES"), cmp("m_id", ">", 1)),
-                    example_preferences["p1"],
+                    [example_preferences["p1"]],
                 ),
                 ["m_id", "genre"],
             ),
@@ -115,7 +115,7 @@ class TestLazyIntermediate:
 
         plan = Prefer(
             Select(Relation("GENRES"), eq("genre", "Comedy")),
-            example_preferences["p1"],
+            [example_preferences["p1"]],
         )
         engine = ExecutionEngine(movie_db)
         gbu = engine.run(plan, "gbu")

@@ -67,7 +67,7 @@ class TestExecution:
         from repro.core.preference import Preference
         from repro.engine.expressions import TRUE
 
-        plan = Prefer(Relation("T"), Preference("p", "T", TRUE, 0.5, 0.5))
+        plan = Prefer(Relation("T"), [Preference("p", "T", TRUE, 0.5, 0.5)])
         with pytest.raises(ExecutionError):
             db.execute(plan)
 

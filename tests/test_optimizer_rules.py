@@ -11,7 +11,9 @@ from collections import Counter
 
 import pytest
 
+from repro.core.aggregates import F_MAX
 from repro.core.preference import Preference
+from repro.core.scoring import recency_score
 from repro.engine.expressions import TRUE, And, cmp, eq
 from repro.errors import ReproError
 from repro.optimizer.rules import (
@@ -198,6 +200,65 @@ class TestRules34PreferPushdown:
             evaluate_reference(pushed, movie_db.catalog)
         )
 
+    def test_a_run_splits_by_side_in_written_order(self, movie_db):
+        m1, m2, g1 = _since(2001), _since(2002), _genre(1)
+        both = Preference(
+            "both", ("MOVIES", "GENRES"), eq("GENRES.genre", "Drama"),
+            recency_score("MOVIES.year", 2011), 0.5,
+        )
+        below = Prefer(Relation("MOVIES"), [m2])  # already on the left input
+        join = _movies_genres(movie_db, below)
+        pushed = push_prefers(Prefer(join, [m1, g1, both]), movie_db.catalog)
+        assert pushed == Prefer(
+            Join(
+                Prefer(Relation("MOVIES"), [m2, m1]),
+                Prefer(Relation("GENRES"), [g1]),
+                join.condition,
+            ),
+            [both],
+        )
+
+    def test_an_override_is_a_barrier(self, movie_db):
+        m1, m2 = _since(2001), _since(2002)
+        override = Prefer(_movies_genres(movie_db, Relation("MOVIES")), [m1], F_MAX)
+        plan = Prefer(override, [m2])
+        assert push_prefers(plan, movie_db.catalog) == plan
+
+    @pytest.mark.parametrize("count", [6, 12, 24])
+    def test_prefer_nodes_built_grow_linearly(self, movie_db, monkeypatch, count):
+        # One pass splits a run by side: the nodes built grow linearly in λ.
+        original = Prefer.__init__
+        built = []
+
+        def counting(node, *args, **kwargs):
+            built.append(node)
+            original(node, *args, **kwargs)
+
+        def nodes_built(size):
+            run = [_genre(n) if n % 2 else _since(1990 + n) for n in range(size)]
+            plan = Prefer(_movies_genres(movie_db, Relation("MOVIES")), run)
+            built.clear()
+            monkeypatch.setattr(Prefer, "__init__", counting)
+            pushed = push_prefers(plan, movie_db.catalog)
+            monkeypatch.setattr(Prefer, "__init__", original)
+            assert {len(n.run) for n in pushed.walk() if isinstance(n, Prefer)} == {size // 2}
+            return len(built)
+
+        assert nodes_built(2 * count) <= 2 * nodes_built(count) + 4
+
+
+def _movies_genres(db, left):
+    genres = Relation("GENRES")
+    return Join(left, genres, natural_join_condition(db.catalog, left, genres))
+
+
+def _since(year):
+    return Preference(f"m{year}", "MOVIES", cmp("MOVIES.year", ">=", year), 0.5, 0.5)
+
+
+def _genre(n):
+    return Preference(f"g{n}", "GENRES", eq("GENRES.genre", "Drama"), 0.5, 0.5)
+
 
 class TestRule5Reordering:
     def test_more_selective_preference_goes_lower(self, movie_db):
@@ -207,20 +268,19 @@ class TestRule5Reordering:
         assert preference_selectivity(narrow, base, movie_db.catalog) < (
             preference_selectivity(broad, base, movie_db.catalog)
         )
-        plan = Prefer(Prefer(base, narrow), broad)  # narrow evaluated first: OK
-        plan2 = Prefer(Prefer(base, broad), narrow)  # wrong order
-        ordered = reorder_prefers(plan2, movie_db.catalog)
-        chain = [n.preference.name for n in ordered.walk() if isinstance(n, Prefer)]
-        assert chain == ["broad", "narrow"]  # outermost first ⇒ narrow deepest
+        plan = Prefer(base, [narrow, broad])  # narrow evaluated first: OK
+        assert reorder_prefers(plan, movie_db.catalog) == plan
+        ordered = reorder_prefers(Prefer(base, [broad, narrow]), movie_db.catalog)
+        assert ordered == plan
 
     def test_single_prefer_untouched(self, movie_db, example_preferences):
-        plan = Prefer(Relation("GENRES"), example_preferences["p1"])
+        plan = Prefer(Relation("GENRES"), [example_preferences["p1"]])
         assert reorder_prefers(plan, movie_db.catalog) == plan
 
     def test_semantics_preserved(self, movie_db):
         a = Preference("a", "GENRES", eq("genre", "Drama"), 0.4, 0.6)
         b = Preference("b", "GENRES", eq("genre", "Comedy"), 0.9, 0.2)
-        plan = Prefer(Prefer(Relation("GENRES"), a), b)
+        plan = Prefer(Relation("GENRES"), [a, b])
         ordered = reorder_prefers(plan, movie_db.catalog)
         assert evaluate_reference(plan, movie_db.catalog).same_contents(
             evaluate_reference(ordered, movie_db.catalog)
@@ -277,19 +337,19 @@ class TestRewriteInvariants:
         # attribute: the reference executor refuses the rewritten plan.
         before = Prefer(
             Join(Relation("MOVIES"), Relation("DIRECTORS"), cmp("year", ">", 0)),
-            P_YEAR,
+            [P_YEAR],
         )
         after = Join(
             Relation("MOVIES"),
-            Prefer(Relation("DIRECTORS"), P_YEAR),
+            Prefer(Relation("DIRECTORS"), [P_YEAR]),
             cmp("year", ">", 0),
         )
         [problem] = rewrite_violations(before, after, movie_db.catalog)
         assert problem.startswith("SchemaError: unknown attribute 'year'")
 
     def test_changing_the_answer_is_caught(self, movie_db):
-        before = Prefer(Relation("MOVIES"), P_YEAR)
-        after = Select(Prefer(Relation("MOVIES"), P_YEAR), eq("m_id", 1))
+        before = Prefer(Relation("MOVIES"), [P_YEAR])
+        after = Select(Prefer(Relation("MOVIES"), [P_YEAR]), eq("m_id", 1))
         assert rewrite_violations(before, after, movie_db.catalog) == [
             "reference answer changed"
         ]
@@ -306,7 +366,7 @@ class TestRewriteInvariants:
         assert rewrite_violations(before, after, movie_db.catalog) == []
 
     def test_dropping_a_prefer_is_caught(self, movie_db):
-        before = Prefer(Relation("MOVIES"), P_YEAR)
+        before = Prefer(Relation("MOVIES"), [P_YEAR])
         after = Relation("MOVIES")
         assert rewrite_violations(before, after, movie_db.catalog) == [
             "reference answer changed",
@@ -314,8 +374,8 @@ class TestRewriteInvariants:
         ]
 
     def test_duplicating_a_prefer_is_caught(self, movie_db):
-        before = Prefer(Relation("MOVIES"), P_YEAR)
-        after = Prefer(Prefer(Relation("MOVIES"), P_YEAR), P_YEAR)
+        before = Prefer(Relation("MOVIES"), [P_YEAR])
+        after = Prefer(Relation("MOVIES"), [P_YEAR, P_YEAR])
         assert rewrite_violations(before, after, movie_db.catalog) == [
             "reference answer changed",
             "preference multiset changed",
@@ -329,8 +389,8 @@ class TestRewriteInvariants:
         ]
 
     def test_legal_pushdown_is_clean(self, movie_db):
-        before = Prefer(Select(Relation("MOVIES"), cmp("year", ">", 2000)), P_YEAR)
-        after = Select(Prefer(Relation("MOVIES"), P_YEAR), cmp("year", ">", 2000))
+        before = Prefer(Select(Relation("MOVIES"), cmp("year", ">", 2000)), [P_YEAR])
+        after = Select(Prefer(Relation("MOVIES"), [P_YEAR]), cmp("year", ">", 2000))
         assert rewrite_violations(before, after, movie_db.catalog) == []
 
 
@@ -347,6 +407,8 @@ class TestVerifiedRewritesProperty:
             left_deepen,
             match_native_join_order,
         )
+        from tests.conformance import prefer_runs_normal
+        from tests.conftest import examples
         from tests.test_strategy_fuzz import DB, plans
 
         rules = (
@@ -369,7 +431,7 @@ class TestVerifiedRewritesProperty:
         )
 
         @settings(
-            max_examples=40,
+            max_examples=examples(40),
             deadline=None,
             suppress_health_check=[HealthCheck.too_slow],
         )
@@ -378,8 +440,10 @@ class TestVerifiedRewritesProperty:
         def check(plan):
             plan = qualify_preferences(plan, DB.catalog)
             for rule in rules:
-                problems = rewrite_violations(plan, rule(plan, DB.catalog), DB.catalog)
+                rewritten = rule(plan, DB.catalog)
+                problems = rewrite_violations(plan, rewritten, DB.catalog)
                 assert problems == [], f"{rule.__name__}: {problems}"
+                assert prefer_runs_normal(rewritten), rule.__name__
             optimized = optimizer.optimize(plan)
             before = evaluate_reference(plan, DB.catalog)
             after = conform(

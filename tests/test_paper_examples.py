@@ -245,7 +245,6 @@ class TestExample12OptimizedPlan:
         narrow = Preference("p2", "GENRES", eq("genre", "Comedy"), 0.5, 0.5)
         plan = scan("GENRES").prefer(broad).prefer(narrow).build()
         optimized = optimize(qualify_preferences(plan, movie_db.catalog), movie_db.catalog)
-        chain = [n.preference.name for n in optimized.walk() if isinstance(n, Prefer)]
-        # Walk is outermost-first: the more restrictive p2 must be evaluated
-        # first, i.e. sit deepest (last in the walk).
-        assert chain == ["p1", "p2"]
+        (run,) = [n.run for n in optimized.walk() if isinstance(n, Prefer)]
+        # The more restrictive p2 must be evaluated first: it leads the run.
+        assert [p.name for p in run] == ["p2", "p1"]

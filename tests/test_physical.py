@@ -187,7 +187,7 @@ class TestSetOps:
 
 class TestPreferenceNodesRejected:
     def test_prefer_rejected(self, movie_db, example_preferences):
-        plan = Prefer(Relation("GENRES"), example_preferences["p1"])
+        plan = Prefer(Relation("GENRES"), [example_preferences["p1"]])
         with pytest.raises(ExecutionError):
             run(plan, movie_db)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.aggregates import F_MAX
 from repro.engine.expressions import TRUE, eq
 from repro.errors import PlanError
 from repro.plan.builder import natural_join_condition, scan
@@ -41,7 +42,14 @@ class TestBuilder:
     def test_prefer_all(self, example_preferences):
         prefs = [example_preferences["p1"], example_preferences["p2"]]
         plan = scan("GENRES").prefer_all(prefs).build()
-        assert [p.name for p in plan.preferences()] == ["p2", "p1"]
+        assert plan == Prefer(Relation("GENRES"), prefs)
+        assert [p.name for p in plan.preferences()] == ["p1", "p2"]
+        assert scan("GENRES").prefer_all([]).build() == Relation("GENRES")
+
+    def test_prefers_build_one_run_per_aggregate(self, example_preferences):
+        p1, p2, p3 = (example_preferences[n] for n in ("p1", "p2", "p3"))
+        plan = scan("GENRES").prefer(p1).prefer(p2).prefer(p3, F_MAX).build()
+        assert plan == Prefer(Prefer(Relation("GENRES"), [p1, p2]), [p3], F_MAX)
 
     def test_binary_builders(self):
         a, b = scan("MOVIES"), scan("MOVIES")
@@ -97,5 +105,5 @@ class TestPrinter:
         assert "└─" in text
 
     def test_compact(self, example_preferences):
-        plan = Prefer(Relation("GENRES"), example_preferences["p1"])
+        plan = Prefer(Relation("GENRES"), [example_preferences["p1"]])
         assert compact(plan) == "λ[p1](GENRES)"

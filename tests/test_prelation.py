@@ -1,8 +1,8 @@
-"""Unit tests for p-relations and score relations (Definition 2, §VI)."""
+"""Unit tests for p-relations (Definition 2)."""
 
 import pytest
 
-from repro.core.prelation import PRelation, ScoreRelation
+from repro.core.prelation import PRelation
 from repro.core.scorepair import IDENTITY, ScorePair
 from repro.errors import ExecutionError
 
@@ -90,40 +90,3 @@ class TestPRelation:
         a = PRelation(schema, [(1, "A"), (1, "A")], [IDENTITY, IDENTITY])
         b = PRelation(schema, [(1, "A")], [IDENTITY])
         assert not a.same_contents(b)
-
-
-class TestScoreRelation:
-    def test_default_for_missing_key(self):
-        sr = ScoreRelation(["m_id"])
-        assert sr.get((1,)) == IDENTITY
-
-    def test_put_and_get(self):
-        sr = ScoreRelation(["m_id"])
-        sr.put((1,), ScorePair(0.5, 0.5))
-        assert sr.get((1,)) == ScorePair(0.5, 0.5)
-        assert len(sr) == 1
-
-    def test_default_pairs_not_stored(self):
-        """R_P contains only tuples with non-default pairs (|R_P| ≤ |R|)."""
-        sr = ScoreRelation(["m_id"])
-        sr.put((1,), IDENTITY)
-        assert len(sr) == 0
-        sr.put((1,), ScorePair(0.5, 0.5))
-        sr.put((1,), IDENTITY)  # overwrite back to default removes the entry
-        assert len(sr) == 0
-
-    def test_requires_key(self):
-        with pytest.raises(ExecutionError):
-            ScoreRelation([])
-
-    def test_copy_is_independent(self):
-        sr = ScoreRelation(["k"], {(1,): ScorePair(0.1, 0.1)})
-        clone = sr.copy()
-        clone.put((2,), ScorePair(0.2, 0.2))
-        assert len(sr) == 1 and len(clone) == 2
-
-    def test_key_extractor(self, movie_db):
-        schema = movie_db.table("MOVIES").schema
-        sr = ScoreRelation(["m_id"])
-        extract = sr.key_extractor(schema)
-        assert extract((7, "T", 2000, 100, 1)) == (7,)

@@ -28,7 +28,7 @@ class TestPlanShape:
     def test_preferring_named(self, compiler):
         plan = compiler.compile("SELECT * FROM GENRES PREFERRING p1").plan
         assert isinstance(plan, Prefer)
-        assert plan.preference.name == "p1"
+        assert [p.name for p in plan.run] == ["p1"]
 
     def test_unknown_preference_rejected(self, compiler):
         with pytest.raises(ParseError, match="unknown preference"):
@@ -39,15 +39,17 @@ class TestPlanShape:
             "SELECT * FROM GENRES PREFERRING (genre = 'Comedy') SCORE 0.8 CONFIDENCE 0.9"
         ).plan
         assert isinstance(plan, Prefer)
-        assert plan.preference.confidence == 0.9
-        assert plan.preference.relations == ("GENRES",)
+        (preference,) = plan.run
+        assert preference.confidence == 0.9
+        assert preference.relations == ("GENRES",)
 
     def test_inline_relations_inferred_from_attrs(self, compiler):
         plan = compiler.compile(
             "SELECT * FROM MOVIES NATURAL JOIN DIRECTORS "
             "PREFERRING (director = 'W. Allen') SCORE 0.9"
         ).plan
-        assert plan.preference.relations == ("DIRECTORS",)
+        (preference,) = plan.run
+        assert preference.relations == ("DIRECTORS",)
 
     def test_score_filter_hoisted_above_prefers(self, compiler):
         plan = compiler.compile(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.aggregates import F_MAX, F_S, AggregateFunction
 from repro.core.preference import Preference
+from repro.core.prefgroup import PreferenceGroup
 from repro.core.scorepair import IDENTITY, ScorePair, bottom
 from repro.engine.blockmemo import Block, Probe, RangeFamily
 from repro.engine.expressions import TRUE, cmp, eq
@@ -83,8 +84,9 @@ class TestApplyPrefer:
         p = Preference("p", "MOVIES", cmp("year", ">", 2005), 0.5, 0.6)
         full = apply_prefer_group(movies_inter, [p], F_S)
         qualifying = [r for r in movie_db.table("MOVIES").rows if r[2] > 2005]
+        compiled = PreferenceGroup([p], F_S).compile(movies_inter.schema)
         via_rows = group_scores_from_rows(
-            movies_inter.schema, qualifying, movies_inter.key_attrs, [p], F_S
+            movies_inter.schema, qualifying, movies_inter.key_attrs, compiled
         )
         assert full.scores == via_rows
 

@@ -305,3 +305,35 @@ class TestEngineBehaviour:
         gbu = engine.run(plan, "gbu")
         ref = engine.run(plan, "reference")
         assert gbu.relation.schema.attribute_names == ref.relation.schema.attribute_names
+
+
+class TestFtPFoldOrder:
+    def test_a_region_folds_runs_in_reverse_preorder(self, movie_db, monkeypatch):
+        # FtP folds a region's preferences as one group.  Floating-point
+        # folds differ by ULPs and top-k cuts on them, so the order is
+        # pinned: the runs in reverse pre-order, each as written.
+        from repro.pexec import ftp
+        from repro.plan.builder import natural_join_condition
+        from repro.plan.nodes import Join, Prefer, Relation
+
+        def movie(name, year):
+            return Preference(name, "MOVIES", cmp("MOVIES.year", ">=", year), 0.5, 0.6)
+
+        def genre(name, value):
+            return Preference(name, "GENRES", eq("GENRES.genre", value), 0.7, 0.3)
+
+        left = Prefer(Relation("MOVIES"), [movie("a", 2005), movie("b", 2008)])
+        right = Prefer(Relation("GENRES"), [genre("c", "Drama"), genre("d", "Comedy")])
+        join = Join(left, right, natural_join_condition(movie_db.catalog, left, right))
+        plan = Prefer(join, [movie("e", 2006), genre("f", "Drama")])
+        folded = []
+        original = ftp.prefer_group
+
+        def spy(relation, preferences, aggregate):
+            folded.append([p.name for p in preferences])
+            return original(relation, preferences, aggregate)
+
+        monkeypatch.setattr(ftp, "prefer_group", spy)
+        check_all(movie_db, plan)
+        assert folded == [["c", "d", "a", "b", "e", "f"]]
+

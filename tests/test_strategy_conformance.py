@@ -23,6 +23,9 @@ Four query sources, ≥50 generated queries total:
   the wrong input, incompatible set operations, disagreeing aggregates):
   every strategy answers like the reference or raises the same typed error.
 
+Every plan of the corpus, and every SQL query of it once compiled, keeps
+prefer runs in normal form through each optimizer rule.
+
 On divergence the failing strategy is re-run under a collecting tracer and
 the assertion message carries its full per-operator trace.
 """
@@ -73,7 +76,13 @@ from repro.workloads.prefgen import (
 )
 from repro.workloads.queries import all_queries
 
-from tests.conformance import assert_identical, canonical_multiset, diff_report
+from tests.conformance import (
+    assert_identical,
+    canonical_multiset,
+    diff_report,
+    optimize_keeping_runs_normal,
+    prefer_runs_normal,
+)
 from tests.conftest import build_movie_db
 
 PHYSICAL = ("gbu", "bu", "ftp", "plugin-rma", "plugin-shared")
@@ -173,7 +182,7 @@ def generated_plan(seed: int):
             rng.choice(SCORINGS[relation]),
             round(rng.uniform(0.1, 1.0), 3),
         )
-        plan = Prefer(plan, preference)
+        plan = Prefer.over(plan, [preference])
     suffix = rng.choice(["none", "topk", "conf", "score-topk"])
     if suffix in ("conf", "score-topk"):
         plan = Select(plan, cmp("conf", ">=", rng.choice([0.2, 0.5, 0.9])))
@@ -207,7 +216,7 @@ def test_prefgen_selectivity_queries_conform(imdb_tiny, selectivity):
     plan = Join(
         movies, genres, natural_join_condition(imdb_tiny.catalog, movies, genres)
     )
-    plan = TopK(Prefer(Prefer(plan, genre), years), 10, "score")
+    plan = TopK(Prefer(plan, [genre, years]), 10, "score")
 
     def run(strategy, tracer):
         return engine.run(plan, strategy, tracer=tracer)
@@ -224,10 +233,8 @@ def test_prefgen_pool_queries_conform(imdb_tiny, count):
     plan = Join(
         movies, genres, natural_join_condition(imdb_tiny.catalog, movies, genres)
     )
-    for preference in pool:
-        if set(preference.relations) <= {"MOVIES", "GENRES"}:
-            plan = Prefer(plan, preference)
-    plan = TopK(plan, 10, "score")
+    run = [p for p in pool if set(p.relations) <= {"MOVIES", "GENRES"}]
+    plan = TopK(Prefer(plan, run) if run else plan, 10, "score")
 
     def run(strategy, tracer):
         return engine.run(plan, strategy, tracer=tracer)
@@ -253,24 +260,24 @@ def _movies_genres(left):
 
 
 OVERRIDE_PLANS = {
-    "mixed-chain": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR, F_MAX),
+    "mixed-chain": Prefer(Prefer(Relation("MOVIES"), [RECENT]), [DIRECTOR], F_MAX),
     "override-above-join": Prefer(
-        _movies_genres(Prefer(Relation("MOVIES"), RECENT)), COMEDY, F_MAX
+        _movies_genres(Prefer(Relation("MOVIES"), [RECENT])), [COMEDY], F_MAX
     ),
     # An override below a project, join or left join is no SPJ region for
     # FtP, which then evaluates that operator itself.
     "override-under-project": Project(
-        Prefer(Relation("MOVIES"), RECENT, F_MAX), ["MOVIES.title", "MOVIES.year"]
+        Prefer(Relation("MOVIES"), [RECENT], F_MAX), ["MOVIES.title", "MOVIES.year"]
     ),
-    "override-under-join": _movies_genres(Prefer(Relation("MOVIES"), RECENT, F_MAX)),
+    "override-under-join": _movies_genres(Prefer(Relation("MOVIES"), [RECENT], F_MAX)),
     "override-under-left-join": LeftJoin(
-        Prefer(Relation("MOVIES"), RECENT, F_MAX),
+        Prefer(Relation("MOVIES"), [RECENT], F_MAX),
         Relation("GENRES"),
         natural_join_condition(MOVIE_DB.catalog, Relation("MOVIES"), Relation("GENRES")),
     ),
     # No equality to hash on: the oracle's left join takes its theta path.
     "theta-left-join": LeftJoin(
-        Prefer(Relation("MOVIES"), RECENT),
+        Prefer(Relation("MOVIES"), [RECENT]),
         Relation("DIRECTORS"),
         Comparison("<", Attr("MOVIES.d_id"), Attr("DIRECTORS.d_id")),
     ),
@@ -404,13 +411,13 @@ def _movies_union():
 #: select), a same-aggregate run over a relation and over a join, and an
 #: aggregate override (FtP's Prefer branch, GBU's lazy input with scores).
 PREFER_PATH_PLANS = {
-    "single-over-base": Prefer(Relation("MOVIES"), RECENT),
-    "single-over-union": Prefer(_movies_union(), DIRECTOR),
+    "single-over-base": Prefer(Relation("MOVIES"), [RECENT]),
+    "single-over-union": Prefer(_movies_union(), [DIRECTOR]),
     "single-over-score-select": Prefer(
-        Select(Prefer(Relation("MOVIES"), RECENT), cmp("conf", ">=", 0.2)), DIRECTOR
+        Select(Prefer(Relation("MOVIES"), [RECENT]), cmp("conf", ">=", 0.2)), [DIRECTOR]
     ),
-    "run-over-base": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR),
-    "run-over-join": Prefer(Prefer(_movies_genres(Relation("MOVIES")), RECENT), COMEDY),
+    "run-over-base": Prefer(Relation("MOVIES"), [RECENT, DIRECTOR]),
+    "run-over-join": Prefer(_movies_genres(Relation("MOVIES")), [RECENT, COMEDY]),
     "override": OVERRIDE_PLANS["mixed-chain"],
 }
 
@@ -419,12 +426,12 @@ PREFER_PATH_PLANS = {
 @pytest.mark.parametrize("name", sorted(PREFER_PATH_PLANS))
 def test_every_prefer_is_scored_by_the_compiled_group(name, strategy):
     # The fused group pass is the only way a row strategy turns rows into
-    # score pairs: its prefer.batch spans account for every Prefer node.
+    # score pairs: its prefer.batch spans account for every preference.
     plan = PREFER_PATH_PLANS[name]
     tracer = Tracer()
     result = MOVIE_ENGINE.run(plan, strategy, tracer=tracer)
     scored = sum(span.attrs["preferences"] for span in tracer.root.find_all("prefer.batch"))
-    assert scored == sum(isinstance(node, Prefer) for node in plan.walk())
+    assert scored == len(plan.preferences())
     assert_identical(
         MOVIE_ENGINE.run(plan, "reference"),
         result,
@@ -486,39 +493,39 @@ def _movies_rows():
 #: One plan per node class, each scored by a prefer so every strategy's
 #: preference-aware dispatch, not only the native engine, sees the node.
 NODE_SAMPLES = {
-    "Relation": Prefer(Relation("MOVIES"), RECENT),
-    "Materialized": Prefer(_movies_rows(), RECENT),
+    "Relation": Prefer(Relation("MOVIES"), [RECENT]),
+    "Materialized": Prefer(_movies_rows(), [RECENT]),
     "Select": Select(
-        Prefer(Select(Relation("MOVIES"), cmp("MOVIES.duration", "<", 125)), RECENT),
+        Prefer(Select(Relation("MOVIES"), cmp("MOVIES.duration", "<", 125)), [RECENT]),
         cmp("conf", ">=", 0.2),
     ),
-    "Project": Project(Prefer(Relation("MOVIES"), RECENT), ["MOVIES.title"]),
-    "Join": Prefer(_movies_genres(Prefer(Relation("MOVIES"), RECENT)), COMEDY),
+    "Project": Project(Prefer(Relation("MOVIES"), [RECENT]), ["MOVIES.title"]),
+    "Join": Prefer(_movies_genres(Prefer(Relation("MOVIES"), [RECENT])), [COMEDY]),
     "LeftJoin": Prefer(
         LeftJoin(
             Relation("MOVIES"),
             Relation("GENRES"),
             natural_join_condition(MOVIE_DB.catalog, Relation("MOVIES"), Relation("GENRES")),
         ),
-        COMEDY,
+        [COMEDY],
     ),
-    "Union": Prefer(_movies_union(), DIRECTOR),
+    "Union": Prefer(_movies_union(), [DIRECTOR]),
     "Intersect": Prefer(
         Intersect(
-            Prefer(Select(Relation("MOVIES"), cmp("MOVIES.year", ">=", 2005)), RECENT),
+            Prefer(Select(Relation("MOVIES"), cmp("MOVIES.year", ">=", 2005)), [RECENT]),
             Select(Relation("MOVIES"), cmp("MOVIES.duration", "<", 125)),
         ),
-        DIRECTOR,
+        [DIRECTOR],
     ),
     "Difference": Prefer(
         Difference(
             Select(Relation("MOVIES"), cmp("MOVIES.year", ">=", 2000)),
             Select(Relation("MOVIES"), eq("MOVIES.d_id", 1)),
         ),
-        RECENT,
+        [RECENT],
     ),
-    "Prefer": Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR),
-    "TopK": TopK(Prefer(Prefer(Relation("MOVIES"), RECENT), DIRECTOR), 3, "score"),
+    "Prefer": Prefer(Relation("MOVIES"), [RECENT, DIRECTOR]),
+    "TopK": TopK(Prefer(Relation("MOVIES"), [RECENT, DIRECTOR]), 3, "score"),
 }
 
 
@@ -588,13 +595,15 @@ MALFORMED_PLANS = {
         eq("d_id", 1),
     ),
     "score-select-below-prefer": Prefer(
-        Select(Prefer(Relation("MOVIES"), P_YEAR), cmp("score", ">=", 0.5)), P_MID
+        Select(Prefer(Relation("MOVIES"), [P_YEAR]), cmp("score", ">=", 0.5)), [P_MID]
     ),
-    "topk-below-prefer": Prefer(TopK(Prefer(Relation("MOVIES"), P_YEAR), 3), P_MID),
-    "prefer-on-wrong-input": Prefer(Relation("DIRECTORS"), P_YEAR),
+    "topk-below-prefer": Prefer(TopK(Prefer(Relation("MOVIES"), [P_YEAR]), 3), [P_MID]),
+    "prefer-on-wrong-input": Prefer(Relation("DIRECTORS"), [P_YEAR]),
     "incompatible-union": Union(Relation("MOVIES"), Relation("DIRECTORS")),
-    "conflicting-overrides": Prefer(Prefer(Relation("MOVIES"), P_YEAR, F_MAX), P_MID, F_MIN),
-    "override-against-query-default": Prefer(Relation("MOVIES"), P_YEAR, F_MAX),
+    "conflicting-overrides": Prefer(
+        Prefer(Relation("MOVIES"), [P_YEAR], F_MAX), [P_MID], F_MIN
+    ),
+    "override-against-query-default": Prefer(Relation("MOVIES"), [P_YEAR], F_MAX),
 }
 
 
@@ -620,3 +629,43 @@ def test_malformed_plans_answer_or_fail_alike(name):
                     )
             else:
                 assert outcome == expected, f"{strategy} (columnar={columnar}) on {name}"
+
+
+# ---------------------------------------------------------------------------
+# Prefer runs stay in normal form
+# ---------------------------------------------------------------------------
+
+
+def test_corpus_plans_keep_prefer_runs_normal():
+    from repro.plan.analysis import qualify_preferences
+
+    corpus = {f"generated-{seed}": generated_plan(seed) for seed in range(50)}
+    for plans in (OVERRIDE_PLANS, PREFER_PATH_PLANS, NODE_SAMPLES, MALFORMED_PLANS):
+        corpus.update(plans)
+    for name, plan in corpus.items():
+        assert prefer_runs_normal(plan), name
+        try:
+            optimize_keeping_runs_normal(
+                qualify_preferences(plan, MOVIE_DB.catalog), MOVIE_DB.catalog
+            )
+        except ReproError:
+            assert name in MALFORMED_PLANS, name
+
+
+def test_compiled_sql_keeps_prefer_runs_normal(imdb_tiny, dblp_tiny):
+    queries = [(q.name, q.session(imdb_tiny if q.dataset == "imdb" else dblp_tiny), q.sql)
+               for q in all_queries()]
+    session = Session(MOVIE_DB)
+    queries += [(sql, session, sql) for sql in SETOP_QUERIES.values()]
+    queries.append((
+        "run",
+        session,
+        "SELECT title FROM MOVIES NATURAL JOIN GENRES PREFERRING "
+        "(year >= 2005) SCORE 0.5, (genre = 'Drama') SCORE 0.7, "
+        "(duration < 125) SCORE 0.4 TOP 3 BY score",
+    ))
+    for name, owner, sql in queries:
+        plan = owner.compile(sql).plan
+        assert prefer_runs_normal(plan), name
+        optimize_keeping_runs_normal(owner.engine.prepare(plan), owner.db.catalog)
+

@@ -1,17 +1,21 @@
 """Randomized plan fuzzing: every strategy must agree with the oracle.
 
 Hypothesis builds random extended query plans over the example movie
-database — random join subsets, selections, prefer operators at random
-positions, optional filtering suffixes — and checks that all physical
-strategies return exactly the reference evaluator's p-relation.
+database — random join subsets, selections, prefer runs over random
+relations (some with an ``F_MAX`` override, so runs split at an aggregate
+change and across join sides), optional filtering suffixes — and checks
+that all physical strategies return exactly the reference evaluator's
+p-relation.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import build_movie_db
+from tests.conformance import optimize_keeping_runs_normal, prefer_runs_normal
+from tests.conftest import build_movie_db, examples
 
+from repro.core.aggregates import F_MAX
 from repro.core.preference import Preference
 from repro.core.scoring import ConstantScore, around_score, rating_score, recency_score
 from repro.engine.expressions import TRUE, cmp, eq
@@ -74,10 +78,12 @@ def plans(draw):
     if draw(st.booleans()):
         relation = draw(st.sampled_from(names))
         plan = Select(plan, draw(st.sampled_from(CONDITIONS[relation])))
-    # 0..3 prefer operators over random relations of the query.
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    # 0..6 preferences over random relations of the query, in runs split
+    # where an F_MAX override starts or ends.
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
         relation = draw(st.sampled_from(names))
-        plan = Prefer(plan, draw(preferences(relation)))
+        aggregate = draw(st.sampled_from([None, None, F_MAX]))
+        plan = Prefer.over(plan, [draw(preferences(relation))], aggregate)
     # Optional filtering suffix.
     suffix = draw(st.sampled_from(["none", "topk", "conf", "score-topk"]))
     if suffix in ("conf", "score-topk"):
@@ -117,17 +123,20 @@ def test_all_strategies_match_reference(plan):
         )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(plans())
 def test_optimizer_preserves_random_plans(plan):
-    """The full optimizer pipeline is semantics-preserving on random plans."""
+    """The full optimizer pipeline is semantics-preserving on random plans,
+    and every rule keeps prefer runs in normal form."""
     from repro.optimizer import optimize
     from repro.pexec.conform import conform
     from repro.pexec.reference import evaluate_reference
     from repro.plan.analysis import qualify_preferences
 
+    assert prefer_runs_normal(plan)
     qualified = qualify_preferences(plan, DB.catalog)
-    optimized = optimize(qualified, DB.catalog)
+    optimized = optimize_keeping_runs_normal(qualified, DB.catalog)
+    assert optimized == optimize(qualified, DB.catalog)
     before = evaluate_reference(qualified, DB.catalog)
     after = conform(
         evaluate_reference(optimized, DB.catalog), qualified.schema(DB.catalog)
